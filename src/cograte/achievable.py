@@ -23,12 +23,13 @@ from .linalg import (
     build_lower,
     encode_psd,
     log_det_id_plus,
+    logdet2_pd,
     min_eigenvalue,
     param_len,
     param_rows,
     symmetrize,
 )
-from .regions import RatePair, RegionBoundary, cross_polish
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import SolverSettings, make_group_projection, maximize_multistart
 
 
@@ -145,69 +146,106 @@ class MuSumResult:
     theta: np.ndarray
 
 
-def _batched_logdet2(m: np.ndarray) -> np.ndarray:
-    sign, logabs = np.linalg.slogdet(m)
-    return logabs / LN2
+class LogDetProgram:
+    """Batched ``mu*r_p + r_c`` over Cholesky-parameterized covariance blocks.
+
+    ``blocks`` are covariance sizes; each block is the ``L L†`` of a Cholesky
+    vector laid out as :func:`build_lower`, and a parameter vector
+    concatenates them in order.  ``terms`` are ``(H, block)`` or ``(H, block,
+    divisor)``, meaning ``H Q_block H† / divisor``.  ``rates`` holds ``r_p``
+    and ``r_c`` as ``(N, plus, minus)`` over term indices, each rate being
+    ``scale*(log2|N + sum plus| - log2|N + sum minus|)``; with no minus terms
+    ``log2|N|`` is computed once, here.
+    """
+
+    def __init__(self, complex_mode, blocks, terms, rates, scale):
+        self.complex_mode = cm = bool(complex_mode)
+        dtype = complex if cm else float
+        self.blocks = []
+        offset = 0
+        for dim in blocks:
+            k = param_len(dim, cm)
+            self.blocks.append((offset, dim, k))
+            offset += k
+        self.n_params = offset
+        self._terms = []
+        for h, block, *divisor in terms:
+            h = np.asarray(h).astype(dtype)
+            self._terms.append((h, np.conj(h.T), block, float(divisor[0]) if divisor else 1.0))
+        self._rates = []
+        for noise, plus, minus in rates:
+            noise = np.asarray(noise).astype(dtype)
+            self._rates.append((noise, plus, minus, None if minus else logdet2_pd(noise)))
+        self.scale = scale
+
+    def _covariances(self, thetas: np.ndarray) -> list[np.ndarray]:
+        covs = []
+        for offset, dim, k in self.blocks:
+            low = build_lower(thetas[..., offset : offset + k], dim, self.complex_mode)
+            covs.append(low @ np.conj(np.swapaxes(low, -1, -2)))
+        return covs
+
+    def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched (r_p, r_c) of parameter rows ``thetas``."""
+        covs = self._covariances(np.atleast_2d(thetas))
+        terms = []
+        for h, h_adj, block, divisor in self._terms:
+            term = h @ covs[block] @ h_adj
+            terms.append(term if divisor == 1.0 else term / divisor)
+        out = []
+        for noise, plus, minus, logdet_noise in self._rates:
+            if minus:
+                logdet_noise = _logdet2(noise, minus, terms)
+            out.append(self.scale * (_logdet2(noise, plus, terms) - logdet_noise))
+        return tuple(out)
+
+    def objective(self, mu: float):
+        """The batched ``mu*r_p + r_c`` that :func:`maximize_multistart` ascends."""
+
+        def mu_sum(thetas: np.ndarray) -> np.ndarray:
+            r_p, r_c = self.rates(thetas)
+            return mu * r_p + r_c
+
+        return mu_sum
+
+    def encode(self, *matrices: np.ndarray) -> np.ndarray:
+        """Parameter vector of one PSD matrix per block (for starts)."""
+        return np.concatenate([encode_psd(m, complex_mode=self.complex_mode) for m in matrices])
+
+    def decode(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Hermitian PSD block covariances of one parameter vector."""
+        return [symmetrize(cov) for cov in self._covariances(theta)]
+
+    def starts(self, items, allocation=None) -> list[np.ndarray]:
+        """Encode start candidates: a tuple holds one matrix per block, a
+        :class:`DpcAllocation` is first mapped to such a tuple by
+        ``allocation``, and anything else is a raw parameter vector."""
+        out = []
+        for item in items:
+            if isinstance(item, DpcAllocation):
+                item = allocation(item)
+            out.append(self.encode(*item) if isinstance(item, tuple) else item)
+        return out
 
 
-def _layout(ch: CognitiveChannel):
-    cm = not ch.real_mode
-    n = ch.n_pt + ch.n_ct
-    k1 = param_len(n, cm)
-    k2 = param_len(ch.n_ct, cm)
-    rows = param_rows(n, cm)
-    licensed = np.nonzero(rows < ch.n_pt)[0]
-    cognitive = np.concatenate([np.nonzero(rows >= ch.n_pt)[0], k1 + np.arange(k2)])
-    return cm, n, k1, k2, licensed, cognitive
+def _logdet2(noise: np.ndarray, indices, terms) -> np.ndarray:
+    m = noise
+    for i in indices:
+        m = m + terms[i]
+    return np.linalg.slogdet(m)[1] / LN2
 
 
-def _make_objective(ch: CognitiveChannel, mu: float):
-    cm, n, k1, _k2, _, _ = _layout(ch)
-    g = np.hstack([ch.h_pp, ch.h_cp]).astype(complex if cm else float)
-    h_cp = ch.h_cp.astype(complex if cm else float)
-    h_cc = ch.h_cc.astype(complex if cm else float)
-    eye_pr = np.eye(ch.n_pr, dtype=g.dtype)
-    eye_cr = np.eye(ch.n_cr, dtype=g.dtype)
-    s = ch.rate_scale
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        l_net = build_lower(thetas[:, :k1], n, cm)
-        l_cc = build_lower(thetas[:, k1:], ch.n_ct, cm)
-        s_net = l_net @ np.conj(np.swapaxes(l_net, -1, -2))
-        s_cc = l_cc @ np.conj(np.swapaxes(l_cc, -1, -2))
-        interference = h_cp @ s_cc @ np.conj(h_cp.T)
-        signal = g @ s_net @ np.conj(g.T)
-        r_p = s * (
-            _batched_logdet2(eye_pr + signal + interference)
-            - _batched_logdet2(eye_pr + interference)
-        )
-        r_c = s * _batched_logdet2(eye_cr + h_cc @ s_cc @ np.conj(h_cc.T))
-        return mu * r_p + r_c
-
-    return objective
-
-
-def _theta_to_allocation(ch: CognitiveChannel, theta: np.ndarray) -> DpcAllocation:
-    cm, n, k1, _k2, _, _ = _layout(ch)
-    l_net = build_lower(theta[:k1], n, cm)
-    l_cc = build_lower(theta[k1:], ch.n_ct, cm)
-    s_net = symmetrize(l_net @ np.conj(l_net.T))
-    s_cc = symmetrize(l_cc @ np.conj(l_cc.T))
-    npt = ch.n_pt
-    return DpcAllocation(
-        sigma_p=s_net[:npt, :npt],
-        sigma_cp=s_net[npt:, npt:],
-        sigma_cc=s_cc,
-        q=s_net[:npt, npt:],
-    )
-
-
-def allocation_to_theta(ch: CognitiveChannel, a: DpcAllocation) -> np.ndarray:
-    """Encode an allocation as a solver parameter vector (for warm starts)."""
-    cm = not ch.real_mode
-    return np.concatenate(
-        [encode_psd(a.sigma_p_net, complex_mode=cm), encode_psd(a.sigma_cc, complex_mode=cm)]
+def _stacked_program(ch: CognitiveChannel, g: np.ndarray, alpha: float = 1.0) -> LogDetProgram:
+    """Blocks: a covariance over the stacked transmit dimensions, seen through
+    ``g`` at the licensed receiver, then sigma_cc, whose terms are divided by
+    ``alpha``.  ``g = [h_pp, h_cp]`` at alpha 1 is the DPC region; the partial
+    bound passes its ``g_alpha``."""
+    return LogDetProgram(
+        not ch.real_mode,
+        blocks=(ch.n_pt + ch.n_ct, ch.n_ct),
+        terms=[(g, 0), (ch.h_cp, 1, alpha), (ch.h_cc, 1, alpha)],
+        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (np.eye(ch.n_cr), (2,), ())],
+        scale=ch.rate_scale,
     )
 
 
@@ -241,13 +279,6 @@ def _corner_allocations(ch: CognitiveChannel):
     return corners
 
 
-def _validate_mu(mu: float) -> float:
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    return mu
-
-
 def mu_sum_achievable(
     ch: CognitiveChannel,
     mu: float,
@@ -261,24 +292,25 @@ def mu_sum_achievable(
     and the two trace budgets are enforced by exact group projection.
     ``extra_starts`` may carry allocations or raw parameter vectors.
     """
-    mu = _validate_mu(mu)
+    mu = check_mu(mu)
     opts = opts or SolverSettings()
-    cm, n, k1, k2, licensed, cognitive = _layout(ch)
-    objective = _make_objective(ch, mu)
+    program = _stacked_program(ch, np.hstack([ch.h_pp, ch.h_cp]))
+    licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
+    cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     project = make_group_projection([(licensed, ch.p_p), (cognitive, ch.p_c)])
-
-    starts = [allocation_to_theta(ch, a) for a in _corner_allocations(ch)]
-    for item in extra_starts:
-        if isinstance(item, DpcAllocation):
-            starts.append(allocation_to_theta(ch, item))
-        else:
-            starts.append(np.asarray(item, dtype=float))
-
+    starts = program.starts(
+        [*_corner_allocations(ch), *extra_starts],
+        allocation=lambda a: (a.sigma_p_net, a.sigma_cc),
+    )
     scale = math.sqrt(max(ch.p_p, ch.p_c))
     _, theta = maximize_multistart(
-        objective, k1 + k2, project, opts, scale=scale, extra_starts=starts
+        program.objective(mu), program.n_params, project, opts, scale=scale, extra_starts=starts
     )
-    witness = _theta_to_allocation(ch, theta)
+    net, sigma_cc = program.decode(theta)
+    npt = ch.n_pt
+    witness = DpcAllocation(
+        sigma_p=net[:npt, :npt], sigma_cp=net[npt:, npt:], sigma_cc=sigma_cc, q=net[:npt, npt:]
+    )
     rate = dpc_rates(ch, witness)
     return MuSumResult(value=rate.mu_sum(mu), rate=rate, witness=witness, theta=theta)
 
@@ -294,7 +326,7 @@ def trace_boundary(
     witness, then rescores every mu against the pooled witnesses so the
     emitted points are exactly Pareto ordered (dominated solves never win).
     """
-    mus = [_validate_mu(m) for m in mu_grid]
+    mus = [check_mu(m) for m in mu_grid]
     if not mus:
         raise ValueError("mu_grid must be nonempty")
     opts = opts or SolverSettings()
@@ -312,7 +344,7 @@ def trace_boundary(
         warm = res.theta
     sorted_mus = sorted(mus, reverse=True)
     pool_rates = [rates[i] for i in order]
-    pool_wits = [_witness_dict(witnesses[i]) for i in order]
+    pool_wits = [asdict(witnesses[i]) for i in order]
     points = cross_polish(sorted_mus, pool_rates, pool_wits)
     return RegionBoundary(
         points=points,
@@ -322,12 +354,3 @@ def trace_boundary(
             "settings": asdict(opts),
         },
     )
-
-
-def _witness_dict(a: DpcAllocation) -> dict:
-    return {
-        "sigma_p": a.sigma_p,
-        "sigma_cp": a.sigma_cp,
-        "sigma_cc": a.sigma_cc,
-        "q": a.q,
-    }

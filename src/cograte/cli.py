@@ -10,7 +10,7 @@ reproduce-paper  re-run the bundled reference experiment and compare against
                  its reported values
 
 Exit codes: 0 success, 2 config/IO error, 3 solver failure, 4 reproduction
-checks failed.  Set COGRATE_THREADS to parallelize per-alpha work.
+checks failed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -51,7 +50,7 @@ from .outer import (
     partial_outer_max_rp,
     trace_outer_boundary,
 )
-from .regions import SCHEMA_VERSION, write_atomic
+from .regions import SCHEMA_VERSION, check_mu, write_atomic
 from .solvers import SolverSettings, scan_then_golden
 
 #: Values reported for the bundled example channel, emitted for comparison.
@@ -99,8 +98,8 @@ class RunConfig:
     tol: float
 
     def __post_init__(self):
-        if any(not math.isfinite(m) or m < 0 for m in self.mu_grid):
-            raise ValueError("mu grid values must be finite and >= 0")
+        for mu in self.mu_grid:
+            check_mu(mu)
         if any(not math.isfinite(a) or a <= 0 for a in self.alphas):
             raise ValueError("alpha values must be finite and > 0")
         lo, hi = self.alpha_bracket
@@ -190,25 +189,28 @@ def _settings(cfg: RunConfig) -> SolverSettings:
     return SolverSettings(starts=cfg.starts, seed=cfg.seed)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("COGRATE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    workers = _workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(boundary, path: str, fmt: str) -> None:
     content = boundary.to_csv() if fmt == "csv" else boundary.to_json()
     write_atomic(path, content)
     print(f"wrote {path}")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _bounds_report(ch: CognitiveChannel, alphas, curves) -> dict:
+    """Combined bound curves, one list of rate points per alpha."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "channel": ch.digest(),
+        "alphas": {
+            f"{alpha:g}": [
+                {"mu": p.mu, "r_p": p.rate.r_p, "r_c": p.rate.r_c} for p in curve.points
+            ]
+            for alpha, curve in zip(alphas, curves)
+        },
+    }
 
 
 def cmd_region(args: argparse.Namespace) -> int:
@@ -227,22 +229,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     # the achievable trace seeds every bound solve: the bound contains the
     # region, so its witnesses are feasible warm starts on the bound side
     region = trace_boundary(ch, cfg.mu_grid, settings)
-
-    def solve(alpha: float):
-        return trace_outer_boundary(ch, alpha, cfg.mu_grid, settings, warm_boundary=region)
-
-    curves = _map(solve, list(cfg.alphas))
+    curves = [
+        trace_outer_boundary(ch, alpha, cfg.mu_grid, settings, warm_boundary=region)
+        for alpha in cfg.alphas
+    ]
     stem = cfg.out or "bound"
     stem = stem[: -len(".csv")] if stem.endswith(".csv") else stem
     stem = stem[: -len(".json")] if stem.endswith(".json") else stem
-    combined = {"schema": SCHEMA_VERSION, "channel": ch.digest(), "alphas": {}}
     for alpha, curve in zip(cfg.alphas, curves):
-        path = f"{stem}_alpha{alpha:g}.{cfg.fmt}"
-        _emit(curve, path, cfg.fmt)
-        combined["alphas"][f"{alpha:g}"] = [
-            {"mu": p.mu, "r_p": p.rate.r_p, "r_c": p.rate.r_c} for p in curve.points
-        ]
-    write_atomic(f"{stem}.json", json.dumps(combined, indent=2, sort_keys=True) + "\n")
+        _emit(curve, f"{stem}_alpha{alpha:g}.{cfg.fmt}", cfg.fmt)
+    _write_json(f"{stem}.json", _bounds_report(ch, cfg.alphas, curves))
     print(f"wrote {stem}.json")
     return 0
 
@@ -255,30 +251,32 @@ def _alpha_note(alpha_star: float) -> str:
     )
 
 
+def _sweep_report(cfg: RunConfig, mu: float, sweep, condition: bool) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "mu": mu,
+        "alpha_star": sweep.alpha_star,
+        "n_value": sweep.n_value,
+        "n_value_per_mu": sweep.n_value / mu,
+        "condition_check": bool(condition),
+        "non_unimodal": bool(sweep.non_unimodal),
+        "tolerances": {"condition": cfg.tol},
+        "paper_alpha_note": _alpha_note(sweep.alpha_star),
+        "reported_alpha_star": REPORTED_ALPHA_STAR,
+    }
+
+
 def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     cfg = _config(args)
     ch = _load(cfg)
     settings = _settings(cfg)
-    mu = float(getattr(args, "mu", cfg.mu_infinity) or cfg.mu_infinity)
-    if mu < 1.0:
-        raise UnsupportedMu(f"sweep-alpha runs the condition check and needs mu >= 1, got {mu}")
+    mu = check_mu(getattr(args, "mu", cfg.mu_infinity) or cfg.mu_infinity, 1.0)
     result = inf_alpha_partial_outer(ch, mu, cfg.alpha_bracket, settings, n_scan=cfg.resolution // 20 + 10)
     condition = condition_check(ch, result.alpha_star, mu, cfg.tol, settings)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "mu": mu,
-        "alpha_star": result.alpha_star,
-        "n_value": result.n_value,
-        "n_value_per_mu": result.n_value / mu,
-        "condition_check": bool(condition),
-        "non_unimodal": bool(result.non_unimodal),
-        "bracket": list(result.bracket),
-        "tolerances": {"condition": cfg.tol},
-        "paper_alpha_note": _alpha_note(result.alpha_star),
-        "reported_alpha_star": REPORTED_ALPHA_STAR,
-    }
+    report = _sweep_report(cfg, mu, result, condition)
+    report["bracket"] = list(result.bracket)
     out = cfg.out or "sweep_alpha.json"
-    write_atomic(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out, report)
     print(f"wrote {out}")
     return 0
 
@@ -300,26 +298,19 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     peak = mu_sum_achievable(ch, mu_inf, settings)
     max_rp = peak.rate.r_p
 
-    def solve(alpha: float):
-        return trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
-
-    curves = _map(solve, list(DEFAULT_ALPHAS))
+    curves = [
+        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
+        for alpha in DEFAULT_ALPHAS
+    ]
     containment_slack = math.inf
-    combined = {"schema": SCHEMA_VERSION, "channel": ch.digest(), "alphas": {}}
     for alpha, curve in zip(DEFAULT_ALPHAS, curves):
         write_atomic(
             os.path.join(out_dir, f"bound_alpha{alpha:g}.csv"), curve.to_csv()
         )
-        combined["alphas"][f"{alpha:g}"] = [
-            {"mu": p.mu, "r_p": p.rate.r_p, "r_c": p.rate.r_c} for p in curve.points
-        ]
         for bp, rp in zip(curve.points, region.points):
             slack = bp.rate.mu_sum(bp.mu) - rp.rate.mu_sum(rp.mu)
             containment_slack = min(containment_slack, slack)
-    write_atomic(
-        os.path.join(out_dir, "bounds.json"),
-        json.dumps(combined, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(out_dir, "bounds.json"), _bounds_report(ch, DEFAULT_ALPHAS, curves))
 
     # scalar minimization of the bound's licensed-rate cap over alpha; the
     # inner value is the closed-form water-filling capacity at each alpha
@@ -336,21 +327,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     # the generic alpha sweep (solver-driven, independent of the closed form)
     sweep = inf_alpha_partial_outer(ch, mu_inf, cfg.alpha_bracket, settings)
-    sweep_report = {
-        "schema": SCHEMA_VERSION,
-        "mu": mu_inf,
-        "alpha_star": sweep.alpha_star,
-        "n_value": sweep.n_value,
-        "n_value_per_mu": sweep.n_value / mu_inf,
-        "condition_check": bool(condition),
-        "non_unimodal": bool(sweep.non_unimodal),
-        "tolerances": {"condition": cfg.tol},
-        "paper_alpha_note": _alpha_note(sweep.alpha_star),
-        "reported_alpha_star": REPORTED_ALPHA_STAR,
-    }
-    write_atomic(
-        os.path.join(out_dir, "sweep_alpha.json"),
-        json.dumps(sweep_report, indent=2, sort_keys=True) + "\n",
+    _write_json(
+        os.path.join(out_dir, "sweep_alpha.json"), _sweep_report(cfg, mu_inf, sweep, condition)
     )
 
     checks = {
@@ -374,10 +352,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         "checks": checks,
         "elapsed_seconds": round(time.monotonic() - started, 3),
     }
-    write_atomic(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
     print(f"max r_p achievable     {max_rp:.6f}   (reported {REPORTED_MAX_RP})")
     print(f"inf-alpha bound r_p    {rp_bound:.6f}   gap {tightness_gap:.2e}")

@@ -19,7 +19,7 @@ from .achievable import DpcAllocation, dpc_rates, mu_sum_achievable
 from .channel import CognitiveChannel
 from .errors import OracleTooLarge
 from .outer import inf_alpha_partial_outer
-from .regions import RatePair
+from .regions import RatePair, check_mu
 from .solvers import NEG_INF, SolverSettings, scan_then_golden
 
 
@@ -101,10 +101,7 @@ def inf_alpha_g1(ch: CognitiveChannel, mu: float, a: DpcAllocation, rate: RatePa
     hold (alpha -> 0 isolates the licensed one, alpha -> inf the cognitive
     one), so the infimum collapses to the two-budget case analysis.
     """
-    tp, tcp, tcc = _traces(a)
-    if tp > ch.p_p or tcp + tcc > ch.p_c:
-        return NEG_INF
-    return mu * rate.r_p + rate.r_c
+    return lagrangian_g(ch, mu, a, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +152,7 @@ def grid_oracle(
     _oracle_guard(ch)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError("mu must be finite and nonnegative")
+    mu = check_mu(mu)
     s = ch.rate_scale
     hpp, hcp, ncc = _scalar_gains(ch)
 
@@ -209,9 +204,7 @@ def kyfan_gap(
     partial-bound mu-sum.  Scalar-transmit instances run both sides on the
     grid oracle; larger ones fall back to the ascent solvers.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError("mu must be finite and nonnegative")
+    mu = check_mu(mu)
     opts = opts or SolverSettings()
 
     scalar = ch.n_pt == 1 and ch.n_ct == 1 and ch.n_pr == 1 and ch.real_mode

@@ -15,27 +15,18 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .achievable import DpcAllocation
+from .achievable import DpcAllocation, LogDetProgram, _stacked_program
 from .channel import CognitiveChannel, composite_matrices
 from .errors import (
     BracketUnbounded,
     InfeasibleAllocation,
     SingularSigmaZ,
     SolverDiverged,
-    UnsupportedMu,
+    ZeroChannel,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    LN2,
-    build_lower,
-    encode_psd,
-    log_det_id_plus,
-    logdet2_pd,
-    min_eigenvalue,
-    param_len,
-    symmetrize,
-)
-from .regions import RatePair, RegionBoundary, cross_polish
+from .linalg import DEFAULT_TOL, log_det_id_plus, logdet2_pd, min_eigenvalue
+from .linalg import build_lower, encode_psd  # noqa: F401  (perfbench/tracing.py patches them here)
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import (
     ScanResult,
     SolverSettings,
@@ -160,9 +151,34 @@ def partial_outer_rates(
 # ---------------------------------------------------------------------------
 
 
-def _batched_logdet2(m: np.ndarray) -> np.ndarray:
-    _sign, logabs = np.linalg.slogdet(m)
-    return logabs / LN2
+def _broadcast_program(ch: CognitiveChannel, ga, h_c, noise) -> LogDetProgram:
+    """Blocks: q_p and q_c, both over the stacked transmit dimensions.
+
+    The licensed rate treats q_c as interference through ``ga``; the
+    cognitive rate is log2|noise + h_c q_c h_c†| - log2|noise|.
+    """
+    n = ch.n_pt + ch.n_ct
+    return LogDetProgram(
+        not ch.real_mode,
+        blocks=(n, n),
+        terms=[(ga, 0), (ga, 1), (h_c, 1)],
+        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (noise, (2,), ())],
+        scale=ch.rate_scale,
+    )
+
+
+def _maximize_sum_power(program: LogDetProgram, mu, budget, opts, starts, allocation=None):
+    """Winning theta of the program's mu-sum with every parameter under one
+    sum-power budget, ascending from the :meth:`LogDetProgram.starts` items."""
+    _, theta = maximize_multistart(
+        program.objective(mu),
+        program.n_params,
+        make_group_projection([(np.arange(program.n_params), budget)]),
+        opts or SolverSettings(),
+        scale=math.sqrt(budget),
+        extra_starts=program.starts(starts, allocation),
+    )
+    return theta
 
 
 @dataclass(frozen=True)
@@ -226,69 +242,14 @@ def mu_sum_partial_outer(
     :func:`partial_start_from_achievable`), (q_p, sigma_cc) pairs, or raw
     parameter vectors.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    opts = opts or SolverSettings()
-    mats = composite_matrices(ch, alpha)
-    cm = not ch.real_mode
-    n = ch.n_pt + ch.n_ct
-    k1 = param_len(n, cm)
-    k2 = param_len(ch.n_ct, cm)
+    mu = check_mu(mu)
     budget = ch.p_p + alpha * ch.p_c
-    s = ch.rate_scale
-    ga = mats.g_alpha.astype(complex if cm else float)
-    h_cp = ch.h_cp.astype(complex if cm else float)
-    h_cc = ch.h_cc.astype(complex if cm else float)
-    eye_pr = np.eye(ch.n_pr, dtype=ga.dtype)
-    eye_cr = np.eye(ch.n_cr, dtype=ga.dtype)
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        l_qp = build_lower(thetas[:, :k1], n, cm)
-        l_cc = build_lower(thetas[:, k1:], ch.n_ct, cm)
-        q_p = l_qp @ np.conj(np.swapaxes(l_qp, -1, -2))
-        s_cc = l_cc @ np.conj(np.swapaxes(l_cc, -1, -2))
-        intf = (h_cp @ s_cc @ np.conj(h_cp.T)) / alpha
-        sig = ga @ q_p @ np.conj(ga.T)
-        r_p = s * (
-            _batched_logdet2(eye_pr + sig + intf) - _batched_logdet2(eye_pr + intf)
-        )
-        r_c = s * _batched_logdet2(eye_cr + (h_cc @ s_cc @ np.conj(h_cc.T)) / alpha)
-        return mu * r_p + r_c
-
-    project = make_group_projection([(np.arange(k1 + k2), budget)])
-
-    starts = []
-    for q_p, s_cc in _bound_corners(ch, alpha, budget):
-        starts.append(
-            np.concatenate([encode_psd(q_p, complex_mode=cm), encode_psd(s_cc, complex_mode=cm)])
-        )
-    for item in extra_starts:
-        if isinstance(item, DpcAllocation):
-            q_p, s_cc = partial_start_from_achievable(ch, alpha, item)
-            starts.append(
-                np.concatenate(
-                    [encode_psd(q_p, complex_mode=cm), encode_psd(s_cc, complex_mode=cm)]
-                )
-            )
-        elif isinstance(item, tuple):
-            q_p, s_cc = item
-            starts.append(
-                np.concatenate(
-                    [encode_psd(q_p, complex_mode=cm), encode_psd(s_cc, complex_mode=cm)]
-                )
-            )
-        else:
-            starts.append(np.asarray(item, dtype=float))
-
-    _, theta = maximize_multistart(
-        objective, k1 + k2, project, opts, scale=math.sqrt(budget), extra_starts=starts
+    program = _stacked_program(ch, composite_matrices(ch, alpha).g_alpha, alpha)
+    starts = [*_bound_corners(ch, alpha, budget), *extra_starts]
+    theta = _maximize_sum_power(
+        program, mu, budget, opts, starts, lambda a: partial_start_from_achievable(ch, alpha, a)
     )
-    l_qp = build_lower(theta[:k1], n, cm)
-    l_cc = build_lower(theta[k1:], ch.n_ct, cm)
-    q_p = symmetrize(l_qp @ np.conj(l_qp.T))
-    s_cc = symmetrize(l_cc @ np.conj(l_cc.T))
+    q_p, s_cc = program.decode(theta)
     rate = partial_outer_rates(ch, alpha, q_p, s_cc)
     return BoundMuSumResult(
         value=rate.mu_sum(mu), rate=rate, q_p=q_p, sigma_cc=s_cc, theta=theta, alpha=alpha
@@ -398,66 +359,28 @@ def bc_mu_sum(
     Requires mu >= 1: only there does the licensed-first ordering attain the
     broadcast-channel maximum.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 1.0:
-        raise UnsupportedMu(f"broadcast-side mu-sums require mu >= 1, got {mu}")
-    opts = opts or SolverSettings()
+    mu = check_mu(mu, 1.0)
     mats = composite_matrices(ch, alpha)
-    cm = not ch.real_mode
+    dtype = float if ch.real_mode else complex
+    ga, kk = mats.g_alpha.astype(dtype), mats.k.astype(dtype)
     n = ch.n_pt + ch.n_ct
-    k1 = param_len(n, cm)
     budget = ch.p_p + alpha * ch.p_c
-    s = ch.rate_scale
-    ga = mats.g_alpha.astype(complex if cm else float)
-    kk = mats.k.astype(complex if cm else float)
-    eye_pr = np.eye(ch.n_pr, dtype=ga.dtype)
-    eye_cr = np.eye(ch.n_cr, dtype=ga.dtype)
+    program = _broadcast_program(ch, ga, kk, np.eye(ch.n_cr))
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        l_qp = build_lower(thetas[:, :k1], n, cm)
-        l_qc = build_lower(thetas[:, k1:], n, cm)
-        q_p = l_qp @ np.conj(np.swapaxes(l_qp, -1, -2))
-        q_c = l_qc @ np.conj(np.swapaxes(l_qc, -1, -2))
-        sig = ga @ q_p @ np.conj(ga.T)
-        intf = ga @ q_c @ np.conj(ga.T)
-        r_p = s * (
-            _batched_logdet2(eye_pr + sig + intf) - _batched_logdet2(eye_pr + intf)
-        )
-        r_c = s * _batched_logdet2(eye_cr + kk @ q_c @ np.conj(kk.T))
-        return mu * r_p + r_c
-
-    project = make_group_projection([(np.arange(2 * k1), budget)])
-
-    starts = []
-    _, wf_qp = waterfill(ga, budget, real_mode=ch.real_mode)
     zero_n = np.zeros((n, n))
-    starts.append(np.concatenate([encode_psd(wf_qp, cm), encode_psd(zero_n, cm)]))
+    starts = [(waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n)]
     try:
-        _, wf_qc = waterfill(kk, budget, real_mode=ch.real_mode)
-        starts.append(np.concatenate([encode_psd(zero_n, cm), encode_psd(wf_qc, cm)]))
-    except Exception:
-        pass  # k may be all-zero (degenerate cognitive receiver)
+        starts.append((zero_n, waterfill(kk, budget, real_mode=ch.real_mode)[1]))
+    except ZeroChannel:
+        pass  # h_cc = 0 zeroes k: the cognitive receiver hears nothing
     iso = (0.5 * budget / n) * np.eye(n)
-    starts.append(np.concatenate([encode_psd(iso, cm), encode_psd(iso, cm)]))
-    for item in extra_starts:
-        if isinstance(item, tuple):
-            q_p, q_c = item
-            starts.append(np.concatenate([encode_psd(q_p, cm), encode_psd(q_c, cm)]))
-        else:
-            starts.append(np.asarray(item, dtype=float))
-
-    _, theta = maximize_multistart(
-        objective, 2 * k1, project, opts, scale=math.sqrt(budget), extra_starts=starts
-    )
-    l_qp = build_lower(theta[:k1], n, cm)
-    l_qc = build_lower(theta[k1:], n, cm)
-    q_p = symmetrize(l_qp @ np.conj(l_qp.T))
-    q_c = symmetrize(l_qc @ np.conj(l_qc.T))
+    starts.append((iso, iso))
+    theta = _maximize_sum_power(program, mu, budget, opts, [*starts, *extra_starts])
+    q_p, q_c = program.decode(theta)
     sig = ga @ q_p @ np.conj(ga.T)
     intf = ga @ q_c @ np.conj(ga.T)
-    r_p = s * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
-    r_c = s * log_det_id_plus(kk @ q_c @ np.conj(kk.T))
+    r_p = ch.rate_scale * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
+    r_c = ch.rate_scale * log_det_id_plus(kk @ q_c @ np.conj(kk.T))
     rate = RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
     return BcMuSumResult(value=rate.mu_sum(mu), rate=rate, q_p=q_p, q_c=q_c, alpha=alpha)
 
@@ -484,9 +407,7 @@ def condition_check(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 1.0:
-        raise UnsupportedMu(f"condition check requires mu >= 1, got {mu}")
+    mu = check_mu(mu, 1.0)
     opts = opts or SolverSettings()
     part = mu_sum_partial_outer(ch, alpha, mu, opts)
     embed = (part.q_p, _embed_structured(ch, part.sigma_cc))
@@ -507,24 +428,18 @@ def trace_outer_boundary(
     contributes mapped warm starts, which keeps the traced bound numerically
     above the region it contains even where the two curves touch.
     """
-    mus = sorted({float(m) for m in mu_grid}, reverse=True)
+    mus = sorted({check_mu(m) for m in mu_grid}, reverse=True)
     if not mus:
         raise ValueError("mu_grid must be nonempty")
-    if any(not math.isfinite(m) or m < 0 for m in mus):
-        raise ValueError("mu grid values must be finite and nonnegative")
     opts = opts or SolverSettings()
 
     warm_by_mu = {}
+    keys = ("sigma_p", "sigma_cp", "sigma_cc", "q")
     if warm_boundary is not None:
         for p in warm_boundary.points:
             w = p.witness
-            if all(k in w for k in ("sigma_p", "sigma_cp", "sigma_cc", "q")):
-                warm_by_mu[float(p.mu)] = DpcAllocation(
-                    sigma_p=np.asarray(w["sigma_p"]),
-                    sigma_cp=np.asarray(w["sigma_cp"]),
-                    sigma_cc=np.asarray(w["sigma_cc"]),
-                    q=np.asarray(w["q"]),
-                )
+            if all(k in w for k in keys):
+                warm_by_mu[float(p.mu)] = DpcAllocation(*(w[k] for k in keys))
 
     rates, wits = [], []
     warm_theta = None
@@ -567,64 +482,23 @@ def mu_sum_outer(
     extra_starts=(),
 ):
     """Maximize mu*r_p + r_c over the full bound at fixed (alpha, coupling)."""
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    opts = opts or SolverSettings()
+    mu = check_mu(mu)
     mats = composite_matrices(ch, alpha)
     sz = nz.sigma_z()
     if min_eigenvalue(sz) <= 1e-9:
         raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
-    cm = not ch.real_mode
+    ga = mats.g_alpha.astype(float if ch.real_mode else complex)
     n = ch.n_pt + ch.n_ct
-    k1 = param_len(n, cm)
     budget = ch.p_p + alpha * ch.p_c
-    s = ch.rate_scale
-    ga = mats.g_alpha.astype(complex if cm else float)
-    kbar = mats.k_bar.astype(complex if cm else float)
-    sz = sz.astype(complex if cm else float)
-    eye_pr = np.eye(ch.n_pr, dtype=ga.dtype)
-    logdet_sz = logdet2_pd(sz)
+    program = _broadcast_program(ch, ga, mats.k_bar, sz)
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        l_qp = build_lower(thetas[:, :k1], n, cm)
-        l_qc = build_lower(thetas[:, k1:], n, cm)
-        q_p = l_qp @ np.conj(np.swapaxes(l_qp, -1, -2))
-        q_c = l_qc @ np.conj(np.swapaxes(l_qc, -1, -2))
-        sig = ga @ q_p @ np.conj(ga.T)
-        intf = ga @ q_c @ np.conj(ga.T)
-        r_p = s * (
-            _batched_logdet2(eye_pr + sig + intf) - _batched_logdet2(eye_pr + intf)
-        )
-        r_c = s * (_batched_logdet2(sz + kbar @ q_c @ np.conj(kbar.T)) - logdet_sz)
-        return mu * r_p + r_c
-
-    project = make_group_projection([(np.arange(2 * k1), budget)])
-    starts = []
-    _, wf_qp = waterfill(ga, budget, real_mode=ch.real_mode)
     zero_n = np.zeros((n, n))
-    starts.append(np.concatenate([encode_psd(wf_qp, cm), encode_psd(zero_n, cm)]))
-    starts.append(
-        np.concatenate(
-            [encode_psd(zero_n, cm), encode_psd((budget / n) * np.eye(n), cm)]
-        )
-    )
-    for item in extra_starts:
-        if isinstance(item, tuple):
-            q_p, q_c = item
-            starts.append(np.concatenate([encode_psd(q_p, cm), encode_psd(q_c, cm)]))
-        else:
-            starts.append(np.asarray(item, dtype=float))
-
-    value, theta = maximize_multistart(
-        objective, 2 * k1, project, opts, scale=math.sqrt(budget), extra_starts=starts
-    )
-    l_qp = build_lower(theta[:k1], n, cm)
-    l_qc = build_lower(theta[k1:], n, cm)
-    alloc = OuterAllocation(
-        q_p=symmetrize(l_qp @ np.conj(l_qp.T)), q_c=symmetrize(l_qc @ np.conj(l_qc.T))
-    )
+    starts = [
+        (waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n),
+        (zero_n, (budget / n) * np.eye(n)),
+    ]
+    theta = _maximize_sum_power(program, mu, budget, opts, [*starts, *extra_starts])
+    alloc = OuterAllocation(*program.decode(theta))
     rate = outer_rates(ch, alpha, nz, alloc)
     return rate.mu_sum(mu), rate, alloc
 

@@ -10,7 +10,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UnsupportedMu
+
 SCHEMA_VERSION = 1
+
+
+def check_mu(mu, minimum: float = 0.0) -> float:
+    """Return the weight ``mu`` as a float if it is finite and >= ``minimum``;
+    raise ValueError otherwise, or UnsupportedMu for a positive ``minimum``
+    (the broadcast-side problems need mu >= 1)."""
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu >= minimum):
+        error = UnsupportedMu if minimum > 0.0 else ValueError
+        raise error(f"mu must be finite and >= {minimum:g}, got {mu}")
+    return mu
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,7 @@ def test_bound_rejects_negative_alpha(tmp_path, channel_file):
     assert code == 2
 
 
-def test_bound_respects_thread_cap(tmp_path, channel_file, monkeypatch):
-    monkeypatch.setenv("COGRATE_THREADS", "2")
+def test_bound_writes_one_file_per_alpha(tmp_path, channel_file):
     stem = str(tmp_path / "bt")
     code = run([
         "bound", "--channel", channel_file, "--alpha", "0.5,2",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cograte.achievable import mu_sum_achievable, trace_boundary
-from cograte.channel import CognitiveChannel
+from cograte.channel import CognitiveChannel, composite_matrices
 from cograte.errors import (
     InfeasibleAllocation,
     SingularSigmaZ,
@@ -26,7 +26,7 @@ from cograte.outer import (
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
-from cograte.solvers import SolverSettings
+from cograte.solvers import SolverSettings, waterfill
 
 MAX_RP = 2.354204853970093
 FLIPPED_A1 = 2.40934687718198
@@ -183,6 +183,21 @@ def test_bc_mu_sum_degenerate_cognitive_channel(fast):
     res = bc_mu_sum(ch, 1.0, 1e6, fast)
     wf = partial_outer_max_rp(ch, 1.0)
     assert res.value / 1e6 == pytest.approx(wf, abs=1e-6)
+
+
+def test_bc_mu_sum_zero_cognitive_channel(fast):
+    # h_cc = 0 zeroes k, so the water-filling start on k raises ZeroChannel
+    ch = CognitiveChannel(
+        h_pp=[[1.2]], h_pc=[[0.1]], h_cp=[[0.7]], h_cc=[[0.0]],
+        p_p=4.0, p_c=4.0, real_mode=True,
+    )
+    alpha, mu = 0.5, 2.0
+    res = bc_mu_sum(ch, alpha, mu, fast)
+    capacity, _ = waterfill(
+        composite_matrices(ch, alpha).g_alpha, ch.p_p + alpha * ch.p_c, real_mode=True
+    )
+    assert res.rate.r_c == 0.0
+    assert res.value == pytest.approx(mu * capacity, abs=1e-6)
 
 
 def test_bc_mu_sum_bundled_large_mu(sec7, fast):
