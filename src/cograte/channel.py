@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ from .errors import (
 from .linalg import DEFAULT_TOL, logdet2_pd, min_eigenvalue, project_psd, symmetrize
 
 
+def _is_number(x) -> bool:
+    """A JSON number that is a finite float; JSON booleans are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _as_matrix(value, key: str, real_mode: bool) -> np.ndarray:
     """Coerce a JSON value (scalar, column list, or nested rows) to a matrix.
 
@@ -38,11 +44,11 @@ def _as_matrix(value, key: str, real_mode: bool) -> np.ndarray:
     """
 
     def entry(x):
-        if isinstance(x, (int, float)):
+        if _is_number(x):
             return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
+        if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
             return complex(x[0], x[1])
-        raise ParseError(f"{key}: entry {x!r} is not a number or [re, im] pair")
+        raise ParseError(f"{key}: entry {x!r} is not a finite number or [re, im] pair")
 
     if isinstance(value, (int, float)):
         rows = [[entry(value)]]
@@ -180,7 +186,8 @@ def load_channel(spec_text: str) -> CognitiveChannel:
     (row-major arrays of arrays, entries real numbers or [re, im] pairs),
     ``p_p``, ``p_c`` (positive numbers) and optional ``real_mode`` (default
     false).  Scalars and flat lists are accepted as 1x1 matrices and column
-    vectors respectively.
+    vectors respectively.  Non-finite numbers, booleans, and a matrix whose
+    (p_p + p_c) * ||H||_F^2 is not finite raise ParseError naming the key.
     """
     try:
         doc = json.loads(spec_text)
@@ -196,8 +203,13 @@ def load_channel(spec_text: str) -> CognitiveChannel:
         raise ParseError("real_mode must be a boolean")
     mats = {k: _as_matrix(doc[k], k, real_mode) for k in ("h_pp", "h_pc", "h_cp", "h_cc")}
     for k in ("p_p", "p_c"):
-        if not isinstance(doc[k], (int, float)):
-            raise ParseError(f"{k} must be a number")
+        if not _is_number(doc[k]):
+            raise ParseError(f"{k} must be a finite number, got {doc[k]!r}")
+    power = float(doc["p_p"]) + float(doc["p_c"])
+    for k, m in mats.items():
+        # every rate takes log det(I + H Q H†) with tr Q <= p_p + p_c
+        if not math.isfinite(power * float(np.vdot(m, m).real)):
+            raise ParseError(f"{k}: (p_p + p_c) * ||{k}||_F^2 is not finite")
     return CognitiveChannel(
         h_pp=mats["h_pp"],
         h_pc=mats["h_pc"],
@@ -232,9 +244,7 @@ def composite_matrices(ch: CognitiveChannel, alpha: float) -> CompositeMatrices:
     g = np.hstack([ch.h_pp, ch.h_cp])
     g_alpha = np.hstack([ch.h_pp, ch.h_cp / root])
     k = np.hstack([np.zeros((ch.n_cr, ch.n_pt), dtype=ch.h_cc.dtype), ch.h_cc / root])
-    top = np.hstack([ch.h_pp, ch.h_cp / root])
-    bottom = np.hstack([np.zeros((ch.n_cr, ch.n_pt), dtype=ch.h_cc.dtype), ch.h_cc / root])
-    k_bar = np.vstack([top, bottom])
+    k_bar = np.vstack([g_alpha, k])
     return CompositeMatrices(g=g, g_alpha=g_alpha, k=k, k_bar=k_bar, alpha=alpha)
 
 

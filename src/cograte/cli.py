@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -81,41 +80,44 @@ _SOLVER_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-command configuration assembled from CLI flags."""
-
-    channel_path: str | None
-    mu_grid: tuple[float, ...]
-    alphas: tuple[float, ...]
-    alpha_bracket: tuple[float, float]
-    seed: int
-    out: str | None
-    fmt: str
-    resolution: int
-    mu_infinity: float
-    starts: int
-    tol: float
-
-    def __post_init__(self):
-        for mu in self.mu_grid:
-            check_mu(mu)
-        if any(not math.isfinite(a) or a <= 0 for a in self.alphas):
-            raise ValueError("alpha values must be finite and > 0")
-        lo, hi = self.alpha_bracket
-        if not (0 < lo < hi < math.inf):
-            raise ValueError(f"invalid alpha bracket {lo}:{hi}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.mu_infinity <= 0 or not math.isfinite(self.mu_infinity):
-            raise ValueError("mu-infinity must be finite and positive")
-
-
 def bundled_channel_text() -> str:
     """JSON text of the packaged example channel."""
     return resources.files("cograte").joinpath("data/paper_sec7.json").read_text()
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _resolution(text: str) -> int:
+    """argparse type: an integer >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"resolution must be >= 2, got {value}")
+    return value
+
+
+def _parse_alphas(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated alphas, each finite and > 0."""
+    return tuple(_positive(x) for x in text.split(","))
+
+
+def _parse_bracket(text: str) -> tuple[float, float]:
+    """argparse type: an alpha bracket LO:HI with 0 < LO < HI < inf."""
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not (0 < lo < hi < math.inf):
+        raise argparse.ArgumentTypeError(f"bad alpha bracket {text!r}; expected LO:HI, 0 < LO < HI")
+    return lo, hi
 
 
 def _parse_mu_grid(spec: str, mu_infinity: float) -> tuple[float, ...]:
@@ -144,49 +146,19 @@ def _parse_mu_grid(spec: str, mu_infinity: float) -> tuple[float, ...]:
     )
 
 
-def _parse_alphas(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad alpha list {text!r}") from None
-    if not values:
-        raise ValueError("alpha list is empty")
-    return values
+def _mu_grid(args: argparse.Namespace) -> tuple[float, ...]:
+    return tuple(check_mu(mu) for mu in _parse_mu_grid(args.mu_grid, args.mu_infinity))
 
 
-def _parse_bracket(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"bad alpha bracket {text!r}; expected LO:HI")
-    return float(parts[0]), float(parts[1])
+def _settings(args: argparse.Namespace) -> SolverSettings:
+    return SolverSettings(starts=args.starts, seed=args.seed)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    mu_infinity = float(getattr(args, "mu_infinity", 1e6))
-    return RunConfig(
-        channel_path=getattr(args, "channel", None),
-        mu_grid=_parse_mu_grid(getattr(args, "mu_grid", DEFAULT_MU_GRID), mu_infinity),
-        alphas=_parse_alphas(getattr(args, "alpha", "1")),
-        alpha_bracket=_parse_bracket(getattr(args, "alpha_bracket", "1e-3:1e3")),
-        seed=int(getattr(args, "seed", 0)),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "csv"),
-        resolution=int(getattr(args, "resolution", 400)),
-        mu_infinity=mu_infinity,
-        starts=int(getattr(args, "starts", 8)),
-        tol=float(getattr(args, "tol", 1e-3)),
-    )
-
-
-def _load(cfg: RunConfig) -> CognitiveChannel:
-    if cfg.channel_path is None:
+def _load(path: str | None) -> CognitiveChannel:
+    if path is None:
         return load_channel(bundled_channel_text())
-    with open(cfg.channel_path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return load_channel(handle.read())
-
-
-def _settings(cfg: RunConfig) -> SolverSettings:
-    return SolverSettings(starts=cfg.starts, seed=cfg.seed)
 
 
 def _emit(boundary, path: str, fmt: str) -> None:
@@ -214,31 +186,26 @@ def _bounds_report(ch: CognitiveChannel, alphas, curves) -> dict:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    ch = _load(cfg)
-    boundary = trace_boundary(ch, cfg.mu_grid, _settings(cfg))
-    out = cfg.out or f"region.{cfg.fmt}"
-    _emit(boundary, out, cfg.fmt)
+    mu_grid, settings = _mu_grid(args), _settings(args)
+    boundary = trace_boundary(_load(args.channel), mu_grid, settings)
+    _emit(boundary, args.out or f"region.{args.format}", args.format)
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    ch = _load(cfg)
-    settings = _settings(cfg)
+    mu_grid, settings = _mu_grid(args), _settings(args)
+    ch = _load(args.channel)
     # the achievable trace seeds every bound solve: the bound contains the
     # region, so its witnesses are feasible warm starts on the bound side
-    region = trace_boundary(ch, cfg.mu_grid, settings)
+    region = trace_boundary(ch, mu_grid, settings)
     curves = [
-        trace_outer_boundary(ch, alpha, cfg.mu_grid, settings, warm_boundary=region)
-        for alpha in cfg.alphas
+        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
+        for alpha in args.alpha
     ]
-    stem = cfg.out or "bound"
-    stem = stem[: -len(".csv")] if stem.endswith(".csv") else stem
-    stem = stem[: -len(".json")] if stem.endswith(".json") else stem
-    for alpha, curve in zip(cfg.alphas, curves):
-        _emit(curve, f"{stem}_alpha{alpha:g}.{cfg.fmt}", cfg.fmt)
-    _write_json(f"{stem}.json", _bounds_report(ch, cfg.alphas, curves))
+    stem = (args.out or "bound").removesuffix(".csv").removesuffix(".json")
+    for alpha, curve in zip(args.alpha, curves):
+        _emit(curve, f"{stem}_alpha{alpha:g}.{args.format}", args.format)
+    _write_json(f"{stem}.json", _bounds_report(ch, args.alpha, curves))
     print(f"wrote {stem}.json")
     return 0
 
@@ -251,7 +218,7 @@ def _alpha_note(alpha_star: float) -> str:
     )
 
 
-def _sweep_report(cfg: RunConfig, mu: float, sweep, condition: bool) -> dict:
+def _sweep_report(tol: float, mu: float, sweep, condition: bool) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "mu": mu,
@@ -260,36 +227,35 @@ def _sweep_report(cfg: RunConfig, mu: float, sweep, condition: bool) -> dict:
         "n_value_per_mu": sweep.n_value / mu,
         "condition_check": bool(condition),
         "non_unimodal": bool(sweep.non_unimodal),
-        "tolerances": {"condition": cfg.tol},
+        "tolerances": {"condition": tol},
         "paper_alpha_note": _alpha_note(sweep.alpha_star),
         "reported_alpha_star": REPORTED_ALPHA_STAR,
     }
 
 
 def cmd_sweep_alpha(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    ch = _load(cfg)
-    settings = _settings(cfg)
-    mu = check_mu(getattr(args, "mu", cfg.mu_infinity) or cfg.mu_infinity, 1.0)
-    result = inf_alpha_partial_outer(ch, mu, cfg.alpha_bracket, settings, n_scan=cfg.resolution // 20 + 10)
-    condition = condition_check(ch, result.alpha_star, mu, cfg.tol, settings)
-    report = _sweep_report(cfg, mu, result, condition)
+    mu = check_mu(args.mu_infinity if args.mu is None else args.mu, 1.0)
+    settings = _settings(args)
+    ch = _load(args.channel)
+    result = inf_alpha_partial_outer(
+        ch, mu, args.alpha_bracket, settings, n_scan=args.resolution // 20 + 10
+    )
+    condition = condition_check(ch, result.alpha_star, mu, args.tol, settings)
+    report = _sweep_report(args.tol, mu, result, condition)
     report["bracket"] = list(result.bracket)
-    out = cfg.out or "sweep_alpha.json"
+    out = args.out or "sweep_alpha.json"
     _write_json(out, report)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     started = time.monotonic()
-    ch = _load(cfg)
-    settings = _settings(cfg)
-    out_dir = getattr(args, "out_dir", None) or "reproduce_out"
+    mu_inf = check_mu(args.mu_infinity, 1.0)
+    mu_grid, settings = _mu_grid(args), _settings(args)
+    ch = _load(args.channel)
+    out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    mu_inf = cfg.mu_infinity
-    mu_grid = cfg.mu_grid
 
     region = trace_boundary(ch, mu_grid, settings)
     write_atomic(os.path.join(out_dir, "region.csv"), region.to_csv())
@@ -314,7 +280,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     # scalar minimization of the bound's licensed-rate cap over alpha; the
     # inner value is the closed-form water-filling capacity at each alpha
-    lo, hi = cfg.alpha_bracket
+    lo, hi = args.alpha_bracket
     scan = scan_then_golden(
         lambda log_a: partial_outer_max_rp(ch, math.exp(log_a)),
         np.log(np.geomspace(lo, hi, 41)),
@@ -323,12 +289,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     alpha_star = math.exp(scan.x)
     rp_bound = scan.value
     tightness_gap = rp_bound - max_rp
-    condition = condition_check(ch, alpha_star, mu_inf, cfg.tol, settings)
+    condition = condition_check(ch, alpha_star, mu_inf, args.tol, settings)
 
     # the generic alpha sweep (solver-driven, independent of the closed form)
-    sweep = inf_alpha_partial_outer(ch, mu_inf, cfg.alpha_bracket, settings)
+    sweep = inf_alpha_partial_outer(ch, mu_inf, args.alpha_bracket, settings)
     _write_json(
-        os.path.join(out_dir, "sweep_alpha.json"), _sweep_report(cfg, mu_inf, sweep, condition)
+        os.path.join(out_dir, "sweep_alpha.json"), _sweep_report(args.tol, mu_inf, sweep, condition)
     )
 
     checks = {
@@ -339,7 +305,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     }
     summary = {
         "schema": SCHEMA_VERSION,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "mu_infinity": mu_inf,
         "max_rp_achievable": max_rp,
         "rp_bound_inf_alpha": rp_bound,
@@ -373,44 +339,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate regions and outer bounds of the two-user cognitive link",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, channel_required: bool = True):
-        p.add_argument("--channel", required=channel_required, help="channel spec JSON path")
-        p.add_argument("--mu-grid", dest="mu_grid", default=DEFAULT_MU_GRID,
-                       help="log:lo:hi:n | lin:lo:hi:n | single:v (v may be 'inf')")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (or stem for bound)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--resolution", type=int, default=400)
-        p.add_argument("--mu-infinity", dest="mu_infinity", type=float, default=1e6,
-                       help="finite surrogate for the mu -> infinity limit")
-        p.add_argument("--starts", type=int, default=8, help="solver multi-start count")
-
-    p_region = sub.add_parser("region", help="trace the achievable boundary")
-    common(p_region)
-    p_region.set_defaults(func=cmd_region)
-
-    p_bound = sub.add_parser("bound", help="trace partial-bound boundaries")
-    common(p_bound)
-    p_bound.add_argument("--alpha", default="0.25,0.5,1,2,4", help="comma-separated alphas")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_sweep = sub.add_parser("sweep-alpha", help="minimize the bound over alpha")
-    common(p_sweep)
-    p_sweep.add_argument("--mu", type=float, default=None,
-                         help="mu weight (default: the mu-infinity surrogate)")
-    p_sweep.add_argument("--alpha-bracket", dest="alpha_bracket", default="1e-3:1e3")
-    p_sweep.add_argument("--tol", type=float, default=1e-3,
-                         help="tolerance of the tightness condition check")
-    p_sweep.set_defaults(func=cmd_sweep_alpha)
-
-    p_rep = sub.add_parser("reproduce-paper",
-                           help="re-run the bundled reference experiment")
-    common(p_rep, channel_required=False)
-    p_rep.add_argument("--alpha-bracket", dest="alpha_bracket", default="1e-3:1e3")
-    p_rep.add_argument("--tol", type=float, default=1e-3)
-    p_rep.add_argument("--out-dir", dest="out_dir", default="reproduce_out")
-    p_rep.set_defaults(func=cmd_reproduce)
+    flags = {
+        "--channel": dict(help="channel spec JSON path"),
+        "--mu-grid": dict(default=DEFAULT_MU_GRID,
+                          help="log:lo:hi:n | lin:lo:hi:n | single:v (v may be 'inf')"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(help="output path (or stem for bound)"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--mu-infinity": dict(type=_positive, default=1e6,
+                              help="finite surrogate for the mu -> infinity limit"),
+        "--starts": dict(type=int, default=8, help="solver multi-start count"),
+        "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
+        "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
+        "--resolution": dict(type=_resolution, default=400),
+        "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
+        "--tol": dict(type=_positive, default=1e-3,
+                      help="tolerance of the tightness condition check"),
+        "--out-dir": dict(default="reproduce_out"),
+    }
+    trace = ("--channel", "--mu-grid", "--seed", "--out", "--format", "--mu-infinity", "--starts")
+    commands = (
+        ("region", cmd_region, "trace the achievable boundary", trace),
+        ("bound", cmd_bound, "trace partial-bound boundaries", trace + ("--alpha",)),
+        ("sweep-alpha", cmd_sweep_alpha, "minimize the bound over alpha",
+         ("--channel", "--seed", "--out", "--resolution", "--mu", "--mu-infinity", "--starts",
+          "--alpha-bracket", "--tol")),
+        ("reproduce-paper", cmd_reproduce, "re-run the bundled reference experiment",
+         ("--channel", "--mu-grid", "--seed", "--starts", "--mu-infinity", "--alpha-bracket",
+          "--tol", "--out-dir")),
+    )
+    for name, func, help_text, names in commands:
+        # no abbreviations, so an unknown flag such as --out never binds to --out-dir
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in names:
+            # reproduce-paper falls back to the bundled channel
+            required = flag == "--channel" and name != "reproduce-paper"
+            p.add_argument(flag, required=required, **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -331,10 +331,9 @@ def inf_alpha_partial_outer(
             f"alpha minimizer kept touching the bracket edge; last bracket ({lo:g}, {hi:g})"
         )
 
+    # scan_then_golden returns an evaluated point, so its solve is cached
     alpha_star = math.exp(result.x)
-    seed_theta = cache[alpha_star].theta if alpha_star in cache else None
-    extra = [seed_theta] if seed_theta is not None else list(warm[-1:])
-    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, extra_starts=extra)
+    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, extra_starts=[cache[alpha_star].theta])
     return InfAlphaResult(
         alpha_star=alpha_star,
         n_value=best.value,
@@ -405,8 +404,8 @@ def condition_check(
     unstructured covariance; equality within ``tol`` certifies that the
     partial bound meets the full coupled-noise bound for this (alpha, mu).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     mu = check_mu(mu, 1.0)
     opts = opts or SolverSettings()
     part = mu_sum_partial_outer(ch, alpha, mu, opts)

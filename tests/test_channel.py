@@ -108,6 +108,25 @@ def test_load_complex_pairs():
     assert ch.h_pp[0, 0] == 1.0 + 0.5j and ch.rate_scale == 1.0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h_pp", "NaN"),
+    ("h_pp", "Infinity"),
+    ("h_cp", "[[[1.0, NaN]]]"),
+    ("h_cp", "[[[-Infinity, 0.5]]]"),
+    ("p_p", "true"),
+    ("p_c", "1e400"),
+    ("h_cc", "[[true], [2.0]]"),
+    ("h_pc", "[[0.1], [1e200]]"),
+    pytest.param("h_cc", "[[1" + "0" * 400 + "], [2.0]]", id="h_cc-huge-int"),
+])
+def test_load_rejects_bad_numbers(key, value):
+    doc = {"h_pp": "1.0", "h_pc": "[[0.1], [0.2]]", "h_cp": "[[0.5]]",
+           "h_cc": "[[1.0], [2.0]]", "p_p": "1", "p_c": "1", key: value}
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+    with pytest.raises(ParseError, match=key):
+        load_channel(text)
+
+
 def test_scaled_channel_identity_at_one(sec7):
     ch = scaled_channel(sec7, 1.0)
     assert np.allclose(ch.h_cp, sec7.h_cp) and ch.p_c == sec7.p_c

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from cograte.cli import bundled_channel_text, main
+from cograte import cli
+from cograte.cli import build_parser, bundled_channel_text, main
 
 
 @pytest.fixture()
@@ -176,3 +178,71 @@ def test_reproduce_paper_fails_on_other_channel(tmp_path):
 
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+
+
+TRACE_FLAGS = {"--channel", "--mu-grid", "--seed", "--out", "--format", "--mu-infinity",
+               "--starts"}
+COMMAND_FLAGS = {
+    "region": TRACE_FLAGS,
+    "bound": TRACE_FLAGS | {"--alpha"},
+    "sweep-alpha": {"--channel", "--seed", "--out", "--resolution", "--mu", "--mu-infinity",
+                    "--starts", "--alpha-bracket", "--tol"},
+    "reproduce-paper": {"--channel", "--mu-grid", "--seed", "--starts", "--mu-infinity",
+                        "--alpha-bracket", "--tol", "--out-dir"},
+}
+
+
+@pytest.fixture()
+def no_channel_read(monkeypatch):
+    def fail(_text):
+        pytest.fail("the channel was read before the command line was checked")
+
+    monkeypatch.setattr(cli, "load_channel", fail)
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert declared == COMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    # flags the command does not read
+    ["region", "--resolution", "5"],
+    ["bound", "--resolution", "5"],
+    ["sweep-alpha", "--mu-grid", "single:1"],
+    ["sweep-alpha", "--format", "json"],
+    ["reproduce-paper", "--out", "zzz"],
+    ["reproduce-paper", "--format", "json"],
+    ["reproduce-paper", "--resolution", "7"],
+    # values out of range
+    ["bound", "--alpha", "0"],
+    ["bound", "--alpha", "1,nan"],
+    ["sweep-alpha", "--alpha-bracket", "5:1"],
+    ["reproduce-paper", "--alpha-bracket", "5:1"],
+    ["sweep-alpha", "--resolution", "1"],
+    ["region", "--mu-infinity", "nan"],
+    ["sweep-alpha", "--tol", "nan"],
+    ["reproduce-paper", "--tol", "nan"],
+    ["reproduce-paper", "--tol", "0"],
+    ["sweep-alpha", "--mu", "0"],
+    ["region", "--mu-grid", "single:-1"],
+    ["region", "--starts", "0"],
+], ids=" ".join)
+def test_bad_command_line_exits_2_before_the_channel_is_read(channel_file, no_channel_read, argv):
+    if argv[0] != "reproduce-paper":
+        argv = argv + ["--channel", channel_file]
+    assert run(argv) == 2
+
+
+@pytest.mark.parametrize("entry", ["NaN", "true", "1e200"])
+def test_region_rejects_bad_channel_numbers(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(bundled_channel_text().replace("0.799", entry, 1))
+    assert run(["region", "--channel", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert not os.path.exists(tmp_path / "r.csv")

@@ -251,6 +251,12 @@ def test_condition_check_bundled_at_alpha_star(sec7, fast):
     assert condition_check(sec7, 0.5535, 1e6, 1e-3, fast)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_condition_check_rejects_bad_tol(sec7, tol):
+    with pytest.raises(ValueError, match="tol"):
+        condition_check(sec7, 0.5535, 1e6, tol)
+
+
 def test_condition_check_gap_fixture():
     opts = SolverSettings(starts=10, seed=7)
     part = mu_sum_partial_outer(GAP_CHANNEL, 1.0, 1.0, opts)
