@@ -24,6 +24,7 @@ from .linalg import (
     encode_psd,
     log_det_id_plus,
     logdet2_pd,
+    lower_product_map,
     min_eigenvalue,
     param_len,
     param_rows,
@@ -156,6 +157,11 @@ class LogDetProgram:
     and ``r_c`` as ``(N, plus, minus)`` over term indices, each rate being
     ``scale*(log2|N + sum plus| - log2|N + sum minus|)``; with no minus terms
     ``log2|N|`` is computed once, here.
+
+    Each term is evaluated as the Gram ``F F†`` of ``F = H L / sqrt(divisor)``,
+    and ``F`` is linear in the parameters, so one real matrix product of the
+    whole batch with the stacked :func:`lower_product_map` of every term gives
+    every ``F`` at once.
     """
 
     def __init__(self, complex_mode, blocks, terms, rates, scale):
@@ -168,30 +174,32 @@ class LogDetProgram:
             self.blocks.append((offset, dim, k))
             offset += k
         self.n_params = offset
-        self._terms = []
+        maps, self._spans = [], []
+        start = 0
         for h, block, *divisor in terms:
-            h = np.asarray(h).astype(dtype)
-            self._terms.append((h, np.conj(h.T), block, float(divisor[0]) if divisor else 1.0))
+            offset, dim, k = self.blocks[block]
+            h = np.asarray(h).astype(dtype) / math.sqrt(divisor[0] if divisor else 1.0)
+            w = np.zeros((self.n_params, 2 * h.size if cm else h.size))
+            w[offset : offset + k] = lower_product_map(h, dim, cm)
+            maps.append(w)
+            self._spans.append((start, start + h.size, h.shape))
+            start += h.size
+        self._product = np.hstack(maps)
         self._rates = []
         for noise, plus, minus in rates:
             noise = np.asarray(noise).astype(dtype)
             self._rates.append((noise, plus, minus, None if minus else logdet2_pd(noise)))
         self.scale = scale
 
-    def _covariances(self, thetas: np.ndarray) -> list[np.ndarray]:
-        covs = []
-        for offset, dim, k in self.blocks:
-            low = build_lower(thetas[..., offset : offset + k], dim, self.complex_mode)
-            covs.append(low @ np.conj(np.swapaxes(low, -1, -2)))
-        return covs
-
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        covs = self._covariances(np.atleast_2d(thetas))
+        products = np.atleast_2d(thetas) @ self._product
+        if self.complex_mode:
+            products = products.view(complex)
         terms = []
-        for h, h_adj, block, divisor in self._terms:
-            term = h @ covs[block] @ h_adj
-            terms.append(term if divisor == 1.0 else term / divisor)
+        for start, stop, shape in self._spans:
+            f = products[:, start:stop].reshape(-1, *shape)
+            terms.append(f @ np.conj(np.swapaxes(f, -1, -2)))
         out = []
         for noise, plus, minus, logdet_noise in self._rates:
             if minus:
@@ -214,7 +222,11 @@ class LogDetProgram:
 
     def decode(self, theta: np.ndarray) -> list[np.ndarray]:
         """Hermitian PSD block covariances of one parameter vector."""
-        return [symmetrize(cov) for cov in self._covariances(theta)]
+        covs = []
+        for offset, dim, k in self.blocks:
+            low = build_lower(theta[..., offset : offset + k], dim, self.complex_mode)
+            covs.append(symmetrize(low @ np.conj(np.swapaxes(low, -1, -2))))
+        return covs
 
     def starts(self, items, allocation=None) -> list[np.ndarray]:
         """Encode start candidates: a tuple holds one matrix per block, a

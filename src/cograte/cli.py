@@ -105,8 +105,16 @@ def _resolution(text: str) -> int:
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    """argparse type: comma-separated alphas, each finite and > 0."""
-    return tuple(_positive(x) for x in text.split(","))
+    """argparse type: comma-separated alphas, each finite and > 0, with
+    distinct ``f"{alpha:g}"`` labels (they name the output files and keys)."""
+    alphas = tuple(_positive(x) for x in text.split(","))
+    labels = [f"{alpha:g}" for alpha in alphas]
+    if len(set(labels)) < len(labels):
+        raise argparse.ArgumentTypeError(
+            f"alphas {text!r} share an output label ({', '.join(labels)}); "
+            "each alpha needs a distinct value to 6 significant digits"
+        )
+    return alphas
 
 
 def _parse_bracket(text: str) -> tuple[float, float]:

@@ -173,6 +173,29 @@ def build_lower(theta: np.ndarray, dim: int, complex_mode: bool = False) -> np.n
     return out
 
 
+def lower_product_map(h: np.ndarray, dim: int, complex_mode: bool = False) -> np.ndarray:
+    """Real matrix ``W`` with ``theta @ W == vec(h @ build_lower(theta, dim))``.
+
+    ``h @ L`` is linear in the parameters: slot ``(i, j)`` of the layout puts
+    ``h[:, i]`` into column ``j`` (times ``1j`` for an imaginary slot), and
+    ``vec`` flattens the ``(rows, dim)`` product row-major.  In complex mode
+    the columns of ``W`` interleave real and imaginary parts, so the real
+    product ``theta @ W`` read ``.view(complex)`` is the complex ``vec``.
+    """
+    h = np.asarray(h, dtype=complex if complex_mode else float)
+    w = np.zeros((param_len(dim, complex_mode), h.shape[0], dim), dtype=h.dtype)
+    pos = 0
+    for i in range(dim):
+        for j in range(i + 1):
+            w[pos, :, j] = h[:, i]
+            pos += 1
+            if complex_mode and j < i:
+                w[pos, :, j] = 1j * h[:, i]
+                pos += 1
+    w = w.reshape(len(w), -1)
+    return w.view(float) if complex_mode else w
+
+
 def decode_param(values: np.ndarray, dim: int, complex_mode: bool = False) -> np.ndarray:
     """Decode a parameter vector into the PSD matrix L L†."""
     low = build_lower(values, dim, complex_mode)

@@ -240,6 +240,16 @@ def test_bad_command_line_exits_2_before_the_channel_is_read(channel_file, no_ch
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("alphas", ["0.5000001,0.5000002", "1,1", "2,0.25,2.0000001"])
+def test_bound_rejects_alphas_sharing_an_output_label(
+    tmp_path, channel_file, no_channel_read, capsys, alphas
+):
+    stem = str(tmp_path / "b")
+    assert run(["bound", "--channel", channel_file, "--alpha", alphas, "--out", stem]) == 2
+    assert "share an output label" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["channel.json"]
+
+
 @pytest.mark.parametrize("entry", ["NaN", "true", "1e200"])
 def test_region_rejects_bad_channel_numbers(tmp_path, entry):
     path = tmp_path / "bad.json"

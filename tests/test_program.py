@@ -3,10 +3,12 @@ functions each solver reports its winner through."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cograte.achievable import DpcAllocation, _stacked_program, dpc_rates
+from cograte.achievable import DpcAllocation, LogDetProgram, _stacked_program, dpc_rates
 from cograte.channel import CognitiveChannel, composite_matrices
-from cograte.linalg import log_det_id_plus
+from cograte.linalg import build_lower, log_det_id_plus, param_len
 from cograte.outer import (
     NoiseCoupling,
     OuterAllocation,
@@ -105,3 +107,84 @@ def test_decode_inverts_encode(complex_mode, seed):
         assert theta.shape == (program.n_params,)
         for got, want in zip(program.decode(theta), matrices):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def _kernel_case(rng, complex_mode, dims, receivers, divisor):
+    """A two-block program shaped like the solvers' (a licensed rate with one
+    minus term, a cognitive rate over a non-identity noise) and its inputs."""
+    (d0, d1), (m_p, m_c) = dims, receivers
+    noise_a = _draw(rng, (m_c, m_c), complex_mode)
+    spec = dict(
+        blocks=(d0, d1),
+        terms=[
+            (_draw(rng, (m_p, d0), complex_mode), 0),
+            (_draw(rng, (m_p, d1), complex_mode), 1, divisor),
+            (_draw(rng, (m_c, d1), complex_mode), 1, divisor),
+        ],
+        rates=[
+            (np.eye(m_p), (0, 1), (1,)),
+            (np.eye(m_c) + noise_a @ np.conj(noise_a.T), (2,), ()),
+        ],
+        scale=1.0 if complex_mode else 0.5,
+    )
+    return LogDetProgram(complex_mode, **spec), spec
+
+
+def _dense_rates(complex_mode, spec, theta):
+    """Rates of one parameter vector from H L L† H† / d, with L from build_lower."""
+    lows, offset = [], 0
+    for dim in spec["blocks"]:
+        k = param_len(dim, complex_mode)
+        lows.append(build_lower(theta[offset : offset + k], dim, complex_mode))
+        offset += k
+    terms = []
+    for h, block, *divisor in spec["terms"]:
+        cov = lows[block] @ np.conj(lows[block].T)
+        terms.append(h @ cov @ np.conj(h.T) / (divisor[0] if divisor else 1.0))
+
+    def logdet2(noise, indices):
+        return np.linalg.slogdet(noise + sum(terms[i] for i in indices))[1] / np.log(2.0)
+
+    return [
+        spec["scale"] * (logdet2(noise, plus) - logdet2(noise, minus))
+        for noise, plus, minus in spec["rates"]
+    ]
+
+
+def _check_kernel(program, spec, complex_mode, thetas):
+    got = program.rates(thetas)
+    expected = np.array([_dense_rates(complex_mode, spec, t) for t in np.atleast_2d(thetas)])
+    for r, want in zip(got, expected.T):
+        assert r.shape == (len(want),)
+        # relative, except where a rate far below one bit is the difference of
+        # two log-dets that cancel: there both sides round at about 1e-16 bits
+        np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize(
+    "dims, receivers", [((1, 1), (1, 1)), ((2, 3), (1, 2)), ((3, 1), (3, 1)), ((3, 2), (2, 3))]
+)
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_rates_match_dense_reference(complex_mode, dims, receivers, batch):
+    rng = np.random.default_rng([sum(dims), sum(receivers), batch or 0, complex_mode])
+    program, spec = _kernel_case(rng, complex_mode, dims, receivers, divisor=0.37)
+    shape = (program.n_params,) if batch is None else (batch, program.n_params)
+    _check_kernel(program, spec, complex_mode, rng.standard_normal(shape))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    complex_mode=st.booleans(),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    receivers=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    divisor=st.floats(0.05, 20.0),
+    batch=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rates_match_dense_reference_on_random_shapes(
+    complex_mode, dims, receivers, divisor, batch, seed
+):
+    rng = np.random.default_rng(seed)
+    program, spec = _kernel_case(rng, complex_mode, dims, receivers, divisor)
+    _check_kernel(program, spec, complex_mode, rng.standard_normal((batch, program.n_params)))
