@@ -20,6 +20,7 @@ from .errors import InfeasibleAllocation, SolverDiverged
 from .linalg import (
     DEFAULT_TOL,
     LN2,
+    budget_tol,
     build_lower,
     encode_psd,
     log_det_id_plus,
@@ -69,16 +70,16 @@ def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
     if a.q.shape != (ch.n_pt, ch.n_ct):
         return f"q has shape {a.q.shape}, expected {(ch.n_pt, ch.n_ct)}"
     net_min = min_eigenvalue(a.sigma_p_net)
-    if net_min < -tol:
+    if net_min < -budget_tol(tol, ch.p_p + ch.p_c):
         return f"stacked covariance block is not PSD (min eigenvalue {net_min:.3e})"
     cc_min = min_eigenvalue(a.sigma_cc)
-    if cc_min < -tol:
+    if cc_min < -budget_tol(tol, ch.p_c):
         return f"sigma_cc is not PSD (min eigenvalue {cc_min:.3e})"
     tr_p = float(np.real(np.trace(a.sigma_p)))
-    if tr_p > ch.p_p + tol:
+    if tr_p > ch.p_p + budget_tol(tol, ch.p_p):
         return f"trace(sigma_p) = {tr_p:.6g} exceeds licensed budget {ch.p_p:g}"
     tr_c = float(np.real(np.trace(a.sigma_cp) + np.trace(a.sigma_cc)))
-    if tr_c > ch.p_c + tol:
+    if tr_c > ch.p_c + budget_tol(tol, ch.p_c):
         return f"trace(sigma_cp)+trace(sigma_cc) = {tr_c:.6g} exceeds cognitive budget {ch.p_c:g}"
     return None
 
@@ -148,7 +149,8 @@ class MuSumResult:
 
 
 class LogDetProgram:
-    """Batched ``mu*r_p + r_c`` over Cholesky-parameterized covariance blocks.
+    """Batched ``mu*r_p + r_c`` over Cholesky-parameterized covariance blocks,
+    with its analytic gradient.
 
     ``blocks`` are covariance sizes; each block is the ``L L†`` of a Cholesky
     vector laid out as :func:`build_lower`, and a parameter vector
@@ -158,10 +160,14 @@ class LogDetProgram:
     ``scale*(log2|N + sum plus| - log2|N + sum minus|)``; with no minus terms
     ``log2|N|`` is computed once, here.
 
-    Each term is evaluated as the Gram ``F F†`` of ``F = H L / sqrt(divisor)``,
-    and ``F`` is linear in the parameters, so one real matrix product of the
-    whole batch with the stacked :func:`lower_product_map` of every term gives
-    every ``F`` at once.
+    A term is the Gram ``F F†`` of ``F = H L / sqrt(divisor)``, so each
+    log-det is ``log2|N + E E†|`` with ``E`` its terms' ``F`` side by side.
+    ``E`` is linear in the parameters: one real matrix product of the whole
+    batch with the stacked :func:`lower_product_map` of every term gives every
+    ``E``.  The log-dets are padded to one shape (zero columns and rows in
+    ``E``, identity in ``N``, which leaves each determinant unchanged), so one
+    ``slogdet`` call evaluates them all, and the gradient of ``log2|M|``,
+    ``M = N + E E†``, with respect to ``E`` is ``2 M⁻¹ E / ln 2``.
     """
 
     def __init__(self, complex_mode, blocks, terms, rates, scale):
@@ -174,45 +180,72 @@ class LogDetProgram:
             self.blocks.append((offset, dim, k))
             offset += k
         self.n_params = offset
-        maps, self._spans = [], []
-        start = 0
-        for h, block, *divisor in terms:
-            offset, dim, k = self.blocks[block]
-            h = np.asarray(h).astype(dtype) / math.sqrt(divisor[0] if divisor else 1.0)
-            w = np.zeros((self.n_params, 2 * h.size if cm else h.size))
-            w[offset : offset + k] = lower_product_map(h, dim, cm)
-            maps.append(w)
-            self._spans.append((start, start + h.size, h.shape))
-            start += h.size
-        self._product = np.hstack(maps)
-        self._rates = []
-        for noise, plus, minus in rates:
+        logdets, coef, const = [], [], np.zeros(2)
+        for r, (noise, plus, minus) in enumerate(rates):
             noise = np.asarray(noise).astype(dtype)
-            self._rates.append((noise, plus, minus, None if minus else logdet2_pd(noise)))
+            logdets.append((noise, plus))
+            coef.append(np.eye(2)[r])
+            if minus:
+                logdets.append((noise, minus))
+                coef.append(-np.eye(2)[r])
+            else:
+                const[r] = -logdet2_pd(noise)
+        self._coef, self._const = np.asarray(coef), const
         self.scale = scale
+        height = max(len(noise) for noise, _ in logdets)
+        width = max(sum(self.blocks[terms[t][1]][1] for t in s) for _, s in logdets)
+        self._noise = np.zeros((len(logdets), height, height), dtype=dtype)
+        product = np.zeros((self.n_params, len(logdets), height, width), dtype=dtype)
+        for i, (noise, indices) in enumerate(logdets):
+            m = len(noise)
+            self._noise[i] = np.eye(height)
+            self._noise[i, :m, :m] = noise
+            col = 0
+            for h, block, *divisor in (terms[t] for t in indices):
+                offset, dim, k = self.blocks[block]
+                h = np.asarray(h).astype(dtype) / math.sqrt(divisor[0] if divisor else 1.0)
+                w = lower_product_map(h, dim, cm)
+                w = w.view(complex) if cm else w
+                product[offset : offset + k, i, :m, col : col + dim] = w.reshape(k, m, dim)
+                col += dim
+        self._shape = product.shape[1:]
+        product = product.reshape(self.n_params, -1)
+        self._product = product.view(float) if cm else product
+
+    def _log_dets(self, thetas: np.ndarray):
+        """``(E, M, log2|M|)`` of every log-det of parameter rows ``thetas``."""
+        thetas = np.atleast_2d(thetas)
+        e = thetas @ self._product
+        if self.complex_mode:
+            e = e.view(complex)
+        e = e.reshape(len(thetas), *self._shape)
+        m = self._noise + e @ np.conj(np.swapaxes(e, -1, -2))
+        return e, m, np.linalg.slogdet(m)[1] / LN2
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        products = np.atleast_2d(thetas) @ self._product
-        if self.complex_mode:
-            products = products.view(complex)
-        terms = []
-        for start, stop, shape in self._spans:
-            f = products[:, start:stop].reshape(-1, *shape)
-            terms.append(f @ np.conj(np.swapaxes(f, -1, -2)))
-        out = []
-        for noise, plus, minus, logdet_noise in self._rates:
-            if minus:
-                logdet_noise = _logdet2(noise, minus, terms)
-            out.append(self.scale * (_logdet2(noise, plus, terms) - logdet_noise))
-        return tuple(out)
+        out = self.scale * (self._log_dets(thetas)[2] @ self._coef + self._const)
+        return out[:, 0], out[:, 1]
 
     def objective(self, mu: float):
-        """The batched ``mu*r_p + r_c`` that :func:`maximize_multistart` ascends."""
+        """The batched ``mu*r_p + r_c`` that :func:`maximize_multistart` ascends.
 
-        def mu_sum(thetas: np.ndarray) -> np.ndarray:
-            r_p, r_c = self.rates(thetas)
-            return mu * r_p + r_c
+        It maps parameter rows to ``(values, gradient)``; ``gradient()``
+        returns the rows' gradients from the same call's matrices, so rows
+        that only need a value never pay for one.
+        """
+        weights = self.scale * (self._coef @ [mu, 1.0])
+        const = self.scale * (self._const @ [mu, 1.0])
+        slopes = (2.0 / LN2) * weights[:, None, None]
+
+        def mu_sum(thetas: np.ndarray):
+            e, m, logdets = self._log_dets(thetas)
+
+            def gradient() -> np.ndarray:
+                g = (np.linalg.solve(m, e) * slopes).reshape(len(e), -1)
+                return (g.view(float) if self.complex_mode else g) @ self._product.T
+
+            return logdets @ weights + const, gradient
 
         return mu_sum
 
@@ -238,13 +271,6 @@ class LogDetProgram:
                 item = allocation(item)
             out.append(self.encode(*item) if isinstance(item, tuple) else item)
         return out
-
-
-def _logdet2(noise: np.ndarray, indices, terms) -> np.ndarray:
-    m = noise
-    for i in indices:
-        m = m + terms[i]
-    return np.linalg.slogdet(m)[1] / LN2
 
 
 def _stacked_program(ch: CognitiveChannel, g: np.ndarray, alpha: float = 1.0) -> LogDetProgram:

@@ -17,6 +17,14 @@ LN2 = float(np.log(2.0))
 DEFAULT_TOL = 1e-9
 
 
+def budget_tol(tol: float, budget: float) -> float:
+    """Tolerance of a trace or eigenvalue check on covariances under a power
+    ``budget``: ``tol`` plus ``1e-12 * budget``, since the traces and
+    eigenvalues of such covariances round at a fixed fraction of the budget,
+    which an absolute ``tol`` alone falls below at large budgets."""
+    return tol + 1e-12 * budget
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A†)/2, the exactly Hermitian part of ``a``."""
     a = np.asarray(a)

@@ -24,7 +24,7 @@ from .errors import (
     SolverDiverged,
     ZeroChannel,
 )
-from .linalg import DEFAULT_TOL, log_det_id_plus, logdet2_pd, min_eigenvalue
+from .linalg import DEFAULT_TOL, budget_tol, log_det_id_plus, logdet2_pd, min_eigenvalue
 from .linalg import build_lower, encode_psd  # noqa: F401  (perfbench/tracing.py patches them here)
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import (
@@ -76,15 +76,15 @@ class OuterAllocation:
 
 
 def _check_budget(label: str, total: float, budget: float, tol: float):
-    if total > budget + tol:
+    if total > budget + budget_tol(tol, budget):
         raise InfeasibleAllocation(
             f"{label} = {total:.6g} exceeds sum budget {budget:.6g}"
         )
 
 
-def _check_psd(label: str, m: np.ndarray, tol: float):
+def _check_psd(label: str, m: np.ndarray, budget: float, tol: float):
     e = min_eigenvalue(m)
-    if e < -tol:
+    if e < -budget_tol(tol, budget):
         raise InfeasibleAllocation(f"{label} is not PSD (min eigenvalue {e:.3e})")
 
 
@@ -105,10 +105,11 @@ def outer_rates(
     sz = nz.sigma_z()
     if min_eigenvalue(sz) <= 1e-9:
         raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
-    _check_psd("q_p", a.q_p, tol)
-    _check_psd("q_c", a.q_c, tol)
+    budget = ch.p_p + alpha * ch.p_c
+    _check_psd("q_p", a.q_p, budget, tol)
+    _check_psd("q_c", a.q_c, budget, tol)
     total = float(np.real(np.trace(a.q_p) + np.trace(a.q_c)))
-    _check_budget("trace(q_p)+trace(q_c)", total, ch.p_p + alpha * ch.p_c, tol)
+    _check_budget("trace(q_p)+trace(q_c)", total, budget, tol)
 
     s = ch.rate_scale
     ga = mats.g_alpha
@@ -132,10 +133,11 @@ def partial_outer_rates(
     mats = composite_matrices(ch, alpha)
     q_p = np.atleast_2d(np.asarray(q_p))
     sigma_cc = np.atleast_2d(np.asarray(sigma_cc))
-    _check_psd("q_p", q_p, tol)
-    _check_psd("sigma_cc", sigma_cc, tol)
+    budget = ch.p_p + alpha * ch.p_c
+    _check_psd("q_p", q_p, budget, tol)
+    _check_psd("sigma_cc", sigma_cc, budget, tol)
     total = float(np.real(np.trace(q_p) + np.trace(sigma_cc)))
-    _check_budget("trace(q_p)+trace(sigma_cc)", total, ch.p_p + alpha * ch.p_c, tol)
+    _check_budget("trace(q_p)+trace(sigma_cc)", total, budget, tol)
 
     s = ch.rate_scale
     ga = mats.g_alpha

@@ -76,7 +76,6 @@ class SolverSettings:
 
     starts: int = 16
     max_iters: int = 2000
-    grad_step: float = 1e-5
     rel_tol: float = 1e-9
     seed: int = 0
     gap: float = 1e-2
@@ -84,8 +83,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.starts <= 0 or self.max_iters <= 0:
             raise ValueError("starts and max_iters must be positive")
-        if self.grad_step <= 0 or self.rel_tol <= 0 or self.gap <= 0:
-            raise ValueError("grad_step, rel_tol and gap must be positive")
+        if self.rel_tol <= 0 or self.gap <= 0:
+            raise ValueError("rel_tol and gap must be positive")
         if self.gap < self.rel_tol:
             raise ValueError("gap must be >= rel_tol")
 
@@ -127,18 +126,21 @@ def maximize_multistart(
 ):
     """Multi-start projected gradient ascent; returns the best (value, theta).
 
-    ``objective`` maps a (batch, n_params) array to a (batch,) value array and
-    must be finite on the whole parameter space; ``project`` maps parameter
-    batches onto the feasible set.  ``extra_starts`` are deterministic warm
-    starts evaluated alongside the seeded random ones.
+    ``objective`` maps a (batch, n_params) array to ``(values, gradient)``:
+    a (batch,) value array, which must be finite on the whole parameter
+    space, and a no-argument function returning the (batch, n_params)
+    gradient of those values.  ``project`` maps parameter batches onto the
+    feasible set.  ``extra_starts`` are deterministic warm starts evaluated
+    alongside the seeded random ones.
 
-    Every start climbs in lockstep so that all gradient perturbations and
-    line-search candidates of one iteration land in a single batched
-    objective call (the matrices are tiny; call overhead dominates).  Each
-    iteration line-searches along the central-difference gradient over a
-    step ladder and also tries heavy-ball extrapolations along the recent
-    trajectory; a start retires after three consecutive relative
-    improvements below ``rel_tol`` or when its step underflows.
+    Every start climbs in lockstep so that one iteration makes two batched
+    objective calls (the matrices are tiny; call overhead dominates): one at
+    the active iterates, whose gradient is taken, and one at all their
+    line-search candidates, whose gradient is not.  Each iteration
+    line-searches along the gradient over a step ladder and also tries
+    heavy-ball extrapolations along the recent trajectory; a start retires
+    after three consecutive relative improvements below ``rel_tol`` or when
+    its step underflows.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
     starts = [np.zeros(n_params)]
@@ -153,7 +155,7 @@ def maximize_multistart(
 
     thetas = project(np.asarray(starts, dtype=float))
     n_starts, k = thetas.shape
-    vals = np.asarray(objective(thetas), dtype=float)
+    vals = np.asarray(objective(thetas)[0], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise SolverDiverged("non-finite objective at a start point")
 
@@ -161,7 +163,6 @@ def maximize_multistart(
     stall = np.zeros(n_starts, dtype=int)
     prev = thetas.copy()  # first momentum candidates are no-ops
     active = np.ones(n_starts, dtype=bool)
-    eye = np.eye(k)
     n_cand = len(_LADDER) + len(_MOMENTUM)
 
     for _ in range(settings.max_iters):
@@ -169,15 +170,9 @@ def maximize_multistart(
         if idx.size == 0:
             break
         th = thetas[idx]
-        h = settings.grad_step * (1.0 + np.abs(th))
-        pert = np.concatenate(
-            [th[:, None, :] + h[:, None, :] * eye, th[:, None, :] - h[:, None, :] * eye],
-            axis=1,
-        )
-        pvals = np.asarray(objective(pert.reshape(-1, k)), dtype=float).reshape(len(idx), 2 * k)
-        if not np.all(np.isfinite(pvals)):
+        grad = np.asarray(objective(th)[1](), dtype=float)
+        if not np.all(np.isfinite(grad)):
             raise SolverDiverged("non-finite objective during gradient evaluation")
-        grad = (pvals[:, :k] - pvals[:, k:]) / (2.0 * h)
         gnorm = np.linalg.norm(grad, axis=1)
         dead = gnorm < 1e-15
         if np.any(dead):
@@ -196,7 +191,7 @@ def maximize_multistart(
             axis=1,
         )
         cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
-        cvals = np.asarray(objective(cands.reshape(-1, k)), dtype=float).reshape(
+        cvals = np.asarray(objective(cands.reshape(-1, k))[0], dtype=float).reshape(
             len(idx), n_cand
         )
         if not np.all(np.isfinite(cvals)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_dpc_rates_names_violated_constraint(sec7):
         dpc_rates(sec7, scalar_alloc(5.0, 5.0, 1.0, 0.0))
     with pytest.raises(InfeasibleAllocation, match="not PSD"):
         dpc_rates(sec7, scalar_alloc(1.0, 1.0, 0.0, 1.5))
+
+
+def test_feasibility_tolerance_scales_with_the_budget(sec7):
+    # one ulp of a 1e12 budget is 1.2e-4, far above the absolute 1e-9 tolerance
+    ch = dataclasses.replace(sec7, p_p=1e12, p_c=1e12)
+    ulp_over = math.nextafter(1e12, math.inf)
+    assert is_feasible(ch, scalar_alloc(ulp_over, 0.0, 0.0, 0.0))
+    assert is_feasible(ch, scalar_alloc(0.0, 0.0, ulp_over, 0.0))
+    # the stacked block [[p, q], [q, p]] has eigenvalue p - q = -1e-3
+    assert is_feasible(ch, scalar_alloc(1e12, 1e12, 0.0, 1e12 + 1e-3))
+    over = 1e12 * (1.0 + 1e-9)
+    assert not is_feasible(ch, scalar_alloc(over, 0.0, 0.0, 0.0))
+    assert not is_feasible(ch, scalar_alloc(0.0, 0.0, over, 0.0))
+    assert not is_feasible(ch, scalar_alloc(1e12, 1e12, 0.0, over))
 
 
 def test_is_feasible_examples(sec7):

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +258,14 @@ def test_region_rejects_bad_channel_numbers(tmp_path, entry):
     path.write_text(bundled_channel_text().replace("0.799", entry, 1))
     assert run(["region", "--channel", str(path), "--out", str(tmp_path / "r.csv")]) == 2
     assert not os.path.exists(tmp_path / "r.csv")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "cograte", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "reproduce-paper" in done.stdout

@@ -96,6 +96,16 @@ def test_partial_rates_examples(sec7):
     assert beam.r_c == 0.0
 
 
+def test_partial_rates_tolerance_scales_with_the_budget(sec7):
+    alpha = 1e50
+    budget = sec7.p_p + alpha * sec7.p_c
+    # one ulp of a 5e50 budget is 6e34, far above the absolute 1e-9 tolerance
+    rate = partial_outer_rates(sec7, alpha, np.diag([math.nextafter(budget, math.inf), 0.0]), [[0.0]])
+    assert rate.r_p > 0.0 and rate.r_c == 0.0
+    with pytest.raises(InfeasibleAllocation, match="sum budget"):
+        partial_outer_rates(sec7, alpha, np.diag([budget * (1.0 + 1e-9), 0.0]), [[0.0]])
+
+
 def test_partial_mu_sum_large_mu(sec7, fast):
     res = mu_sum_partial_outer(sec7, 1.0, 1e6, fast)
     assert res.value / 1e6 == pytest.approx(FLIPPED_A1, abs=1e-6)

@@ -86,7 +86,7 @@ def test_objective_matches_reported_rates(complex_mode, seed):
         # inside every power budget, so each rate function accepts the witness
         thetas *= 0.9 * np.sqrt(min(ch.p_p, ch.p_c)) / np.linalg.norm(thetas, axis=1)[:, None]
         mu = float(rng.uniform(0.0, 5.0))
-        values = program.objective(mu)(thetas)
+        values = program.objective(mu)(thetas)[0]
         expected = [rates(*program.decode(theta)).mu_sum(mu) for theta in thetas]
         assert values.shape == (len(thetas),)
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9)
@@ -188,3 +188,32 @@ def test_rates_match_dense_reference_on_random_shapes(
     rng = np.random.default_rng(seed)
     program, spec = _kernel_case(rng, complex_mode, dims, receivers, divisor)
     _check_kernel(program, spec, complex_mode, rng.standard_normal((batch, program.n_params)))
+
+
+def _central_differences(program, mu, theta, h=1e-6):
+    """Gradient of the mu-sum at one parameter vector by central differences."""
+    steps = h * np.eye(program.n_params)
+    values = program.objective(mu)(np.vstack([theta + steps, theta - steps]))[0]
+    return (values[: program.n_params] - values[program.n_params :]) / (2.0 * h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    complex_mode=st.booleans(),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    receivers=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    divisor=st.floats(0.05, 20.0),
+    mu=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_matches_central_differences(complex_mode, dims, receivers, divisor, mu, seed):
+    rng = np.random.default_rng(seed)
+    program, _ = _kernel_case(rng, complex_mode, dims, receivers, divisor)
+    thetas = rng.standard_normal((3, program.n_params))
+    values, gradient = program.objective(mu)(thetas)
+    got = gradient()
+    assert got.shape == thetas.shape
+    np.testing.assert_allclose(values, mu * program.rates(thetas)[0] + program.rates(thetas)[1])
+    for row, theta in zip(got, thetas):
+        want = _central_differences(program, mu, theta)
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())

@@ -35,7 +35,7 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(gap=1e-12, rel_tol=1e-9)
     s = SolverSettings()
-    assert s.starts == 16 and s.max_iters == 2000 and s.grad_step == 1e-5
+    assert s.starts == 16 and s.max_iters == 2000
 
 
 def test_golden_section_quadratic():
@@ -69,7 +69,7 @@ def test_multistart_concave_toy():
 
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return -np.sum((thetas - c) ** 2, axis=1)
+        return -np.sum((thetas - c) ** 2, axis=1), lambda: -2.0 * (thetas - c)
 
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     val, theta = maximize_multistart(
@@ -81,11 +81,21 @@ def test_multistart_concave_toy():
 def test_multistart_raises_on_nan():
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return np.full(thetas.shape[0], math.nan)
+        return np.full(thetas.shape[0], math.nan), lambda: np.zeros_like(thetas)
 
     project = make_group_projection([(np.array([0]), 1.0)])
     with pytest.raises(SolverDiverged):
         maximize_multistart(objective, 1, project, SolverSettings(starts=1, seed=0))
+
+
+def test_multistart_raises_on_non_finite_gradient():
+    def objective(thetas):
+        thetas = np.atleast_2d(thetas)
+        return -np.sum(thetas**2, axis=1), lambda: np.full(thetas.shape, math.nan)
+
+    project = make_group_projection([(np.array([0, 1]), 1.0)])
+    with pytest.raises(SolverDiverged, match="gradient"):
+        maximize_multistart(objective, 2, project, SolverSettings(starts=1, seed=0))
 
 
 def test_waterfill_flipped_row_channel():
