@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import CognitiveChannel
-from .errors import InfeasibleAllocation, SolverDiverged
+from .errors import InfeasibleAllocation
 from .linalg import (
     DEFAULT_TOL,
     LN2,
@@ -31,7 +31,7 @@ from .linalg import (
     param_rows,
     symmetrize,
 )
-from .regions import RatePair, RegionBoundary, check_mu, cross_polish
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
 from .solvers import SolverSettings, make_group_projection, maximize_multistart
 
 
@@ -59,6 +59,13 @@ class DpcAllocation:
         top = np.hstack([self.sigma_p, self.q])
         bottom = np.hstack([np.conj(self.q.T), self.sigma_cp])
         return np.vstack([top, bottom])
+
+    @classmethod
+    def from_net(cls, net: np.ndarray, sigma_cc: np.ndarray) -> "DpcAllocation":
+        """Inverse of ``sigma_p_net``: split the stacked block into the four
+        blocks; the cognitive side has ``sigma_cc``'s dimension."""
+        npt = len(net) - len(np.atleast_2d(sigma_cc))
+        return cls(net[:npt, :npt], net[npt:, npt:], sigma_cc, net[:npt, npt:])
 
 
 def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
@@ -154,14 +161,14 @@ class LogDetProgram:
 
     ``blocks`` are covariance sizes; each block is the ``L L†`` of a Cholesky
     vector laid out as :func:`build_lower`, and a parameter vector
-    concatenates them in order.  ``terms`` are ``(H, block)`` or ``(H, block,
-    divisor)``, meaning ``H Q_block H† / divisor``.  ``rates`` holds ``r_p``
-    and ``r_c`` as ``(N, plus, minus)`` over term indices, each rate being
-    ``scale*(log2|N + sum plus| - log2|N + sum minus|)``; with no minus terms
-    ``log2|N|`` is computed once, here.
+    concatenates them in order.  ``terms`` are ``(H, block)``, meaning
+    ``H Q_block H†``; a scaled channel carries any scaling in ``H``.
+    ``rates`` holds ``r_p`` and ``r_c`` as ``(N, plus, minus)`` over term
+    indices, each rate being ``scale*(log2|N + sum plus| - log2|N + sum
+    minus|)``; with no minus terms ``log2|N|`` is computed once, here.
 
-    A term is the Gram ``F F†`` of ``F = H L / sqrt(divisor)``, so each
-    log-det is ``log2|N + E E†|`` with ``E`` its terms' ``F`` side by side.
+    A term is the Gram ``F F†`` of ``F = H L``, so each log-det is
+    ``log2|N + E E†|`` with ``E`` its terms' ``F`` side by side.
     ``E`` is linear in the parameters: one real matrix product of the whole
     batch with the stacked :func:`lower_product_map` of every term gives every
     ``E``.  The log-dets are padded to one shape (zero columns and rows in
@@ -201,9 +208,8 @@ class LogDetProgram:
             self._noise[i] = np.eye(height)
             self._noise[i, :m, :m] = noise
             col = 0
-            for h, block, *divisor in (terms[t] for t in indices):
+            for h, block in (terms[t] for t in indices):
                 offset, dim, k = self.blocks[block]
-                h = np.asarray(h).astype(dtype) / math.sqrt(divisor[0] if divisor else 1.0)
                 w = lower_product_map(h, dim, cm)
                 w = w.view(complex) if cm else w
                 product[offset : offset + k, i, :m, col : col + dim] = w.reshape(k, m, dim)
@@ -273,15 +279,15 @@ class LogDetProgram:
         return out
 
 
-def _stacked_program(ch: CognitiveChannel, g: np.ndarray, alpha: float = 1.0) -> LogDetProgram:
+def _stacked_program(ch: CognitiveChannel) -> LogDetProgram:
     """Blocks: a covariance over the stacked transmit dimensions, seen through
-    ``g`` at the licensed receiver, then sigma_cc, whose terms are divided by
-    ``alpha``.  ``g = [h_pp, h_cp]`` at alpha 1 is the DPC region; the partial
-    bound passes its ``g_alpha``."""
+    ``[h_pp, h_cp]`` at the licensed receiver, then sigma_cc.  On ``ch`` under
+    the two budgets this is the DPC region; on ``scaled_channel(ch, alpha)``
+    under the one budget ``p_p + alpha p_c`` it is the partial bound."""
     return LogDetProgram(
         not ch.real_mode,
         blocks=(ch.n_pt + ch.n_ct, ch.n_ct),
-        terms=[(g, 0), (ch.h_cp, 1, alpha), (ch.h_cc, 1, alpha)],
+        terms=[(np.hstack([ch.h_pp, ch.h_cp]), 0), (ch.h_cp, 1), (ch.h_cc, 1)],
         rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (np.eye(ch.n_cr), (2,), ())],
         scale=ch.rate_scale,
     )
@@ -332,7 +338,7 @@ def mu_sum_achievable(
     """
     mu = check_mu(mu)
     opts = opts or SolverSettings()
-    program = _stacked_program(ch, np.hstack([ch.h_pp, ch.h_cp]))
+    program = _stacked_program(ch)
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     project = make_group_projection([(licensed, ch.p_p), (cognitive, ch.p_c)])
@@ -344,11 +350,7 @@ def mu_sum_achievable(
     _, theta = maximize_multistart(
         program.objective(mu), program.n_params, project, opts, scale=scale, extra_starts=starts
     )
-    net, sigma_cc = program.decode(theta)
-    npt = ch.n_pt
-    witness = DpcAllocation(
-        sigma_p=net[:npt, :npt], sigma_cp=net[npt:, npt:], sigma_cc=sigma_cc, q=net[:npt, npt:]
-    )
+    witness = DpcAllocation.from_net(*program.decode(theta))
     rate = dpc_rates(ch, witness)
     return MuSumResult(value=rate.mu_sum(mu), rate=rate, witness=witness, theta=theta)
 
@@ -364,26 +366,13 @@ def trace_boundary(
     witness, then rescores every mu against the pooled witnesses so the
     emitted points are exactly Pareto ordered (dominated solves never win).
     """
-    mus = [check_mu(m) for m in mu_grid]
-    if not mus:
-        raise ValueError("mu_grid must be nonempty")
     opts = opts or SolverSettings()
-    order = sorted(range(len(mus)), key=lambda i: -mus[i])
-    rates, witnesses = {}, {}
-    warm = None
-    for i in order:
-        extra = [warm] if warm is not None else []
-        try:
-            res = mu_sum_achievable(ch, mus[i], opts, extra_starts=extra)
-        except SolverDiverged as exc:
-            raise SolverDiverged(f"{exc} (at mu={mus[i]:g})") from exc
-        rates[i] = res.rate
-        witnesses[i] = res.witness
-        warm = res.theta
-    sorted_mus = sorted(mus, reverse=True)
-    pool_rates = [rates[i] for i in order]
-    pool_wits = [asdict(witnesses[i]) for i in order]
-    points = cross_polish(sorted_mus, pool_rates, pool_wits)
+
+    def solve(mu, warm):
+        res = mu_sum_achievable(ch, mu, opts, extra_starts=[] if warm is None else [warm])
+        return res.rate, asdict(res.witness), res.theta
+
+    points = cross_polish(*sweep_mu(mu_grid, solve))
     return RegionBoundary(
         points=points,
         metadata={

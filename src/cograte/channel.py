@@ -159,17 +159,15 @@ def _matrix_payload(m: np.ndarray):
 class CompositeMatrices:
     """Block matrices assembled from a channel at a given alpha scaling.
 
-    ``g`` stacks the two paths into the licensed receiver; ``g_alpha`` divides
-    the cognitive path by sqrt(alpha); ``k`` keeps only the cognitive
+    ``g_alpha`` stacks the two paths into the licensed receiver, the cognitive
+    one divided by sqrt(alpha); ``k`` keeps only the cognitive
     receiver's own path; ``k_bar`` stacks ``g_alpha`` on top of ``k``'s block
     row, covering both receivers.
     """
 
-    g: np.ndarray
     g_alpha: np.ndarray
     k: np.ndarray
     k_bar: np.ndarray
-    alpha: float = 1.0
 
 
 def _check_alpha(alpha: float) -> float:
@@ -238,14 +236,13 @@ def scaled_channel(ch: CognitiveChannel, alpha: float) -> CognitiveChannel:
 
 
 def composite_matrices(ch: CognitiveChannel, alpha: float) -> CompositeMatrices:
-    """Assemble the four block matrices used by the bound computations."""
+    """Assemble the three block matrices used by the bound computations."""
     alpha = _check_alpha(alpha)
     root = math.sqrt(alpha)
-    g = np.hstack([ch.h_pp, ch.h_cp])
     g_alpha = np.hstack([ch.h_pp, ch.h_cp / root])
     k = np.hstack([np.zeros((ch.n_cr, ch.n_pt), dtype=ch.h_cc.dtype), ch.h_cc / root])
     k_bar = np.vstack([g_alpha, k])
-    return CompositeMatrices(g=g, g_alpha=g_alpha, k=k, k_bar=k_bar, alpha=alpha)
+    return CompositeMatrices(g_alpha=g_alpha, k=k, k_bar=k_bar)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -130,19 +130,29 @@ def param_len(dim: int, complex_mode: bool = False) -> int:
     return dim * dim if complex_mode else dim * (dim + 1) // 2
 
 
+def _slots(dim: int, complex_mode: bool = False):
+    """The parameter layout: row, column and imaginary flag of each slot.
+
+    Slots walk the lower triangle row-major; in complex mode a strictly-lower
+    entry takes two slots, its real part and then its imaginary part.
+    """
+    slots = [
+        (i, j, part)
+        for i in range(dim)
+        for j in range(i + 1)
+        for part in ((0, 1) if complex_mode and j < i else (0,))
+    ]
+    rows, cols, imag = np.array(slots, dtype=int).reshape(-1, 3).T
+    return rows, cols, imag == 1
+
+
 def param_rows(dim: int, complex_mode: bool = False) -> np.ndarray:
     """Row index of L that each parameter slot feeds (row-major layout).
 
     Used by trace projections: trace(L L†) restricted to a row group equals
     the squared norm of that group's parameters, in real and complex mode.
     """
-    rows = []
-    for i in range(dim):
-        for j in range(i + 1):
-            rows.append(i)
-            if complex_mode and j < i:
-                rows.append(i)
-    return np.asarray(rows, dtype=int)
+    return _slots(dim, complex_mode)[0]
 
 
 def build_lower(theta: np.ndarray, dim: int, complex_mode: bool = False) -> np.ndarray:
@@ -167,17 +177,11 @@ def build_lower(theta: np.ndarray, dim: int, complex_mode: bool = False) -> np.n
     if theta.shape[-1] != k:
         raise ValueError(f"expected {k} parameters, got {theta.shape[-1]}")
     batch = theta.shape[:-1]
-    dtype = complex if complex_mode else float
-    out = np.zeros(batch + (dim, dim), dtype=dtype)
-    pos = 0
-    for i in range(dim):
-        for j in range(i + 1):
-            if complex_mode and j < i:
-                out[..., i, j] = theta[..., pos] + 1j * theta[..., pos + 1]
-                pos += 2
-            else:
-                out[..., i, j] = theta[..., pos]
-                pos += 1
+    rows, cols, imag = _slots(dim, complex_mode)
+    out = np.zeros(batch + (dim, dim), dtype=complex if complex_mode else float)
+    out[..., rows[~imag], cols[~imag]] = theta[..., ~imag]
+    if complex_mode:
+        out[..., rows[imag], cols[imag]] += 1j * theta[..., imag]
     return out
 
 
@@ -191,15 +195,11 @@ def lower_product_map(h: np.ndarray, dim: int, complex_mode: bool = False) -> np
     product ``theta @ W`` read ``.view(complex)`` is the complex ``vec``.
     """
     h = np.asarray(h, dtype=complex if complex_mode else float)
-    w = np.zeros((param_len(dim, complex_mode), h.shape[0], dim), dtype=h.dtype)
-    pos = 0
-    for i in range(dim):
-        for j in range(i + 1):
-            w[pos, :, j] = h[:, i]
-            pos += 1
-            if complex_mode and j < i:
-                w[pos, :, j] = 1j * h[:, i]
-                pos += 1
+    rows, cols, imag = _slots(dim, complex_mode)
+    w = np.zeros((len(rows), h.shape[0], dim), dtype=h.dtype)
+    w[np.arange(len(rows)), :, cols] = h[:, rows].T
+    if complex_mode:
+        w[imag] *= 1j
     w = w.reshape(len(w), -1)
     return w.view(float) if complex_mode else w
 
@@ -221,12 +221,6 @@ def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12)
     dim = s.shape[-1]
     scale = max(float(np.real(np.trace(s))) / dim, 1.0)
     low = np.linalg.cholesky(s + jitter * scale * np.eye(dim, dtype=s.dtype))
-    theta = []
-    for i in range(dim):
-        for j in range(i + 1):
-            if complex_mode and j < i:
-                theta.append(float(np.real(low[i, j])))
-                theta.append(float(np.imag(low[i, j])))
-            else:
-                theta.append(float(np.real(low[i, j])))
-    return np.asarray(theta, dtype=float)
+    rows, cols, imag = _slots(dim, complex_mode)
+    entries = low[rows, cols]
+    return np.where(imag, np.imag(entries), np.real(entries)).astype(float)

@@ -15,18 +15,23 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .achievable import DpcAllocation, LogDetProgram, _stacked_program
-from .channel import CognitiveChannel, composite_matrices
+from .achievable import (
+    DpcAllocation,
+    LogDetProgram,
+    _stacked_program,
+    dpc_rate_caps,
+    scale_allocation,
+)
+from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .errors import (
     BracketUnbounded,
     InfeasibleAllocation,
     SingularSigmaZ,
-    SolverDiverged,
     ZeroChannel,
 )
 from .linalg import DEFAULT_TOL, budget_tol, log_det_id_plus, logdet2_pd, min_eigenvalue
 from .linalg import build_lower, encode_psd  # noqa: F401  (perfbench/tracing.py patches them here)
-from .regions import RatePair, RegionBoundary, check_mu, cross_polish
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
 from .solvers import (
     ScanResult,
     SolverSettings,
@@ -75,17 +80,18 @@ class OuterAllocation:
         object.__setattr__(self, "q_c", np.atleast_2d(np.asarray(self.q_c)))
 
 
-def _check_budget(label: str, total: float, budget: float, tol: float):
-    if total > budget + budget_tol(tol, budget):
-        raise InfeasibleAllocation(
-            f"{label} = {total:.6g} exceeds sum budget {budget:.6g}"
-        )
-
-
-def _check_psd(label: str, m: np.ndarray, budget: float, tol: float):
-    e = min_eigenvalue(m)
-    if e < -budget_tol(tol, budget):
-        raise InfeasibleAllocation(f"{label} is not PSD (min eigenvalue {e:.3e})")
+def _check_sum_budget(budget: float, tol: float, **covs: np.ndarray):
+    """Raise InfeasibleAllocation unless every covariance is PSD and their
+    traces add up to at most ``budget``, both within ``budget_tol``."""
+    slack = budget_tol(tol, budget)
+    for label, m in covs.items():
+        e = min_eigenvalue(m)
+        if e < -slack:
+            raise InfeasibleAllocation(f"{label} is not PSD (min eigenvalue {e:.3e})")
+    total = float(np.real(sum(np.trace(m) for m in covs.values())))
+    if total > budget + slack:
+        label = "+".join(f"trace({name})" for name in covs)
+        raise InfeasibleAllocation(f"{label} = {total:.6g} exceeds sum budget {budget:.6g}")
 
 
 def outer_rates(
@@ -105,20 +111,8 @@ def outer_rates(
     sz = nz.sigma_z()
     if min_eigenvalue(sz) <= 1e-9:
         raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
-    budget = ch.p_p + alpha * ch.p_c
-    _check_psd("q_p", a.q_p, budget, tol)
-    _check_psd("q_c", a.q_c, budget, tol)
-    total = float(np.real(np.trace(a.q_p) + np.trace(a.q_c)))
-    _check_budget("trace(q_p)+trace(q_c)", total, budget, tol)
-
-    s = ch.rate_scale
-    ga = mats.g_alpha
-    sig = ga @ a.q_p @ np.conj(ga.T)
-    intf = ga @ a.q_c @ np.conj(ga.T)
-    r_p = s * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
-    bumped = sz + mats.k_bar @ a.q_c @ np.conj(mats.k_bar.T)
-    r_c = s * (logdet2_pd(bumped) - logdet2_pd(sz))
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+    _check_sum_budget(ch.p_p + alpha * ch.p_c, tol, q_p=a.q_p, q_c=a.q_c)
+    return _broadcast_rates(ch, mats.g_alpha, mats.k_bar, sz, a.q_p, a.q_c)
 
 
 def partial_outer_rates(
@@ -129,23 +123,14 @@ def partial_outer_rates(
     tol: float = DEFAULT_TOL,
 ) -> RatePair:
     """Rate pair of the partial bound, with the cognitive covariance
-    restricted to its own block and scaled by 1/alpha."""
-    mats = composite_matrices(ch, alpha)
+    restricted to its own block: the DPC rates on ``scaled_channel(ch,
+    alpha)`` of the allocation whose stacked block is ``q_p``, checked
+    against the one sum budget ``p_p + alpha p_c`` instead of two."""
+    scaled = scaled_channel(ch, alpha)
     q_p = np.atleast_2d(np.asarray(q_p))
     sigma_cc = np.atleast_2d(np.asarray(sigma_cc))
-    budget = ch.p_p + alpha * ch.p_c
-    _check_psd("q_p", q_p, budget, tol)
-    _check_psd("sigma_cc", sigma_cc, budget, tol)
-    total = float(np.real(np.trace(q_p) + np.trace(sigma_cc)))
-    _check_budget("trace(q_p)+trace(sigma_cc)", total, budget, tol)
-
-    s = ch.rate_scale
-    ga = mats.g_alpha
-    intf = (ch.h_cp @ sigma_cc @ np.conj(ch.h_cp.T)) / alpha
-    sig = ga @ q_p @ np.conj(ga.T)
-    r_p = s * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
-    r_c = s * log_det_id_plus((ch.h_cc @ sigma_cc @ np.conj(ch.h_cc.T)) / alpha)
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+    _check_sum_budget(scaled.p_p + scaled.p_c, tol, q_p=q_p, sigma_cc=sigma_cc)
+    return dpc_rate_caps(scaled, DpcAllocation.from_net(q_p, sigma_cc))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +152,16 @@ def _broadcast_program(ch: CognitiveChannel, ga, h_c, noise) -> LogDetProgram:
         rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (noise, (2,), ())],
         scale=ch.rate_scale,
     )
+
+
+def _broadcast_rates(ch: CognitiveChannel, ga, h_c, noise, q_p, q_c) -> RatePair:
+    """Rate pair at (q_p, q_c) of :func:`_broadcast_program` on the same matrices."""
+    s = ch.rate_scale
+    sig = ga @ q_p @ np.conj(ga.T)
+    intf = ga @ q_c @ np.conj(ga.T)
+    r_p = s * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
+    r_c = s * (logdet2_pd(noise + h_c @ q_c @ np.conj(h_c.T)) - logdet2_pd(noise))
+    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
 
 
 def _maximize_sum_power(program: LogDetProgram, mu, budget, opts, starts, allocation=None):
@@ -211,10 +206,8 @@ def partial_start_from_achievable(
     reproduces the same rate pair inside the bound's constraint set, so a
     solved achievable witness is always a valid warm start here.
     """
-    root = math.sqrt(alpha)
-    top = np.hstack([a.sigma_p, root * a.q])
-    bottom = np.hstack([root * np.conj(a.q.T), alpha * a.sigma_cp])
-    return np.vstack([top, bottom]), alpha * a.sigma_cc
+    scaled = scale_allocation(a, alpha)
+    return scaled.sigma_p_net, scaled.sigma_cc
 
 
 def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
@@ -246,7 +239,7 @@ def mu_sum_partial_outer(
     """
     mu = check_mu(mu)
     budget = ch.p_p + alpha * ch.p_c
-    program = _stacked_program(ch, composite_matrices(ch, alpha).g_alpha, alpha)
+    program = _stacked_program(scaled_channel(ch, alpha))
     starts = [*_bound_corners(ch, alpha, budget), *extra_starts]
     theta = _maximize_sum_power(
         program, mu, budget, opts, starts, lambda a: partial_start_from_achievable(ch, alpha, a)
@@ -366,7 +359,8 @@ def bc_mu_sum(
     ga, kk = mats.g_alpha.astype(dtype), mats.k.astype(dtype)
     n = ch.n_pt + ch.n_ct
     budget = ch.p_p + alpha * ch.p_c
-    program = _broadcast_program(ch, ga, kk, np.eye(ch.n_cr))
+    noise = np.eye(ch.n_cr)
+    program = _broadcast_program(ch, ga, kk, noise)
 
     zero_n = np.zeros((n, n))
     starts = [(waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n)]
@@ -378,11 +372,7 @@ def bc_mu_sum(
     starts.append((iso, iso))
     theta = _maximize_sum_power(program, mu, budget, opts, [*starts, *extra_starts])
     q_p, q_c = program.decode(theta)
-    sig = ga @ q_p @ np.conj(ga.T)
-    intf = ga @ q_c @ np.conj(ga.T)
-    r_p = ch.rate_scale * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
-    r_c = ch.rate_scale * log_det_id_plus(kk @ q_c @ np.conj(kk.T))
-    rate = RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+    rate = _broadcast_rates(ch, ga, kk, noise, q_p, q_c)
     return BcMuSumResult(value=rate.mu_sum(mu), rate=rate, q_p=q_p, q_c=q_c, alpha=alpha)
 
 
@@ -429,9 +419,6 @@ def trace_outer_boundary(
     contributes mapped warm starts, which keeps the traced bound numerically
     above the region it contains even where the two curves touch.
     """
-    mus = sorted({check_mu(m) for m in mu_grid}, reverse=True)
-    if not mus:
-        raise ValueError("mu_grid must be nonempty")
     opts = opts or SolverSettings()
 
     warm_by_mu = {}
@@ -442,22 +429,14 @@ def trace_outer_boundary(
             if all(k in w for k in keys):
                 warm_by_mu[float(p.mu)] = DpcAllocation(*(w[k] for k in keys))
 
-    rates, wits = [], []
-    warm_theta = None
-    for mu in mus:
-        extra = []
-        if warm_theta is not None:
-            extra.append(warm_theta)
+    def solve(mu, warm):
+        extra = [] if warm is None else [warm]
         if mu in warm_by_mu:
             extra.append(warm_by_mu[mu])
-        try:
-            res = mu_sum_partial_outer(ch, alpha, mu, opts, extra_starts=extra)
-        except SolverDiverged as exc:
-            raise SolverDiverged(f"{exc} (at mu={mu:g}, alpha={alpha:g})") from exc
-        rates.append(res.rate)
-        wits.append({"q_p": res.q_p, "sigma_cc": res.sigma_cc})
-        warm_theta = res.theta
-    points = cross_polish(mus, rates, wits)
+        res = mu_sum_partial_outer(ch, alpha, mu, opts, extra_starts=extra)
+        return res.rate, {"q_p": res.q_p, "sigma_cc": res.sigma_cc}, res.theta
+
+    points = cross_polish(*sweep_mu(mu_grid, solve, where=f", alpha={alpha:g}"))
     return RegionBoundary(
         points=points,
         metadata={

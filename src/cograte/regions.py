@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedMu
+from .errors import SolverDiverged, UnsupportedMu
 
 SCHEMA_VERSION = 1
 
@@ -106,6 +106,26 @@ def _matrix_list(m):
     if np.iscomplexobj(a):
         return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in a]
     return [[float(v) for v in row] for row in a]
+
+
+def sweep_mu(mu_grid, solve, where: str = ""):
+    """Solve each mu of ``mu_grid`` (repeats kept), largest first.
+
+    ``solve(mu, warm)`` returns ``(rate, witness, theta)``; ``warm`` is the
+    previous solve's ``theta``, None at first.  Returns the arguments of
+    :func:`cross_polish`.  A divergence names its mu, then ``where``."""
+    mus = sorted((check_mu(m) for m in mu_grid), reverse=True)
+    if not mus:
+        raise ValueError("mu_grid must be nonempty")
+    rates, witnesses, warm = [], [], None
+    for mu in mus:
+        try:
+            rate, witness, warm = solve(mu, warm)
+        except SolverDiverged as exc:
+            raise SolverDiverged(f"{exc} (at mu={mu:g}{where})") from exc
+        rates.append(rate)
+        witnesses.append(witness)
+    return mus, rates, witnesses
 
 
 def cross_polish(mus, rates, witnesses):

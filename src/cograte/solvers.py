@@ -68,25 +68,16 @@ NEG_INF = _NegInf()
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs of the projected-ascent solvers.
-
-    ``gap`` is the accepted optimality gap in bits when a solver is compared
-    against a brute-force oracle.
-    """
+    """Knobs of the projected-ascent solvers."""
 
     starts: int = 16
     max_iters: int = 2000
     rel_tol: float = 1e-9
     seed: int = 0
-    gap: float = 1e-2
 
     def __post_init__(self):
-        if self.starts <= 0 or self.max_iters <= 0:
-            raise ValueError("starts and max_iters must be positive")
-        if self.rel_tol <= 0 or self.gap <= 0:
-            raise ValueError("rel_tol and gap must be positive")
-        if self.gap < self.rel_tol:
-            raise ValueError("gap must be >= rel_tol")
+        if self.starts <= 0 or self.max_iters <= 0 or self.rel_tol <= 0:
+            raise ValueError("starts, max_iters and rel_tol must be positive")
 
 
 def make_group_projection(groups):

@@ -5,6 +5,9 @@ from cograte.channel import load_channel
 from cograte.cli import bundled_channel_text
 from cograte.solvers import SolverSettings
 
+#: Accepted shortfall in bits of a solver against a brute-force oracle.
+ORACLE_GAP = 1e-2
+
 
 @pytest.fixture(scope="session")
 def sec7():

@@ -156,8 +156,7 @@ def test_scaled_channel_invalid_alpha(sec7, alpha):
 
 def test_composite_matrices_values(sec7):
     mats = composite_matrices(sec7, 1.0)
-    assert np.allclose(mats.g, [[1.4435, 0.799]])
-    assert np.allclose(mats.g_alpha, mats.g)
+    assert np.allclose(mats.g_alpha, [[1.4435, 0.799]])
     mats_q = composite_matrices(sec7, 0.25)
     assert np.allclose(mats_q.g_alpha, [[1.4435, 1.598]])
     assert np.allclose(mats_q.k_bar[:1], mats_q.g_alpha)
@@ -168,7 +167,7 @@ def test_composite_matrices_values(sec7):
 def test_composite_matches_scaled_channel(sec7):
     alpha = 2.3
     direct = composite_matrices(sec7, alpha).g_alpha
-    via_scaled = composite_matrices(scaled_channel(sec7, alpha), 1.0).g
+    via_scaled = composite_matrices(scaled_channel(sec7, alpha), 1.0).g_alpha
     assert np.allclose(direct, via_scaled, atol=1e-14)
 
 

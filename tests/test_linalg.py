@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from cograte.errors import NonPositiveDefinite
 from cograte.linalg import (
+    build_lower,
     decode_param,
+    encode_psd,
     is_psd,
     log_det_id_plus,
     log_det_id_plus_dir,
+    lower_product_map,
     param_len,
+    param_rows,
     project_psd,
     symmetrize,
 )
@@ -85,6 +89,39 @@ def test_param_len():
     assert param_len(3, complex_mode=True) == 9
     with pytest.raises(ValueError):
         param_len(0)
+
+
+def _row_major_walk(dim, complex_mode):
+    """(row, column, imaginary) of each parameter slot, by the plain loop."""
+    slots = []
+    for i in range(dim):
+        for j in range(i + 1):
+            slots.append((i, j, False))
+            if complex_mode and j < i:
+                slots.append((i, j, True))
+    return slots
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_slot_layout_matches_the_row_major_walk(dim, complex_mode):
+    rng = np.random.default_rng([dim, complex_mode])
+    walk = _row_major_walk(dim, complex_mode)
+    theta = rng.standard_normal((2, len(walk)))
+    low = np.zeros((2, dim, dim), dtype=complex if complex_mode else float)
+    for pos, (i, j, imag) in enumerate(walk):
+        if i == j:
+            theta[:, pos] = np.abs(theta[:, pos]) + 0.5  # the Cholesky factor's diagonal
+        low[:, i, j] += 1j * theta[:, pos] if imag else theta[:, pos]
+    h = rng.standard_normal((3, dim)) + (1j * rng.standard_normal((3, dim)) if complex_mode else 0)
+
+    assert np.array_equal(param_rows(dim, complex_mode), [i for i, _, _ in walk])
+    assert np.array_equal(build_lower(theta, dim, complex_mode), low)
+    product = theta @ lower_product_map(h, dim, complex_mode)
+    product = product.view(complex) if complex_mode else product
+    np.testing.assert_allclose(product.reshape(2, 3, dim), h @ low, rtol=1e-12, atol=1e-12)
+    cov = low[0] @ np.conj(low[0].T)
+    np.testing.assert_allclose(encode_psd(cov, complex_mode), theta[0], rtol=0, atol=1e-9)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ORACLE_GAP
 
 from cograte.achievable import DpcAllocation, dpc_rate_caps, dpc_rates
 from cograte.channel import CognitiveChannel
@@ -226,7 +227,7 @@ def test_filtered_max_equals_constrained_max(sec7, fast):
                 if value is not NEG_INF and (best is NEG_INF or value > best):
                     best = value
         assert best is not NEG_INF
-        assert best == pytest.approx(constrained, abs=fast.gap)
+        assert best == pytest.approx(constrained, abs=ORACLE_GAP)
 
 
 def test_single_multiplier_never_exceeds_two(sec7, rng):

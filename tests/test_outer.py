@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ORACLE_GAP
 
-from cograte.achievable import mu_sum_achievable, trace_boundary
-from cograte.channel import CognitiveChannel, composite_matrices
+from cograte.achievable import DpcAllocation, dpc_rate_caps, mu_sum_achievable, trace_boundary
+from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.errors import (
     InfeasibleAllocation,
     SingularSigmaZ,
+    SolverDiverged,
     UnsupportedMu,
 )
+from cograte.linalg import log_det_id_plus
 from cograte.outer import (
     NoiseCoupling,
     OuterAllocation,
@@ -26,6 +29,7 @@ from cograte.outer import (
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
+from cograte.regions import RatePair, sweep_mu
 from cograte.solvers import SolverSettings, waterfill
 
 MAX_RP = 2.354204853970093
@@ -106,6 +110,38 @@ def test_partial_rates_tolerance_scales_with_the_budget(sec7):
         partial_outer_rates(sec7, alpha, np.diag([budget * (1.0 + 1e-9), 0.0]), [[0.0]])
 
 
+def test_partial_rates_are_dpc_rates_on_the_scaled_channel():
+    rng = np.random.default_rng(7)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    h = {name: draw((2, 2)) for name in ("h_pp", "h_pc", "h_cp", "h_cc")}
+    ch = CognitiveChannel(**h, p_p=3.0, p_c=2.0)
+    alpha = 0.7
+    budget = ch.p_p + alpha * ch.p_c
+    a, b = draw((4, 4)), draw((2, 2))
+    q_p = a @ np.conj(a.T)
+    q_p *= 0.6 * budget / np.trace(q_p).real
+    s_cc = b @ np.conj(b.T)
+    s_cc *= 0.3 * budget / np.trace(s_cc).real
+    got = partial_outer_rates(ch, alpha, q_p, s_cc)
+
+    split = DpcAllocation(q_p[:2, :2], q_p[2:, 2:], s_cc, q_p[:2, 2:])
+    via_dpc = dpc_rate_caps(scaled_channel(ch, alpha), split)
+    # the bound's own formula: the cognitive covariance is seen divided by alpha
+    ga = composite_matrices(ch, alpha).g_alpha
+    intf = ch.h_cp @ s_cc @ np.conj(ch.h_cp.T) / alpha
+    direct = RatePair(
+        r_p=log_det_id_plus(ga @ q_p @ np.conj(ga.T) + intf) - log_det_id_plus(intf),
+        r_c=log_det_id_plus(ch.h_cc @ s_cc @ np.conj(ch.h_cc.T) / alpha),
+    )
+    assert got.r_p > 0.1 and got.r_c > 0.1
+    for want in (via_dpc, direct):
+        assert got.r_p == pytest.approx(want.r_p, rel=1e-12)
+        assert got.r_c == pytest.approx(want.r_c, rel=1e-12)
+
+
 def test_partial_mu_sum_large_mu(sec7, fast):
     res = mu_sum_partial_outer(sec7, 1.0, 1e6, fast)
     assert res.value / 1e6 == pytest.approx(FLIPPED_A1, abs=1e-6)
@@ -133,7 +169,7 @@ def test_partial_mu_sum_matches_oracle(sec7, fast):
     for mu, alpha in ((0.0, 1.0), (1.0, 0.5), (2.0, 2.0)):
         solver = mu_sum_partial_outer(sec7, alpha, mu, fast).value
         oracle = grid_oracle(sec7, mu, 400, "partial_outer", alpha)
-        assert solver == pytest.approx(oracle, abs=fast.gap)
+        assert solver == pytest.approx(oracle, abs=ORACLE_GAP)
 
 
 def test_achievable_witness_maps_into_bound(sec7, fast):
@@ -292,6 +328,30 @@ def test_trace_outer_boundary_dominates_region(sec7, fast):
         for bp, rp in zip(bound.points, region.points):
             assert bp.mu == rp.mu
             assert bp.rate.mu_sum(bp.mu) >= rp.rate.mu_sum(rp.mu) - 1e-6
+
+
+def test_tracers_keep_repeated_mus(sec7, fast):
+    grid = [2.0, 1.0, 1.0]
+    region = trace_boundary(sec7, grid, fast)
+    bound = trace_outer_boundary(sec7, 1.0, grid, fast, warm_boundary=region)
+    for boundary in (region, bound):
+        assert [p.mu for p in boundary.points] == grid
+
+
+def test_sweep_mu_warm_starts_largest_first_and_names_the_failing_mu():
+    seen = []
+
+    def solve(mu, warm):
+        seen.append((mu, warm))
+        if mu < 1.0:
+            raise SolverDiverged("non-finite objective")
+        return RatePair(mu, 1.0), {"mu": mu}, f"theta at {mu:g}"
+
+    mus, rates, witnesses = sweep_mu([1.0, 3.0, 1.0], solve)
+    assert mus == [3.0, 1.0, 1.0] and [w["mu"] for w in witnesses] == mus
+    assert seen == [(3.0, None), (1.0, "theta at 3"), (1.0, "theta at 1")]
+    with pytest.raises(SolverDiverged, match=r"objective \(at mu=0.5, alpha=2\)$"):
+        sweep_mu([2.0, 0.5], solve, where=", alpha=2")
 
 
 def test_containment_on_randomized_channels(rng):

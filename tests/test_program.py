@@ -1,13 +1,15 @@
 """The log-det program behind the four mu-sum solvers agrees with the rate
 functions each solver reports its winner through."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cograte.achievable import DpcAllocation, LogDetProgram, _stacked_program, dpc_rates
-from cograte.channel import CognitiveChannel, composite_matrices
+from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.linalg import build_lower, log_det_id_plus, param_len
 from cograte.outer import (
     NoiseCoupling,
@@ -60,9 +62,9 @@ def _programs(rng, ch):
         )
 
     return [
-        (_stacked_program(ch, np.hstack([ch.h_pp, ch.h_cp])), dpc),
+        (_stacked_program(ch), dpc),
         (
-            _stacked_program(ch, mats.g_alpha, alpha),
+            _stacked_program(scaled_channel(ch, alpha)),
             lambda q_p, s_cc: partial_outer_rates(ch, alpha, q_p, s_cc),
         ),
         (
@@ -111,15 +113,17 @@ def test_decode_inverts_encode(complex_mode, seed):
 
 def _kernel_case(rng, complex_mode, dims, receivers, divisor):
     """A two-block program shaped like the solvers' (a licensed rate with one
-    minus term, a cognitive rate over a non-identity noise) and its inputs."""
+    minus term, a cognitive rate over a non-identity noise) and its inputs; the
+    second block's terms carry a factor 1/sqrt(divisor), as on a scaled
+    channel."""
     (d0, d1), (m_p, m_c) = dims, receivers
     noise_a = _draw(rng, (m_c, m_c), complex_mode)
     spec = dict(
         blocks=(d0, d1),
         terms=[
             (_draw(rng, (m_p, d0), complex_mode), 0),
-            (_draw(rng, (m_p, d1), complex_mode), 1, divisor),
-            (_draw(rng, (m_c, d1), complex_mode), 1, divisor),
+            (_draw(rng, (m_p, d1), complex_mode) / math.sqrt(divisor), 1),
+            (_draw(rng, (m_c, d1), complex_mode) / math.sqrt(divisor), 1),
         ],
         rates=[
             (np.eye(m_p), (0, 1), (1,)),
@@ -131,16 +135,16 @@ def _kernel_case(rng, complex_mode, dims, receivers, divisor):
 
 
 def _dense_rates(complex_mode, spec, theta):
-    """Rates of one parameter vector from H L L† H† / d, with L from build_lower."""
+    """Rates of one parameter vector from H L L† H†, with L from build_lower."""
     lows, offset = [], 0
     for dim in spec["blocks"]:
         k = param_len(dim, complex_mode)
         lows.append(build_lower(theta[offset : offset + k], dim, complex_mode))
         offset += k
     terms = []
-    for h, block, *divisor in spec["terms"]:
+    for h, block in spec["terms"]:
         cov = lows[block] @ np.conj(lows[block].T)
-        terms.append(h @ cov @ np.conj(h.T) / (divisor[0] if divisor else 1.0))
+        terms.append(h @ cov @ np.conj(h.T))
 
     def logdet2(noise, indices):
         return np.linalg.slogdet(noise + sum(terms[i] for i in indices))[1] / np.log(2.0)

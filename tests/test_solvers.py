@@ -33,7 +33,7 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(starts=0)
     with pytest.raises(ValueError):
-        SolverSettings(gap=1e-12, rel_tol=1e-9)
+        SolverSettings(rel_tol=0.0)
     s = SolverSettings()
     assert s.starts == 16 and s.max_iters == 2000
 
