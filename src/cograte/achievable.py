@@ -105,13 +105,7 @@ def dpc_rate_caps(ch: CognitiveChannel, a: DpcAllocation) -> RatePair:
     the budgets on purpose; only the PSD structure is required for the
     log-dets to make sense.
     """
-    g = np.hstack([ch.h_pp, ch.h_cp])
-    s = ch.rate_scale
-    interference = ch.h_cp @ a.sigma_cc @ np.conj(ch.h_cp.T)
-    signal = g @ a.sigma_p_net @ np.conj(g.T)
-    r_p = s * (log_det_id_plus(signal + interference) - log_det_id_plus(interference))
-    r_c = s * log_det_id_plus(ch.h_cc @ a.sigma_cc @ np.conj(ch.h_cc.T))
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+    return _two_block_rates(ch, *_dpc_matrices(ch), a.sigma_p_net, a.sigma_cc)
 
 
 def dpc_rates(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) -> RatePair:
@@ -267,30 +261,59 @@ class LogDetProgram:
             covs.append(symmetrize(low @ np.conj(np.swapaxes(low, -1, -2))))
         return covs
 
-    def starts(self, items, allocation=None) -> list[np.ndarray]:
-        """Encode start candidates: a tuple holds one matrix per block, a
-        :class:`DpcAllocation` is first mapped to such a tuple by
-        ``allocation``, and anything else is a raw parameter vector."""
-        out = []
-        for item in items:
-            if isinstance(item, DpcAllocation):
-                item = allocation(item)
-            out.append(self.encode(*item) if isinstance(item, tuple) else item)
-        return out
 
-
-def _stacked_program(ch: CognitiveChannel) -> LogDetProgram:
-    """Blocks: a covariance over the stacked transmit dimensions, seen through
-    ``[h_pp, h_cp]`` at the licensed receiver, then sigma_cc.  On ``ch`` under
-    the two budgets this is the DPC region; on ``scaled_channel(ch, alpha)``
-    under the one budget ``p_p + alpha p_c`` it is the partial bound."""
+def _two_block_program(ch: CognitiveChannel, g, h_int, h_c, noise) -> LogDetProgram:
+    """Blocks ``Q0``, heard through ``g`` at the licensed receiver, and ``Q1``,
+    interference there through ``h_int`` and heard through ``h_c`` over
+    ``noise`` at the cognitive one.  :func:`_dpc_matrices` gives the DPC region
+    (the partial bound on ``scaled_channel(ch, alpha)``), and
+    ``outer._broadcast_matrices`` the broadcast bounds."""
     return LogDetProgram(
         not ch.real_mode,
-        blocks=(ch.n_pt + ch.n_ct, ch.n_ct),
-        terms=[(np.hstack([ch.h_pp, ch.h_cp]), 0), (ch.h_cp, 1), (ch.h_cc, 1)],
-        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (np.eye(ch.n_cr), (2,), ())],
+        blocks=(g.shape[1], h_int.shape[1]),
+        terms=[(g, 0), (h_int, 1), (h_c, 1)],
+        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (noise, (2,), ())],
         scale=ch.rate_scale,
     )
+
+
+def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, noise, q0, q1) -> RatePair:
+    """Rate pair at ``(q0, q1)`` of :func:`_two_block_program` on the same
+    matrices: ``r_p = log2|I + g q0 g† + h_int q1 h_int†| - log2|I + h_int q1
+    h_int†|`` and ``r_c = log2|noise + h_c q1 h_c†| - log2|noise|``."""
+    s = ch.rate_scale
+    interference = h_int @ q1 @ np.conj(h_int.T)
+    signal = g @ q0 @ np.conj(g.T)
+    r_p = s * (log_det_id_plus(signal + interference) - log_det_id_plus(interference))
+    r_c = s * (logdet2_pd(noise + h_c @ q1 @ np.conj(h_c.T)) - logdet2_pd(noise))
+    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+
+
+def _dpc_matrices(ch: CognitiveChannel):
+    """Two-block matrices of the DPC region: the stacked block through
+    ``[h_pp, h_cp]``; sigma_cc through ``h_cp`` and ``h_cc``, over unit noise."""
+    return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc, np.eye(ch.n_cr)
+
+
+def _solve(program: LogDetProgram, mu, groups, opts, starts) -> np.ndarray:
+    """Winning theta of the program's mu-sum under the trace budgets
+    ``groups`` (parameter indices, budget).  ``starts`` hold one matrix per
+    block as a tuple, a :class:`DpcAllocation` (its stacked block and
+    sigma_cc), or a raw parameter vector."""
+    encoded = []
+    for item in starts:
+        if isinstance(item, DpcAllocation):
+            item = (item.sigma_p_net, item.sigma_cc)
+        encoded.append(program.encode(*item) if isinstance(item, tuple) else item)
+    _, theta = maximize_multistart(
+        program.objective(mu),
+        program.n_params,
+        make_group_projection(groups),
+        opts or SolverSettings(),
+        scale=math.sqrt(max(budget for _, budget in groups)),
+        extra_starts=encoded,
+    )
+    return theta
 
 
 def _corner_allocations(ch: CognitiveChannel):
@@ -337,19 +360,11 @@ def mu_sum_achievable(
     ``extra_starts`` may carry allocations or raw parameter vectors.
     """
     mu = check_mu(mu)
-    opts = opts or SolverSettings()
-    program = _stacked_program(ch)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
-    project = make_group_projection([(licensed, ch.p_p), (cognitive, ch.p_c)])
-    starts = program.starts(
-        [*_corner_allocations(ch), *extra_starts],
-        allocation=lambda a: (a.sigma_p_net, a.sigma_cc),
-    )
-    scale = math.sqrt(max(ch.p_p, ch.p_c))
-    _, theta = maximize_multistart(
-        program.objective(mu), program.n_params, project, opts, scale=scale, extra_starts=starts
-    )
+    groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
+    theta = _solve(program, mu, groups, opts, [*_corner_allocations(ch), *extra_starts])
     witness = DpcAllocation.from_net(*program.decode(theta))
     rate = dpc_rates(ch, witness)
     return MuSumResult(value=rate.mu_sum(mu), rate=rate, witness=witness, theta=theta)

@@ -170,10 +170,18 @@ class CompositeMatrices:
     k_bar: np.ndarray
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(ch: CognitiveChannel, alpha: float) -> float:
+    """``alpha`` as a float if it is finite and > 0 and the scaled channel
+    passes :func:`load_channel`'s size test on ``h_cp`` and ``h_cc``."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise InvalidAlpha(f"alpha must be finite and positive, got {alpha}")
+    power = ch.p_p + alpha * ch.p_c
+    for name in ("h_cp", "h_cc"):
+        m = getattr(ch, name)
+        if not math.isfinite(power * (float(np.vdot(m, m).real) / alpha)):
+            raise InvalidAlpha(f"alpha = {alpha:g} is out of range for this channel: "
+                               f"(p_p + alpha p_c) * ||{name} / sqrt(alpha)||_F^2 is not finite")
     return alpha
 
 
@@ -222,7 +230,7 @@ def load_channel(spec_text: str) -> CognitiveChannel:
 def scaled_channel(ch: CognitiveChannel, alpha: float) -> CognitiveChannel:
     """Equivalent channel with h_cp, h_cc divided by sqrt(alpha) and the
     cognitive power budget multiplied by alpha."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(ch, alpha)
     root = math.sqrt(alpha)
     return CognitiveChannel(
         h_pp=ch.h_pp,
@@ -237,7 +245,7 @@ def scaled_channel(ch: CognitiveChannel, alpha: float) -> CognitiveChannel:
 
 def composite_matrices(ch: CognitiveChannel, alpha: float) -> CompositeMatrices:
     """Assemble the three block matrices used by the bound computations."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(ch, alpha)
     root = math.sqrt(alpha)
     g_alpha = np.hstack([ch.h_pp, ch.h_cp / root])
     k = np.hstack([np.zeros((ch.n_cr, ch.n_pt), dtype=ch.h_cc.dtype), ch.h_cc / root])

@@ -26,23 +26,8 @@ from importlib import resources
 import numpy as np
 
 from .achievable import mu_sum_achievable, trace_boundary
-from .channel import CognitiveChannel, load_channel
-from .errors import (
-    BracketUnbounded,
-    CograteError,
-    DimensionMismatch,
-    InfeasibleAllocation,
-    InvalidAlpha,
-    NonPositiveDefinite,
-    NonPositivePower,
-    OracleTooLarge,
-    ParseError,
-    SingularNoise,
-    SingularSigmaZ,
-    SolverDiverged,
-    UnsupportedMu,
-    ZeroChannel,
-)
+from .channel import CognitiveChannel, load_channel, scaled_channel
+from .errors import CograteError, ConfigError
 from .outer import (
     condition_check,
     inf_alpha_partial_outer,
@@ -58,27 +43,6 @@ REPORTED_ALPHA_STAR = 0.9689
 
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_MU_GRID = "log:0.01:100:25"
-
-_CONFIG_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    NonPositivePower,
-    InvalidAlpha,
-    UnsupportedMu,
-    OracleTooLarge,
-    ZeroChannel,
-    ValueError,
-    OSError,
-)
-_SOLVER_ERRORS = (
-    SolverDiverged,
-    BracketUnbounded,
-    NonPositiveDefinite,
-    SingularSigmaZ,
-    SingularNoise,
-    InfeasibleAllocation,
-)
-
 
 def bundled_channel_text() -> str:
     """JSON text of the packaged example channel."""
@@ -203,6 +167,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
     ch = _load(args.channel)
+    for alpha in args.alpha:
+        scaled_channel(ch, alpha)  # rejects an alpha out of range before any solve
     # the achievable trace seeds every bound solve: the bound contains the
     # region, so its witnesses are feasible warm starts on the bound side
     region = trace_boundary(ch, mu_grid, settings)
@@ -395,14 +361,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except CograteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,7 +1,10 @@
 """Exception types raised across the package.
 
 Every error is a subclass of :class:`CograteError` so callers can catch the
-whole family at once (the CLI maps them onto exit codes).
+whole family at once.  The CLI maps them onto exit codes: a
+:class:`ConfigError` (bad input), like a ``ValueError`` or ``OSError``, exits
+2 with ``error:``; every other error is a solver failure and exits 3 with
+``solver error:``.
 """
 
 
@@ -9,19 +12,23 @@ class CograteError(Exception):
     """Base class for all cograte errors."""
 
 
-class ParseError(CograteError):
+class ConfigError(CograteError):
+    """Base class of errors in the input: channel, alpha, mu, problem size."""
+
+
+class ParseError(ConfigError):
     """Channel spec document is malformed (bad JSON, wrong types)."""
 
 
-class DimensionMismatch(CograteError):
+class DimensionMismatch(ConfigError):
     """Matrix shapes are inconsistent with the antenna counts."""
 
 
-class NonPositivePower(CograteError):
+class NonPositivePower(ConfigError):
     """A power budget is zero, negative or non-finite."""
 
 
-class InvalidAlpha(CograteError):
+class InvalidAlpha(ConfigError):
     """Scaling parameter alpha is not a finite positive number."""
 
 
@@ -49,13 +56,13 @@ class BracketUnbounded(CograteError):
     """The scalar minimizer kept touching the bracket edge after widening."""
 
 
-class OracleTooLarge(CograteError):
+class OracleTooLarge(ConfigError):
     """Brute-force oracle requested on a problem with too many free scalars."""
 
 
-class ZeroChannel(CograteError):
+class ZeroChannel(ConfigError):
     """Water-filling requested on an all-zero channel matrix."""
 
 
-class UnsupportedMu(CograteError):
+class UnsupportedMu(ConfigError):
     """Operation requires mu >= 1 (broadcast-side checks)."""

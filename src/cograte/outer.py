@@ -17,8 +17,10 @@ import numpy as np
 
 from .achievable import (
     DpcAllocation,
-    LogDetProgram,
-    _stacked_program,
+    _dpc_matrices,
+    _solve,
+    _two_block_program,
+    _two_block_rates,
     dpc_rate_caps,
     scale_allocation,
 )
@@ -29,18 +31,13 @@ from .errors import (
     SingularSigmaZ,
     ZeroChannel,
 )
-from .linalg import DEFAULT_TOL, budget_tol, log_det_id_plus, logdet2_pd, min_eigenvalue
-from .linalg import build_lower, encode_psd  # noqa: F401  (perfbench/tracing.py patches them here)
+from .linalg import DEFAULT_TOL, budget_tol, min_eigenvalue
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
-from .solvers import (
-    ScanResult,
-    SolverSettings,
-    golden_section,
-    make_group_projection,
-    maximize_multistart,
-    scan_then_golden,
-    waterfill,
-)
+from .solvers import ScanResult, SolverSettings, golden_section, scan_then_golden, waterfill
+
+# perfbench/tracing.py patches these names on this module too
+from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
+from .solvers import maximize_multistart  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,14 @@ class NoiseCoupling:
             )
 
     def sigma_z(self) -> np.ndarray:
+        """The coupled noise covariance; SingularSigmaZ unless strictly PD."""
         n_pr, n_cr = self.q_z.shape
         top = np.hstack([np.eye(n_pr, dtype=self.q_z.dtype), self.q_z])
         bottom = np.hstack([np.conj(self.q_z.T), np.eye(n_cr, dtype=self.q_z.dtype)])
-        return np.vstack([top, bottom])
+        sz = np.vstack([top, bottom])
+        if min_eigenvalue(sz) <= 1e-9:
+            raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
+        return sz
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,9 @@ def outer_rates(
     the scaled stacked channel; the cognitive rate is the log-det increment
     of the coupled noise covariance.
     """
-    mats = composite_matrices(ch, alpha)
-    sz = nz.sigma_z()
-    if min_eigenvalue(sz) <= 1e-9:
-        raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
+    mats = _broadcast_matrices(ch, alpha, nz)
     _check_sum_budget(ch.p_p + alpha * ch.p_c, tol, q_p=a.q_p, q_c=a.q_c)
-    return _broadcast_rates(ch, mats.g_alpha, mats.k_bar, sz, a.q_p, a.q_c)
+    return _two_block_rates(ch, *mats, a.q_p, a.q_c)
 
 
 def partial_outer_rates(
@@ -138,44 +136,36 @@ def partial_outer_rates(
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_program(ch: CognitiveChannel, ga, h_c, noise) -> LogDetProgram:
-    """Blocks: q_p and q_c, both over the stacked transmit dimensions.
-
-    The licensed rate treats q_c as interference through ``ga``; the
-    cognitive rate is log2|noise + h_c q_c h_c†| - log2|noise|.
-    """
-    n = ch.n_pt + ch.n_ct
-    return LogDetProgram(
-        not ch.real_mode,
-        blocks=(n, n),
-        terms=[(ga, 0), (ga, 1), (h_c, 1)],
-        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (noise, (2,), ())],
-        scale=ch.rate_scale,
-    )
+def _broadcast_matrices(ch: CognitiveChannel, alpha: float, nz: NoiseCoupling | None = None):
+    """Two-block matrices of the broadcast bounds: q_p and q_c over the stacked
+    transmit dimensions, both through ``g_alpha`` at the licensed receiver;
+    q_c through ``k`` over unit noise, or ``k_bar`` over a coupled noise."""
+    mats = composite_matrices(ch, alpha)
+    dtype = float if ch.real_mode else complex
+    ga = mats.g_alpha.astype(dtype)
+    if nz is None:
+        return ga, ga, mats.k.astype(dtype), np.eye(ch.n_cr)
+    return ga, ga, mats.k_bar.astype(dtype), nz.sigma_z()
 
 
-def _broadcast_rates(ch: CognitiveChannel, ga, h_c, noise, q_p, q_c) -> RatePair:
-    """Rate pair at (q_p, q_c) of :func:`_broadcast_program` on the same matrices."""
-    s = ch.rate_scale
-    sig = ga @ q_p @ np.conj(ga.T)
-    intf = ga @ q_c @ np.conj(ga.T)
-    r_p = s * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
-    r_c = s * (logdet2_pd(noise + h_c @ q_c @ np.conj(h_c.T)) - logdet2_pd(noise))
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
-
-
-def _maximize_sum_power(program: LogDetProgram, mu, budget, opts, starts, allocation=None):
-    """Winning theta of the program's mu-sum with every parameter under one
-    sum-power budget, ascending from the :meth:`LogDetProgram.starts` items."""
-    _, theta = maximize_multistart(
-        program.objective(mu),
-        program.n_params,
-        make_group_projection([(np.arange(program.n_params), budget)]),
-        opts or SolverSettings(),
-        scale=math.sqrt(budget),
-        extra_starts=program.starts(starts, allocation),
-    )
-    return theta
+def _broadcast_solve(ch: CognitiveChannel, alpha, mu, opts, extra_starts, nz=None):
+    """The matrices and the solved (q_p, q_c) of the broadcast mu-sum under
+    the sum budget ``p_p + alpha p_c``.  Deterministic starts: all power
+    water-filled for r_p, all for r_c, and half each spread evenly."""
+    mats = _broadcast_matrices(ch, alpha, nz)
+    ga, _, h_c, _ = mats
+    n = ga.shape[1]
+    budget = ch.p_p + alpha * ch.p_c
+    program = _two_block_program(ch, *mats)
+    zero_n, iso = np.zeros((n, n)), (0.5 * budget / n) * np.eye(n)
+    starts = [(waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n)]
+    try:
+        starts.append((zero_n, waterfill(h_c, budget, real_mode=ch.real_mode)[1]))
+    except ZeroChannel:
+        pass  # h_cc = 0 zeroes k: the cognitive receiver hears nothing
+    starts += [(iso, iso), *extra_starts]
+    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    return mats, program.decode(theta)
 
 
 @dataclass(frozen=True)
@@ -197,31 +187,15 @@ class BcMuSumResult:
     alpha: float
 
 
-def partial_start_from_achievable(
-    ch: CognitiveChannel, alpha: float, a: DpcAllocation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map a feasible DPC allocation into the partial bound's variables.
-
-    (q_p, sigma_cc) = ([[sigma_p, sqrt(a) q], [.., a sigma_cp]], a sigma_cc)
-    reproduces the same rate pair inside the bound's constraint set, so a
-    solved achievable witness is always a valid warm start here.
-    """
-    scaled = scale_allocation(a, alpha)
-    return scaled.sigma_p_net, scaled.sigma_cc
-
-
 def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
     """Deterministic corners: all power water-filled for r_p, all for r_c."""
     mats = composite_matrices(ch, alpha)
-    n = ch.n_pt + ch.n_ct
-    corners = []
-    _, wf_qp = waterfill(mats.g_alpha, budget, real_mode=ch.real_mode)
-    corners.append((wf_qp, np.zeros((ch.n_ct, ch.n_ct))))
-    corners.append((np.zeros((n, n)), (budget / ch.n_ct) * np.eye(ch.n_ct)))
-    corners.append(
-        ((0.5 * budget / n) * np.eye(n), (0.5 * budget / ch.n_ct) * np.eye(ch.n_ct))
-    )
-    return corners
+    n, m = ch.n_pt + ch.n_ct, ch.n_ct
+    return [
+        (waterfill(mats.g_alpha, budget, real_mode=ch.real_mode)[1], np.zeros((m, m))),
+        (np.zeros((n, n)), (budget / m) * np.eye(m)),
+        ((0.5 * budget / n) * np.eye(n), (0.5 * budget / m) * np.eye(m)),
+    ]
 
 
 def mu_sum_partial_outer(
@@ -233,17 +207,18 @@ def mu_sum_partial_outer(
 ) -> BoundMuSumResult:
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
-    ``extra_starts`` accepts DPC allocations (mapped through
-    :func:`partial_start_from_achievable`), (q_p, sigma_cc) pairs, or raw
-    parameter vectors.
+    ``extra_starts`` accepts DPC allocations of ``ch`` (mapped into the
+    bound through :func:`scale_allocation`, which keeps their rate pair),
+    (q_p, sigma_cc) pairs, or raw parameter vectors.
     """
     mu = check_mu(mu)
     budget = ch.p_p + alpha * ch.p_c
-    program = _stacked_program(scaled_channel(ch, alpha))
-    starts = [*_bound_corners(ch, alpha, budget), *extra_starts]
-    theta = _maximize_sum_power(
-        program, mu, budget, opts, starts, lambda a: partial_start_from_achievable(ch, alpha, a)
-    )
+    scaled = scaled_channel(ch, alpha)
+    program = _two_block_program(scaled, *_dpc_matrices(scaled))
+    starts = _bound_corners(ch, alpha, budget)
+    for a in extra_starts:
+        starts.append(scale_allocation(a, alpha) if isinstance(a, DpcAllocation) else a)
+    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
     q_p, s_cc = program.decode(theta)
     rate = partial_outer_rates(ch, alpha, q_p, s_cc)
     return BoundMuSumResult(
@@ -354,25 +329,8 @@ def bc_mu_sum(
     broadcast-channel maximum.
     """
     mu = check_mu(mu, 1.0)
-    mats = composite_matrices(ch, alpha)
-    dtype = float if ch.real_mode else complex
-    ga, kk = mats.g_alpha.astype(dtype), mats.k.astype(dtype)
-    n = ch.n_pt + ch.n_ct
-    budget = ch.p_p + alpha * ch.p_c
-    noise = np.eye(ch.n_cr)
-    program = _broadcast_program(ch, ga, kk, noise)
-
-    zero_n = np.zeros((n, n))
-    starts = [(waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n)]
-    try:
-        starts.append((zero_n, waterfill(kk, budget, real_mode=ch.real_mode)[1]))
-    except ZeroChannel:
-        pass  # h_cc = 0 zeroes k: the cognitive receiver hears nothing
-    iso = (0.5 * budget / n) * np.eye(n)
-    starts.append((iso, iso))
-    theta = _maximize_sum_power(program, mu, budget, opts, [*starts, *extra_starts])
-    q_p, q_c = program.decode(theta)
-    rate = _broadcast_rates(ch, ga, kk, noise, q_p, q_c)
+    mats, (q_p, q_c) = _broadcast_solve(ch, alpha, mu, opts, extra_starts)
+    rate = _two_block_rates(ch, *mats, q_p, q_c)
     return BcMuSumResult(value=rate.mu_sum(mu), rate=rate, q_p=q_p, q_c=q_c, alpha=alpha)
 
 
@@ -463,22 +421,8 @@ def mu_sum_outer(
 ):
     """Maximize mu*r_p + r_c over the full bound at fixed (alpha, coupling)."""
     mu = check_mu(mu)
-    mats = composite_matrices(ch, alpha)
-    sz = nz.sigma_z()
-    if min_eigenvalue(sz) <= 1e-9:
-        raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
-    ga = mats.g_alpha.astype(float if ch.real_mode else complex)
-    n = ch.n_pt + ch.n_ct
-    budget = ch.p_p + alpha * ch.p_c
-    program = _broadcast_program(ch, ga, mats.k_bar, sz)
-
-    zero_n = np.zeros((n, n))
-    starts = [
-        (waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n),
-        (zero_n, (budget / n) * np.eye(n)),
-    ]
-    theta = _maximize_sum_power(program, mu, budget, opts, [*starts, *extra_starts])
-    alloc = OuterAllocation(*program.decode(theta))
+    _, covs = _broadcast_solve(ch, alpha, mu, opts, extra_starts, nz)
+    alloc = OuterAllocation(*covs)
     rate = outer_rates(ch, alpha, nz, alloc)
     return rate.mu_sum(mu), rate, alloc
 

@@ -92,12 +92,21 @@ def make_group_projection(groups):
     def project(theta: np.ndarray) -> np.ndarray:
         theta = np.array(theta, dtype=float, copy=True)
         flat = theta.reshape(-1, theta.shape[-1])
+        if np.abs(flat).max() > 1e150:
+            # a sum of squares may pass the float range; such a row lies outside
+            # its ball, so put it on the sphere in units of its largest entry
+            for idx, budget in groups:
+                with np.errstate(over="ignore"):
+                    huge = np.ix_(np.isinf(np.sum(flat[:, idx] ** 2, axis=1)), idx)
+                unit = flat[huge] / np.max(np.abs(flat[huge]), axis=1, keepdims=True)
+                flat[huge] = unit * np.sqrt(budget / np.sum(unit**2, axis=1, keepdims=True))
         for idx, budget in groups:
-            sq = np.sum(flat[:, idx] ** 2, axis=1)
+            rows = flat[:, idx]
+            sq = np.sum(rows**2, axis=1)
             factor = np.ones_like(sq)
             over = sq > budget
             factor[over] = np.sqrt(budget / sq[over])
-            flat[:, idx] = flat[:, idx] * factor[:, None]
+            flat[:, idx] = rows * factor[:, None]
         return flat.reshape(theta.shape)
 
     return project
@@ -105,6 +114,8 @@ def make_group_projection(groups):
 
 _LADDER = np.array([4.0, 1.0, 0.25, 0.0625])
 _MOMENTUM = np.array([2.0, 8.0, 32.0])
+#: Overflow guard on the step: the ladder's largest candidate stays finite.
+_MAX_STEP = 1e300
 
 
 def maximize_multistart(
@@ -198,7 +209,7 @@ def maximize_multistart(
                 thetas[start] = cands[local, b]
                 vals[start] = cvals[local, b]
                 if b < len(_LADDER):
-                    step[start] = max(ladders[local, b], 1e-14)
+                    step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
                 if gain < settings.rel_tol * (1.0 + abs(vals[start])):
                     stall[start] += 1
                     if stall[start] >= 3:

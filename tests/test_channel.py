@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,14 @@ def test_scaled_channel_invalid_alpha(sec7, alpha):
         scaled_channel(sec7, alpha)
     with pytest.raises(InvalidAlpha):
         composite_matrices(sec7, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-310, 1e308])
+def test_alpha_that_scales_the_channel_out_of_range_is_rejected(sec7, alpha):
+    # 1e-310 makes ||h_cp / sqrt(alpha)||_F^2 overflow, 1e308 makes alpha p_c overflow
+    for scale in (scaled_channel, composite_matrices):
+        with pytest.raises(InvalidAlpha, match=re.escape(f"alpha = {alpha:g} ")):
+            scale(sec7, alpha)
 
 
 def test_composite_matrices_values(sec7):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cograte import cli
+from cograte import cli, errors
 from cograte.cli import build_parser, bundled_channel_text, main
 
 
@@ -269,3 +269,53 @@ def test_module_entry_point_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "reproduce-paper" in done.stdout
+
+
+#: Exit code and stderr prefix of each error class when a command raises it.
+ERROR_EXITS = {
+    "ConfigError": (2, "error: "),
+    "ParseError": (2, "error: "),
+    "DimensionMismatch": (2, "error: "),
+    "NonPositivePower": (2, "error: "),
+    "InvalidAlpha": (2, "error: "),
+    "UnsupportedMu": (2, "error: "),
+    "OracleTooLarge": (2, "error: "),
+    "ZeroChannel": (2, "error: "),
+    "NonPositiveDefinite": (3, "solver error: "),
+    "SingularNoise": (3, "solver error: "),
+    "SingularSigmaZ": (3, "solver error: "),
+    "InfeasibleAllocation": (3, "solver error: "),
+    "SolverDiverged": (3, "solver error: "),
+    "BracketUnbounded": (3, "solver error: "),
+}
+ERROR_CLASSES = sorted(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.CograteError)
+    and value is not errors.CograteError
+)
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_each_error_class_keeps_its_exit_code(channel_file, monkeypatch, capsys, name):
+    def fail(_args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_region", fail)
+    code, prefix = ERROR_EXITS[name]
+    assert run(["region", "--channel", channel_file]) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e-310", "1e308"])
+def test_bound_rejects_an_alpha_out_of_range_before_any_solve(
+    tmp_path, channel_file, monkeypatch, capsys, alpha
+):
+    def fail(*_args, **_kwargs):
+        pytest.fail("a solve ran before alpha was checked")
+
+    monkeypatch.setattr(cli, "trace_boundary", fail)
+    assert run(["bound", "--channel", channel_file, "--alpha", alpha,
+                "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: alpha = {float(alpha):g} ")
+    assert os.listdir(tmp_path) == ["channel.json"]

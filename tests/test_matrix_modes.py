@@ -22,7 +22,6 @@ from cograte.outer import (
     mu_sum_partial_outer,
     partial_outer_max_rp,
     partial_outer_rates,
-    partial_start_from_achievable,
 )
 from cograte.solvers import SolverSettings
 
@@ -129,7 +128,7 @@ def test_matrix_mapped_witness_keeps_rates(matrix_channel):
     opts = SolverSettings(starts=4, seed=23)
     ach = mu_sum_achievable(matrix_channel, 1.5, opts)
     for alpha in (0.7, 1.9):
-        q_p, s_cc = partial_start_from_achievable(matrix_channel, alpha, ach.witness)
-        mapped = partial_outer_rates(matrix_channel, alpha, q_p, s_cc)
+        scaled = scale_allocation(ach.witness, alpha)
+        mapped = partial_outer_rates(matrix_channel, alpha, scaled.sigma_p_net, scaled.sigma_cc)
         assert mapped.r_p == pytest.approx(ach.rate.r_p, abs=1e-9)
         assert mapped.r_c == pytest.approx(ach.rate.r_c, abs=1e-9)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from conftest import ORACLE_GAP
 
-from cograte.achievable import DpcAllocation, dpc_rate_caps, mu_sum_achievable, trace_boundary
+from cograte.achievable import (
+    DpcAllocation,
+    dpc_rate_caps,
+    mu_sum_achievable,
+    scale_allocation,
+    trace_boundary,
+)
 from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.errors import (
     InfeasibleAllocation,
@@ -25,7 +31,6 @@ from cograte.outer import (
     outer_rates,
     partial_outer_max_rp,
     partial_outer_rates,
-    partial_start_from_achievable,
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
@@ -175,8 +180,8 @@ def test_partial_mu_sum_matches_oracle(sec7, fast):
 def test_achievable_witness_maps_into_bound(sec7, fast):
     res = mu_sum_achievable(sec7, 1.5, fast)
     for alpha in (0.3, 1.0, 3.0):
-        q_p, s_cc = partial_start_from_achievable(sec7, alpha, res.witness)
-        mapped = partial_outer_rates(sec7, alpha, q_p, s_cc)
+        scaled = scale_allocation(res.witness, alpha)
+        mapped = partial_outer_rates(sec7, alpha, scaled.sigma_p_net, scaled.sigma_cc)
         assert mapped.r_p == pytest.approx(res.rate.r_p, abs=1e-10)
         assert mapped.r_c == pytest.approx(res.rate.r_c, abs=1e-10)
 
@@ -384,6 +389,17 @@ def test_outer_mu_sum_and_coupling_infimum(sec7):
     )
     assert best <= val0 + 1e-6
     assert np.linalg.svd(coupling.q_z, compute_uv=False)[0] <= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_outer_mu_sum_whose_step_outgrows_the_float_square_runs_clean(sec7):
+    # the ascent's step grows fourfold per iteration on the ball's boundary;
+    # its candidate rows pass 1e154, whose squares overflow
+    nz = NoiseCoupling(np.array([[0.3, -0.2]]))
+    value, rate, alloc = mu_sum_outer(sec7, 1.0, nz, 1.0, SolverSettings(starts=4, seed=1))
+    assert value == pytest.approx(3.537974049, abs=1e-6)
+    assert value == rate.mu_sum(1.0)
+    assert np.trace(alloc.q_p + alloc.q_c).real <= sec7.p_p + sec7.p_c + 1e-9
 
 
 def test_coupling_infimum_never_below_partial(sec7):

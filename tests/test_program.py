@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cograte.achievable import DpcAllocation, LogDetProgram, _stacked_program, dpc_rates
+from cograte.achievable import (
+    DpcAllocation,
+    LogDetProgram,
+    _dpc_matrices,
+    _two_block_program,
+    _two_block_rates,
+    dpc_rates,
+)
 from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.linalg import build_lower, log_det_id_plus, param_len
 from cograte.outer import (
     NoiseCoupling,
     OuterAllocation,
-    _broadcast_program,
+    _broadcast_matrices,
+    _embed_structured,
     outer_rates,
     partial_outer_rates,
 )
@@ -61,18 +69,19 @@ def _programs(rng, ch):
             ch, DpcAllocation(net[:npt, :npt], net[npt:, npt:], s_cc, net[:npt, npt:])
         )
 
+    scaled = scaled_channel(ch, alpha)
     return [
-        (_stacked_program(ch), dpc),
+        (_two_block_program(ch, *_dpc_matrices(ch)), dpc),
         (
-            _stacked_program(scaled_channel(ch, alpha)),
+            _two_block_program(scaled, *_dpc_matrices(scaled)),
             lambda q_p, s_cc: partial_outer_rates(ch, alpha, q_p, s_cc),
         ),
         (
-            _broadcast_program(ch, mats.g_alpha, mats.k, np.eye(ch.n_cr)),
+            _two_block_program(ch, *_broadcast_matrices(ch, alpha)),
             lambda q_p, q_c: _bc_rates(ch, mats.g_alpha, mats.k, q_p, q_c),
         ),
         (
-            _broadcast_program(ch, mats.g_alpha, mats.k_bar, nz.sigma_z()),
+            _two_block_program(ch, *_broadcast_matrices(ch, alpha, nz)),
             lambda q_p, q_c: outer_rates(ch, alpha, nz, OuterAllocation(q_p, q_c)),
         ),
     ]
@@ -221,3 +230,22 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("seed", [6, 7, 8, 9])
+def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode, seed):
+    # the partial bound is the broadcast bound with q_c confined to the
+    # cognitive block, so both rate formulas must agree there
+    rng = np.random.default_rng(seed)
+    ch = _channel(rng, complex_mode)
+    alpha = float(rng.uniform(0.3, 3.0))
+    n = ch.n_pt + ch.n_ct
+    a, b = _draw(rng, (n, n), complex_mode), _draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
+    q_p, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
+    shrink = 0.9 * (ch.p_p + alpha * ch.p_c) / np.trace(q_p + _embed_structured(ch, s_cc)).real
+    q_p, s_cc = shrink * q_p, shrink * s_cc
+    bc = _two_block_rates(ch, *_broadcast_matrices(ch, alpha), q_p, _embed_structured(ch, s_cc))
+    partial = partial_outer_rates(ch, alpha, q_p, s_cc)
+    assert bc.r_p == pytest.approx(partial.r_p, rel=1e-12)
+    assert bc.r_c == pytest.approx(partial.r_c, rel=1e-12)

@@ -63,6 +63,16 @@ def test_group_projection_scales_each_group():
     assert np.allclose(out[1], [0.1, 0.1, 0.5])  # inside both balls: untouched
 
 
+def test_group_projection_puts_rows_past_the_float_square_on_the_sphere():
+    project = make_group_projection([(np.arange(3), 10.0)])
+    rows = np.array([[1e200, 0.0, 0.0], [-3e160, 4e160, 1.0], [3.0, 4.0, 0.0]])
+    out = project(rows)
+    assert np.sum(out**2, axis=1) == pytest.approx([10.0, 10.0, 10.0], rel=1e-15)
+    assert out[0, 0] > 0 and out[1, 1] > 0
+    # a row whose sum of squares is finite takes the plain formula
+    assert np.array_equal(out[2], rows[2] * np.sqrt(10.0 / 25.0))
+
+
 def test_multistart_concave_toy():
     # maximize -(theta - c)^2 over the ball of radius 1: optimum is c / ||c||
     c = np.array([2.0, 1.0])
