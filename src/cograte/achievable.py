@@ -24,11 +24,12 @@ from .linalg import (
     build_lower,
     encode_psd,
     log_det_id_plus,
-    logdet2_pd,
     lower_product_map,
     min_eigenvalue,
     param_len,
     param_rows,
+    psd_sqrt,
+    range_basis,
     symmetrize,
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
@@ -156,19 +157,20 @@ class LogDetProgram:
     ``blocks`` are covariance sizes; each block is the ``L L†`` of a Cholesky
     vector laid out as :func:`build_lower`, and a parameter vector
     concatenates them in order.  ``terms`` are ``(H, block)``, meaning
-    ``H Q_block H†``; a scaled channel carries any scaling in ``H``.
-    ``rates`` holds ``r_p`` and ``r_c`` as ``(N, plus, minus)`` over term
-    indices, each rate being ``scale*(log2|N + sum plus| - log2|N + sum
-    minus|)``; with no minus terms ``log2|N|`` is computed once, here.
+    ``H Q_block H†`` over white noise; ``H`` carries any scaling of the
+    channel and the whitening of a coloured noise.  ``rates`` holds ``r_p``
+    and ``r_c`` as ``(plus, minus)`` over term indices, each rate being
+    ``scale*(log2|I + sum plus| - log2|I + sum minus|)``; an empty side is 0.
 
     A term is the Gram ``F F†`` of ``F = H L``, so each log-det is
-    ``log2|N + E E†|`` with ``E`` its terms' ``F`` side by side.
-    ``E`` is linear in the parameters: one real matrix product of the whole
-    batch with the stacked :func:`lower_product_map` of every term gives every
-    ``E``.  The log-dets are padded to one shape (zero columns and rows in
-    ``E``, identity in ``N``, which leaves each determinant unchanged), so one
-    ``slogdet`` call evaluates them all, and the gradient of ``log2|M|``,
-    ``M = N + E E†``, with respect to ``E`` is ``2 M⁻¹ E / ln 2``.
+    ``log2|I + E E†|`` with ``E`` its terms' ``F`` side by side, taken on
+    the range of their ``H`` (:func:`_on_range`) so that ``I`` survives any
+    power.  ``E`` is linear in the parameters: one real matrix product of the
+    whole batch with the stacked :func:`lower_product_map` of every term
+    gives every ``E``.  The log-dets are padded to one shape (zero rows and
+    columns in ``E``), so one ``slogdet`` call evaluates them all, and the
+    gradient of ``log2|M|``, ``M = I + E E†``, with respect to ``E`` is
+    ``2 M⁻¹ E / ln 2``.
     """
 
     def __init__(self, complex_mode, blocks, terms, rates, scale):
@@ -181,33 +183,26 @@ class LogDetProgram:
             self.blocks.append((offset, dim, k))
             offset += k
         self.n_params = offset
-        logdets, coef, const = [], [], np.zeros(2)
-        for r, (noise, plus, minus) in enumerate(rates):
-            noise = np.asarray(noise).astype(dtype)
-            logdets.append((noise, plus))
-            coef.append(np.eye(2)[r])
-            if minus:
-                logdets.append((noise, minus))
-                coef.append(-np.eye(2)[r])
-            else:
-                const[r] = -logdet2_pd(noise)
-        self._coef, self._const = np.asarray(coef), const
-        self.scale = scale
-        height = max(len(noise) for noise, _ in logdets)
-        width = max(sum(self.blocks[terms[t][1]][1] for t in s) for _, s in logdets)
-        self._noise = np.zeros((len(logdets), height, height), dtype=dtype)
+        logdets, coef = [], []
+        for r, sides in enumerate(rates):
+            for sign, indices in zip((1.0, -1.0), sides):
+                if indices:
+                    hs = _on_range([terms[t][0] for t in indices])
+                    logdets.append([(h, terms[t][1]) for h, t in zip(hs, indices)])
+                    coef.append(sign * np.eye(2)[r])
+        self._coef, self.scale = np.asarray(coef), scale
+        height = max([1] + [len(h) for log_det in logdets for h, _ in log_det])
+        width = max(sum(self.blocks[block][1] for _, block in log_det) for log_det in logdets)
         product = np.zeros((self.n_params, len(logdets), height, width), dtype=dtype)
-        for i, (noise, indices) in enumerate(logdets):
-            m = len(noise)
-            self._noise[i] = np.eye(height)
-            self._noise[i, :m, :m] = noise
+        for i, log_det in enumerate(logdets):
             col = 0
-            for h, block in (terms[t] for t in indices):
+            for h, block in log_det:
                 offset, dim, k = self.blocks[block]
                 w = lower_product_map(h, dim, cm)
                 w = w.view(complex) if cm else w
-                product[offset : offset + k, i, :m, col : col + dim] = w.reshape(k, m, dim)
+                product[offset : offset + k, i, : len(h), col : col + dim] = w.reshape(k, -1, dim)
                 col += dim
+        self._eye = np.eye(height, dtype=dtype)
         self._shape = product.shape[1:]
         product = product.reshape(self.n_params, -1)
         self._product = product.view(float) if cm else product
@@ -219,12 +214,12 @@ class LogDetProgram:
         if self.complex_mode:
             e = e.view(complex)
         e = e.reshape(len(thetas), *self._shape)
-        m = self._noise + e @ np.conj(np.swapaxes(e, -1, -2))
+        m = self._eye + e @ np.conj(np.swapaxes(e, -1, -2))
         return e, m, np.linalg.slogdet(m)[1] / LN2
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        out = self.scale * (self._log_dets(thetas)[2] @ self._coef + self._const)
+        out = self.scale * (self._log_dets(thetas)[2] @ self._coef)
         return out[:, 0], out[:, 1]
 
     def objective(self, mu: float):
@@ -235,7 +230,6 @@ class LogDetProgram:
         that only need a value never pay for one.
         """
         weights = self.scale * (self._coef @ [mu, 1.0])
-        const = self.scale * (self._const @ [mu, 1.0])
         slopes = (2.0 / LN2) * weights[:, None, None]
 
         def mu_sum(thetas: np.ndarray):
@@ -245,7 +239,7 @@ class LogDetProgram:
                 g = (np.linalg.solve(m, e) * slopes).reshape(len(e), -1)
                 return (g.view(float) if self.complex_mode else g) @ self._product.T
 
-            return logdets @ weights + const, gradient
+            return logdets @ weights, gradient
 
         return mu_sum
 
@@ -262,37 +256,48 @@ class LogDetProgram:
         return covs
 
 
-def _two_block_program(ch: CognitiveChannel, g, h_int, h_c, noise) -> LogDetProgram:
+def _on_range(hs: list[np.ndarray]) -> list[np.ndarray]:
+    """``hs`` as ``U† H`` on an orthonormal basis ``U`` of their joint range,
+    or as they are when that range is their whole receive side."""
+    u = range_basis(np.hstack(hs))
+    return hs if u.shape[1] == len(u) else [np.conj(u.T) @ h for h in hs]
+
+
+def _two_block_program(ch: CognitiveChannel, g, h_int, h_c) -> LogDetProgram:
     """Blocks ``Q0``, heard through ``g`` at the licensed receiver, and ``Q1``,
-    interference there through ``h_int`` and heard through ``h_c`` over
-    ``noise`` at the cognitive one.  :func:`_dpc_matrices` gives the DPC region
-    (the partial bound on ``scaled_channel(ch, alpha)``), and
+    interference there through ``h_int`` and heard through ``h_c`` at the
+    cognitive one, all over white noise.  :func:`_dpc_matrices` gives the DPC
+    region (the partial bound on ``scaled_channel(ch, alpha)``), and
     ``outer._broadcast_matrices`` the broadcast bounds."""
     return LogDetProgram(
         not ch.real_mode,
         blocks=(g.shape[1], h_int.shape[1]),
         terms=[(g, 0), (h_int, 1), (h_c, 1)],
-        rates=[(np.eye(ch.n_pr), (0, 1), (1,)), (noise, (2,), ())],
+        rates=[((0, 1), (1,)), ((2,), ())],
         scale=ch.rate_scale,
     )
 
 
-def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, noise, q0, q1) -> RatePair:
+def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, q0, q1) -> RatePair:
     """Rate pair at ``(q0, q1)`` of :func:`_two_block_program` on the same
     matrices: ``r_p = log2|I + g q0 g† + h_int q1 h_int†| - log2|I + h_int q1
-    h_int†|`` and ``r_c = log2|noise + h_c q1 h_c†| - log2|noise|``."""
-    s = ch.rate_scale
-    interference = h_int @ q1 @ np.conj(h_int.T)
-    signal = g @ q0 @ np.conj(g.T)
-    r_p = s * (log_det_id_plus(signal + interference) - log_det_id_plus(interference))
-    r_c = s * (logdet2_pd(noise + h_c @ q1 @ np.conj(h_c.T)) - logdet2_pd(noise))
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(r_c, 0.0))
+    h_int†|`` and ``r_c = log2|I + h_c q1 h_c†|``, each log-det the
+    ``log_det_id_plus`` of a Gram ``F F†`` on the range of its matrices."""
+    roots = [psd_sqrt(q0), psd_sqrt(q1)]
+
+    def log_det(*terms):
+        hs = _on_range([h for h, _ in terms])
+        f = np.hstack([h @ roots[block] for h, (_, block) in zip(hs, terms)])
+        return ch.rate_scale * log_det_id_plus(f @ np.conj(f.T))
+
+    r_p = log_det((g, 0), (h_int, 1)) - log_det((h_int, 1))
+    return RatePair(r_p=max(r_p, 0.0), r_c=max(log_det((h_c, 1)), 0.0))
 
 
 def _dpc_matrices(ch: CognitiveChannel):
     """Two-block matrices of the DPC region: the stacked block through
-    ``[h_pp, h_cp]``; sigma_cc through ``h_cp`` and ``h_cc``, over unit noise."""
-    return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc, np.eye(ch.n_cr)
+    ``[h_pp, h_cp]``; sigma_cc through ``h_cp`` and ``h_cc``."""
+    return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
 def _solve(program: LogDetProgram, mu, groups, opts, starts) -> np.ndarray:

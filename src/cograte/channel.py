@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     SingularNoise,
 )
-from .linalg import DEFAULT_TOL, logdet2_pd, min_eigenvalue, project_psd, symmetrize
+from .linalg import DEFAULT_TOL, logdet2_pd, min_eigenvalue, psd_sqrt, symmetrize
 
 
 def _is_number(x) -> bool:
@@ -253,12 +253,6 @@ def composite_matrices(ch: CognitiveChannel, alpha: float) -> CompositeMatrices:
     return CompositeMatrices(g_alpha=g_alpha, k=k, k_bar=k_bar)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    s = project_psd(m)
-    w, v = np.linalg.eigh(s)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v.T)
-
-
 def mc_mutual_info(
     h: np.ndarray,
     sigma_x: np.ndarray,
@@ -293,8 +287,8 @@ def mc_mutual_info(
     if min_eigenvalue(sigma_noise) <= DEFAULT_TOL:
         raise SingularNoise("sigma_noise must be strictly positive definite")
 
-    ax = _psd_sqrt(sigma_x)
-    az = _psd_sqrt(sigma_noise)
+    ax = psd_sqrt(sigma_x)
+    az = psd_sqrt(sigma_noise)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
     cov_sum = np.zeros((d_out, d_out), dtype=h.dtype)

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -126,11 +127,14 @@ def _settings(args: argparse.Namespace) -> SolverSettings:
     return SolverSettings(starts=args.starts, seed=args.seed)
 
 
-def _load(path: str | None) -> CognitiveChannel:
-    if path is None:
-        return load_channel(bundled_channel_text())
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_channel(handle.read())
+def _load(path: str | None, alphas=()) -> CognitiveChannel:
+    """The channel at ``path`` (default: the bundled one); any of ``alphas``
+    out of range for it fails here, before a solve or a write."""
+    text = bundled_channel_text() if path is None else Path(path).read_text(encoding="utf-8")
+    ch = load_channel(text)
+    for alpha in alphas:
+        scaled_channel(ch, alpha)
+    return ch
 
 
 def _emit(boundary, path: str, fmt: str) -> None:
@@ -166,9 +170,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
-    ch = _load(args.channel)
-    for alpha in args.alpha:
-        scaled_channel(ch, alpha)  # rejects an alpha out of range before any solve
+    ch = _load(args.channel, args.alpha)
     # the achievable trace seeds every bound solve: the bound contains the
     # region, so its witnesses are feasible warm starts on the bound side
     region = trace_boundary(ch, mu_grid, settings)
@@ -210,7 +212,7 @@ def _sweep_report(tol: float, mu: float, sweep, condition: bool) -> dict:
 def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     mu = check_mu(args.mu_infinity if args.mu is None else args.mu, 1.0)
     settings = _settings(args)
-    ch = _load(args.channel)
+    ch = _load(args.channel, args.alpha_bracket)
     result = inf_alpha_partial_outer(
         ch, mu, args.alpha_bracket, settings, n_scan=args.resolution // 20 + 10
     )
@@ -227,7 +229,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     started = time.monotonic()
     mu_inf = check_mu(args.mu_infinity, 1.0)
     mu_grid, settings = _mu_grid(args), _settings(args)
-    ch = _load(args.channel)
+    ch = _load(args.channel, args.alpha_bracket)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 

@@ -64,6 +64,18 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return symmetrize((v * w) @ np.conj(v.T))
 
 
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Hermitian square root of the symmetrized ``m``, negative eigenvalues clipped."""
+    w, v = np.linalg.eigh(symmetrize(m))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v.T)
+
+
+def range_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``a``, its rank cut as ``matrix_rank`` does."""
+    u, s, _ = np.linalg.svd(a)
+    return u[:, : int(np.sum(s > s.max(initial=0.0) * max(a.shape) * np.finfo(s.dtype).eps))]
+
+
 def logdet2_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """log2-determinant of a Hermitian positive definite matrix.
 

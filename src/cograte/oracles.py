@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .achievable import DpcAllocation, dpc_rates, mu_sum_achievable
+from .achievable import DpcAllocation, mu_sum_achievable
 from .channel import CognitiveChannel
 from .errors import OracleTooLarge
 from .outer import inf_alpha_partial_outer
@@ -207,33 +207,16 @@ def kyfan_gap(
     mu = check_mu(mu)
     opts = opts or SolverSettings()
 
-    scalar = ch.n_pt == 1 and ch.n_ct == 1 and ch.n_pr == 1 and ch.real_mode
-    if scalar:
-        # sup-inf: exhaustive candidates, each filtered through inf_alpha_g1
-        grid = np.linspace(0.0, ch.p_c, resolution + 1)
-        hpp, hcp, _ = _scalar_gains(ch)
-        sup_inf = -math.inf
-        sign = 1.0 if float(np.real(ch.h_pp[0, 0] * ch.h_cp[0, 0])) >= 0 else -1.0
-        for scc in grid:
-            scp = ch.p_c - scc
-            alloc = DpcAllocation(
-                sigma_p=np.array([[ch.p_p]]),
-                sigma_cp=np.array([[scp]]),
-                sigma_cc=np.array([[scc]]),
-                q=np.array([[sign * math.sqrt(ch.p_p * scp)]]),
-            )
-            rate = dpc_rates(ch, alloc)
-            value = inf_alpha_g1(ch, mu, alloc, rate)
-            if value is not NEG_INF and value > sup_inf:
-                sup_inf = float(value)
-        assert math.isfinite(sup_inf)
+    if ch.n_pt == 1 and ch.n_ct == 1 and ch.n_pr == 1 and ch.real_mode:
+        # sup-inf: every grid allocation meets both budgets, so the filter
+        # through inf_alpha_g1 keeps them all and the grid maximum remains
+        sup_inf = grid_oracle(ch, mu, resolution)
 
         def inner(log_a: float) -> float:
             return grid_oracle(ch, mu, resolution, "partial_outer", math.exp(log_a))
 
         xs = np.log(np.geomspace(alpha_bracket[0], alpha_bracket[1], 25))
-        scan = scan_then_golden(inner, xs, tol=1e-12)
-        inf_sup = scan.value
+        inf_sup = scan_then_golden(inner, xs, tol=1e-12).value
     else:
         res = mu_sum_achievable(ch, mu, opts)
         filtered = inf_alpha_g1(ch, mu, res.witness, res.rate)

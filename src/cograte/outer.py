@@ -139,13 +139,14 @@ def partial_outer_rates(
 def _broadcast_matrices(ch: CognitiveChannel, alpha: float, nz: NoiseCoupling | None = None):
     """Two-block matrices of the broadcast bounds: q_p and q_c over the stacked
     transmit dimensions, both through ``g_alpha`` at the licensed receiver;
-    q_c through ``k`` over unit noise, or ``k_bar`` over a coupled noise."""
+    q_c through ``k``, or through ``k_bar`` whitened by the Cholesky factor of
+    a coupled noise."""
     mats = composite_matrices(ch, alpha)
     dtype = float if ch.real_mode else complex
     ga = mats.g_alpha.astype(dtype)
     if nz is None:
-        return ga, ga, mats.k.astype(dtype), np.eye(ch.n_cr)
-    return ga, ga, mats.k_bar.astype(dtype), nz.sigma_z()
+        return ga, ga, mats.k.astype(dtype)
+    return ga, ga, np.linalg.solve(np.linalg.cholesky(nz.sigma_z()), mats.k_bar.astype(dtype))
 
 
 def _broadcast_solve(ch: CognitiveChannel, alpha, mu, opts, extra_starts, nz=None):
@@ -153,7 +154,7 @@ def _broadcast_solve(ch: CognitiveChannel, alpha, mu, opts, extra_starts, nz=Non
     the sum budget ``p_p + alpha p_c``.  Deterministic starts: all power
     water-filled for r_p, all for r_c, and half each spread evenly."""
     mats = _broadcast_matrices(ch, alpha, nz)
-    ga, _, h_c, _ = mats
+    ga, _, h_c = mats
     n = ga.shape[1]
     budget = ch.p_p + alpha * ch.p_c
     program = _two_block_program(ch, *mats)

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from cograte import cli, errors
+from cograte.achievable import mu_sum_achievable
+from cograte.channel import load_channel
 from cograte.cli import build_parser, bundled_channel_text, main
+from cograte.solvers import SolverSettings
 
 
 @pytest.fixture()
@@ -319,3 +322,36 @@ def test_bound_rejects_an_alpha_out_of_range_before_any_solve(
     err = capsys.readouterr().err
     assert err.startswith(f"error: alpha = {float(alpha):g} ")
     assert os.listdir(tmp_path) == ["channel.json"]
+
+
+@pytest.mark.parametrize("command", ["reproduce-paper", "sweep-alpha"])
+def test_alpha_bracket_out_of_range_fails_before_any_solve(
+    tmp_path, channel_file, monkeypatch, capsys, command
+):
+    def fail(*_args, **_kwargs):
+        pytest.fail("a solve ran before the bracket was checked")
+
+    monkeypatch.setattr(cli, "trace_boundary", fail)
+    monkeypatch.setattr(cli, "inf_alpha_partial_outer", fail)
+    out = (["--out-dir", str(tmp_path / "out")] if command == "reproduce-paper"
+           else ["--out", str(tmp_path / "s.json")])
+    assert run([command, "--channel", channel_file, "--alpha-bracket", "1e-310:1", *out]) == 2
+    assert capsys.readouterr().err.startswith("error: alpha = 1e-310 ")
+    assert os.listdir(tmp_path) == ["channel.json"]
+
+
+def test_commands_solve_the_bundled_channel_at_huge_powers(tmp_path):
+    # entries near 1e20 in a log-det over the whole cognitive receive side
+    # round its identity away; on the range of h_cc it stays
+    doc = json.loads(bundled_channel_text())
+    doc["p_p"] = doc["p_c"] = 1e20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--channel", str(path), "--starts", "2"]
+    trace = flags + ["--mu-grid", "single:2"]
+    assert run(["region", *trace, "--out", str(tmp_path / "r.csv")]) == 0
+    assert run(["bound", *trace, "--alpha", "1", "--out", str(tmp_path / "b")]) == 0
+    out = tmp_path / "s.json"
+    assert run(["sweep-alpha", *flags, "--mu", "2", "--resolution", "100", "--out", str(out)]) == 0
+    peak = mu_sum_achievable(load_channel(path.read_text()), 2.0, SolverSettings(starts=2)).value
+    assert json.loads(out.read_text())["n_value"] == pytest.approx(peak, abs=1e-6)

@@ -120,31 +120,42 @@ def test_decode_inverts_encode(complex_mode, seed):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
-def _kernel_case(rng, complex_mode, dims, receivers, divisor):
+def _term(rng, shape, kind, complex_mode):
+    """A term matrix: dense, with random zero columns (the last one kept), or
+    the rank-one product ``A B`` scaled to a dense draw's mean square entry
+    (a product of two draws can be tiny, and the central differences of a
+    near-zero rate drown in rounding)."""
+    if kind == "zero_columns":
+        keep = rng.random(shape[1]) < 0.5
+        keep[-1] = True
+        return _draw(rng, shape, complex_mode) * keep
+    if kind == "low_rank":
+        h = _draw(rng, (shape[0], 1), complex_mode) @ _draw(rng, (1, shape[1]), complex_mode)
+        return h * math.sqrt(h.size * (2 if complex_mode else 1)) / np.linalg.norm(h)
+    return _draw(rng, shape, complex_mode)
+
+
+def _kernel_case(rng, complex_mode, dims, receivers, divisor, kinds=("dense",) * 3):
     """A two-block program shaped like the solvers' (a licensed rate with one
-    minus term, a cognitive rate over a non-identity noise) and its inputs; the
-    second block's terms carry a factor 1/sqrt(divisor), as on a scaled
-    channel."""
+    minus term, a cognitive rate over a non-identity noise, folded into its
+    term by whitening) and its inputs; the second block's terms carry a
+    factor 1/sqrt(divisor), as on a scaled channel."""
     (d0, d1), (m_p, m_c) = dims, receivers
     noise_a = _draw(rng, (m_c, m_c), complex_mode)
+    whiten = np.linalg.inv(np.linalg.cholesky(np.eye(m_c) + noise_a @ np.conj(noise_a.T)))
+    shapes = ((m_p, d0), (m_p, d1), (m_c, d1))
+    g, h_int, h_c = (_term(rng, shape, kind, complex_mode) for shape, kind in zip(shapes, kinds))
     spec = dict(
         blocks=(d0, d1),
-        terms=[
-            (_draw(rng, (m_p, d0), complex_mode), 0),
-            (_draw(rng, (m_p, d1), complex_mode) / math.sqrt(divisor), 1),
-            (_draw(rng, (m_c, d1), complex_mode) / math.sqrt(divisor), 1),
-        ],
-        rates=[
-            (np.eye(m_p), (0, 1), (1,)),
-            (np.eye(m_c) + noise_a @ np.conj(noise_a.T), (2,), ()),
-        ],
+        terms=[(g, 0), (h_int / math.sqrt(divisor), 1), (whiten @ h_c / math.sqrt(divisor), 1)],
+        rates=[((0, 1), (1,)), ((2,), ())],
         scale=1.0 if complex_mode else 0.5,
     )
     return LogDetProgram(complex_mode, **spec), spec
 
 
 def _dense_rates(complex_mode, spec, theta):
-    """Rates of one parameter vector from H L L† H†, with L from build_lower."""
+    """Rates of one parameter vector from I + H L L† H†, with L from build_lower."""
     lows, offset = [], 0
     for dim in spec["blocks"]:
         k = param_len(dim, complex_mode)
@@ -155,13 +166,13 @@ def _dense_rates(complex_mode, spec, theta):
         cov = lows[block] @ np.conj(lows[block].T)
         terms.append(h @ cov @ np.conj(h.T))
 
-    def logdet2(noise, indices):
-        return np.linalg.slogdet(noise + sum(terms[i] for i in indices))[1] / np.log(2.0)
+    def logdet2(indices):
+        if not indices:
+            return 0.0
+        m = sum(terms[i] for i in indices)
+        return np.linalg.slogdet(np.eye(len(m)) + m)[1] / np.log(2.0)
 
-    return [
-        spec["scale"] * (logdet2(noise, plus) - logdet2(noise, minus))
-        for noise, plus, minus in spec["rates"]
-    ]
+    return [spec["scale"] * (logdet2(plus) - logdet2(minus)) for plus, minus in spec["rates"]]
 
 
 def _check_kernel(program, spec, complex_mode, thetas):
@@ -230,6 +241,37 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    complex_mode=st.booleans(),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    receivers=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    kinds=st.tuples(*[st.sampled_from(("dense", "zero_columns", "low_rank"))] * 3),
+    mu=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_deficient_terms_match_dense_reference(complex_mode, dims, receivers, kinds, mu, seed):
+    # tall, zero-column and low-rank terms put each log-det on a range
+    # smaller than its receive side; the program, its gradient and the dense
+    # twin must still equal log2|I + sum H Q H†| on the whole receive side
+    rng = np.random.default_rng(seed)
+    program, spec = _kernel_case(rng, complex_mode, dims, receivers, 1.0, kinds)
+    thetas = rng.standard_normal((3, program.n_params))
+    _check_kernel(program, spec, complex_mode, thetas)
+    for row, theta in zip(program.objective(mu)(thetas)[1](), thetas):
+        want = _central_differences(program, mu, theta)
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
+    (g, _), (h_int, _), (h_c, _) = spec["terms"]
+    ch = CognitiveChannel(
+        h_pp=g, h_pc=np.zeros((len(h_c), dims[0])), h_cp=h_int, h_cc=h_c,
+        p_p=1.0, p_c=1.0, real_mode=not complex_mode,
+    )
+    for theta in thetas:
+        rate = _two_block_rates(ch, g, h_int, h_c, *program.decode(theta))
+        want = _dense_rates(complex_mode, spec, theta)
+        np.testing.assert_allclose([rate.r_p, rate.r_c], want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
