@@ -171,10 +171,16 @@ class LogDetProgram:
     columns in ``E``), so one ``slogdet`` call evaluates them all, and the
     gradient of ``log2|M|``, ``M = I + E E†``, with respect to ``E`` is
     ``2 M⁻¹ E / ln 2``.
+
+    With ``singular_values`` each log-det is instead ``Σ log2(1 + σ²)`` over
+    the singular values of ``E``, and ``M⁻¹ E = U diag(σ / (1 + σ²)) V†``.
+    That is slower, but ``I`` is never added to ``E E†``, so it survives any
+    power even where ``E`` has a smaller rank than its height.
     """
 
-    def __init__(self, complex_mode, blocks, terms, rates, scale):
+    def __init__(self, complex_mode, blocks, terms, rates, scale, singular_values=False):
         self.complex_mode = cm = bool(complex_mode)
+        self.singular_values = singular_values
         dtype = complex if cm else float
         self.blocks = []
         offset = 0
@@ -207,19 +213,30 @@ class LogDetProgram:
         product = product.reshape(self.n_params, -1)
         self._product = product.view(float) if cm else product
 
-    def _log_dets(self, thetas: np.ndarray):
-        """``(E, M, log2|M|)`` of every log-det of parameter rows ``thetas``."""
+    def _factors(self, thetas: np.ndarray) -> np.ndarray:
+        """``E`` of every log-det of parameter rows ``thetas``."""
         thetas = np.atleast_2d(thetas)
         e = thetas @ self._product
         if self.complex_mode:
             e = e.view(complex)
-        e = e.reshape(len(thetas), *self._shape)
+        return e.reshape(len(thetas), *self._shape)
+
+    def _log_dets(self, thetas: np.ndarray):
+        """``log2|M|`` of every log-det of parameter rows ``thetas``, ``M = I
+        + E E†``, and a function giving ``M⁻¹ E`` from the same matrices."""
+        e = self._factors(thetas)
+        if self.singular_values:
+            u, s, vh = np.linalg.svd(e, full_matrices=False)
+            return (
+                np.sum(np.log1p(s**2), axis=-1) / LN2,
+                lambda: (u * (s / (1.0 + s**2))[..., None, :]) @ vh,
+            )
         m = self._eye + e @ np.conj(np.swapaxes(e, -1, -2))
-        return e, m, np.linalg.slogdet(m)[1] / LN2
+        return np.linalg.slogdet(m)[1] / LN2, lambda: np.linalg.solve(m, e)
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        out = self.scale * (self._log_dets(thetas)[2] @ self._coef)
+        out = self.scale * (self._log_dets(thetas)[0] @ self._coef)
         return out[:, 0], out[:, 1]
 
     def objective(self, mu: float):
@@ -233,10 +250,10 @@ class LogDetProgram:
         slopes = (2.0 / LN2) * weights[:, None, None]
 
         def mu_sum(thetas: np.ndarray):
-            e, m, logdets = self._log_dets(thetas)
+            logdets, inverse_times_e = self._log_dets(thetas)
 
             def gradient() -> np.ndarray:
-                g = (np.linalg.solve(m, e) * slopes).reshape(len(e), -1)
+                g = (inverse_times_e() * slopes).reshape(len(logdets), -1)
                 return (g.view(float) if self.complex_mode else g) @ self._product.T
 
             return logdets @ weights, gradient
@@ -247,13 +264,18 @@ class LogDetProgram:
         """Parameter vector of one PSD matrix per block (for starts)."""
         return np.concatenate([encode_psd(m, complex_mode=self.complex_mode) for m in matrices])
 
+    def lower_factors(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Cholesky factors ``L`` of the block covariances of one parameter vector."""
+        return [
+            build_lower(theta[..., offset : offset + k], dim, self.complex_mode)
+            for offset, dim, k in self.blocks
+        ]
+
     def decode(self, theta: np.ndarray) -> list[np.ndarray]:
         """Hermitian PSD block covariances of one parameter vector."""
-        covs = []
-        for offset, dim, k in self.blocks:
-            low = build_lower(theta[..., offset : offset + k], dim, self.complex_mode)
-            covs.append(symmetrize(low @ np.conj(np.swapaxes(low, -1, -2))))
-        return covs
+        return [
+            symmetrize(low @ np.conj(np.swapaxes(low, -1, -2))) for low in self.lower_factors(theta)
+        ]
 
 
 def _on_range(hs: list[np.ndarray]) -> list[np.ndarray]:
@@ -283,7 +305,13 @@ def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, q0, q1) -> RatePair:
     matrices: ``r_p = log2|I + g q0 g† + h_int q1 h_int†| - log2|I + h_int q1
     h_int†|`` and ``r_c = log2|I + h_c q1 h_c†|``, each log-det the
     ``log_det_id_plus`` of a Gram ``F F†`` on the range of its matrices."""
-    roots = [psd_sqrt(q0), psd_sqrt(q1)]
+    return _two_block_root_rates(ch, g, h_int, h_c, psd_sqrt(q0), psd_sqrt(q1))
+
+
+def _two_block_root_rates(ch: CognitiveChannel, g, h_int, h_c, *roots) -> RatePair:
+    """:func:`_two_block_rates` at ``q_i = R_i R_i†`` from factors ``R_i``: a
+    factor known exactly keeps what the square root of a rounded huge ``q_i``
+    loses, such as a beam that ``g`` hears almost nothing of."""
 
     def log_det(*terms):
         hs = _on_range([h for h, _ in terms])

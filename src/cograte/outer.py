@@ -17,10 +17,12 @@ import numpy as np
 
 from .achievable import (
     DpcAllocation,
+    LogDetProgram,
     _dpc_matrices,
     _solve,
     _two_block_program,
     _two_block_rates,
+    _two_block_root_rates,
     dpc_rate_caps,
     scale_allocation,
 )
@@ -29,9 +31,15 @@ from .errors import (
     BracketUnbounded,
     InfeasibleAllocation,
     SingularSigmaZ,
-    ZeroChannel,
 )
-from .linalg import DEFAULT_TOL, budget_tol, min_eigenvalue
+from .linalg import (
+    DEFAULT_TOL,
+    LN2,
+    budget_tol,
+    min_eigenvalue,
+    range_basis,
+    symmetrize,
+)
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
 from .solvers import ScanResult, SolverSettings, golden_section, scan_then_golden, waterfill
 
@@ -149,26 +157,6 @@ def _broadcast_matrices(ch: CognitiveChannel, alpha: float, nz: NoiseCoupling | 
     return ga, ga, np.linalg.solve(np.linalg.cholesky(nz.sigma_z()), mats.k_bar.astype(dtype))
 
 
-def _broadcast_solve(ch: CognitiveChannel, alpha, mu, opts, extra_starts, nz=None):
-    """The matrices and the solved (q_p, q_c) of the broadcast mu-sum under
-    the sum budget ``p_p + alpha p_c``.  Deterministic starts: all power
-    water-filled for r_p, all for r_c, and half each spread evenly."""
-    mats = _broadcast_matrices(ch, alpha, nz)
-    ga, _, h_c = mats
-    n = ga.shape[1]
-    budget = ch.p_p + alpha * ch.p_c
-    program = _two_block_program(ch, *mats)
-    zero_n, iso = np.zeros((n, n)), (0.5 * budget / n) * np.eye(n)
-    starts = [(waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n)]
-    try:
-        starts.append((zero_n, waterfill(h_c, budget, real_mode=ch.real_mode)[1]))
-    except ZeroChannel:
-        pass  # h_cc = 0 zeroes k: the cognitive receiver hears nothing
-    starts += [(iso, iso), *extra_starts]
-    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
-    return mats, program.decode(theta)
-
-
 @dataclass(frozen=True)
 class BoundMuSumResult:
     value: float
@@ -186,6 +174,7 @@ class BcMuSumResult:
     q_p: np.ndarray
     q_c: np.ndarray
     alpha: float
+    gap_bits: float
 
 
 def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
@@ -316,6 +305,86 @@ def inf_alpha_partial_outer(
     )
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    return np.conj(m.T)
+
+
+def _dual_mac(ch: CognitiveChannel, ga, k):
+    """The MAC dual to the broadcast bound on ``(ga, ga, k)`` of
+    ``_broadcast_matrices``, and the bases ``(u_p, u_c)`` of its blocks.
+
+    Covariances ``P_p`` and ``P_c`` are heard through ``ga†`` and ``k†`` at
+    one receiver that decodes the cognitive user first, so ``r_p = log2|I +
+    A_p|`` and ``r_c = log2|I + A_p + A_c| - log2|I + A_p|`` with ``A_p =
+    ga† P_p ga`` and ``A_c = k† P_c k``.  The program's blocks are ``u† P
+    u`` on the range of each user's channel, spanned by its left singular
+    vectors (one column at least): power off that range is heard nowhere and
+    gets no gradient, and where a start put some there it stalled the
+    ascent."""
+    bases = [u if u.shape[1] else np.eye(len(u), 1) for u in map(range_basis, (ga, k))]
+    g_r, k_r = (_herm(u) @ h for u, h in zip(bases, (ga, k)))
+    program = LogDetProgram(
+        not ch.real_mode,
+        blocks=(len(g_r), len(k_r)),
+        terms=[(_herm(g_r), 0), (_herm(k_r), 1)],
+        rates=[((0,), ()), ((0, 1), (0,))],
+        scale=ch.rate_scale,
+        singular_values=True,
+    )
+    return program, bases
+
+
+def _id_plus_gram(e: np.ndarray):
+    """Eigenvectors and eigenvalues of ``I + e e†``, from the SVD of ``e``: the
+    identity is added to the squared singular values rather than to ``e e†``,
+    so it survives any power and no eigenvalue falls below one."""
+    u, s, _ = np.linalg.svd(e)
+    w = np.ones(len(u))
+    w[: len(s)] += s**2
+    return u, w
+
+
+def _mac_to_bc(ga, k, root_p, root_c):
+    """Factors ``(R_p, R_c)`` of the broadcast covariances ``q = R R†`` with
+    the rates and the total power of the dual-MAC covariances ``P = root
+    root†`` (Vishwanath, Jindal & Goldsmith, IEEE T-IT 2003).  A user with
+    broadcast channel ``h``, noise plus interference ``A`` in the broadcast
+    and ``B`` in the MAC gets ``q = B^{-1/2} F G† A^{1/2} P A^{1/2} G F†
+    B^{-1/2}``, where ``B^{-1/2} h† A^{-1/2} = F Λ G†``.  The cognitive
+    user, encoded last, goes first: ``A = I`` and ``B = I + ga† P_p ga``.
+    The licensed user then has ``A = I + ga q_c ga†`` and ``B = I``.  Every
+    power of ``A`` and ``B`` comes from :func:`_id_plus_gram` of a factor."""
+    u, w = _id_plus_gram(_herm(ga) @ root_p)
+    b_inv_root = (u * w**-0.5) @ _herm(u)
+    f, _, g_h = np.linalg.svd(b_inv_root @ _herm(k), full_matrices=False)
+    root_c = b_inv_root @ f @ g_h @ root_c
+    u, w = _id_plus_gram(ga @ root_c)
+    f, _, g_h = np.linalg.svd(_herm(ga) @ (u * w**-0.5) @ _herm(u), full_matrices=False)
+    return f @ g_h @ (u * w**0.5) @ _herm(u) @ root_p, root_c
+
+
+def _dual_gap(ch: CognitiveChannel, ga, k, mu, budget, root_p, root_c) -> float:
+    """Frank-Wolfe bound (Jaggi, ICML 2013) on how far ``P = root root†``
+    lies below the maximum of :func:`_dual_mac`'s concave mu-sum under the
+    sum power ``budget``: ``budget * max(0, λmax(∇_p), λmax(∇_c)) - tr(∇_p
+    P_p) - tr(∇_c P_c)``, with the gradients ``∇`` in the covariances."""
+
+    def inverse_form(h, e):
+        # h (I + e e†)⁻¹ h†, never forming the inverse itself
+        u, w = _id_plus_gram(e)
+        x = h @ u
+        return (x / w) @ _herm(x)
+
+    e_p = _herm(ga) @ root_p
+    both = np.hstack([e_p, _herm(k) @ root_c])
+    slope = ch.rate_scale / LN2
+    grad_p = slope * ((mu - 1.0) * inverse_form(ga, e_p) + inverse_form(ga, both))
+    grad_c = slope * inverse_form(k, both)
+    top = max(0.0, *(float(np.linalg.eigvalsh(symmetrize(g))[-1]) for g in (grad_p, grad_c)))
+    used = sum(np.real(np.trace(_herm(r) @ g @ r)) for g, r in ((grad_p, root_p), (grad_c, root_c)))
+    return max(0.0, budget * top - float(used))
+
+
 def bc_mu_sum(
     ch: CognitiveChannel,
     alpha: float,
@@ -326,13 +395,58 @@ def bc_mu_sum(
     """Maximize mu*r_p + r_c over the licensed-first broadcast region with an
     unstructured cognitive covariance under the sum power budget.
 
-    Requires mu >= 1: only there does the licensed-first ordering attain the
-    broadcast-channel maximum.
+    By MAC-BC duality (Vishwanath, Jindal & Goldsmith, IEEE T-IT 2003) the
+    region is that of the dual MAC of :func:`_dual_mac` under the same sum
+    power, whose mu-sum ``(mu-1) log|I + A_p| + log|I + A_p + A_c|`` has
+    blocks only as large as the receive sides.  For mu >= 1 that program is
+    concave and the licensed-first ordering attains the broadcast-channel
+    maximum (Weingarten, Steinberg & Shamai, IEEE T-IT 2006); below 1 neither
+    holds, so mu >= 1 is required.
+
+    The dual winner maps back to ``(q_p, q_c)`` through :func:`_mac_to_bc`.
+    That witness and every ``(q_p, q_c)`` pair of ``extra_starts`` are
+    re-scored with the broadcast rates, and the best wins.  ``gap_bits`` is
+    :func:`_dual_gap` at the dual winner, so ``value + gap_bits`` is an upper
+    value of the broadcast mu-sum.
     """
     mu = check_mu(mu, 1.0)
-    mats, (q_p, q_c) = _broadcast_solve(ch, alpha, mu, opts, extra_starts)
-    rate = _two_block_rates(ch, *mats, q_p, q_c)
-    return BcMuSumResult(value=rate.mu_sum(mu), rate=rate, q_p=q_p, q_c=q_c, alpha=alpha)
+    mats = _broadcast_matrices(ch, alpha)
+    ga, _, k = mats
+    budget = ch.p_p + alpha * ch.p_c
+    program, (u_p, u_c) = _dual_mac(ch, ga, k)
+    (_, d_p, _), (_, d_c, _) = program.blocks
+    # k = 0 leaves P_c without a gradient, so one start keeps it at zero
+    starts = [
+        (waterfill(_herm(ga) @ u_p, budget, real_mode=ch.real_mode)[1], np.zeros((d_c, d_c))),
+        ((0.5 * budget / d_p) * np.eye(d_p), (0.5 * budget / d_c) * np.eye(d_c)),
+    ]
+    # the dual is cheap: a stall at the default rel_tol of 1e-9 left it up to
+    # 6e-6 bits below a direct ascent over (q_p, q_c) on random 2-antenna
+    # channels; at 1e-12 it stays above that ascent
+    opts = opts or SolverSettings()
+    opts = replace(opts, rel_tol=min(opts.rel_tol, 1e-12))
+    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    low_p, low_c = program.lower_factors(theta)
+    root_p, root_c = u_p @ low_p, u_c @ low_c
+    roots = _mac_to_bc(ga, k, root_p, root_c)
+    total = sum(np.linalg.norm(r) ** 2 for r in roots)
+    if total > budget:  # the transform keeps the total power; its rounding may not
+        roots = [r * math.sqrt(budget / total) for r in roots]
+    witness = [symmetrize(r @ _herm(r)) for r in roots]
+    scored = [(_two_block_root_rates(ch, *mats, *roots), *witness)]
+    for q_p, q_c in extra_starts:
+        q_p, q_c = np.atleast_2d(np.asarray(q_p)), np.atleast_2d(np.asarray(q_c))
+        _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, q_c=q_c)
+        scored.append((_two_block_rates(ch, *mats, q_p, q_c), q_p, q_c))
+    rate, q_p, q_c = max(scored, key=lambda item: item[0].mu_sum(mu))
+    return BcMuSumResult(
+        value=rate.mu_sum(mu),
+        rate=rate,
+        q_p=q_p,
+        q_c=q_c,
+        alpha=alpha,
+        gap_bits=_dual_gap(ch, ga, k, mu, budget, root_p, root_c),
+    )
 
 
 def _embed_structured(ch: CognitiveChannel, sigma_cc: np.ndarray) -> np.ndarray:
@@ -420,10 +534,24 @@ def mu_sum_outer(
     opts: SolverSettings | None = None,
     extra_starts=(),
 ):
-    """Maximize mu*r_p + r_c over the full bound at fixed (alpha, coupling)."""
+    """Maximize mu*r_p + r_c over the full bound at fixed (alpha, coupling)
+    under the sum budget ``p_p + alpha p_c``.  Deterministic starts: all
+    power water-filled for r_p, all for r_c, and half each spread evenly."""
     mu = check_mu(mu)
-    _, covs = _broadcast_solve(ch, alpha, mu, opts, extra_starts, nz)
-    alloc = OuterAllocation(*covs)
+    mats = _broadcast_matrices(ch, alpha, nz)
+    ga, _, k_bar = mats
+    n = ga.shape[1]
+    budget = ch.p_p + alpha * ch.p_c
+    program = _two_block_program(ch, *mats)
+    zero_n, iso = np.zeros((n, n)), (0.5 * budget / n) * np.eye(n)
+    starts = [
+        (waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n),
+        (zero_n, waterfill(k_bar, budget, real_mode=ch.real_mode)[1]),
+        (iso, iso),
+        *extra_starts,
+    ]
+    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    alloc = OuterAllocation(*program.decode(theta))
     rate = outer_rates(ch, alpha, nz, alloc)
     return rate.mu_sum(mu), rate, alloc
 

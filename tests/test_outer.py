@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from cograte.achievable import (
     scale_allocation,
     trace_boundary,
 )
-from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
+from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
 from cograte.errors import (
     InfeasibleAllocation,
     SingularSigmaZ,
@@ -37,6 +39,7 @@ from cograte.oracles import grid_oracle
 from cograte.regions import RatePair, sweep_mu
 from cograte.solvers import SolverSettings, waterfill
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 MAX_RP = 2.354204853970093
 FLIPPED_A1 = 2.40934687718198
 
@@ -426,3 +429,18 @@ def test_outer_rc_at_zero_coupling_upper_bounds_coupling_grid(sec7):
             values.append(outer_rates(sec7, 1.0, nz, a).r_c)
     assert min(values) <= base + 1e-12
     assert min(values) < base  # coupling strictly reduces it somewhere
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mu", [1.0, 4.0])
+def test_bc_mu_sum_gap_bounds_a_long_solve(monkeypatch, n, mu):
+    # the Frank-Wolfe gap makes value + gap_bits an upper value: no longer
+    # solve may end above it (complex ladder channels of the benchmark)
+    monkeypatch.syspath_prepend(BENCH)
+    from inputs import mimo_channel
+
+    ch = load_channel(json.dumps(mimo_channel(n, 1)))
+    res = bc_mu_sum(ch, 1.0, mu, SolverSettings(starts=2, seed=0))
+    long = bc_mu_sum(ch, 1.0, mu, SolverSettings(starts=2, seed=0, max_iters=20000, rel_tol=1e-15))
+    assert res.gap_bits >= 0.0
+    assert res.value + res.gap_bits >= long.value

@@ -1,32 +1,46 @@
 """The log-det program behind the four mu-sum solvers agrees with the rate
-functions each solver reports its winner through."""
+functions each solver reports its winner through, and the broadcast
+mu-sum's dual MAC maps back onto the broadcast region."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cograte.achievable import (
     DpcAllocation,
     LogDetProgram,
     _dpc_matrices,
+    _solve,
     _two_block_program,
     _two_block_rates,
     dpc_rates,
 )
 from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
-from cograte.linalg import build_lower, log_det_id_plus, param_len
+from cograte.linalg import (
+    DEFAULT_TOL,
+    budget_tol,
+    build_lower,
+    log_det_id_plus,
+    min_eigenvalue,
+    param_len,
+    psd_sqrt,
+)
 from cograte.outer import (
     NoiseCoupling,
     OuterAllocation,
     _broadcast_matrices,
+    _dual_mac,
     _embed_structured,
+    _mac_to_bc,
+    bc_mu_sum,
     outer_rates,
     partial_outer_rates,
 )
 from cograte.regions import RatePair
+from cograte.solvers import SolverSettings, waterfill
 
 
 def _draw(rng, shape, complex_mode):
@@ -48,7 +62,7 @@ def _channel(rng, complex_mode):
 
 
 def _bc_rates(ch, ga, kk, q_p, q_c):
-    # the rate lines of bc_mu_sum
+    # the broadcast rates that bc_mu_sum scores its witness with
     sig = ga @ q_p @ np.conj(ga.T)
     intf = ga @ q_c @ np.conj(ga.T)
     r_p = ch.rate_scale * (log_det_id_plus(sig + intf) - log_det_id_plus(intf))
@@ -70,16 +84,20 @@ def _programs(rng, ch):
         )
 
     scaled = scaled_channel(ch, alpha)
+    ga, _, k = _broadcast_matrices(ch, alpha)
+    dual, (u_p, u_c) = _dual_mac(ch, ga, k)
+
+    def bc(p_p, p_c):
+        roots = _mac_to_bc(ga, k, u_p @ psd_sqrt(p_p), u_c @ psd_sqrt(p_c))
+        return _bc_rates(ch, mats.g_alpha, mats.k, *(r @ np.conj(r.T) for r in roots))
+
     return [
         (_two_block_program(ch, *_dpc_matrices(ch)), dpc),
         (
             _two_block_program(scaled, *_dpc_matrices(scaled)),
             lambda q_p, s_cc: partial_outer_rates(ch, alpha, q_p, s_cc),
         ),
-        (
-            _two_block_program(ch, *_broadcast_matrices(ch, alpha)),
-            lambda q_p, q_c: _bc_rates(ch, mats.g_alpha, mats.k, q_p, q_c),
-        ),
+        (dual, bc),
         (
             _two_block_program(ch, *_broadcast_matrices(ch, alpha, nz)),
             lambda q_p, q_c: outer_rates(ch, alpha, nz, OuterAllocation(q_p, q_c)),
@@ -215,10 +233,24 @@ def test_rates_match_dense_reference_on_random_shapes(
 
 
 def _central_differences(program, mu, theta, h=1e-6):
-    """Gradient of the mu-sum at one parameter vector by central differences."""
+    """Gradient of the mu-sum at one parameter vector by central differences.
+
+    Each log-det's difference is taken as one log-det of a ratio,
+    ``log|M(θ-h)⁻¹ M(θ+h)| = Σ log1p(eig(L⁻¹ D L⁻†))`` with ``L`` the
+    Cholesky factor of ``M(θ-h)`` and ``D = M(θ+h) - M(θ-h)`` formed from the
+    Grams ``E E†`` without the identity, so the rounding stays proportional
+    to the difference rather than to the log-dets themselves."""
     steps = h * np.eye(program.n_params)
-    values = program.objective(mu)(np.vstack([theta + steps, theta - steps]))[0]
-    return (values[: program.n_params] - values[program.n_params :]) / (2.0 * h)
+    e_plus, e_minus = program._factors(theta + steps), program._factors(theta - steps)
+
+    def gram(e):
+        return e @ np.conj(np.swapaxes(e, -1, -2))
+
+    low = np.linalg.cholesky(np.eye(e_minus.shape[-2]) + gram(e_minus))
+    half = np.linalg.solve(low, gram(e_plus) - gram(e_minus))
+    ratio = np.linalg.solve(low, np.conj(np.swapaxes(half, -1, -2)))
+    diffs = np.sum(np.log1p(np.linalg.eigvalsh(ratio)), axis=-1) / math.log(2.0)
+    return diffs @ (program.scale * (program._coef @ [mu, 1.0])) / (2.0 * h)
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,6 +262,7 @@ def _central_differences(program, mu, theta, h=1e-6):
     mu=st.floats(0.0, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(complex_mode=False, dims=(1, 1), receivers=(3, 1), divisor=2.0, mu=0.0, seed=24273)
 def test_gradient_matches_central_differences(complex_mode, dims, receivers, divisor, mu, seed):
     rng = np.random.default_rng(seed)
     program, _ = _kernel_case(rng, complex_mode, dims, receivers, divisor)
@@ -240,6 +273,29 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     np.testing.assert_allclose(values, mu * program.rates(thetas)[0] + program.rates(thetas)[1])
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_gradient_of_a_small_rank_one_term_matches_central_differences(complex_mode):
+    # an unscaled rank-one cognitive term of norm 0.0079 at mu = 0: every
+    # gradient entry is below 4e-5, where differences of the rounded
+    # log-dets themselves missed the analytic gradient by 3.7-8.8 times the
+    # tolerance
+    rng = np.random.default_rng(1)
+    g, h_int = _draw(rng, (2, 1), complex_mode), _draw(rng, (2, 2), complex_mode)
+    h_c = _draw(rng, (2, 1), complex_mode) @ _draw(rng, (1, 2), complex_mode)
+    h_c *= 0.0079 / np.linalg.norm(h_c)
+    program = LogDetProgram(
+        complex_mode,
+        blocks=(1, 2),
+        terms=[(g, 0), (h_int, 1), (h_c, 1)],
+        rates=[((0, 1), (1,)), ((2,), ())],
+        scale=1.0 if complex_mode else 0.5,
+    )
+    thetas = rng.standard_normal((3, program.n_params))
+    for row, theta in zip(program.objective(0.0)(thetas)[1](), thetas):
+        want = _central_differences(program, 0.0, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
 
 
@@ -274,6 +330,45 @@ def test_rank_deficient_terms_match_dense_reference(complex_mode, dims, receiver
         np.testing.assert_allclose([rate.r_p, rate.r_c], want, rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    complex_mode=st.booleans(),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    receivers=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    kinds=st.tuples(*[st.sampled_from(("dense", "zero_columns", "low_rank"))] * 3),
+    mu=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_singular_value_log_dets_match_the_slogdet_ones(
+    complex_mode, dims, receivers, kinds, mu, seed
+):
+    rng = np.random.default_rng(seed)
+    program, spec = _kernel_case(rng, complex_mode, dims, receivers, 1.0, kinds)
+    by_svd = LogDetProgram(complex_mode, **spec, singular_values=True)
+    thetas = rng.standard_normal((3, program.n_params))
+    for got, want in zip(by_svd.rates(thetas), program.rates(thetas)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    got, want = (p.objective(mu)(thetas)[1]() for p in (by_svd, program))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 + 1e-9 * np.abs(want).max())
+
+
+def test_singular_value_log_dets_keep_the_identity_beside_a_huge_rank_one_term():
+    # a power of 1e20 on g beside an empty block: slogdet(I + E E†) on the
+    # joint range of g and k reads nan and -inf, the singular values do not
+    g, k = np.array([[1.0], [0.5]]), np.array([[0.3], [-0.8]])
+    program = LogDetProgram(
+        False,
+        blocks=(1, 1),
+        terms=[(g, 0), (k, 1)],
+        rates=[((0,), ()), ((0, 1), (0,))],
+        scale=1.0,
+        singular_values=True,
+    )
+    (r_p,), (r_c,) = program.rates(np.array([1e10, 0.0]))
+    assert r_p == pytest.approx(math.log2(1.0 + 1.25e20), rel=1e-14)
+    assert abs(r_c) <= 1e-13
+
+
 @pytest.mark.parametrize("complex_mode", [False, True])
 @pytest.mark.parametrize("seed", [6, 7, 8, 9])
 def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode, seed):
@@ -291,3 +386,66 @@ def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode,
     partial = partial_outer_rates(ch, alpha, q_p, s_cc)
     assert bc.r_p == pytest.approx(partial.r_p, rel=1e-12)
     assert bc.r_c == pytest.approx(partial.r_c, rel=1e-12)
+
+
+def _dual_case(rng, complex_mode):
+    ch = _channel(rng, complex_mode)
+    alpha = float(rng.uniform(0.3, 3.0))
+    return ch, alpha, ch.p_p + alpha * ch.p_c, _broadcast_matrices(ch, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complex_mode=st.booleans(), mu=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_mac_to_bc_keeps_each_rate_and_the_total_power(complex_mode, mu, seed):
+    # MAC-BC duality: any dual-MAC pair at full power maps to PSD broadcast
+    # covariances at full power whose rates are the MAC's, with the cognitive
+    # user decoded first; the other order gives other rates
+    rng = np.random.default_rng(seed)
+    ch, alpha, budget, (ga, _, k) = _dual_case(rng, complex_mode)
+    program, bases = _dual_mac(ch, ga, k)
+    lows = [_draw(rng, (dim, dim), complex_mode) for _, dim, _ in program.blocks]
+    scale = math.sqrt(budget / sum(np.linalg.norm(low) ** 2 for low in lows))
+    lows = [scale * low for low in lows]
+    roots = _mac_to_bc(ga, k, *(u @ low for u, low in zip(bases, lows)))
+    q_p, q_c = (r @ np.conj(r.T) for r in roots)
+    tol = budget_tol(DEFAULT_TOL, budget)
+    assert min(min_eigenvalue(q_p), min_eigenvalue(q_c)) >= -tol
+    assert abs(np.trace(q_p + q_c).real - budget) <= tol
+    (r_p,), (r_c,) = program.rates(program.encode(*(low @ np.conj(low.T) for low in lows)))
+    rate = _two_block_rates(ch, ga, ga, k, q_p, q_c)
+    np.testing.assert_allclose([rate.r_p, rate.r_c], [r_p, r_c], rtol=1e-9, atol=1e-12)
+    assert rate.mu_sum(mu) == pytest.approx(mu * r_p + r_c, rel=1e-9)
+
+
+def _generic_broadcast_value(ch, alpha, mu, opts):
+    """The broadcast mu-sum by projected ascent over the stacked-transmit
+    covariances (q_p, q_c) themselves, from all power water-filled for each
+    user and an even split: the direct solve that the dual MAC's may not end
+    below."""
+    mats = _broadcast_matrices(ch, alpha)
+    ga, _, k = mats
+    budget, n = ch.p_p + alpha * ch.p_c, ga.shape[1]
+    program = _two_block_program(ch, *mats)
+    zero_n, iso = np.zeros((n, n)), (0.5 * budget / n) * np.eye(n)
+    starts = [
+        (waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n),
+        (zero_n, waterfill(k, budget, real_mode=ch.real_mode)[1]),
+        (iso, iso),
+    ]
+    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    return _two_block_rates(ch, *mats, *program.decode(theta)).mu_sum(mu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(complex_mode=st.booleans(), mu=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_bc_mu_sum_is_not_below_the_generic_broadcast_ascent(complex_mode, mu, seed):
+    rng = np.random.default_rng(seed)
+    ch, alpha, budget, _ = _dual_case(rng, complex_mode)
+    opts = SolverSettings(starts=2, seed=0)
+    res = bc_mu_sum(ch, alpha, mu, opts)
+    tol = budget_tol(DEFAULT_TOL, budget)
+    assert min(min_eigenvalue(res.q_p), min_eigenvalue(res.q_c)) >= -tol
+    assert abs(np.trace(res.q_p + res.q_c).real - budget) <= tol
+    assert res.value == pytest.approx(res.rate.mu_sum(mu), rel=1e-15)
+    assert res.gap_bits >= 0.0
+    assert res.value >= _generic_broadcast_value(ch, alpha, mu, opts) - 1e-9
