@@ -116,10 +116,14 @@ def dpc_rates(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) 
     signal acting as noise; the cognitive rate is interference-free.  Real
     mode halves both.
     """
+    _check_feasible(ch, a, tol)
+    return dpc_rate_caps(ch, a)
+
+
+def _check_feasible(ch: CognitiveChannel, a: DpcAllocation, tol: float) -> None:
     violation = _feasibility_violation(ch, a, tol)
     if violation is not None:
         raise InfeasibleAllocation(violation)
-    return dpc_rate_caps(ch, a)
 
 
 def scale_allocation(a: DpcAllocation, alpha: float) -> DpcAllocation:
@@ -399,7 +403,8 @@ def mu_sum_achievable(
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     theta = _solve(program, mu, groups, opts, [*_corner_allocations(ch), *extra_starts])
     witness = DpcAllocation.from_net(*program.decode(theta))
-    rate = dpc_rates(ch, witness)
+    _check_feasible(ch, witness, DEFAULT_TOL)
+    rate = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(theta))
     return MuSumResult(value=rate.mu_sum(mu), rate=rate, witness=witness, theta=theta)
 
 

@@ -36,7 +36,7 @@ from .outer import (
     trace_outer_boundary,
 )
 from .regions import SCHEMA_VERSION, check_mu, write_atomic
-from .solvers import SolverSettings, scan_then_golden
+from .solvers import SolverSettings, central_slope, scan_then_golden
 
 #: Values reported for the bundled example channel, emitted for comparison.
 REPORTED_MAX_RP = 2.3542
@@ -203,6 +203,8 @@ def _sweep_report(tol: float, mu: float, sweep, condition: bool) -> dict:
         "n_value_per_mu": sweep.n_value / mu,
         "condition_check": bool(condition),
         "non_unimodal": bool(sweep.non_unimodal),
+        "alpha_evals": sweep.evaluations,
+        "slope_at_alpha_star": sweep.slope,
         "tolerances": {"condition": tol},
         "paper_alpha_note": _alpha_note(sweep.alpha_star),
         "reported_alpha_star": REPORTED_ALPHA_STAR,
@@ -258,7 +260,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     # inner value is the closed-form water-filling capacity at each alpha
     lo, hi = args.alpha_bracket
     scan = scan_then_golden(
-        lambda log_a: partial_outer_max_rp(ch, math.exp(log_a)),
+        central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
         np.log(np.geomspace(lo, hi, 41)),
         tol=1e-12,
     )

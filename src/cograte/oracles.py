@@ -20,7 +20,7 @@ from .channel import CognitiveChannel
 from .errors import OracleTooLarge
 from .outer import inf_alpha_partial_outer
 from .regions import RatePair, check_mu
-from .solvers import NEG_INF, SolverSettings, scan_then_golden
+from .solvers import NEG_INF, SolverSettings, central_slope, scan_then_golden
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def kyfan_gap(
     sup-inf order: over the achievable candidates, the inner alpha-infimum of
     the single-multiplier Lagrangian keeps exactly the doubly-budgeted
     allocations (see :func:`inf_alpha_g1`), so the outer supremum is the
-    plain achievable mu-sum.  inf-sup order: golden section over alpha of the
+    plain achievable mu-sum.  inf-sup order: the minimum over alpha of the
     partial-bound mu-sum.  Scalar-transmit instances run both sides on the
     grid oracle; larger ones fall back to the ascent solvers.
     """
@@ -216,7 +216,7 @@ def kyfan_gap(
             return grid_oracle(ch, mu, resolution, "partial_outer", math.exp(log_a))
 
         xs = np.log(np.geomspace(alpha_bracket[0], alpha_bracket[1], 25))
-        inf_sup = scan_then_golden(inner, xs, tol=1e-12).value
+        inf_sup = scan_then_golden(central_slope(inner), xs, tol=1e-12).value
     else:
         res = mu_sum_achievable(ch, mu, opts)
         filtered = inf_alpha_g1(ch, mu, res.witness, res.rate)

@@ -1,6 +1,7 @@
 """Outer bounds on the capacity region: full coupled-noise bound, partial
 bound, broadcast-side mu-sums, the tightness condition, and the scalar
-minimization over the alpha scaling.
+minimization over the alpha scaling, which roots the bound's slope in
+``log alpha`` read off each solve's witness (no solve of its own).
 
 The full bound evaluates rate pairs of the cooperative broadcast channel
 with sum power ``p_p + alpha p_c`` and coupled noise (coupling ``q_z``); the
@@ -41,7 +42,14 @@ from .linalg import (
     symmetrize,
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
-from .solvers import ScanResult, SolverSettings, golden_section, scan_then_golden, waterfill
+from .solvers import (
+    ScanResult,
+    SolverSettings,
+    central_slope,
+    golden_section,
+    scan_then_golden,
+    waterfill,
+)
 
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
@@ -165,6 +173,7 @@ class BoundMuSumResult:
     sigma_cc: np.ndarray
     theta: np.ndarray
     alpha: float
+    roots: tuple  # Cholesky factors of (q_p, sigma_cc), which score the rates
 
 
 @dataclass(frozen=True)
@@ -210,10 +219,42 @@ def mu_sum_partial_outer(
         starts.append(scale_allocation(a, alpha) if isinstance(a, DpcAllocation) else a)
     theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
     q_p, s_cc = program.decode(theta)
-    rate = partial_outer_rates(ch, alpha, q_p, s_cc)
+    _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, sigma_cc=s_cc)
+    roots = tuple(program.lower_factors(theta))
+    rate = _partial_root_rates(ch, alpha, roots)
     return BoundMuSumResult(
-        value=rate.mu_sum(mu), rate=rate, q_p=q_p, sigma_cc=s_cc, theta=theta, alpha=alpha
+        value=rate.mu_sum(mu),
+        rate=rate,
+        q_p=q_p,
+        sigma_cc=s_cc,
+        theta=theta,
+        alpha=alpha,
+        roots=roots,
     )
+
+
+def _partial_root_rates(ch: CognitiveChannel, alpha: float, roots) -> RatePair:
+    """Partial-bound rate pair at the covariances ``R R†`` of the factors
+    ``roots`` of ``(q_p, sigma_cc)``, unchecked against the budget."""
+    scaled = scaled_channel(ch, alpha)
+    return _two_block_root_rates(scaled, *_dpc_matrices(scaled), *roots)
+
+
+def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
+    """Slope in ``log alpha`` of the partial-bound mu-sum along the witness
+    path: the factors ``roots`` of a witness at ``alpha``, scaled by
+    ``sqrt(B(a) / B(alpha))`` with ``B(a) = p_p + a p_c``, spend the whole
+    budget at every ``a``.  So the path lies below the bound and touches it
+    at ``alpha``, and where both are smooth their slopes agree (Danskin's
+    theorem).  Two re-scores of the factors; no solve."""
+    budget = ch.p_p + alpha * ch.p_c
+
+    def along(log_a: float) -> float:
+        a = math.exp(log_a)
+        c = math.sqrt((ch.p_p + a * ch.p_c) / budget)
+        return _partial_root_rates(ch, a, [c * r for r in roots]).mu_sum(mu)
+
+    return central_slope(along)(math.log(alpha))[1]
 
 
 def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
@@ -236,6 +277,8 @@ class InfAlphaResult:
     sigma_cc: np.ndarray
     non_unimodal: bool
     bracket: tuple[float, float]
+    evaluations: int  # partial-bound solves, the final one included
+    slope: float  # witness-path slope in log alpha at alpha_star; 0 at a smooth minimum
 
 
 def inf_alpha_partial_outer(
@@ -247,11 +290,14 @@ def inf_alpha_partial_outer(
 ) -> InfAlphaResult:
     """Minimize the partial-bound mu-sum over the alpha scaling.
 
-    A coarse log-spaced pre-scan guards the unimodality assumption (two local
-    minima fall back to the scan minimum and set ``non_unimodal``); the
-    bracket widens tenfold, up to three times per side, whenever the minimum
-    touches an edge, mirroring the divergence of the objective at 0 and
-    infinity.
+    Each evaluation solves the bound at one alpha and takes its slope in
+    ``log alpha`` from the winner (:func:`_alpha_slope`).  A log-spaced scan
+    of ``n_scan`` points brackets the minimum, where the slope turns from
+    negative to positive, and a root finder on the slope polishes it to
+    1e-6 in ``log alpha`` (:func:`scan_then_golden`); more than one such
+    turn sets ``non_unimodal``.  The bracket widens tenfold, up to three
+    times per side, whenever the minimum lies past an edge, mirroring the
+    divergence of the objective at 0 and infinity.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 < lo < hi < math.inf):
@@ -268,13 +314,13 @@ def inf_alpha_partial_outer(
     cache: dict[float, BoundMuSumResult] = {}
     warm: list[np.ndarray] = []
 
-    def n_of_alpha(log_a: float) -> float:
+    def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
         if a not in cache:
             res = mu_sum_partial_outer(ch, a, mu, inner_opts, extra_starts=list(warm[-1:]))
             cache[a] = res
             warm.append(res.theta)
-        return cache[a].value
+        return cache[a].value, _alpha_slope(ch, a, mu, cache[a].roots)
 
     result: ScanResult | None = None
     for _ in range(4):
@@ -302,6 +348,8 @@ def inf_alpha_partial_outer(
         sigma_cc=best.sigma_cc,
         non_unimodal=result.non_unimodal,
         bracket=(lo, hi),
+        evaluations=len(cache) + 1,
+        slope=_alpha_slope(ch, alpha_star, mu, best.roots),
     )
 
 

@@ -3,9 +3,10 @@
 The rate-region solvers all reduce to maximizing a smooth objective over
 vectors of Cholesky-factor parameters under per-group squared-norm budgets
 (each group's squared norm is a covariance trace).  This module provides the
-multi-start projected-ascent engine driving them, a golden-section scalar
-minimizer, sum-power water-filling, and the -inf sentinel used by the
-Lagrangian case analysis.
+multi-start projected-ascent engine driving them, the scalar minimizers (a
+scan polished by Brent's root finder on the slope, and golden section for
+functions known only by value), sum-power water-filling, and the -inf
+sentinel used by the Lagrangian case analysis.
 """
 
 from __future__ import annotations
@@ -255,37 +256,108 @@ class ScanResult:
     x: float
     value: float
     non_unimodal: bool
-    edge: int  # -1 best at low edge, +1 at high edge, 0 interior
+    edge: int  # -1 minimum past the low edge, +1 past the high edge, 0 interior
     flat: bool
 
 
 def scan_then_golden(f, xs, tol: float = 1e-10) -> ScanResult:
-    """Coarse scan over ``xs`` followed by golden-section polish.
+    """Minimize a scalar function from a coarse scan over ``xs`` and a
+    bracketed root of its slope.
 
-    Counts interior local minima of the scan; more than one flags the
-    unimodality assumption and the result falls back to polishing around the
-    scan minimum only.
+    ``f(x)`` returns ``(value, slope)``.  A slope that goes from negative to
+    non-negative between two scan points brackets a local minimum; more than
+    one such change sets ``non_unimodal``.  A first slope >= 0 puts the
+    minimum at or below the low edge (``edge = -1``), a last slope <= 0 at
+    or above the high edge (``edge = +1``); neither is polished.  Otherwise
+    the bracket whose scan values are lowest is polished by
+    :func:`_bracketed_root` on the slope to ``tol`` in ``x``.  The result is
+    always the *evaluated* point of smallest value, so a caller that caches
+    its evaluations finds it cached.
+
+    The name is kept for the benchmark's tracer, which wraps it by name
+    (``perfbench/tracing.py``); it is due for a rename with the next change
+    to the benchmark.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = np.array([f(x) for x in xs], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise SolverDiverged("non-finite value during scalar pre-scan")
-    spread = float(np.max(vals) - np.min(vals))
-    if spread < 1e-12:
-        mid = len(xs) // 2
-        return ScanResult(float(xs[mid]), float(vals[mid]), False, 0, True)
-    minima = 0
-    for i in range(1, len(xs) - 1):
-        if vals[i] < vals[i - 1] - 1e-12 and vals[i] < vals[i + 1] - 1e-12:
-            minima += 1
-    best = int(np.argmin(vals))
-    edge = -1 if best == 0 else (1 if best == len(xs) - 1 else 0)
-    lo = xs[max(best - 1, 0)]
-    hi = xs[min(best + 1, len(xs) - 1)]
-    x, fx = golden_section(f, float(lo), float(hi), tol=tol)
-    if vals[best] < fx:
-        x, fx = float(xs[best]), float(vals[best])
-    return ScanResult(float(x), float(fx), minima > 1, edge, False)
+    seen: dict[float, float] = {}
+
+    def slope(x: float) -> float:
+        value, s = f(x)
+        if not (math.isfinite(value) and math.isfinite(s)):
+            raise SolverDiverged("non-finite value or slope during scalar search")
+        seen[x] = float(value)
+        return float(s)
+
+    slopes = [slope(float(x)) for x in xs]
+    vals = [seen[float(x)] for x in xs]
+
+    def result(non_unimodal: bool, edge: int, flat: bool = False) -> ScanResult:
+        x = min(seen, key=seen.get)
+        return ScanResult(x, seen[x], non_unimodal, edge, flat)
+
+    if max(vals) - min(vals) < 1e-12:
+        mid = float(xs[len(xs) // 2])
+        return ScanResult(mid, seen[mid], False, 0, True)
+    changes = [i for i in range(len(xs) - 1) if slopes[i] < 0.0 <= slopes[i + 1]]
+    edges = [(vals[0], -1)] if slopes[0] >= 0.0 else []
+    edges += [(vals[-1], 1)] if slopes[-1] <= 0.0 else []
+    if edges or not changes:
+        return result(len(changes) > 1, min(edges)[1] if edges else 0)
+    i = min(changes, key=lambda j: min(vals[j], vals[j + 1]))
+    _bracketed_root(slope, float(xs[i]), slopes[i], float(xs[i + 1]), slopes[i + 1], tol)
+    return result(len(changes) > 1, 0)
+
+
+def _bracketed_root(g, a: float, ga: float, b: float, gb: float, tol: float):
+    """Brent's root finder (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) on ``[a, b]`` where ``ga`` and ``gb`` differ
+    in sign: inverse quadratic or secant steps while they shrink the
+    bracket fast enough, bisection otherwise.  Returns once the bracket is
+    within ``tol``; every point it returns has been passed to ``g``."""
+    x_pre, g_pre, x, g_x = a, ga, b, gb
+    x_blk, g_blk, s_pre, s_cur = a, ga, b - a, b - a
+    for _ in range(100):
+        if g_pre * g_x < 0.0:
+            x_blk, g_blk = x_pre, g_pre
+            s_pre = s_cur = x - x_pre
+        if abs(g_blk) < abs(g_x):
+            x_pre, x, x_blk = x, x_blk, x
+            g_pre, g_x, g_blk = g_x, g_blk, g_x
+        delta = 0.5 * tol + 2.0 * np.finfo(float).eps * abs(x)
+        s_bis = 0.5 * (x_blk - x)
+        if g_x == 0.0 or abs(s_bis) < delta:
+            break
+        s_try = math.inf
+        if abs(s_pre) > delta and abs(g_x) < abs(g_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -g_x * (x - x_pre) / (g_x - g_pre)
+            else:  # inverse quadratic
+                d_pre = (g_pre - g_x) / (x_pre - x)
+                d_blk = (g_blk - g_x) / (x_blk - x)
+                s_try = -g_x * (g_blk * d_blk - g_pre * d_pre) / (d_blk * d_pre * (g_blk - g_pre))
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, g_pre = x, g_x
+        x += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        g_x = g(x)
+    return x
+
+
+#: Half-width of the central differences of :func:`central_slope`.
+_SLOPE_STEP = 1e-5
+
+
+def central_slope(f):
+    """``x -> (f(x), slope)`` for :func:`scan_then_golden`, the slope a
+    central difference of ``f`` over ``x ± 1e-5``: for a value cheap enough
+    to take three times."""
+
+    def value_and_slope(x: float):
+        return f(x), (f(x + _SLOPE_STEP) - f(x - _SLOPE_STEP)) / (2.0 * _SLOPE_STEP)
+
+    return value_and_slope
 
 
 def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False, tol: float = 1e-12):

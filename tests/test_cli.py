@@ -129,6 +129,9 @@ def test_sweep_alpha_report(tmp_path, channel_file):
     assert 0.4 < doc["alpha_star"] < 0.7
     assert doc["condition_check"] is True
     assert "0.9689" in doc["paper_alpha_note"]
+    # the default resolution 400 scans 30 alphas; the slope search adds a few
+    assert 30 < doc["alpha_evals"] <= 30 + 8
+    assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
 
 
 def test_sweep_alpha_rejects_small_mu(tmp_path, channel_file):
@@ -150,6 +153,10 @@ def test_reproduce_paper(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "region.csv"))
     for alpha in ("0.25", "0.5", "1", "2", "4"):
         assert os.path.exists(os.path.join(out_dir, f"bound_alpha{alpha}.csv"))
+    sweep = json.loads(open(os.path.join(out_dir, "sweep_alpha.json")).read())
+    assert {"alpha_star", "n_value", "non_unimodal", "alpha_evals", "slope_at_alpha_star"} <= set(
+        sweep
+    )
 
 
 def test_reproduce_paper_deterministic_csv(tmp_path):

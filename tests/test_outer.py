@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 from conftest import ORACLE_GAP
 
+import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
+    _dpc_matrices,
+    _two_block_program,
     dpc_rate_caps,
     mu_sum_achievable,
     scale_allocation,
@@ -24,6 +28,7 @@ from cograte.linalg import log_det_id_plus
 from cograte.outer import (
     NoiseCoupling,
     OuterAllocation,
+    _alpha_slope,
     bc_mu_sum,
     condition_check,
     inf_alpha_partial_outer,
@@ -37,7 +42,7 @@ from cograte.outer import (
 )
 from cograte.oracles import grid_oracle
 from cograte.regions import RatePair, sweep_mu
-from cograte.solvers import SolverSettings, waterfill
+from cograte.solvers import SolverSettings, golden_section, waterfill
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 MAX_RP = 2.354204853970093
@@ -220,6 +225,108 @@ def test_inf_alpha_unattained_infimum_reports_unbounded(sec7):
             sec7, 0.0, alpha_bracket=(0.5, 2.0), opts=SolverSettings(starts=2, seed=1),
             n_scan=8,
         )
+
+
+def _ladder(monkeypatch, n):
+    monkeypatch.syspath_prepend(BENCH)
+    from inputs import mimo_channel
+
+    return load_channel(json.dumps(mimo_channel(n, 1)))
+
+
+def _golden_alpha_reference(ch, mu, opts, n_scan):
+    """The alpha search as it was before the slope search: golden section to
+    1e-6 in log alpha on re-solved values between the neighbours of the scan
+    minimum, with the same warm chain, inner settings and final solve."""
+    inner = dataclasses.replace(
+        opts, starts=max(2, opts.starts // 3), max_iters=min(opts.max_iters, 400)
+    )
+    cache, warm = {}, []
+
+    def value(log_a):
+        a = math.exp(log_a)
+        if a not in cache:
+            cache[a] = mu_sum_partial_outer(ch, a, mu, inner, extra_starts=warm[-1:])
+            warm.append(cache[a].theta)
+        return cache[a].value
+
+    xs = np.log(np.geomspace(1e-3, 1e3, n_scan))
+    i = int(np.argmin([value(x) for x in xs]))
+    assert 0 < i < n_scan - 1
+    golden_section(value, xs[i - 1], xs[i + 1], tol=1e-6)
+    best = min(cache, key=lambda a: cache[a].value)
+    return mu_sum_partial_outer(ch, best, mu, opts, extra_starts=[cache[best].theta]).value
+
+
+@pytest.mark.parametrize(
+    "case, mu, n_scan",
+    [("bundled", 1e6, 20), ("bundled", 2.0, 20), ("ladder", 4.0, 15)],
+)
+def test_slope_search_is_not_above_the_golden_section_value(monkeypatch, sec7, case, mu, n_scan):
+    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+    opts = SolverSettings(starts=2, seed=0)
+    res = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
+    reference = _golden_alpha_reference(ch, mu, opts, n_scan)
+    assert res.n_value <= reference * (1.0 + 1e-9)
+    assert res.evaluations <= n_scan + 8
+    # alpha* is a stationary point: its witness-path slope is a rounding-size
+    # residual, where one scan step away the slope is of the value's order
+    assert abs(res.slope) <= 1e-4 * max(1.0, res.n_value)
+
+
+@pytest.mark.parametrize("case, mu", [("bundled", 2.0), ("ladder", 4.0)])
+def test_witness_path_slope_matches_re_solved_differences(monkeypatch, sec7, case, mu):
+    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+    opts = SolverSettings(starts=2, seed=0, rel_tol=1e-12)
+    alpha, h = 2.0, 1e-3
+    res = mu_sum_partial_outer(ch, alpha, mu, opts)
+    slope = _alpha_slope(ch, alpha, mu, res.roots)
+    up, down = (
+        mu_sum_partial_outer(ch, alpha * math.exp(s), mu, opts, extra_starts=[res.theta]).value
+        for s in (h, -h)
+    )
+    assert slope == pytest.approx((up - down) / (2 * h), rel=1e-4)
+
+
+def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
+    calls = []
+    solve = outer.mu_sum_partial_outer
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", counted)
+    n_scan = 12
+    res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
+    assert len(calls) == res.evaluations <= n_scan + 8
+    assert res.alpha_star == calls[-1]
+
+
+@pytest.mark.parametrize("path", ["dpc", "partial"])
+def test_witness_rates_come_from_its_factors_at_huge_power(path):
+    # at p = 1e16 the witness's sigma_cc is rank one, zero-forced at the
+    # licensed receiver; a square root of its rounded covariance puts power
+    # back where h_cp hears it, and misread r_p by 0.03-0.25 bits.  The
+    # licensed receive side is scalar, so the singular values of the
+    # factors' F give r_p exactly.
+    ch = CognitiveChannel(
+        h_pp=[[1.0]], h_pc=[[0.3], [0.2]], h_cp=[[1.0, 0.5]], h_cc=[[1.0, 0.2], [0.3, 1.0]],
+        p_p=1e16, p_c=1e16, real_mode=True,
+    )
+    opts = SolverSettings(starts=2, seed=0)
+    if path == "dpc":
+        res, scored = mu_sum_achievable(ch, 2.0, opts), ch
+    else:
+        res, scored = mu_sum_partial_outer(ch, 1.0, 2.0, opts), scaled_channel(ch, 1.0)
+    g, h_int, _ = _dpc_matrices(scored)
+    low_p, low_c = _two_block_program(scored, *_dpc_matrices(scored)).lower_factors(res.theta)
+
+    def bits(f):
+        return 0.5 * np.sum(np.log1p(np.linalg.svd(f, compute_uv=False) ** 2)) / math.log(2)
+
+    r_p = bits(np.hstack([g @ low_p, h_int @ low_c])) - bits(h_int @ low_c)
+    assert res.rate.r_p == pytest.approx(r_p, abs=1e-9)
 
 
 def test_partial_bound_diverges_at_alpha_extremes(sec7, fast):

@@ -7,6 +7,7 @@ from cograte.errors import NonPositivePower, SolverDiverged, ZeroChannel
 from cograte.solvers import (
     NEG_INF,
     SolverSettings,
+    central_slope,
     golden_section,
     make_group_projection,
     maximize_multistart,
@@ -44,15 +45,79 @@ def test_golden_section_quadratic():
     assert fx == pytest.approx(0.0, abs=1e-12)
 
 
+def _recording(f):
+    """``f`` returning ``(value, slope)``, with every x it was called at."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return g, seen
+
+
 def test_scan_then_golden_flags_two_minima():
-    f = lambda t: math.cos(3 * t)  # minima near t = pi/3 and t = pi
+    f = lambda t: (math.cos(3 * t), -3 * math.sin(3 * t))  # minima at pi/3 and pi
     res = scan_then_golden(f, np.linspace(0.0, 4.0, 40))
     assert res.non_unimodal
 
 
 def test_scan_then_golden_flat():
-    res = scan_then_golden(lambda t: 1.0, np.linspace(0.0, 1.0, 10))
+    res = scan_then_golden(lambda t: (1.0, 0.0), np.linspace(0.0, 1.0, 10))
     assert res.flat and res.value == 1.0
+
+
+def test_slope_search_finds_a_quadratic_minimum_in_few_steps():
+    f, seen = _recording(lambda t: ((t - 1.3) ** 2, 2 * (t - 1.3)))
+    res = scan_then_golden(f, np.linspace(-4.0, 5.0, 15), tol=1e-10)
+    assert res.x == pytest.approx(1.3, abs=1e-10)
+    assert (res.edge, res.non_unimodal, res.flat) == (0, False, False)
+    assert len(seen) <= 15 + 3  # a linear slope is one secant step from its root
+    assert res.x in seen
+
+
+def test_slope_search_closes_on_a_kink():
+    # the slope of |x - c| is a step, so the search bisects down to tol
+    c = 0.7734
+    f, seen = _recording(lambda t: (abs(t - c), math.copysign(1.0, t - c)))
+    res = scan_then_golden(f, np.linspace(-4.0, 5.0, 15), tol=1e-8)
+    assert res.x == pytest.approx(c, abs=1e-8)
+    assert res.x in seen and res.edge == 0
+
+
+def test_slope_search_flags_two_minima_and_polishes_the_lower():
+    # minima near -1 (value about 0) and +1 (about 0.3): the lower one is polished
+    f = lambda t: ((t * t - 1) ** 2 + 0.15 * (1 + t), 4 * t * (t * t - 1) + 0.15)
+    g, seen = _recording(f)
+    res = scan_then_golden(g, np.linspace(-2.0, 2.0, 21), tol=1e-10)
+    assert res.non_unimodal and res.edge == 0
+    assert res.x < 0 and f(res.x)[1] == pytest.approx(0.0, abs=1e-8)
+    assert res.x in seen and res.value == min(f(x)[0] for x in seen)
+
+
+@pytest.mark.parametrize("sign, edge", [(1.0, -1), (-1.0, 1)])
+def test_slope_search_reports_a_monotone_function_at_its_edge(sign, edge):
+    f, seen = _recording(lambda t: (sign * t, sign))
+    xs = np.linspace(0.0, 4.0, 10)
+    res = scan_then_golden(f, xs)
+    assert res.edge == edge and not res.non_unimodal
+    assert len(seen) == len(xs)  # an edge is left for the caller to widen, not polished
+    assert res.x == (xs[0] if edge < 0 else xs[-1])
+
+
+def test_slope_search_returns_the_lowest_evaluated_point():
+    # a slope that is wrong in sign near the root (as a noisy solve's can be)
+    # still leaves an evaluated point, the lowest one seen
+    f, seen = _recording(lambda t: ((t - 0.5) ** 2, 2 * (t - 0.5) + 0.01 * math.sin(1e3 * t)))
+    res = scan_then_golden(f, np.linspace(-1.0, 2.0, 9), tol=1e-12)
+    assert res.x in seen
+    assert res.value == min((t - 0.5) ** 2 for t in seen)
+
+
+def test_central_slope_of_a_value_only_function():
+    value, slope = central_slope(math.exp)(0.3)
+    assert value == math.exp(0.3)
+    assert slope == pytest.approx(math.exp(0.3), rel=1e-9)
 
 
 def test_group_projection_scales_each_group():

@@ -50,3 +50,23 @@ def test_traced_solves_reach_every_counted_layer(monkeypatch, sec7):
     spans = ("linalg.log_det_id_plus", "linalg.build_lower", "linalg.encode_psd",
              "linalg.slogdet", "channel.composite_matrices", "solvers.waterfill")
     assert {name: tracer.calls[name] for name in spans if tracer.calls[name] == 0} == {}
+
+
+def test_traced_alpha_sweep_counts_its_scalar_search(monkeypatch, sec7):
+    # the benchmark counts scan evaluations by wrapping the search by name on
+    # outer; a sweep that calls it under another name reads 0 there
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    import cograte.cli as cli
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cli.inf_alpha_partial_outer(
+            sec7, 1e6, (1e-3, 1e3), SolverSettings(starts=1, max_iters=5), n_scan=5
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["solvers.scan_evals"] > 0
+    assert tracer.counts["outer.alpha_evals"] > 0
