@@ -44,15 +44,10 @@ from .outer import (
     BcMuSumResult,
     BoundMuSumResult,
     InfAlphaResult,
-    NoiseCoupling,
-    OuterAllocation,
     bc_mu_sum,
     condition_check,
     inf_alpha_partial_outer,
-    min_outer_mu_sum_over_coupling,
-    mu_sum_outer,
     mu_sum_partial_outer,
-    outer_rates,
     partial_outer_max_rp,
     partial_outer_rates,
     trace_outer_boundary,
@@ -74,8 +69,6 @@ __all__ = [
     "LagrangeMultipliers",
     "MuSumResult",
     "NEG_INF",
-    "NoiseCoupling",
-    "OuterAllocation",
     "RatePair",
     "RegionBoundary",
     "SolverSettings",
@@ -99,11 +92,8 @@ __all__ = [
     "log_det_id_plus",
     "log_det_id_plus_dir",
     "mc_mutual_info",
-    "min_outer_mu_sum_over_coupling",
     "mu_sum_achievable",
-    "mu_sum_outer",
     "mu_sum_partial_outer",
-    "outer_rates",
     "param_len",
     "partial_outer_max_rp",
     "partial_outer_rates",

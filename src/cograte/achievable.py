@@ -294,7 +294,7 @@ def _two_block_program(ch: CognitiveChannel, g, h_int, h_c) -> LogDetProgram:
     interference there through ``h_int`` and heard through ``h_c`` at the
     cognitive one, all over white noise.  :func:`_dpc_matrices` gives the DPC
     region (the partial bound on ``scaled_channel(ch, alpha)``), and
-    ``outer._broadcast_matrices`` the broadcast bounds."""
+    ``outer._broadcast_matrices`` the broadcast bound."""
     return LogDetProgram(
         not ch.real_mode,
         blocks=(g.shape[1], h_int.shape[1]),

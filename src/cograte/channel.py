@@ -161,13 +161,11 @@ class CompositeMatrices:
 
     ``g_alpha`` stacks the two paths into the licensed receiver, the cognitive
     one divided by sqrt(alpha); ``k`` keeps only the cognitive
-    receiver's own path; ``k_bar`` stacks ``g_alpha`` on top of ``k``'s block
-    row, covering both receivers.
+    receiver's own path.
     """
 
     g_alpha: np.ndarray
     k: np.ndarray
-    k_bar: np.ndarray
 
 
 def _check_alpha(ch: CognitiveChannel, alpha: float) -> float:
@@ -244,13 +242,12 @@ def scaled_channel(ch: CognitiveChannel, alpha: float) -> CognitiveChannel:
 
 
 def composite_matrices(ch: CognitiveChannel, alpha: float) -> CompositeMatrices:
-    """Assemble the three block matrices used by the bound computations."""
+    """Assemble the two block matrices used by the bound computations."""
     alpha = _check_alpha(ch, alpha)
     root = math.sqrt(alpha)
     g_alpha = np.hstack([ch.h_pp, ch.h_cp / root])
     k = np.hstack([np.zeros((ch.n_cr, ch.n_pt), dtype=ch.h_cc.dtype), ch.h_cc / root])
-    k_bar = np.vstack([g_alpha, k])
-    return CompositeMatrices(g_alpha=g_alpha, k=k, k_bar=k_bar)
+    return CompositeMatrices(g_alpha=g_alpha, k=k)
 
 
 def mc_mutual_info(

@@ -40,10 +40,6 @@ class SingularNoise(CograteError):
     """Noise covariance passed to the Monte-Carlo estimator is singular."""
 
 
-class SingularSigmaZ(CograteError):
-    """Coupled noise covariance lost strict positive definiteness."""
-
-
 class InfeasibleAllocation(CograteError):
     """An allocation violates a PSD or trace constraint; the message names it."""
 

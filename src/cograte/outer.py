@@ -1,12 +1,15 @@
-"""Outer bounds on the capacity region: full coupled-noise bound, partial
-bound, broadcast-side mu-sums, the tightness condition, and the scalar
-minimization over the alpha scaling, which roots the bound's slope in
-``log alpha`` read off each solve's witness (no solve of its own).
+"""Outer bounds on the capacity region: the partial bound, broadcast-side
+mu-sums, the tightness condition, and the scalar minimization over the alpha
+scaling, which roots the bound's slope in ``log alpha`` read off each solve's
+witness (no solve of its own).
 
-The full bound evaluates rate pairs of the cooperative broadcast channel
-with sum power ``p_p + alpha p_c`` and coupled noise (coupling ``q_z``); the
-partial bound restricts the second user's covariance to the cognitive block,
-which is enough for mu-sum comparisons against the achievable region.
+The paper's full bound lets both transmitters cooperate under the sum power
+``p_p + alpha p_c`` and couples the receiver noises.  Its infimum over
+couplings is the broadcast mu-sum (Vishwanath, Jindal & Goldsmith, IEEE T-IT
+2003; Weingarten, Steinberg & Shamai, IEEE T-IT 2006), which
+:func:`bc_mu_sum` solves.  The partial bound restricts the second user's
+covariance to the cognitive block, which is enough for mu-sum comparisons
+against the achievable region.
 """
 
 from __future__ import annotations
@@ -28,11 +31,7 @@ from .achievable import (
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
-from .errors import (
-    BracketUnbounded,
-    InfeasibleAllocation,
-    SingularSigmaZ,
-)
+from .errors import BracketUnbounded, InfeasibleAllocation
 from .linalg import (
     DEFAULT_TOL,
     LN2,
@@ -46,55 +45,13 @@ from .solvers import (
     ScanResult,
     SolverSettings,
     central_slope,
-    golden_section,
     scan_then_golden,
     waterfill,
 )
 
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
-from .solvers import maximize_multistart  # noqa: F401
-
-
-@dataclass(frozen=True)
-class NoiseCoupling:
-    """Cross-correlation q_z between the genie copy of the licensed noise and
-    the cognitive noise; the stacked covariance [[I, q_z], [q_z†, I]] must
-    stay PSD, i.e. all singular values of q_z are at most one."""
-
-    q_z: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q_z))
-        object.__setattr__(self, "q_z", q)
-        top = float(np.linalg.svd(q, compute_uv=False)[0]) if q.size else 0.0
-        if top > 1.0 + 1e-9:
-            raise SingularSigmaZ(
-                f"q_z has singular value {top:.6g} > 1; coupled covariance not PSD"
-            )
-
-    def sigma_z(self) -> np.ndarray:
-        """The coupled noise covariance; SingularSigmaZ unless strictly PD."""
-        n_pr, n_cr = self.q_z.shape
-        top = np.hstack([np.eye(n_pr, dtype=self.q_z.dtype), self.q_z])
-        bottom = np.hstack([np.conj(self.q_z.T), np.eye(n_cr, dtype=self.q_z.dtype)])
-        sz = np.vstack([top, bottom])
-        if min_eigenvalue(sz) <= 1e-9:
-            raise SingularSigmaZ("coupled noise covariance must be strictly positive definite")
-        return sz
-
-
-@dataclass(frozen=True)
-class OuterAllocation:
-    """Broadcast-side covariances (q_p for the licensed message, q_c for the
-    cognitive one), both over the stacked transmit dimensions."""
-
-    q_p: np.ndarray
-    q_c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_p", np.atleast_2d(np.asarray(self.q_p)))
-        object.__setattr__(self, "q_c", np.atleast_2d(np.asarray(self.q_c)))
+from .solvers import golden_section, maximize_multistart  # noqa: F401
 
 
 def _check_sum_budget(budget: float, tol: float, **covs: np.ndarray):
@@ -109,24 +66,6 @@ def _check_sum_budget(budget: float, tol: float, **covs: np.ndarray):
     if total > budget + slack:
         label = "+".join(f"trace({name})" for name in covs)
         raise InfeasibleAllocation(f"{label} = {total:.6g} exceeds sum budget {budget:.6g}")
-
-
-def outer_rates(
-    ch: CognitiveChannel,
-    alpha: float,
-    nz: NoiseCoupling,
-    a: OuterAllocation,
-    tol: float = DEFAULT_TOL,
-) -> RatePair:
-    """Rate pair of the full coupled-noise bound for one allocation.
-
-    The licensed rate treats the cognitive covariance as interference over
-    the scaled stacked channel; the cognitive rate is the log-det increment
-    of the coupled noise covariance.
-    """
-    mats = _broadcast_matrices(ch, alpha, nz)
-    _check_sum_budget(ch.p_p + alpha * ch.p_c, tol, q_p=a.q_p, q_c=a.q_c)
-    return _two_block_rates(ch, *mats, a.q_p, a.q_c)
 
 
 def partial_outer_rates(
@@ -152,17 +91,14 @@ def partial_outer_rates(
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_matrices(ch: CognitiveChannel, alpha: float, nz: NoiseCoupling | None = None):
-    """Two-block matrices of the broadcast bounds: q_p and q_c over the stacked
-    transmit dimensions, both through ``g_alpha`` at the licensed receiver;
-    q_c through ``k``, or through ``k_bar`` whitened by the Cholesky factor of
-    a coupled noise."""
+def _broadcast_matrices(ch: CognitiveChannel, alpha: float):
+    """Two-block matrices of the broadcast bound: q_p and q_c over the stacked
+    transmit dimensions, both through ``g_alpha`` at the licensed receiver,
+    and q_c through ``k`` at the cognitive one."""
     mats = composite_matrices(ch, alpha)
     dtype = float if ch.real_mode else complex
     ga = mats.g_alpha.astype(dtype)
-    if nz is None:
-        return ga, ga, mats.k.astype(dtype)
-    return ga, ga, np.linalg.solve(np.linalg.cholesky(nz.sigma_z()), mats.k_bar.astype(dtype))
+    return ga, ga, mats.k.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -456,6 +392,14 @@ def bc_mu_sum(
     re-scored with the broadcast rates, and the best wins.  ``gap_bits`` is
     :func:`_dual_gap` at the dual winner, so ``value + gap_bits`` is an upper
     value of the broadcast mu-sum.
+
+    This mu-sum is also the infimum over noise couplings of the paper's full
+    bound.  There the cognitive receiver also hears a genie copy of the
+    licensed output, its noise coupled to the cognitive one, which can only
+    add to the cognitive rate; over the least favourable couplings the
+    bound's mu-sum comes down to the broadcast one (Vishwanath, Jindal &
+    Goldsmith, IEEE T-IT 2003; Weingarten, Steinberg & Shamai, IEEE T-IT
+    2006).
     """
     mu = check_mu(mu, 1.0)
     mats = _broadcast_matrices(ch, alpha)
@@ -514,8 +458,9 @@ def condition_check(
     """Tightness condition: the structured cognitive covariance loses nothing.
 
     Compares the partial-bound mu-sum against the broadcast-side mu-sum with
-    unstructured covariance; equality within ``tol`` certifies that the
-    partial bound meets the full coupled-noise bound for this (alpha, mu).
+    unstructured covariance (:func:`bc_mu_sum`), which is the full
+    coupled-noise bound's infimum over couplings; equality within ``tol``
+    certifies that the partial bound meets that infimum for this (alpha, mu).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -567,91 +512,3 @@ def trace_outer_boundary(
             "settings": asdict(opts),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# full bound: mu-sum at fixed coupling, and the infimum over couplings
-# ---------------------------------------------------------------------------
-
-
-def mu_sum_outer(
-    ch: CognitiveChannel,
-    alpha: float,
-    nz: NoiseCoupling,
-    mu: float,
-    opts: SolverSettings | None = None,
-    extra_starts=(),
-):
-    """Maximize mu*r_p + r_c over the full bound at fixed (alpha, coupling)
-    under the sum budget ``p_p + alpha p_c``.  Deterministic starts: all
-    power water-filled for r_p, all for r_c, and half each spread evenly."""
-    mu = check_mu(mu)
-    mats = _broadcast_matrices(ch, alpha, nz)
-    ga, _, k_bar = mats
-    n = ga.shape[1]
-    budget = ch.p_p + alpha * ch.p_c
-    program = _two_block_program(ch, *mats)
-    zero_n, iso = np.zeros((n, n)), (0.5 * budget / n) * np.eye(n)
-    starts = [
-        (waterfill(ga, budget, real_mode=ch.real_mode)[1], zero_n),
-        (zero_n, waterfill(k_bar, budget, real_mode=ch.real_mode)[1]),
-        (iso, iso),
-        *extra_starts,
-    ]
-    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
-    alloc = OuterAllocation(*program.decode(theta))
-    rate = outer_rates(ch, alpha, nz, alloc)
-    return rate.mu_sum(mu), rate, alloc
-
-
-def min_outer_mu_sum_over_coupling(
-    ch: CognitiveChannel,
-    alpha: float,
-    mu: float,
-    opts: SolverSettings | None = None,
-    margin: float = 1e-6,
-    sweeps: int = 6,
-    rel_tol: float = 1e-6,
-):
-    """Infimum over noise couplings of the full-bound mu-sum.
-
-    Coordinate descent over the entries of q_z (golden section per entry,
-    candidates clipped back whenever the coupled covariance would lose strict
-    definiteness by less than ``margin``); each evaluation re-maximizes over
-    the transmit covariances.  Returns (value, coupling).
-    """
-    opts = opts or SolverSettings()
-    shape = (ch.n_pr, ch.n_cr)
-    q = np.zeros(shape)
-
-    def clipped(qc: np.ndarray) -> np.ndarray:
-        top = float(np.linalg.svd(qc, compute_uv=False)[0]) if qc.size else 0.0
-        limit = 1.0 - margin
-        if top > limit:
-            qc = qc * (limit / top)
-        return qc
-
-    def evaluate(qc: np.ndarray) -> float:
-        value, _, _ = mu_sum_outer(ch, alpha, NoiseCoupling(qc), mu, opts)
-        return value
-
-    best = evaluate(q)
-    for _ in range(sweeps):
-        improved = False
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                def per_entry(t: float) -> float:
-                    cand = q.copy()
-                    cand[i, j] = t
-                    return evaluate(clipped(cand))
-
-                t_star, val = golden_section(per_entry, -1.0 + margin, 1.0 - margin, tol=1e-3)
-                if val < best - rel_tol * (1.0 + abs(best)):
-                    cand = q.copy()
-                    cand[i, j] = t_star
-                    q = clipped(cand)
-                    best = val
-                    improved = True
-        if not improved:
-            break
-    return best, NoiseCoupling(q)

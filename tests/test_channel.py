@@ -168,9 +168,7 @@ def test_composite_matrices_values(sec7):
     assert np.allclose(mats.g_alpha, [[1.4435, 0.799]])
     mats_q = composite_matrices(sec7, 0.25)
     assert np.allclose(mats_q.g_alpha, [[1.4435, 1.598]])
-    assert np.allclose(mats_q.k_bar[:1], mats_q.g_alpha)
     assert np.allclose(mats_q.k[:, 0], 0.0)
-    assert np.allclose(mats_q.k_bar[1:, 1:], sec7.h_cc / 0.5)
 
 
 def test_composite_matches_scaled_channel(sec7):

@@ -293,7 +293,6 @@ ERROR_EXITS = {
     "ZeroChannel": (2, "error: "),
     "NonPositiveDefinite": (3, "solver error: "),
     "SingularNoise": (3, "solver error: "),
-    "SingularSigmaZ": (3, "solver error: "),
     "InfeasibleAllocation": (3, "solver error: "),
     "SolverDiverged": (3, "solver error: "),
     "BracketUnbounded": (3, "solver error: "),

@@ -18,24 +18,14 @@ from cograte.achievable import (
     trace_boundary,
 )
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
-from cograte.errors import (
-    InfeasibleAllocation,
-    SingularSigmaZ,
-    SolverDiverged,
-    UnsupportedMu,
-)
+from cograte.errors import InfeasibleAllocation, SolverDiverged, UnsupportedMu
 from cograte.linalg import log_det_id_plus
 from cograte.outer import (
-    NoiseCoupling,
-    OuterAllocation,
     _alpha_slope,
     bc_mu_sum,
     condition_check,
     inf_alpha_partial_outer,
-    min_outer_mu_sum_over_coupling,
-    mu_sum_outer,
     mu_sum_partial_outer,
-    outer_rates,
     partial_outer_max_rp,
     partial_outer_rates,
     trace_outer_boundary,
@@ -55,52 +45,6 @@ GAP_CHANNEL = CognitiveChannel(
     h_pp=[[-0.8138]], h_pc=[[0.1]], h_cp=[[1.232]], h_cc=[[1.129]],
     p_p=5.0, p_c=5.0, real_mode=True,
 )
-
-
-def test_noise_coupling_validation():
-    NoiseCoupling(np.array([[0.3, 0.4]]))
-    with pytest.raises(SingularSigmaZ):
-        NoiseCoupling(np.array([[0.9, 0.9]]))  # norm > 1
-    nz = NoiseCoupling(np.array([[0.2, -0.1]]))
-    sz = nz.sigma_z()
-    assert sz.shape == (3, 3)
-    assert np.allclose(sz, sz.T) and np.allclose(np.diag(sz), 1.0)
-
-
-def test_outer_rates_zero_cognitive_covariance(sec7):
-    a = OuterAllocation(q_p=np.diag([5.0, 5.0]), q_c=np.zeros((2, 2)))
-    for qz in (np.zeros((1, 2)), np.array([[0.5, 0.2]])):
-        rate = outer_rates(sec7, 1.0, NoiseCoupling(qz), a)
-        assert rate.r_c == pytest.approx(0.0, abs=1e-12)
-
-
-def test_outer_rates_direct_determinant(sec7):
-    # oracle: with q_z = 0 the cognitive rate is the 3x3 determinant
-    # log2 det(I + 5 v v^T) with v the full second column of the stacked map
-    a = OuterAllocation(q_p=np.diag([5.0, 0.0]), q_c=np.diag([0.0, 5.0]))
-    rate = outer_rates(sec7, 1.0, NoiseCoupling(np.zeros((1, 2))), a)
-    v = np.array([0.799, 0.9409, -0.9921])
-    expected = 0.5 * math.log2(1.0 + 5.0 * float(v @ v))
-    assert rate.r_c == pytest.approx(expected, abs=1e-10)
-    assert rate.r_c == pytest.approx(1.8795662548433676, abs=1e-10)
-
-
-def test_outer_rates_zero_allocation(sec7):
-    a = OuterAllocation(q_p=np.zeros((2, 2)), q_c=np.zeros((2, 2)))
-    rate = outer_rates(sec7, 1.0, NoiseCoupling(np.zeros((1, 2))), a)
-    assert rate.r_p == 0.0 and rate.r_c == 0.0
-
-
-def test_outer_rates_rejects_singular_coupling(sec7):
-    a = OuterAllocation(q_p=np.zeros((2, 2)), q_c=np.zeros((2, 2)))
-    with pytest.raises(SingularSigmaZ):
-        outer_rates(sec7, 1.0, NoiseCoupling(np.array([[1.0, 0.0]])), a)
-
-
-def test_outer_rates_budget(sec7):
-    a = OuterAllocation(q_p=np.diag([9.0, 0.0]), q_c=np.diag([0.0, 2.0]))
-    with pytest.raises(InfeasibleAllocation):
-        outer_rates(sec7, 1.0, NoiseCoupling(np.zeros((1, 2))), a)
 
 
 def test_partial_rates_examples(sec7):
@@ -490,52 +434,6 @@ def test_containment_on_randomized_channels(rng):
                     ch, alpha, mu, opts, extra_starts=[ach.witness]
                 )
                 assert bound.value >= ach.value - 1e-9
-
-
-def test_outer_mu_sum_and_coupling_infimum(sec7):
-    opts = SolverSettings(starts=3, seed=9, max_iters=400)
-    val0, rate0, _ = mu_sum_outer(sec7, 1.0, NoiseCoupling(np.zeros((1, 2))), 2.0, opts)
-    best, coupling = min_outer_mu_sum_over_coupling(
-        sec7, 1.0, 2.0, opts, sweeps=2
-    )
-    assert best <= val0 + 1e-6
-    assert np.linalg.svd(coupling.q_z, compute_uv=False)[0] <= 1.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_outer_mu_sum_whose_step_outgrows_the_float_square_runs_clean(sec7):
-    # the ascent's step grows fourfold per iteration on the ball's boundary;
-    # its candidate rows pass 1e154, whose squares overflow
-    nz = NoiseCoupling(np.array([[0.3, -0.2]]))
-    value, rate, alloc = mu_sum_outer(sec7, 1.0, nz, 1.0, SolverSettings(starts=4, seed=1))
-    assert value == pytest.approx(3.537974049, abs=1e-6)
-    assert value == rate.mu_sum(1.0)
-    assert np.trace(alloc.q_p + alloc.q_c).real <= sec7.p_p + sec7.p_c + 1e-9
-
-
-def test_coupling_infimum_never_below_partial(sec7):
-    # the partial bound is the claimed infimum target; a coarse search must
-    # stay above it (it optimizes the same mu-sum over a superset region)
-    opts = SolverSettings(starts=3, seed=9, max_iters=400)
-    part = mu_sum_partial_outer(sec7, 1.0, 2.0, opts).value
-    best, _ = min_outer_mu_sum_over_coupling(sec7, 1.0, 2.0, opts, sweeps=1)
-    assert best >= part - 1e-3
-
-
-def test_outer_rc_at_zero_coupling_upper_bounds_coupling_grid(sec7):
-    # fixed allocation, scan the coupling row over a grid: the infimum of the
-    # cognitive rate never exceeds its zero-coupling value
-    a = OuterAllocation(q_p=np.diag([5.0, 0.0]), q_c=np.diag([0.0, 5.0]))
-    base = outer_rates(sec7, 1.0, NoiseCoupling(np.zeros((1, 2))), a).r_c
-    values = []
-    for u in np.linspace(-0.9, 0.9, 13):
-        for v in np.linspace(-0.9, 0.9, 13):
-            if math.hypot(u, v) >= 0.999:
-                continue
-            nz = NoiseCoupling(np.array([[u, v]]))
-            values.append(outer_rates(sec7, 1.0, nz, a).r_c)
-    assert min(values) <= base + 1e-12
-    assert min(values) < base  # coupling strictly reduces it somewhere
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,4 +1,4 @@
-"""The log-det program behind the four mu-sum solvers agrees with the rate
+"""The log-det program behind the three mu-sum solvers agrees with the rate
 functions each solver reports its winner through, and the broadcast
 mu-sum's dual MAC maps back onto the broadcast region."""
 
@@ -29,14 +29,11 @@ from cograte.linalg import (
     psd_sqrt,
 )
 from cograte.outer import (
-    NoiseCoupling,
-    OuterAllocation,
     _broadcast_matrices,
     _dual_mac,
     _embed_structured,
     _mac_to_bc,
     bc_mu_sum,
-    outer_rates,
     partial_outer_rates,
 )
 from cograte.regions import RatePair
@@ -71,12 +68,10 @@ def _bc_rates(ch, ga, kk, q_p, q_c):
 
 
 def _programs(rng, ch):
-    """(program, rate pair of one decoded theta) for each of the four solvers."""
+    """(program, rate pair of one decoded theta) for each of the three solvers."""
     npt = ch.n_pt
     alpha = float(rng.uniform(0.3, 3.0))
     mats = composite_matrices(ch, alpha)
-    q_z = _draw(rng, (ch.n_pr, ch.n_cr), not ch.real_mode)
-    nz = NoiseCoupling(0.5 * q_z / np.linalg.svd(q_z, compute_uv=False)[0])
 
     def dpc(net, s_cc):
         return dpc_rates(
@@ -98,10 +93,6 @@ def _programs(rng, ch):
             lambda q_p, s_cc: partial_outer_rates(ch, alpha, q_p, s_cc),
         ),
         (dual, bc),
-        (
-            _two_block_program(ch, *_broadcast_matrices(ch, alpha, nz)),
-            lambda q_p, q_c: outer_rates(ch, alpha, nz, OuterAllocation(q_p, q_c)),
-        ),
     ]
 
 
@@ -394,24 +385,34 @@ def _dual_case(rng, complex_mode):
     return ch, alpha, ch.p_p + alpha * ch.p_c, _broadcast_matrices(ch, alpha)
 
 
+def _svd_log_det(e):
+    """log2|I + e e†| as Σ log2(1 + σ²) over the singular values of ``e``."""
+    return float(np.sum(np.log1p(np.linalg.svd(e, compute_uv=False) ** 2))) / math.log(2.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(complex_mode=st.booleans(), mu=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+@example(complex_mode=False, mu=1.0, seed=52845)
 def test_mac_to_bc_keeps_each_rate_and_the_total_power(complex_mode, mu, seed):
     # MAC-BC duality: any dual-MAC pair at full power maps to PSD broadcast
     # covariances at full power whose rates are the MAC's, with the cognitive
-    # user decoded first; the other order gives other rates
+    # user decoded first; the other order gives other rates.  The MAC's rates
+    # come straight from its factors: encoding P would add jitter to its
+    # diagonal, which biases a rate near 1e-4 bits by more than the tolerance
     rng = np.random.default_rng(seed)
     ch, alpha, budget, (ga, _, k) = _dual_case(rng, complex_mode)
     program, bases = _dual_mac(ch, ga, k)
     lows = [_draw(rng, (dim, dim), complex_mode) for _, dim, _ in program.blocks]
     scale = math.sqrt(budget / sum(np.linalg.norm(low) ** 2 for low in lows))
-    lows = [scale * low for low in lows]
-    roots = _mac_to_bc(ga, k, *(u @ low for u, low in zip(bases, lows)))
+    root_p, root_c = (scale * u @ low for u, low in zip(bases, lows))
+    roots = _mac_to_bc(ga, k, root_p, root_c)
     q_p, q_c = (r @ np.conj(r.T) for r in roots)
     tol = budget_tol(DEFAULT_TOL, budget)
     assert min(min_eigenvalue(q_p), min_eigenvalue(q_c)) >= -tol
     assert abs(np.trace(q_p + q_c).real - budget) <= tol
-    (r_p,), (r_c,) = program.rates(program.encode(*(low @ np.conj(low.T) for low in lows)))
+    e_p = np.conj(ga.T) @ root_p
+    both = _svd_log_det(np.hstack([e_p, np.conj(k.T) @ root_c]))
+    r_p, r_c = ch.rate_scale * _svd_log_det(e_p), ch.rate_scale * (both - _svd_log_det(e_p))
     rate = _two_block_rates(ch, ga, ga, k, q_p, q_c)
     np.testing.assert_allclose([rate.r_p, rate.r_c], [r_p, r_c], rtol=1e-9, atol=1e-12)
     assert rate.mu_sum(mu) == pytest.approx(mu * r_p + r_c, rel=1e-9)
@@ -449,3 +450,39 @@ def test_bc_mu_sum_is_not_below_the_generic_broadcast_ascent(complex_mode, mu, s
     assert res.value == pytest.approx(res.rate.mu_sum(mu), rel=1e-15)
     assert res.gap_bits >= 0.0
     assert res.value >= _generic_broadcast_value(ch, alpha, mu, opts) - 1e-9
+
+
+def _log2_det(m):
+    sign, value = np.linalg.slogdet(m)
+    assert sign.real > 0.0
+    return value / math.log(2.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(complex_mode=st.booleans(), mu=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_coupled_noise_never_lowers_the_broadcast_cognitive_rate(complex_mode, mu, seed):
+    # the full bound hands the cognitive receiver a genie copy of the licensed
+    # output, its noise coupled to the cognitive one by q_z; whitening
+    # [[I, q_z], [q_z†, I]] folds the coupling into the stacked channel.  By
+    # the chain rule that rate is the broadcast one plus the genie's
+    # conditional information, log|Cov(y_p | y_c)| - log|I - q_z q_z†| >= 0,
+    # so no coupling takes it below bc_mu_sum's r_c
+    rng = np.random.default_rng(seed)
+    ch, alpha, _, (ga, _, k) = _dual_case(rng, complex_mode)
+    res = bc_mu_sum(ch, alpha, mu, SolverSettings(starts=2, seed=0))
+    q_c = res.q_c
+    eye_p, eye_c = np.eye(ch.n_pr), np.eye(ch.n_cr)
+    c_pp, c_pc, c_cc = (a @ q_c @ np.conj(b.T) for a, b in ((ga, ga), (ga, k), (k, k)))
+    for _ in range(3):
+        q_z = _draw(rng, (ch.n_pr, ch.n_cr), complex_mode)
+        q_z *= rng.uniform(0.0, 0.95) / np.linalg.svd(q_z, compute_uv=False)[0]
+        sigma_z = np.block([[eye_p, q_z], [np.conj(q_z.T), eye_c]])
+        kw = np.linalg.solve(np.linalg.cholesky(sigma_z), np.vstack([ga, k]))
+        coupled = ch.rate_scale * _log2_det(np.eye(len(kw)) + kw @ q_c @ np.conj(kw.T))
+        cross = c_pc + q_z
+        conditional = eye_p + c_pp - cross @ np.linalg.solve(eye_c + c_cc, np.conj(cross.T))
+        genie = _log2_det(conditional) - _log2_det(eye_p - q_z @ np.conj(q_z.T))
+        own = _log2_det(eye_c + c_cc)
+        assert coupled == pytest.approx(ch.rate_scale * (own + genie), rel=1e-9, abs=1e-9)
+        assert genie >= -1e-9
+        assert coupled >= res.rate.r_c - 1e-9

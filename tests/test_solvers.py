@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import cograte.achievable as achievable
+from cograte.achievable import _two_block_program, _two_block_rates
+from cograte.channel import composite_matrices
 from cograte.errors import NonPositivePower, SolverDiverged, ZeroChannel
 from cograte.solvers import (
     NEG_INF,
@@ -171,6 +174,46 @@ def test_multistart_raises_on_non_finite_gradient():
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     with pytest.raises(SolverDiverged, match="gradient"):
         maximize_multistart(objective, 2, project, SolverSettings(starts=1, seed=0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ascent_whose_step_outgrows_the_float_square_runs_clean(monkeypatch, sec7):
+    # a broadcast program over coupled noise, [[I, q], [q†, I]], whitened into
+    # the cognitive term: on the sum-power ball's boundary the ascent's step
+    # grows fourfold per iteration up to the overflow guard, so its candidate
+    # rows pass 1e154, whose squares overflow, and the projection takes them
+    # onto the sphere in units of their largest entry
+    q = np.array([[0.3, -0.2]])
+    sigma_z = np.block([[np.eye(1), q], [q.T, np.eye(2)]])
+    mats = composite_matrices(sec7, 1.0)
+    ga = mats.g_alpha
+    kw = np.linalg.solve(np.linalg.cholesky(sigma_z), np.vstack([ga, mats.k]))
+    program = _two_block_program(sec7, ga, ga, kw)
+    budget, zero = sec7.p_p + sec7.p_c, np.zeros((2, 2))
+    starts = [
+        (waterfill(ga, budget, real_mode=True)[1], zero),
+        (zero, waterfill(kw, budget, real_mode=True)[1]),
+        ((0.25 * budget) * np.eye(2), (0.25 * budget) * np.eye(2)),
+    ]
+    largest = []
+
+    def watched(groups):
+        project = make_group_projection(groups)
+
+        def wrapper(theta):
+            largest.append(float(np.abs(theta).max()))
+            return project(theta)
+
+        return wrapper
+
+    monkeypatch.setattr(achievable, "make_group_projection", watched)
+    groups = [(np.arange(program.n_params), budget)]
+    theta = achievable._solve(program, 1.0, groups, SolverSettings(starts=4, seed=1), starts)
+    q_p, q_c = program.decode(theta)
+    value = _two_block_rates(sec7, ga, ga, kw, q_p, q_c).mu_sum(1.0)
+    assert value == pytest.approx(3.537974049, abs=1e-6)
+    assert np.trace(q_p + q_c) <= budget + 1e-9
+    assert max(largest) > 1e150
 
 
 def test_waterfill_flipped_row_channel():
