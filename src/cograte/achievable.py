@@ -226,41 +226,44 @@ class LogDetProgram:
         return e.reshape(len(thetas), *self._shape)
 
     def _log_dets(self, thetas: np.ndarray):
-        """``log2|M|`` of every log-det of parameter rows ``thetas``, ``M = I
-        + E E†``, and a function giving ``M⁻¹ E`` from the same matrices."""
+        """Two functions of parameter rows ``thetas``, built on the same
+        matrices: one gives ``log2|M|`` of every log-det, ``M = I + E E†``,
+        and one gives ``M⁻¹ E``; each computes only what it is asked for."""
         e = self._factors(thetas)
         if self.singular_values:
             u, s, vh = np.linalg.svd(e, full_matrices=False)
             return (
-                np.sum(np.log1p(s**2), axis=-1) / LN2,
+                lambda: np.sum(np.log1p(s**2), axis=-1) / LN2,
                 lambda: (u * (s / (1.0 + s**2))[..., None, :]) @ vh,
             )
         m = self._eye + e @ np.conj(np.swapaxes(e, -1, -2))
-        return np.linalg.slogdet(m)[1] / LN2, lambda: np.linalg.solve(m, e)
+        return lambda: np.linalg.slogdet(m)[1] / LN2, lambda: np.linalg.solve(m, e)
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        out = self.scale * (self._log_dets(thetas)[0] @ self._coef)
+        out = self.scale * (self._log_dets(thetas)[0]() @ self._coef)
         return out[:, 0], out[:, 1]
 
     def objective(self, mu: float):
         """The batched ``mu*r_p + r_c`` that :func:`maximize_multistart` ascends.
 
-        It maps parameter rows to ``(values, gradient)``; ``gradient()``
-        returns the rows' gradients from the same call's matrices, so rows
-        that only need a value never pay for one.
+        It maps parameter rows to ``(values, gradient)``, two no-argument
+        functions on the same call's matrices: ``values()`` returns the rows'
+        mu-sums and ``gradient()`` their gradients, so a call pays only for
+        what it reads.
         """
         weights = self.scale * (self._coef @ [mu, 1.0])
         slopes = (2.0 / LN2) * weights[:, None, None]
 
         def mu_sum(thetas: np.ndarray):
-            logdets, inverse_times_e = self._log_dets(thetas)
+            log_dets, inverse_times_e = self._log_dets(thetas)
 
             def gradient() -> np.ndarray:
-                g = (inverse_times_e() * slopes).reshape(len(logdets), -1)
+                g = inverse_times_e() * slopes
+                g = g.reshape(len(g), -1)
                 return (g.view(float) if self.complex_mode else g) @ self._product.T
 
-            return logdets @ weights, gradient
+            return lambda: log_dets() @ weights, gradient
 
         return mu_sum
 

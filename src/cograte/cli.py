@@ -216,7 +216,7 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     settings = _settings(args)
     ch = _load(args.channel, args.alpha_bracket)
     result = inf_alpha_partial_outer(
-        ch, mu, args.alpha_bracket, settings, n_scan=args.resolution // 20 + 10
+        ch, mu, args.alpha_bracket, settings, n_scan=args.resolution // 100 + 2
     )
     condition = condition_check(ch, result.alpha_star, mu, args.tol, settings)
     report = _sweep_report(args.tol, mu, result, condition)
@@ -257,11 +257,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _write_json(os.path.join(out_dir, "bounds.json"), _bounds_report(ch, DEFAULT_ALPHAS, curves))
 
     # scalar minimization of the bound's licensed-rate cap over alpha; the
-    # inner value is the closed-form water-filling capacity at each alpha
+    # inner value is the closed-form water-filling capacity at each alpha,
+    # scanned at the alpha sweep's default points
     lo, hi = args.alpha_bracket
     scan = scan_then_golden(
         central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
-        np.log(np.geomspace(lo, hi, 41)),
+        np.log(np.geomspace(lo, hi, 6)),
         tol=1e-12,
     )
     alpha_star = math.exp(scan.x)
@@ -329,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts": dict(type=int, default=8, help="solver multi-start count"),
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
-        "--resolution": dict(type=_resolution, default=400),
+        "--resolution": dict(type=_resolution, default=400,
+                             help="alpha scan points, one partial solve each: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,
                       help="tolerance of the tightness condition check"),

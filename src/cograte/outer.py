@@ -222,15 +222,17 @@ def inf_alpha_partial_outer(
     mu: float,
     alpha_bracket: tuple[float, float] = (1e-3, 1e3),
     opts: SolverSettings | None = None,
-    n_scan: int = 20,
+    n_scan: int = 6,
 ) -> InfAlphaResult:
     """Minimize the partial-bound mu-sum over the alpha scaling.
 
     Each evaluation solves the bound at one alpha and takes its slope in
     ``log alpha`` from the winner (:func:`_alpha_slope`).  A log-spaced scan
-    of ``n_scan`` points brackets the minimum, where the slope turns from
-    negative to positive, and a root finder on the slope polishes it to
-    1e-6 in ``log alpha`` (:func:`scan_then_golden`); more than one such
+    of ``n_scan`` points, both bracket edges included, brackets the minimum
+    where the slope turns from negative to positive, and a root finder on
+    the slope polishes it to 1e-6 in ``log alpha`` (:func:`scan_then_golden`).
+    The slope brackets from any two scan points, so the scan is coarse: its
+    density only sets how finely a second minimum is looked for, whose
     turn sets ``non_unimodal``.  The bracket widens tenfold, up to three
     times per side, whenever the minimum lies past an edge, mirroring the
     divergence of the objective at 0 and infinity.

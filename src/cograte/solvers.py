@@ -129,17 +129,17 @@ def maximize_multistart(
 ):
     """Multi-start projected gradient ascent; returns the best (value, theta).
 
-    ``objective`` maps a (batch, n_params) array to ``(values, gradient)``:
-    a (batch,) value array, which must be finite on the whole parameter
-    space, and a no-argument function returning the (batch, n_params)
-    gradient of those values.  ``project`` maps parameter batches onto the
-    feasible set.  ``extra_starts`` are deterministic warm starts evaluated
-    alongside the seeded random ones.
+    ``objective`` maps a (batch, n_params) array to ``(values, gradient)``,
+    two no-argument functions: ``values()`` returns the (batch,) values,
+    which must be finite on the whole parameter space, and ``gradient()``
+    the (batch, n_params) gradient of those values.  ``project`` maps
+    parameter batches onto the feasible set.  ``extra_starts`` are
+    deterministic warm starts evaluated alongside the seeded random ones.
 
     Every start climbs in lockstep so that one iteration makes two batched
     objective calls (the matrices are tiny; call overhead dominates): one at
-    the active iterates, whose gradient is taken, and one at all their
-    line-search candidates, whose gradient is not.  Each iteration
+    the active iterates, whose gradient alone is taken, and one at all their
+    line-search candidates, whose values alone are.  Each iteration
     line-searches along the gradient over a step ladder and also tries
     heavy-ball extrapolations along the recent trajectory; a start retires
     after three consecutive relative improvements below ``rel_tol`` or when
@@ -158,7 +158,7 @@ def maximize_multistart(
 
     thetas = project(np.asarray(starts, dtype=float))
     n_starts, k = thetas.shape
-    vals = np.asarray(objective(thetas)[0], dtype=float)
+    vals = np.asarray(objective(thetas)[0](), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise SolverDiverged("non-finite objective at a start point")
 
@@ -194,7 +194,7 @@ def maximize_multistart(
             axis=1,
         )
         cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
-        cvals = np.asarray(objective(cands.reshape(-1, k))[0], dtype=float).reshape(
+        cvals = np.asarray(objective(cands.reshape(-1, k))[0](), dtype=float).reshape(
             len(idx), n_cand
         )
         if not np.all(np.isfinite(cvals)):
@@ -265,8 +265,9 @@ def scan_then_golden(f, xs, tol: float = 1e-10) -> ScanResult:
     bracketed root of its slope.
 
     ``f(x)`` returns ``(value, slope)``.  A slope that goes from negative to
-    non-negative between two scan points brackets a local minimum; more than
-    one such change sets ``non_unimodal``.  A first slope >= 0 puts the
+    non-negative between two scan points brackets a local minimum, however
+    far apart they are, so a few points suffice; more scan points only look
+    more finely for a second such change, which sets ``non_unimodal``.  A first slope >= 0 puts the
     minimum at or below the low edge (``edge = -1``), a last slope <= 0 at
     or above the high edge (``edge = +1``); neither is polished.  Otherwise
     the bracket whose scan values are lowest is polished by

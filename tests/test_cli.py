@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cograte import cli, errors
+from cograte import cli, errors, outer
 from cograte.achievable import mu_sum_achievable
 from cograte.channel import load_channel
 from cograte.cli import build_parser, bundled_channel_text, main
@@ -129,8 +129,38 @@ def test_sweep_alpha_report(tmp_path, channel_file):
     assert 0.4 < doc["alpha_star"] < 0.7
     assert doc["condition_check"] is True
     assert "0.9689" in doc["paper_alpha_note"]
-    # the default resolution 400 scans 30 alphas; the slope search adds a few
-    assert 30 < doc["alpha_evals"] <= 30 + 8
+    # the default resolution 400 scans 6 alphas; the slope search adds a few
+    assert 6 < doc["alpha_evals"] <= 6 + 8
+    assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
+
+
+def test_sweep_alpha_resolution_sets_the_scan_points(monkeypatch, tmp_path, channel_file):
+    scans, alphas = [], []
+    sweep, solve = cli.inf_alpha_partial_outer, outer.mu_sum_partial_outer
+
+    def counted_sweep(*args, **kwargs):
+        scans.append(kwargs["n_scan"])
+        return sweep(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        alphas.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "inf_alpha_partial_outer", counted_sweep)
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
+    out = tmp_path / "sweep.json"
+    flags = ["--channel", channel_file, "--out", str(out), "--starts", "4"]
+    assert run(["sweep-alpha", *flags, "--resolution", "100"]) == 0
+    assert scans == [3]
+    assert json.loads(out.read_text())["alpha_evals"] <= 3 + 8
+    # resolution 2 scans the bracket edges alone; the slope brackets alpha* from them
+    alphas.clear()
+    assert run(["sweep-alpha", *flags, "--resolution", "2"]) == 0
+    assert scans == [3, 2]
+    assert alphas[:2] == [pytest.approx(1e-3, rel=1e-15), pytest.approx(1e3, rel=1e-15)]
+    assert all(1e-3 < a < 1e3 for a in alphas[2:])
+    doc = json.loads(out.read_text())
+    assert doc["n_value_per_mu"] == pytest.approx(2.3542, abs=1e-3)
     assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
 
 

@@ -106,10 +106,26 @@ def test_objective_matches_reported_rates(complex_mode, seed):
         # inside every power budget, so each rate function accepts the witness
         thetas *= 0.9 * np.sqrt(min(ch.p_p, ch.p_c)) / np.linalg.norm(thetas, axis=1)[:, None]
         mu = float(rng.uniform(0.0, 5.0))
-        values = program.objective(mu)(thetas)[0]
+        values = program.objective(mu)(thetas)[0]()
         expected = [rates(*program.decode(theta)).mu_sum(mu) for theta in thetas]
         assert values.shape == (len(thetas),)
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9)
+
+
+def test_a_gradient_call_takes_no_log_det(monkeypatch):
+    # the ascent reads only the gradient at its iterates and only the values
+    # of its line-search candidates, so each part is computed on demand
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m) or slogdet(m))
+    rng = np.random.default_rng(7)
+    ch = _channel(rng, True)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    values, gradient = program.objective(2.0)(rng.standard_normal((4, program.n_params)))
+    assert gradient().shape == (4, program.n_params)
+    assert calls == []
+    assert values().shape == (4,)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
@@ -261,7 +277,7 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     values, gradient = program.objective(mu)(thetas)
     got = gradient()
     assert got.shape == thetas.shape
-    np.testing.assert_allclose(values, mu * program.rates(thetas)[0] + program.rates(thetas)[1])
+    np.testing.assert_allclose(values(), mu * program.rates(thetas)[0] + program.rates(thetas)[1])
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())

@@ -147,7 +147,7 @@ def test_multistart_concave_toy():
 
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return -np.sum((thetas - c) ** 2, axis=1), lambda: -2.0 * (thetas - c)
+        return lambda: -np.sum((thetas - c) ** 2, axis=1), lambda: -2.0 * (thetas - c)
 
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     val, theta = maximize_multistart(
@@ -159,7 +159,7 @@ def test_multistart_concave_toy():
 def test_multistart_raises_on_nan():
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return np.full(thetas.shape[0], math.nan), lambda: np.zeros_like(thetas)
+        return lambda: np.full(thetas.shape[0], math.nan), lambda: np.zeros_like(thetas)
 
     project = make_group_projection([(np.array([0]), 1.0)])
     with pytest.raises(SolverDiverged):
@@ -169,7 +169,7 @@ def test_multistart_raises_on_nan():
 def test_multistart_raises_on_non_finite_gradient():
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return -np.sum(thetas**2, axis=1), lambda: np.full(thetas.shape, math.nan)
+        return lambda: -np.sum(thetas**2, axis=1), lambda: np.full(thetas.shape, math.nan)
 
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     with pytest.raises(SolverDiverged, match="gradient"):
