@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import CognitiveChannel
-from .errors import InfeasibleAllocation
+from .errors import InfeasibleAllocation, SolverDiverged
 from .linalg import (
     DEFAULT_TOL,
     LN2,
@@ -32,7 +32,7 @@ from .linalg import (
     range_basis,
     symmetrize,
 )
-from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
+from .regions import RatePair, RegionBoundary, as_grid, cross_polish
 from .solvers import SolverSettings, make_group_projection, maximize_multistart
 
 
@@ -244,28 +244,25 @@ class LogDetProgram:
         out = self.scale * (self._log_dets(thetas)[0]() @ self._coef)
         return out[:, 0], out[:, 1]
 
-    def objective(self, mu: float):
-        """The batched ``mu*r_p + r_c`` that :func:`maximize_multistart` ascends.
+    def weights(self, mu) -> np.ndarray:
+        """Log-det weights of ``mu*r_p + r_c``, a row per mu of a 1-D ``mu``."""
+        mu = np.asarray(mu, dtype=float)[..., None]
+        return self.scale * (mu * self._coef[:, 0] + self._coef[:, 1])
 
-        It maps parameter rows to ``(values, gradient)``, two no-argument
-        functions on the same call's matrices: ``values()`` returns the rows'
-        mu-sums and ``gradient()`` their gradients, so a call pays only for
-        what it reads.
-        """
-        weights = self.scale * (self._coef @ [mu, 1.0])
-        slopes = (2.0 / LN2) * weights[:, None, None]
+    def objective(self, thetas: np.ndarray):
+        """What :func:`maximize_multistart` ascends: ``(values, gradient)`` at
+        parameter rows ``thetas``, two functions on the same matrices of
+        weights ``w`` from :meth:`weights` (a row each or one for all), which
+        give the rows' weighted sums of log-dets and their gradients; a call
+        pays only for what it reads."""
+        log_dets, inverse_times_e = self._log_dets(thetas)
 
-        def mu_sum(thetas: np.ndarray):
-            log_dets, inverse_times_e = self._log_dets(thetas)
+        def gradient(w: np.ndarray) -> np.ndarray:
+            g = inverse_times_e() * ((2.0 / LN2) * w[..., None, None])
+            g = g.reshape(len(g), -1)
+            return (g.view(float) if self.complex_mode else g) @ self._product.T
 
-            def gradient() -> np.ndarray:
-                g = inverse_times_e() * slopes
-                g = g.reshape(len(g), -1)
-                return (g.view(float) if self.complex_mode else g) @ self._product.T
-
-            return lambda: log_dets() @ weights, gradient
-
-        return mu_sum
+        return lambda w: (log_dets() * w).sum(axis=-1), gradient
 
     def encode(self, *matrices: np.ndarray) -> np.ndarray:
         """Parameter vector of one PSD matrix per block (for starts)."""
@@ -335,25 +332,33 @@ def _dpc_matrices(ch: CognitiveChannel):
     return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
-def _solve(program: LogDetProgram, mu, groups, opts, starts) -> np.ndarray:
-    """Winning theta of the program's mu-sum under the trace budgets
-    ``groups`` (parameter indices, budget).  ``starts`` hold one matrix per
-    block as a tuple, a :class:`DpcAllocation` (its stacked block and
-    sigma_cc), or a raw parameter vector."""
-    encoded = []
-    for item in starts:
+def _solve(program: LogDetProgram, mus, groups, opts, starts, where: str = "") -> np.ndarray:
+    """Winning thetas of the program's mu-sums, a row per mu of ``mus``, under
+    the trace budgets ``groups`` (parameter indices, budget).  ``starts`` has
+    a sequence per mu of tuples of one matrix per block, :class:`DpcAllocation`
+    (its stacked block and sigma_cc) or raw parameter vectors.  A divergence
+    names its mu, then ``where``."""
+
+    def encode(item):
         if isinstance(item, DpcAllocation):
             item = (item.sigma_p_net, item.sigma_cc)
-        encoded.append(program.encode(*item) if isinstance(item, tuple) else item)
-    _, theta = maximize_multistart(
-        program.objective(mu),
-        program.n_params,
-        make_group_projection(groups),
-        opts or SolverSettings(),
-        scale=math.sqrt(max(budget for _, budget in groups)),
-        extra_starts=encoded,
-    )
-    return theta
+        return program.encode(*item) if isinstance(item, tuple) else item
+
+    try:
+        _, thetas = maximize_multistart(
+            program.objective,
+            program.n_params,
+            make_group_projection(groups),
+            opts or SolverSettings(),
+            program.weights(mus),
+            scale=math.sqrt(max(budget for _, budget in groups)),
+            extra_starts=[[encode(item) for item in own] for own in starts],
+        )
+    except SolverDiverged as exc:
+        if exc.owner is None:
+            raise
+        raise SolverDiverged(f"{exc} (at mu={mus[exc.owner]:g}{where})") from exc
+    return thetas
 
 
 def _corner_allocations(ch: CognitiveChannel):
@@ -388,27 +393,35 @@ def _corner_allocations(ch: CognitiveChannel):
 
 def mu_sum_achievable(
     ch: CognitiveChannel,
-    mu: float,
+    mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
-) -> MuSumResult:
+):
     """Maximize mu*r_p + r_c over feasible DPC allocations.
 
     Multi-start projected gradient ascent over Cholesky parameters of the
     stacked covariance block and sigma_cc; block-PSD holds by construction
     and the two trace budgets are enforced by exact group projection.
     ``extra_starts`` may carry allocations or raw parameter vectors.
+
+    A 1-D grid ``mu`` is solved in one lockstep ascent, with a sequence of
+    ``extra_starts`` per mu, into a list of the results each mu gets alone.
     """
-    mu = check_mu(mu)
-    program = _two_block_program(ch, *_dpc_matrices(ch))
+    mus, extra = as_grid(mu, extra_starts)
+    mats = _dpc_matrices(ch)
+    program = _two_block_program(ch, *mats)
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
-    theta = _solve(program, mu, groups, opts, [*_corner_allocations(ch), *extra_starts])
-    witness = DpcAllocation.from_net(*program.decode(theta))
-    _check_feasible(ch, witness, DEFAULT_TOL)
-    rate = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(theta))
-    return MuSumResult(value=rate.mu_sum(mu), rate=rate, witness=witness, theta=theta)
+    corners = _corner_allocations(ch)
+    thetas = _solve(program, mus, groups, opts, [[*corners, *own] for own in extra])
+    results = []
+    for mu_i, theta in zip(mus, thetas):
+        witness = DpcAllocation.from_net(*program.decode(theta))
+        _check_feasible(ch, witness, DEFAULT_TOL)
+        rate = _two_block_root_rates(ch, *mats, *program.lower_factors(theta))
+        results.append(MuSumResult(rate.mu_sum(mu_i), rate, witness, theta))
+    return results if np.ndim(mu) else results[0]
 
 
 def trace_boundary(
@@ -418,22 +431,15 @@ def trace_boundary(
 ) -> RegionBoundary:
     """Trace the achievable boundary over a grid of mu weights.
 
-    Solves largest mu first, warm-starting each solve from the previous
-    witness, then rescores every mu against the pooled witnesses so the
-    emitted points are exactly Pareto ordered (dominated solves never win).
+    Solves the whole grid, largest mu first, in one lockstep ascent, every
+    mu from its own cold starts (:func:`mu_sum_achievable`), then rescores
+    every mu against the pooled witnesses so the emitted points are exactly
+    Pareto ordered (dominated solves never win).
     """
     opts = opts or SolverSettings()
-
-    def solve(mu, warm):
-        res = mu_sum_achievable(ch, mu, opts, extra_starts=[] if warm is None else [warm])
-        return res.rate, asdict(res.witness), res.theta
-
-    points = cross_polish(*sweep_mu(mu_grid, solve))
+    mus = sorted(mu_grid, reverse=True)
+    results = mu_sum_achievable(ch, mus, opts)
+    points = cross_polish(mus, [r.rate for r in results], [asdict(r.witness) for r in results])
     return RegionBoundary(
-        points=points,
-        metadata={
-            "kind": "achievable",
-            "channel": ch.digest(),
-            "settings": asdict(opts),
-        },
+        points, {"kind": "achievable", "channel": ch.digest(), "settings": asdict(opts)}
     )

@@ -45,7 +45,12 @@ class InfeasibleAllocation(CograteError):
 
 
 class SolverDiverged(CograteError):
-    """An optimizer produced non-finite iterates (bad settings, never silent)."""
+    """An optimizer produced non-finite iterates (bad settings, never silent);
+    ``owner`` indexes the weighting whose ascent failed, if known."""
+
+    def __init__(self, message: str, owner: int | None = None):
+        super().__init__(message)
+        self.owner = owner
 
 
 class BracketUnbounded(CograteError):

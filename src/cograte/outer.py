@@ -40,7 +40,7 @@ from .linalg import (
     range_basis,
     symmetrize,
 )
-from .regions import RatePair, RegionBoundary, check_mu, cross_polish, sweep_mu
+from .regions import RatePair, RegionBoundary, as_grid, check_mu, cross_polish
 from .solvers import (
     ScanResult,
     SolverSettings,
@@ -136,37 +136,37 @@ def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
 def mu_sum_partial_outer(
     ch: CognitiveChannel,
     alpha: float,
-    mu: float,
+    mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
-) -> BoundMuSumResult:
+):
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
     ``extra_starts`` accepts DPC allocations of ``ch`` (mapped into the
     bound through :func:`scale_allocation`, which keeps their rate pair),
-    (q_p, sigma_cc) pairs, or raw parameter vectors.
+    (q_p, sigma_cc) pairs, or raw parameter vectors.  A 1-D grid ``mu`` is
+    solved as :func:`~cograte.achievable.mu_sum_achievable` solves one.
     """
-    mu = check_mu(mu)
+    mus, extra = as_grid(mu, extra_starts)
     budget = ch.p_p + alpha * ch.p_c
     scaled = scaled_channel(ch, alpha)
     program = _two_block_program(scaled, *_dpc_matrices(scaled))
-    starts = _bound_corners(ch, alpha, budget)
-    for a in extra_starts:
-        starts.append(scale_allocation(a, alpha) if isinstance(a, DpcAllocation) else a)
-    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
-    q_p, s_cc = program.decode(theta)
-    _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, sigma_cc=s_cc)
-    roots = tuple(program.lower_factors(theta))
-    rate = _partial_root_rates(ch, alpha, roots)
-    return BoundMuSumResult(
-        value=rate.mu_sum(mu),
-        rate=rate,
-        q_p=q_p,
-        sigma_cc=s_cc,
-        theta=theta,
-        alpha=alpha,
-        roots=roots,
+    corners = _bound_corners(ch, alpha, budget)
+    starts = [
+        corners + [scale_allocation(a, alpha) if isinstance(a, DpcAllocation) else a for a in own]
+        for own in extra
+    ]
+    thetas = _solve(
+        program, mus, [(np.arange(program.n_params), budget)], opts, starts, f", alpha={alpha:g}"
     )
+    results = []
+    for mu_i, theta in zip(mus, thetas):
+        q_p, s_cc = program.decode(theta)
+        _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, sigma_cc=s_cc)
+        roots = tuple(program.lower_factors(theta))
+        rate = _partial_root_rates(ch, alpha, roots)
+        results.append(BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, alpha, roots))
+    return results if np.ndim(mu) else results[0]
 
 
 def _partial_root_rates(ch: CognitiveChannel, alpha: float, roots) -> RatePair:
@@ -419,7 +419,7 @@ def bc_mu_sum(
     # channels; at 1e-12 it stays above that ascent
     opts = opts or SolverSettings()
     opts = replace(opts, rel_tol=min(opts.rel_tol, 1e-12))
-    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    (theta,) = _solve(program, [mu], [(np.arange(program.n_params), budget)], opts, [starts])
     low_p, low_c = program.lower_factors(theta)
     root_p, root_c = u_p @ low_p, u_c @ low_c
     roots = _mac_to_bc(ga, k, root_p, root_c)
@@ -481,36 +481,26 @@ def trace_outer_boundary(
     opts: SolverSettings | None = None,
     warm_boundary: RegionBoundary | None = None,
 ) -> RegionBoundary:
-    """Trace the partial bound's boundary over a mu grid at one alpha.
+    """Trace the partial bound's boundary over a mu grid at one alpha, as
+    :func:`~cograte.achievable.trace_boundary` traces the region.
 
     ``warm_boundary`` (typically the achievable boundary over the same grid)
-    contributes mapped warm starts, which keeps the traced bound numerically
-    above the region it contains even where the two curves touch.
+    adds its mapped witness at each mu to that mu's starts, which keeps the
+    traced bound numerically above the region it contains even where the
+    two curves touch.
     """
     opts = opts or SolverSettings()
 
-    warm_by_mu = {}
     keys = ("sigma_p", "sigma_cp", "sigma_cc", "q")
-    if warm_boundary is not None:
-        for p in warm_boundary.points:
-            w = p.witness
-            if all(k in w for k in keys):
-                warm_by_mu[float(p.mu)] = DpcAllocation(*(w[k] for k in keys))
-
-    def solve(mu, warm):
-        extra = [] if warm is None else [warm]
-        if mu in warm_by_mu:
-            extra.append(warm_by_mu[mu])
-        res = mu_sum_partial_outer(ch, alpha, mu, opts, extra_starts=extra)
-        return res.rate, {"q_p": res.q_p, "sigma_cc": res.sigma_cc}, res.theta
-
-    points = cross_polish(*sweep_mu(mu_grid, solve, where=f", alpha={alpha:g}"))
-    return RegionBoundary(
-        points=points,
-        metadata={
-            "kind": "partial_outer",
-            "alpha": alpha,
-            "channel": ch.digest(),
-            "settings": asdict(opts),
-        },
-    )
+    warm_by_mu = {
+        float(p.mu): [DpcAllocation(*(p.witness[k] for k in keys))]
+        for p in (warm_boundary.points if warm_boundary is not None else ())
+        if all(k in p.witness for k in keys)
+    }
+    mus = sorted(mu_grid, reverse=True)
+    extra = [warm_by_mu.get(mu, []) for mu in mus]
+    results = mu_sum_partial_outer(ch, alpha, mus, opts, extra_starts=extra)
+    witnesses = [{"q_p": r.q_p, "sigma_cc": r.sigma_cc} for r in results]
+    points = cross_polish(mus, [r.rate for r in results], witnesses)
+    metadata = {"kind": "partial_outer", "alpha": alpha, "channel": ch.digest()}
+    return RegionBoundary(points, {**metadata, "settings": asdict(opts)})

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverDiverged, UnsupportedMu
+from .errors import UnsupportedMu
 
 SCHEMA_VERSION = 1
 
@@ -108,24 +108,17 @@ def _matrix_list(m):
     return [[float(v) for v in row] for row in a]
 
 
-def sweep_mu(mu_grid, solve, where: str = ""):
-    """Solve each mu of ``mu_grid`` (repeats kept), largest first.
-
-    ``solve(mu, warm)`` returns ``(rate, witness, theta)``; ``warm`` is the
-    previous solve's ``theta``, None at first.  Returns the arguments of
-    :func:`cross_polish`.  A divergence names its mu, then ``where``."""
-    mus = sorted((check_mu(m) for m in mu_grid), reverse=True)
-    if not mus:
-        raise ValueError("mu_grid must be nonempty")
-    rates, witnesses, warm = [], [], None
-    for mu in mus:
-        try:
-            rate, witness, warm = solve(mu, warm)
-        except SolverDiverged as exc:
-            raise SolverDiverged(f"{exc} (at mu={mu:g}{where})") from exc
-        rates.append(rate)
-        witnesses.append(witness)
-    return mus, rates, witnesses
+def as_grid(mu, extra_starts=()):
+    """``(mus, starts)`` of a weight or a 1-D grid of weights: the checked
+    weights (:func:`check_mu`) as a list, and one sequence of extra starts
+    per weight, which ``extra_starts`` is for a grid and holds for a scalar."""
+    if np.ndim(mu) == 0:
+        return [check_mu(mu)], [extra_starts]
+    mus = [check_mu(m) for m in mu]
+    starts = list(extra_starts) or [()] * len(mus)
+    if not mus or len(starts) != len(mus):
+        raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
+    return mus, starts
 
 
 def cross_polish(mus, rates, witnesses):

@@ -124,43 +124,56 @@ def maximize_multistart(
     n_params: int,
     project,
     settings: SolverSettings,
+    weights,
     scale: float = 1.0,
-    extra_starts=(),
+    extra_starts=((),),
 ):
-    """Multi-start projected gradient ascent; returns the best (value, theta).
+    """Multi-start projected gradient ascent of one objective under several
+    weightings at once; returns the best (values, thetas) of each weighting.
 
     ``objective`` maps a (batch, n_params) array to ``(values, gradient)``,
-    two no-argument functions: ``values()`` returns the (batch,) values,
-    which must be finite on the whole parameter space, and ``gradient()``
-    the (batch, n_params) gradient of those values.  ``project`` maps
-    parameter batches onto the feasible set.  ``extra_starts`` are
-    deterministic warm starts evaluated alongside the seeded random ones.
+    two functions of ``w``, the row of ``weights`` of each parameter row's
+    weighting: ``values(w)`` returns the (batch,) values, which must be
+    finite on the whole parameter space, and ``gradient(w)`` their (batch,
+    n_params) gradient.  ``project`` maps parameter batches onto the
+    feasible set.  Each weighting starts from zero, its own sequence of
+    ``extra_starts`` and the same seeded random draws, as alone it would.
 
-    Every start climbs in lockstep so that one iteration makes two batched
-    objective calls (the matrices are tiny; call overhead dominates): one at
-    the active iterates, whose gradient alone is taken, and one at all their
-    line-search candidates, whose values alone are.  Each iteration
-    line-searches along the gradient over a step ladder and also tries
-    heavy-ball extrapolations along the recent trajectory; a start retires
-    after three consecutive relative improvements below ``rel_tol`` or when
-    its step underflows.
+    All starts of all weightings climb in lockstep, so that one iteration
+    makes two batched objective calls (the matrices are tiny; call overhead
+    dominates): one at the active iterates, whose gradient alone is taken,
+    and one at all their line-search candidates, whose values alone are.
+    Each iteration line-searches along the gradient over a step ladder and
+    also tries heavy-ball extrapolations along the recent trajectory; a start
+    retires after three consecutive relative improvements below ``rel_tol``
+    or when its step underflows.  No start sees another, so each weighting
+    climbs as it would alone; a non-finite value raises
+    :class:`SolverDiverged` with the index of its weighting as ``owner``.
     """
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
-    starts = [np.zeros(n_params)]
-    for theta in extra_starts:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.size != n_params:
-            raise ValueError("extra start has wrong length")
-        starts.append(theta)
-    for i in range(settings.starts):
-        radius = scale * (0.3 if i % 2 else 1.0)
-        starts.append(radius * rng.standard_normal(n_params))
+    draws = [
+        scale * (0.3 if i % 2 else 1.0) * rng.standard_normal(n_params)
+        for i in range(settings.starts)
+    ]
+    starts, owner = [], []
+    for m, extra in enumerate(extra_starts):
+        own = [np.zeros(n_params)] + [np.asarray(t, dtype=float).reshape(-1) for t in extra]
+        starts += own + draws
+        owner += [m] * (len(own) + len(draws))
+    if any(theta.size != n_params for theta in starts):
+        raise ValueError("extra start has wrong length")
+    owner = np.asarray(owner)
+
+    def finite(a, rows, where):
+        if not np.isfinite(a).all():
+            bad = ~np.isfinite(a.reshape(len(rows), -1)).all(axis=1)
+            raise SolverDiverged(f"non-finite objective {where}", owner=int(rows[bad][0]))
 
     thetas = project(np.asarray(starts, dtype=float))
     n_starts, k = thetas.shape
-    vals = np.asarray(objective(thetas)[0](), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise SolverDiverged("non-finite objective at a start point")
+    vals = np.asarray(objective(thetas)[0](weights[owner]), dtype=float)
+    finite(vals, owner, "at a start point")
 
     step = np.full(n_starts, 0.25 * scale)
     stall = np.zeros(n_starts, dtype=int)
@@ -169,19 +182,18 @@ def maximize_multistart(
     n_cand = len(_LADDER) + len(_MOMENTUM)
 
     for _ in range(settings.max_iters):
-        idx = np.nonzero(active)[0]
+        idx = active.nonzero()[0]
         if idx.size == 0:
             break
-        th = thetas[idx]
-        grad = np.asarray(objective(th)[1](), dtype=float)
-        if not np.all(np.isfinite(grad)):
-            raise SolverDiverged("non-finite objective during gradient evaluation")
-        gnorm = np.linalg.norm(grad, axis=1)
+        th, own = thetas[idx], owner[idx]
+        w = weights[own]
+        grad = np.asarray(objective(th)[1](w), dtype=float)
+        finite(grad, own, "during gradient evaluation")
+        gnorm = np.sqrt((grad * grad).sum(axis=1))
         dead = gnorm < 1e-15
-        if np.any(dead):
+        if dead.any():
             active[idx[dead]] = False
-            keep = ~dead
-            idx, th, grad, gnorm = idx[keep], th[keep], grad[keep], gnorm[keep]
+            idx, th, grad, gnorm, own, w = (a[~dead] for a in (idx, th, grad, gnorm, own, w))
             if idx.size == 0:
                 continue
         direction = grad / gnorm[:, None]
@@ -194,36 +206,30 @@ def maximize_multistart(
             axis=1,
         )
         cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
-        cvals = np.asarray(objective(cands.reshape(-1, k))[0](), dtype=float).reshape(
-            len(idx), n_cand
-        )
-        if not np.all(np.isfinite(cvals)):
-            raise SolverDiverged("non-finite objective during line search")
-        best = np.argmax(cvals, axis=1)
-        rows = np.arange(len(idx))
-        improved = cvals[rows, best] > vals[idx]
-        for local, start in enumerate(idx):
-            b = best[local]
-            if improved[local]:
-                gain = cvals[local, b] - vals[start]
-                prev[start] = thetas[start]
-                thetas[start] = cands[local, b]
-                vals[start] = cvals[local, b]
-                if b < len(_LADDER):
-                    step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
-                if gain < settings.rel_tol * (1.0 + abs(vals[start])):
-                    stall[start] += 1
-                    if stall[start] >= 3:
-                        active[start] = False
-                else:
-                    stall[start] = 0
-            else:
-                step[start] *= 0.25
-                if step[start] < 1e-13 * scale:
-                    active[start] = False
+        cvals = np.asarray(
+            objective(cands.reshape(-1, k))[0](w.repeat(n_cand, axis=0)), dtype=float
+        ).reshape(len(idx), n_cand)
+        finite(cvals, own, "during line search")
 
-    winner = int(np.argmax(vals))
-    return float(vals[winner]), thetas[winner]
+        # each row moves to its best candidate if that improves on it
+        best, top, old = cvals.argmax(axis=1), cvals.max(axis=1), vals[idx]
+        improved = top > old
+        up, b, top = idx[improved], best[improved], top[improved]
+        prev[up] = thetas[up]
+        thetas[up] = cands[improved, b]
+        vals[up] = top
+        ladder = b < len(_LADDER)
+        grown = _LADDER[b[ladder]] * step[up[ladder]]
+        step[up[ladder]] = np.minimum(np.maximum(grown, 1e-14), _MAX_STEP)
+        stalls = (stall[up] + 1) * (top - old[improved] < settings.rel_tol * (1.0 + np.abs(top)))
+        stall[up] = stalls
+        active[up[stalls >= 3]] = False
+        down = idx[~improved]  # and shrinks its step otherwise
+        step[down] *= 0.25
+        active[down[step[down] < 1e-13 * scale]] = False
+
+    winners = [np.flatnonzero(owner == m)[np.argmax(vals[owner == m])] for m in range(len(weights))]
+    return vals[winners], thetas[winners]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -214,8 +214,9 @@ def test_trace_boundary_deterministic(sec7):
 
 
 def test_trace_boundary_consistent_with_direct_solves(sec7, fast):
-    # warm chaining and pooled rescoring may only help: every traced point
-    # scores at least what an independent cold solve of the same mu finds
+    # each grid mu climbs from its own cold starts and pooled rescoring may
+    # only help: every traced point scores at least what an independent cold
+    # solve of the same mu finds
     grid = [0.2, 2.0, 20.0]
     boundary = trace_boundary(sec7, grid, fast)
     by_mu = {p.mu: p for p in boundary.points}

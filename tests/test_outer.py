@@ -10,6 +10,7 @@ from conftest import ORACLE_GAP
 import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
+    LogDetProgram,
     _dpc_matrices,
     _two_block_program,
     dpc_rate_caps,
@@ -31,7 +32,7 @@ from cograte.outer import (
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
-from cograte.regions import RatePair, sweep_mu
+from cograte.regions import RatePair
 from cograte.solvers import SolverSettings, golden_section, waterfill
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -441,20 +442,56 @@ def test_tracers_keep_repeated_mus(sec7, fast):
         assert [p.mu for p in boundary.points] == grid
 
 
-def test_sweep_mu_warm_starts_largest_first_and_names_the_failing_mu():
-    seen = []
+def test_a_diverging_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):
+    # the gradient goes non-finite for the rows of mu = 0.5 alone, the last
+    # mu of the grid in solve order; the error names that mu, not the first
+    objective = LogDetProgram.objective
 
-    def solve(mu, warm):
-        seen.append((mu, warm))
-        if mu < 1.0:
-            raise SolverDiverged("non-finite objective")
-        return RatePair(mu, 1.0), {"mu": mu}, f"theta at {mu:g}"
+    def poisoned(self, thetas):
+        values, gradient = objective(self, thetas)
 
-    mus, rates, witnesses = sweep_mu([1.0, 3.0, 1.0], solve)
-    assert mus == [3.0, 1.0, 1.0] and [w["mu"] for w in witnesses] == mus
-    assert seen == [(3.0, None), (1.0, "theta at 3"), (1.0, "theta at 1")]
-    with pytest.raises(SolverDiverged, match=r"objective \(at mu=0.5, alpha=2\)$"):
-        sweep_mu([2.0, 0.5], solve, where=", alpha=2")
+        def bad_gradient(w):
+            # every two-block program weights r_p's log-dets by mu, r_c's by 1
+            offending = np.isclose(w[:, 0], 0.5 * w[:, 2])
+            return np.where(offending[:, None], np.nan, gradient(w))
+
+        return values, bad_gradient
+
+    monkeypatch.setattr(LogDetProgram, "objective", poisoned)
+    with pytest.raises(SolverDiverged, match=r"gradient evaluation \(at mu=0.5, alpha=2\)$"):
+        trace_outer_boundary(sec7, 2.0, [1.0, 0.5, 3.0], fast)
+    with pytest.raises(SolverDiverged, match=r"gradient evaluation \(at mu=0.5\)$"):
+        trace_boundary(sec7, [1.0, 0.5, 3.0], fast)
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_a_grid_solve_is_each_mu_solved_alone(monkeypatch, sec7, channel):
+    # every start of every mu climbs in one batch; each mu's rows must see
+    # that mu's weights, so each grid point is its own standalone solve
+    if channel == "mimo":
+        monkeypatch.syspath_prepend(BENCH)
+        from inputs import mimo_channel
+
+        ch = load_channel(json.dumps(mimo_channel(2, 1)))
+    else:
+        ch = sec7
+    opts = SolverSettings(starts=4, seed=5)
+    grid = [3.0, 1.0, 0.25]
+    alone = [mu_sum_achievable(ch, mu, opts) for mu in grid]
+    extra = [[res.witness] for res in alone]
+    cases = [
+        (mu_sum_achievable(ch, grid, opts), alone),
+        (
+            mu_sum_partial_outer(ch, 0.7, grid, opts, extra_starts=extra),
+            [mu_sum_partial_outer(ch, 0.7, mu, opts, extra_starts=e) for mu, e in zip(grid, extra)],
+        ),
+    ]
+    for together, apart in cases:
+        assert len(together) == len(grid)
+        for mu, got, want in zip(grid, together, apart):
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.value == pytest.approx(got.rate.mu_sum(mu), rel=1e-15)
+            np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
 
 
 def test_containment_on_randomized_channels(rng):

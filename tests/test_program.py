@@ -106,7 +106,7 @@ def test_objective_matches_reported_rates(complex_mode, seed):
         # inside every power budget, so each rate function accepts the witness
         thetas *= 0.9 * np.sqrt(min(ch.p_p, ch.p_c)) / np.linalg.norm(thetas, axis=1)[:, None]
         mu = float(rng.uniform(0.0, 5.0))
-        values = program.objective(mu)(thetas)[0]()
+        values = program.objective(thetas)[0](program.weights(mu))
         expected = [rates(*program.decode(theta)).mu_sum(mu) for theta in thetas]
         assert values.shape == (len(thetas),)
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9)
@@ -121,10 +121,10 @@ def test_a_gradient_call_takes_no_log_det(monkeypatch):
     rng = np.random.default_rng(7)
     ch = _channel(rng, True)
     program = _two_block_program(ch, *_dpc_matrices(ch))
-    values, gradient = program.objective(2.0)(rng.standard_normal((4, program.n_params)))
-    assert gradient().shape == (4, program.n_params)
+    values, gradient = program.objective(rng.standard_normal((4, program.n_params)))
+    assert gradient(program.weights(2.0)).shape == (4, program.n_params)
     assert calls == []
-    assert values().shape == (4,)
+    assert values(program.weights(2.0)).shape == (4,)
     assert len(calls) == 1
 
 
@@ -274,10 +274,11 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     rng = np.random.default_rng(seed)
     program, _ = _kernel_case(rng, complex_mode, dims, receivers, divisor)
     thetas = rng.standard_normal((3, program.n_params))
-    values, gradient = program.objective(mu)(thetas)
-    got = gradient()
+    values, gradient = program.objective(thetas)
+    got = gradient(program.weights(mu))
     assert got.shape == thetas.shape
-    np.testing.assert_allclose(values(), mu * program.rates(thetas)[0] + program.rates(thetas)[1])
+    want = mu * program.rates(thetas)[0] + program.rates(thetas)[1]
+    np.testing.assert_allclose(values(program.weights(mu)), want)
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
@@ -301,7 +302,7 @@ def test_gradient_of_a_small_rank_one_term_matches_central_differences(complex_m
         scale=1.0 if complex_mode else 0.5,
     )
     thetas = rng.standard_normal((3, program.n_params))
-    for row, theta in zip(program.objective(0.0)(thetas)[1](), thetas):
+    for row, theta in zip(program.objective(thetas)[1](program.weights(0.0)), thetas):
         want = _central_differences(program, 0.0, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
 
@@ -323,7 +324,7 @@ def test_rank_deficient_terms_match_dense_reference(complex_mode, dims, receiver
     program, spec = _kernel_case(rng, complex_mode, dims, receivers, 1.0, kinds)
     thetas = rng.standard_normal((3, program.n_params))
     _check_kernel(program, spec, complex_mode, thetas)
-    for row, theta in zip(program.objective(mu)(thetas)[1](), thetas):
+    for row, theta in zip(program.objective(thetas)[1](program.weights(mu)), thetas):
         want = _central_differences(program, mu, theta)
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
     (g, _), (h_int, _), (h_c, _) = spec["terms"]
@@ -355,7 +356,7 @@ def test_singular_value_log_dets_match_the_slogdet_ones(
     thetas = rng.standard_normal((3, program.n_params))
     for got, want in zip(by_svd.rates(thetas), program.rates(thetas)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    got, want = (p.objective(mu)(thetas)[1]() for p in (by_svd, program))
+    got, want = (p.objective(thetas)[1](p.weights(mu)) for p in (by_svd, program))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 + 1e-9 * np.abs(want).max())
 
 
@@ -449,7 +450,7 @@ def _generic_broadcast_value(ch, alpha, mu, opts):
         (zero_n, waterfill(k, budget, real_mode=ch.real_mode)[1]),
         (iso, iso),
     ]
-    theta = _solve(program, mu, [(np.arange(program.n_params), budget)], opts, starts)
+    (theta,) = _solve(program, [mu], [(np.arange(program.n_params), budget)], opts, [starts])
     return _two_block_rates(ch, *mats, *program.decode(theta)).mu_sum(mu)
 
 

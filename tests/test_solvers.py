@@ -1,12 +1,15 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import cograte.achievable as achievable
-from cograte.achievable import _two_block_program, _two_block_rates
-from cograte.channel import composite_matrices
+from cograte.achievable import _dpc_matrices, _two_block_program, _two_block_rates
+from cograte.channel import composite_matrices, load_channel
 from cograte.errors import NonPositivePower, SolverDiverged, ZeroChannel
+from cograte.outer import _bound_corners
 from cograte.solvers import (
     NEG_INF,
     SolverSettings,
@@ -17,6 +20,8 @@ from cograte.solvers import (
     scan_then_golden,
     waterfill,
 )
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_neg_inf_ordering():
@@ -147,11 +152,11 @@ def test_multistart_concave_toy():
 
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return lambda: -np.sum((thetas - c) ** 2, axis=1), lambda: -2.0 * (thetas - c)
+        return lambda w: -np.sum((thetas - c) ** 2, axis=1), lambda w: -2.0 * (thetas - c)
 
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     val, theta = maximize_multistart(
-        objective, 2, project, SolverSettings(starts=4, seed=2), scale=1.0
+        objective, 2, project, SolverSettings(starts=4, seed=2), [[1.0]], scale=1.0
     )
     assert np.allclose(theta, c / np.linalg.norm(c), atol=1e-5)
 
@@ -159,21 +164,102 @@ def test_multistart_concave_toy():
 def test_multistart_raises_on_nan():
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return lambda: np.full(thetas.shape[0], math.nan), lambda: np.zeros_like(thetas)
+        return lambda w: np.full(thetas.shape[0], math.nan), lambda w: np.zeros_like(thetas)
 
     project = make_group_projection([(np.array([0]), 1.0)])
     with pytest.raises(SolverDiverged):
-        maximize_multistart(objective, 1, project, SolverSettings(starts=1, seed=0))
+        maximize_multistart(objective, 1, project, SolverSettings(starts=1, seed=0), [[1.0]])
 
 
 def test_multistart_raises_on_non_finite_gradient():
     def objective(thetas):
         thetas = np.atleast_2d(thetas)
-        return lambda: -np.sum(thetas**2, axis=1), lambda: np.full(thetas.shape, math.nan)
+        return lambda w: -np.sum(thetas**2, axis=1), lambda w: np.full(thetas.shape, math.nan)
 
     project = make_group_projection([(np.array([0, 1]), 1.0)])
     with pytest.raises(SolverDiverged, match="gradient"):
-        maximize_multistart(objective, 2, project, SolverSettings(starts=1, seed=0))
+        maximize_multistart(objective, 2, project, SolverSettings(starts=1, seed=0), [[1.0]])
+
+
+def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts):
+    """One weighting's ascent with its per-start update as a Python loop: the
+    reference that the lockstep ascent must reproduce exactly."""
+    from cograte.solvers import _LADDER, _MAX_STEP, _MOMENTUM
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
+    starts = [np.zeros(n_params), *extra_starts]
+    for i in range(settings.starts):
+        starts.append(scale * (0.3 if i % 2 else 1.0) * rng.standard_normal(n_params))
+    thetas = project(np.asarray(starts, dtype=float))
+    vals = objective(thetas)[0](w)
+    step = np.full(len(thetas), 0.25 * scale)
+    stall = np.zeros(len(thetas), dtype=int)
+    prev = thetas.copy()
+    active = np.ones(len(thetas), dtype=bool)
+    for _ in range(settings.max_iters):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        th = thetas[idx]
+        grad = objective(th)[1](w)
+        gnorm = np.linalg.norm(grad, axis=1)
+        keep = gnorm >= 1e-15
+        active[idx[~keep]] = False
+        idx, th, grad, gnorm = idx[keep], th[keep], grad[keep], gnorm[keep]
+        if idx.size == 0:
+            continue
+        ladders = _LADDER[None, :] * step[idx][:, None]
+        cands = np.concatenate(
+            [
+                th[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :],
+                th[:, None, :] + _MOMENTUM[None, :, None] * (th - prev[idx])[:, None, :],
+            ],
+            axis=1,
+        )
+        cands = project(cands.reshape(-1, n_params)).reshape(len(idx), -1, n_params)
+        cvals = objective(cands.reshape(-1, n_params))[0](w).reshape(len(idx), -1)
+        for local, start in enumerate(idx):
+            b = np.argmax(cvals[local])
+            if cvals[local, b] > vals[start]:
+                gain = cvals[local, b] - vals[start]
+                prev[start], thetas[start] = thetas[start], cands[local, b]
+                vals[start] = cvals[local, b]
+                if b < len(_LADDER):
+                    step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
+                if gain < settings.rel_tol * (1.0 + abs(vals[start])):
+                    stall[start] += 1
+                    active[start] = stall[start] < 3
+                else:
+                    stall[start] = 0
+            else:
+                step[start] *= 0.25
+                active[start] = step[start] >= 1e-13 * scale
+    return vals.max(), thetas[np.argmax(vals)]
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_lockstep_ascent_equals_a_per_start_loop(monkeypatch, sec7, channel):
+    if channel == "mimo":
+        monkeypatch.syspath_prepend(BENCH)
+        from inputs import mimo_channel
+
+        sec7 = load_channel(json.dumps(mimo_channel(2, 1)))
+    program = _two_block_program(sec7, *_dpc_matrices(sec7))
+    budget = sec7.p_p + sec7.p_c
+    project = make_group_projection([(np.arange(program.n_params), budget)])
+    starts = [program.encode(*pair) for pair in _bound_corners(sec7, 1.0, budget)]
+    # a grid of one, since a wider batch may round the objective's matrix
+    # product differently in the last digit (test_outer covers grids)
+    settings, scale = SolverSettings(starts=4, seed=5), math.sqrt(budget)
+    for mu in (3.0, 1.0, 0.25):
+        w = program.weights(mu)
+        (value,), (theta,) = maximize_multistart(
+            program.objective, program.n_params, project, settings, w[None], scale, [starts]
+        )
+        want = _loop_ascent(
+            program.objective, program.n_params, project, settings, w, scale, starts
+        )
+        assert value == want[0] and np.array_equal(theta, want[1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -208,7 +294,7 @@ def test_ascent_whose_step_outgrows_the_float_square_runs_clean(monkeypatch, sec
 
     monkeypatch.setattr(achievable, "make_group_projection", watched)
     groups = [(np.arange(program.n_params), budget)]
-    theta = achievable._solve(program, 1.0, groups, SolverSettings(starts=4, seed=1), starts)
+    (theta,) = achievable._solve(program, [1.0], groups, SolverSettings(starts=4, seed=1), [starts])
     q_p, q_c = program.decode(theta)
     value = _two_block_rates(sec7, ga, ga, kw, q_p, q_c).mu_sum(1.0)
     assert value == pytest.approx(3.537974049, abs=1e-6)

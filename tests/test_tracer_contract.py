@@ -70,3 +70,22 @@ def test_traced_alpha_sweep_counts_its_scalar_search(monkeypatch, sec7):
         tracer.uninstall()
     assert tracer.counts["solvers.scan_evals"] > 0
     assert tracer.counts["outer.alpha_evals"] > 0
+
+
+def test_traced_curves_count_their_grid_solves_and_polish(monkeypatch, sec7):
+    # the curve tracers solve a whole grid in one call, which the benchmark
+    # counts only through these two names; a tracer that bypasses them reads
+    # 0 solves on a workload with no other (mimo_region)
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    opts = SolverSettings(starts=1, max_iters=3)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        region = achievable.trace_boundary(sec7, [2.0, 0.5], opts)
+        outer.trace_outer_boundary(sec7, 1.0, [2.0, 0.5], opts, warm_boundary=region)
+    finally:
+        tracer.uninstall()
+    counted = ("achievable.mu_sum_achievable", "outer.mu_sum_partial_outer", "regions.cross_polish")
+    assert {name: tracer.calls[name] for name in counted if tracer.calls[name] == 0} == {}
