@@ -22,8 +22,6 @@ from .channel import (
     scaled_channel,
 )
 from .linalg import (
-    decode_param,
-    is_psd,
     log_det_id_plus,
     log_det_id_plus_dir,
     param_len,
@@ -75,7 +73,6 @@ __all__ = [
     "bc_mu_sum",
     "composite_matrices",
     "condition_check",
-    "decode_param",
     "dpc_rate_caps",
     "dpc_rates",
     "golden_section",
@@ -83,7 +80,6 @@ __all__ = [
     "inf_alpha_g1",
     "inf_alpha_partial_outer",
     "is_feasible",
-    "is_psd",
     "kyfan_gap",
     "lagrangian_L",
     "lagrangian_g",

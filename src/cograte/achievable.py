@@ -69,6 +69,29 @@ class DpcAllocation:
         return cls(net[:npt, :npt], net[npt:, npt:], sigma_cc, net[:npt, npt:])
 
 
+def _budget_violation(kind: str, budget: float, tol: float, traced: dict, psd=None):
+    """Message naming the first violated constraint, or None: every
+    covariance of ``psd`` (default: ``traced``) is PSD and the traces of
+    ``traced`` add up to at most the ``kind`` budget ``budget``, both within
+    ``budget_tol(tol, budget)``."""
+    slack = budget_tol(tol, budget)
+    for label, m in (traced if psd is None else psd).items():
+        e = min_eigenvalue(m)
+        if e < -slack:
+            return f"{label} is not PSD (min eigenvalue {e:.3e})"
+    total = float(np.real(sum(np.trace(m) for m in traced.values())))
+    if total > budget + slack:
+        label = "+".join(f"trace({name})" for name in traced)
+        return f"{label} = {total:.6g} exceeds {kind} budget {budget:g}"
+    return None
+
+
+def _require(violation) -> None:
+    """Raise InfeasibleAllocation with ``violation`` unless it is None."""
+    if violation is not None:
+        raise InfeasibleAllocation(violation)
+
+
 def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
     """Return a message naming the first violated constraint, or None."""
     if a.sigma_p.shape != (ch.n_pt, ch.n_pt):
@@ -77,19 +100,13 @@ def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
         return "sigma_cp/sigma_cc shape inconsistent with the cognitive antenna count"
     if a.q.shape != (ch.n_pt, ch.n_ct):
         return f"q has shape {a.q.shape}, expected {(ch.n_pt, ch.n_ct)}"
-    net_min = min_eigenvalue(a.sigma_p_net)
-    if net_min < -budget_tol(tol, ch.p_p + ch.p_c):
-        return f"stacked covariance block is not PSD (min eigenvalue {net_min:.3e})"
-    cc_min = min_eigenvalue(a.sigma_cc)
-    if cc_min < -budget_tol(tol, ch.p_c):
-        return f"sigma_cc is not PSD (min eigenvalue {cc_min:.3e})"
-    tr_p = float(np.real(np.trace(a.sigma_p)))
-    if tr_p > ch.p_p + budget_tol(tol, ch.p_p):
-        return f"trace(sigma_p) = {tr_p:.6g} exceeds licensed budget {ch.p_p:g}"
-    tr_c = float(np.real(np.trace(a.sigma_cp) + np.trace(a.sigma_cc)))
-    if tr_c > ch.p_c + budget_tol(tol, ch.p_c):
-        return f"trace(sigma_cp)+trace(sigma_cc) = {tr_c:.6g} exceeds cognitive budget {ch.p_c:g}"
-    return None
+    net = {"stacked covariance block": a.sigma_p_net}
+    cognitive = {"sigma_cp": a.sigma_cp, "sigma_cc": a.sigma_cc}
+    return (
+        _budget_violation("sum", ch.p_p + ch.p_c, tol, {}, net)
+        or _budget_violation("licensed", ch.p_p, tol, {"sigma_p": a.sigma_p}, {})
+        or _budget_violation("cognitive", ch.p_c, tol, cognitive, {"sigma_cc": a.sigma_cc})
+    )
 
 
 def is_feasible(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) -> bool:
@@ -116,14 +133,8 @@ def dpc_rates(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) 
     signal acting as noise; the cognitive rate is interference-free.  Real
     mode halves both.
     """
-    _check_feasible(ch, a, tol)
+    _require(_feasibility_violation(ch, a, tol))
     return dpc_rate_caps(ch, a)
-
-
-def _check_feasible(ch: CognitiveChannel, a: DpcAllocation, tol: float) -> None:
-    violation = _feasibility_violation(ch, a, tol)
-    if violation is not None:
-        raise InfeasibleAllocation(violation)
 
 
 def scale_allocation(a: DpcAllocation, alpha: float) -> DpcAllocation:
@@ -418,7 +429,7 @@ def mu_sum_achievable(
     results = []
     for mu_i, theta in zip(mus, thetas):
         witness = DpcAllocation.from_net(*program.decode(theta))
-        _check_feasible(ch, witness, DEFAULT_TOL)
+        _require(_feasibility_violation(ch, witness, DEFAULT_TOL))
         rate = _two_block_root_rates(ch, *mats, *program.lower_factors(theta))
         results.append(MuSumResult(rate.mu_sum(mu_i), rate, witness, theta))
     return results if np.ndim(mu) else results[0]

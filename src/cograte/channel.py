@@ -29,6 +29,7 @@ from .errors import (
     SingularNoise,
 )
 from .linalg import DEFAULT_TOL, logdet2_pd, min_eigenvalue, psd_sqrt, symmetrize
+from .regions import _matrix_list
 
 
 def _is_number(x) -> bool:
@@ -136,23 +137,10 @@ class CognitiveChannel:
 
     def digest(self) -> str:
         """Stable hash of the channel contents, recorded in output metadata."""
-        payload = {
-            "h_pp": _matrix_payload(self.h_pp),
-            "h_pc": _matrix_payload(self.h_pc),
-            "h_cp": _matrix_payload(self.h_cp),
-            "h_cc": _matrix_payload(self.h_cc),
-            "p_p": self.p_p,
-            "p_c": self.p_c,
-            "real_mode": self.real_mode,
-        }
+        payload = {k: _matrix_list(getattr(self, k)) for k in ("h_pp", "h_pc", "h_cp", "h_cc")}
+        payload.update(p_p=self.p_p, p_c=self.p_c, real_mode=self.real_mode)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _matrix_payload(m: np.ndarray):
-    if np.iscomplexobj(m):
-        return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in m]
-    return [[float(v) for v in row] for row in m]
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ REPORTED_ALPHA_STAR = 0.9689
 
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_MU_GRID = "log:0.01:100:25"
+DEFAULT_RESOLUTION = 400
 
 def bundled_channel_text() -> str:
     """JSON text of the packaged example channel."""
@@ -161,23 +162,29 @@ def _bounds_report(ch: CognitiveChannel, alphas, curves) -> dict:
     }
 
 
+def _trace(ch: CognitiveChannel, mu_grid, settings: SolverSettings, alphas=()):
+    """The achievable boundary over ``mu_grid`` and the partial bound's
+    boundary at each of ``alphas``.  The region seeds every bound solve: the
+    bound contains the region, so its witnesses are feasible warm starts on
+    the bound side."""
+    region = trace_boundary(ch, mu_grid, settings)
+    return region, [
+        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
+        for alpha in alphas
+    ]
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
-    boundary = trace_boundary(_load(args.channel), mu_grid, settings)
-    _emit(boundary, args.out or f"region.{args.format}", args.format)
+    region, _ = _trace(_load(args.channel), mu_grid, settings)
+    _emit(region, args.out or f"region.{args.format}", args.format)
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
     ch = _load(args.channel, args.alpha)
-    # the achievable trace seeds every bound solve: the bound contains the
-    # region, so its witnesses are feasible warm starts on the bound side
-    region = trace_boundary(ch, mu_grid, settings)
-    curves = [
-        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
-        for alpha in args.alpha
-    ]
+    _, curves = _trace(ch, mu_grid, settings, args.alpha)
     stem = (args.out or "bound").removesuffix(".csv").removesuffix(".json")
     for alpha, curve in zip(args.alpha, curves):
         _emit(curve, f"{stem}_alpha{alpha:g}.{args.format}", args.format)
@@ -194,18 +201,27 @@ def _alpha_note(alpha_star: float) -> str:
     )
 
 
-def _sweep_report(tol: float, mu: float, sweep, condition: bool) -> dict:
+def _sweep_report(ch: CognitiveChannel, mu: float, args: argparse.Namespace,
+                  settings: SolverSettings, resolution: int = DEFAULT_RESOLUTION) -> dict:
+    """Minimize the partial bound over alpha at ``mu``, check the tightness
+    condition at the sweep's winner, and report both."""
+    n_scan = resolution // 100 + 2
+    sweep = inf_alpha_partial_outer(ch, mu, args.alpha_bracket, settings, n_scan=n_scan)
+    condition = condition_check(
+        ch, sweep.alpha_star, mu, sweep.n_value, sweep.q_p, sweep.sigma_cc, args.tol, settings
+    )
     return {
         "schema": SCHEMA_VERSION,
         "mu": mu,
         "alpha_star": sweep.alpha_star,
+        "bracket": list(sweep.bracket),
         "n_value": sweep.n_value,
         "n_value_per_mu": sweep.n_value / mu,
         "condition_check": bool(condition),
         "non_unimodal": bool(sweep.non_unimodal),
         "alpha_evals": sweep.evaluations,
         "slope_at_alpha_star": sweep.slope,
-        "tolerances": {"condition": tol},
+        "tolerances": {"condition": args.tol},
         "paper_alpha_note": _alpha_note(sweep.alpha_star),
         "reported_alpha_star": REPORTED_ALPHA_STAR,
     }
@@ -215,12 +231,7 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     mu = check_mu(args.mu_infinity if args.mu is None else args.mu, 1.0)
     settings = _settings(args)
     ch = _load(args.channel, args.alpha_bracket)
-    result = inf_alpha_partial_outer(
-        ch, mu, args.alpha_bracket, settings, n_scan=args.resolution // 100 + 2
-    )
-    condition = condition_check(ch, result.alpha_star, mu, args.tol, settings)
-    report = _sweep_report(args.tol, mu, result, condition)
-    report["bracket"] = list(result.bracket)
+    report = _sweep_report(ch, mu, args, settings, args.resolution)
     out = args.out or "sweep_alpha.json"
     _write_json(out, report)
     print(f"wrote {out}")
@@ -235,17 +246,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    region = trace_boundary(ch, mu_grid, settings)
+    region, curves = _trace(ch, mu_grid, settings, DEFAULT_ALPHAS)
     write_atomic(os.path.join(out_dir, "region.csv"), region.to_csv())
     write_atomic(os.path.join(out_dir, "region.json"), region.to_json())
 
     peak = mu_sum_achievable(ch, mu_inf, settings)
     max_rp = peak.rate.r_p
 
-    curves = [
-        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
-        for alpha in DEFAULT_ALPHAS
-    ]
     containment_slack = math.inf
     for alpha, curve in zip(DEFAULT_ALPHAS, curves):
         write_atomic(
@@ -268,19 +275,18 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     alpha_star = math.exp(scan.x)
     rp_bound = scan.value
     tightness_gap = rp_bound - max_rp
-    condition = condition_check(ch, alpha_star, mu_inf, args.tol, settings)
 
-    # the generic alpha sweep (solver-driven, independent of the closed form)
-    sweep = inf_alpha_partial_outer(ch, mu_inf, args.alpha_bracket, settings)
-    _write_json(
-        os.path.join(out_dir, "sweep_alpha.json"), _sweep_report(args.tol, mu_inf, sweep, condition)
-    )
+    # the solver-driven alpha sweep, independent of the closed form, and the
+    # tightness condition at its winner, reported as sweep-alpha reports them
+    sweep = _sweep_report(ch, mu_inf, args, settings)
+    _write_json(os.path.join(out_dir, "sweep_alpha.json"), sweep)
+    condition = sweep["condition_check"]
 
     checks = {
         "max_rp_matches_reported": abs(max_rp - REPORTED_MAX_RP) <= 1e-3,
         "bound_meets_achievable": abs(tightness_gap) <= 1e-3,
         "figure8_containment": containment_slack >= -1e-6,
-        "condition_check": bool(condition),
+        "condition_check": condition,
     }
     summary = {
         "schema": SCHEMA_VERSION,
@@ -291,7 +297,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         "tightness_gap": tightness_gap,
         "alpha_star": alpha_star,
         "containment_min_slack": containment_slack,
-        "condition_check": bool(condition),
+        "condition_check": condition,
         "reported": {"max_rp": REPORTED_MAX_RP, "alpha_star": REPORTED_ALPHA_STAR},
         "paper_alpha_note": _alpha_note(alpha_star),
         "checks": checks,
@@ -330,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts": dict(type=int, default=8, help="solver multi-start count"),
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
-        "--resolution": dict(type=_resolution, default=400,
+        "--resolution": dict(type=_resolution, default=DEFAULT_RESOLUTION,
                              help="alpha scan points, one partial solve each: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,

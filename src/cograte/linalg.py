@@ -36,21 +36,6 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue of ``m`` is >= -tol.
-
-    Parameters
-    ----------
-    m : ndarray
-        Square matrix (Hermitian up to round-off; symmetrized internally).
-    tol : float
-        Nonnegative eigenvalue tolerance.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return min_eigenvalue(m) >= -tol
-
-
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Project onto the PSD cone by clipping negative eigenvalues to zero.
 
@@ -129,9 +114,10 @@ def log_det_id_plus_dir(a: np.ndarray, d: np.ndarray) -> float:
 # Unconstrained-vector <-> PSD parameterization (lower-triangular factors).
 #
 # A real parameter vector of length ``param_len(dim, complex_mode)`` fills a
-# lower-triangular L row-major; decode returns L L†, PSD by construction for
-# every finite vector.  In complex mode each strictly-lower entry consumes a
-# (re, im) pair while diagonal entries stay real, so the length is dim².
+# lower-triangular L row-major (:func:`build_lower`); L L† is PSD by
+# construction for every finite vector.  In complex mode each strictly-lower
+# entry consumes a (re, im) pair while diagonal entries stay real, so the
+# length is dim².
 # ---------------------------------------------------------------------------
 
 
@@ -216,14 +202,9 @@ def lower_product_map(h: np.ndarray, dim: int, complex_mode: bool = False) -> np
     return w.view(float) if complex_mode else w
 
 
-def decode_param(values: np.ndarray, dim: int, complex_mode: bool = False) -> np.ndarray:
-    """Decode a parameter vector into the PSD matrix L L†."""
-    low = build_lower(values, dim, complex_mode)
-    return low @ np.conj(np.swapaxes(low, -1, -2))
-
-
 def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12) -> np.ndarray:
-    """Inverse of :func:`decode_param` up to ``jitter`` on the diagonal.
+    """Parameters whose :func:`build_lower` factor ``L`` has ``L L†`` equal
+    to ``m`` up to ``jitter`` on the diagonal.
 
     The input is floored onto the PSD cone and given a tiny diagonal boost so
     the Cholesky factor exists for rank-deficient matrices; used to warm-start

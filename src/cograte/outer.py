@@ -22,7 +22,9 @@ import numpy as np
 from .achievable import (
     DpcAllocation,
     LogDetProgram,
+    _budget_violation,
     _dpc_matrices,
+    _require,
     _solve,
     _two_block_program,
     _two_block_rates,
@@ -31,15 +33,8 @@ from .achievable import (
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
-from .errors import BracketUnbounded, InfeasibleAllocation
-from .linalg import (
-    DEFAULT_TOL,
-    LN2,
-    budget_tol,
-    min_eigenvalue,
-    range_basis,
-    symmetrize,
-)
+from .errors import BracketUnbounded
+from .linalg import DEFAULT_TOL, LN2, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, as_grid, check_mu, cross_polish
 from .solvers import (
     ScanResult,
@@ -52,20 +47,6 @@ from .solvers import (
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
 from .solvers import golden_section, maximize_multistart  # noqa: F401
-
-
-def _check_sum_budget(budget: float, tol: float, **covs: np.ndarray):
-    """Raise InfeasibleAllocation unless every covariance is PSD and their
-    traces add up to at most ``budget``, both within ``budget_tol``."""
-    slack = budget_tol(tol, budget)
-    for label, m in covs.items():
-        e = min_eigenvalue(m)
-        if e < -slack:
-            raise InfeasibleAllocation(f"{label} is not PSD (min eigenvalue {e:.3e})")
-    total = float(np.real(sum(np.trace(m) for m in covs.values())))
-    if total > budget + slack:
-        label = "+".join(f"trace({name})" for name in covs)
-        raise InfeasibleAllocation(f"{label} = {total:.6g} exceeds sum budget {budget:.6g}")
 
 
 def partial_outer_rates(
@@ -82,7 +63,8 @@ def partial_outer_rates(
     scaled = scaled_channel(ch, alpha)
     q_p = np.atleast_2d(np.asarray(q_p))
     sigma_cc = np.atleast_2d(np.asarray(sigma_cc))
-    _check_sum_budget(scaled.p_p + scaled.p_c, tol, q_p=q_p, sigma_cc=sigma_cc)
+    budget = scaled.p_p + scaled.p_c
+    _require(_budget_violation("sum", budget, tol, {"q_p": q_p, "sigma_cc": sigma_cc}))
     return dpc_rate_caps(scaled, DpcAllocation.from_net(q_p, sigma_cc))
 
 
@@ -162,7 +144,7 @@ def mu_sum_partial_outer(
     results = []
     for mu_i, theta in zip(mus, thetas):
         q_p, s_cc = program.decode(theta)
-        _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, sigma_cc=s_cc)
+        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
         roots = tuple(program.lower_factors(theta))
         rate = _partial_root_rates(ch, alpha, roots)
         results.append(BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, alpha, roots))
@@ -430,7 +412,7 @@ def bc_mu_sum(
     scored = [(_two_block_root_rates(ch, *mats, *roots), *witness)]
     for q_p, q_c in extra_starts:
         q_p, q_c = np.atleast_2d(np.asarray(q_p)), np.atleast_2d(np.asarray(q_c))
-        _check_sum_budget(budget, DEFAULT_TOL, q_p=q_p, q_c=q_c)
+        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
         scored.append((_two_block_rates(ch, *mats, q_p, q_c), q_p, q_c))
     rate, q_p, q_c = max(scored, key=lambda item: item[0].mu_sum(mu))
     return BcMuSumResult(
@@ -454,24 +436,27 @@ def condition_check(
     ch: CognitiveChannel,
     alpha: float,
     mu: float,
+    value: float,
+    q_p: np.ndarray,
+    sigma_cc: np.ndarray,
     tol: float,
     opts: SolverSettings | None = None,
 ) -> bool:
     """Tightness condition: the structured cognitive covariance loses nothing.
 
-    Compares the partial-bound mu-sum against the broadcast-side mu-sum with
-    unstructured covariance (:func:`bc_mu_sum`), which is the full
+    ``value``, ``q_p`` and ``sigma_cc`` are a partial-bound winner at
+    ``(alpha, mu)``, such as the alpha sweep's.  Its mu-sum is compared with
+    the broadcast-side mu-sum with unstructured covariance
+    (:func:`bc_mu_sum`, seeded with the winner), which is the full
     coupled-noise bound's infimum over couplings; equality within ``tol``
     certifies that the partial bound meets that infimum for this (alpha, mu).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     mu = check_mu(mu, 1.0)
-    opts = opts or SolverSettings()
-    part = mu_sum_partial_outer(ch, alpha, mu, opts)
-    embed = (part.q_p, _embed_structured(ch, part.sigma_cc))
+    embed = (q_p, _embed_structured(ch, sigma_cc))
     bc = bc_mu_sum(ch, alpha, mu, opts, extra_starts=[embed])
-    return abs(part.value - bc.value) <= tol
+    return abs(value - bc.value) <= tol
 
 
 def trace_outer_boundary(

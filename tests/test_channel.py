@@ -256,6 +256,7 @@ def test_mc_rejects_singular_noise():
 
 
 def test_channel_digest_stable(sec7):
+    # every output records this digest, so a drift in its serializer shows here
     assert sec7.digest() == load_channel(json.dumps({
         "h_pp": [[1.4435]],
         "h_pc": [[-0.3510], [0.6232]],
@@ -264,4 +265,4 @@ def test_channel_digest_stable(sec7):
         "p_p": 5,
         "p_c": 5,
         "real_mode": True,
-    })).digest()
+    })).digest() == "06c8e20e3415bec7"

@@ -164,6 +164,30 @@ def test_sweep_alpha_resolution_sets_the_scan_points(monkeypatch, tmp_path, chan
     assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
 
 
+def test_sweep_alpha_solves_the_partial_bound_once_per_alpha_eval(
+    monkeypatch, tmp_path, channel_file
+):
+    # the condition reads the sweep's winner, so no solve is made beyond
+    # the alpha evaluations the report counts
+    solve, calls = outer.mu_sum_partial_outer, []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
+    out = tmp_path / "sweep.json"
+    assert run(["sweep-alpha", "--channel", channel_file, "--out", str(out), "--starts", "4"]) == 0
+    assert len(calls) == json.loads(out.read_text())["alpha_evals"]
+
+
+def test_sweep_alpha_and_reproduce_paper_write_the_same_sweep_report(tmp_path, channel_file):
+    out = tmp_path / "sweep.json"
+    assert run(["sweep-alpha", "--channel", channel_file, "--seed", "0", "--out", str(out)]) == 0
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
+    assert (tmp_path / "rep" / "sweep_alpha.json").read_bytes() == out.read_bytes()
+
+
 def test_sweep_alpha_rejects_small_mu(tmp_path, channel_file):
     code = run([
         "sweep-alpha", "--channel", channel_file, "--mu", "0.5",

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from cograte.errors import NonPositiveDefinite
 from cograte.linalg import (
     build_lower,
-    decode_param,
     encode_psd,
-    is_psd,
     log_det_id_plus,
     log_det_id_plus_dir,
     lower_product_map,
+    min_eigenvalue,
     param_len,
     param_rows,
     project_psd,
@@ -43,18 +42,6 @@ def test_log_det_rejects_non_positive():
         log_det_id_plus(np.diag([-2.0, 0.0]))
 
 
-def test_is_psd_examples():
-    assert is_psd(np.eye(2), tol=0.0)
-    assert not is_psd(np.diag([1.0, -0.1]), tol=1e-9)
-    # eigenvalues of [[1,2],[2,1]] are 1 +/- 2 by the 2x2 formula
-    assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-9)
-
-
-def test_is_psd_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        is_psd(np.eye(2), tol=-1.0)
-
-
 def test_project_psd_clips_negative_eigenvalue():
     out = project_psd(np.diag([2.0, -1.0]))
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
@@ -69,19 +56,6 @@ def test_project_psd_exchange_matrix():
 def test_project_psd_identity_on_psd():
     m = np.array([[2.0, 0.3], [0.3, 1.0]])
     assert np.allclose(project_psd(m), m, atol=1e-12)
-
-
-def test_decode_param_examples():
-    assert np.allclose(decode_param(np.zeros(3), 2), np.zeros((2, 2)))
-    assert np.allclose(decode_param(np.array([1.0, 0.0, 1.0]), 2), np.eye(2))
-    out = decode_param(np.array([2.0, 1.0, 1.0]), 2)
-    assert np.allclose(out, np.array([[4.0, 2.0], [2.0, 2.0]]), atol=1e-12)
-
-
-def test_decode_param_complex_layout():
-    theta = np.array([1.0, 2.0, -1.0, 3.0])
-    low = np.array([[1.0, 0.0], [2.0 - 1.0j, 3.0]])
-    assert np.allclose(decode_param(theta, 2, complex_mode=True), low @ low.conj().T)
 
 
 def test_param_len():
@@ -127,8 +101,9 @@ def test_slot_layout_matches_the_row_major_walk(dim, complex_mode):
 @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
 def test_decode_always_psd(values):
     # PSD by construction; the tolerance only absorbs eigensolver round-off
-    m = decode_param(np.asarray(values), 3)
-    assert is_psd(m, tol=1e-12 * max(1.0, float(np.trace(m))))
+    low = build_lower(np.asarray(values), 3)
+    m = low @ low.T
+    assert min_eigenvalue(m) >= -1e-12 * max(1.0, float(np.trace(m)))
 
 
 @settings(max_examples=40)

@@ -358,8 +358,9 @@ def test_bc_mu_sum_bundled_large_mu(sec7, fast):
 def test_bc_mu_sum_rejects_small_mu(sec7, fast):
     with pytest.raises(UnsupportedMu):
         bc_mu_sum(sec7, 1.0, 0.5, fast)
+    part = mu_sum_partial_outer(sec7, 1.0, 0.5, fast)
     with pytest.raises(UnsupportedMu):
-        condition_check(sec7, 1.0, 0.5, 1e-3, fast)
+        condition_check(sec7, 1.0, 0.5, part.value, part.q_p, part.sigma_cc, 1e-3, fast)
 
 
 def test_bc_mu_sum_scalar_degraded_grid_oracle():
@@ -389,22 +390,28 @@ def test_bc_dominates_partial(sec7, fast):
         assert bc.value >= part.value - 1e-8
 
 
+def _condition_at(ch, alpha, mu, tol, opts):
+    """condition_check at the partial bound's own winner at (alpha, mu)."""
+    part = mu_sum_partial_outer(ch, alpha, mu, opts)
+    return condition_check(ch, alpha, mu, part.value, part.q_p, part.sigma_cc, tol, opts)
+
+
 def test_condition_check_degenerate_true(fast):
     ch = CognitiveChannel(
         h_pp=[[1.2]], h_pc=[[0.1]], h_cp=[[0.7]], h_cc=[[1e-12]],
         p_p=4.0, p_c=4.0, real_mode=True,
     )
-    assert condition_check(ch, 1.0, 1e6, 1e-3, fast)
+    assert _condition_at(ch, 1.0, 1e6, 1e-3, fast)
 
 
 def test_condition_check_bundled_at_alpha_star(sec7, fast):
-    assert condition_check(sec7, 0.5535, 1e6, 1e-3, fast)
+    assert _condition_at(sec7, 0.5535, 1e6, 1e-3, fast)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
-def test_condition_check_rejects_bad_tol(sec7, tol):
+def test_condition_check_rejects_bad_tol(sec7, fast, tol):
     with pytest.raises(ValueError, match="tol"):
-        condition_check(sec7, 0.5535, 1e6, tol)
+        _condition_at(sec7, 0.5535, 1e6, tol, fast)
 
 
 def test_condition_check_gap_fixture():
@@ -414,7 +421,21 @@ def test_condition_check_gap_fixture():
     assert part.value == pytest.approx(oracle, abs=1e-4)
     bc = bc_mu_sum(GAP_CHANNEL, 1.0, 1.0, opts)
     assert bc.value - part.value > 0.3
-    assert not condition_check(GAP_CHANNEL, 1.0, 1.0, 1e-3, opts)
+    assert not condition_check(
+        GAP_CHANNEL, 1.0, 1.0, part.value, part.q_p, part.sigma_cc, 1e-3, opts
+    )
+
+
+def test_condition_check_reads_the_winner_it_is_handed(monkeypatch, sec7, fast):
+    # the check makes one broadcast solve and no partial one, and compares
+    # against the value it is handed: lowering that value by 1 bit fails it
+    part = mu_sum_partial_outer(sec7, 0.5535, 1e6, fast)
+    calls = []
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", lambda *a, **k: calls.append(a))
+    args = (sec7, 0.5535, 1e6)
+    assert condition_check(*args, part.value, part.q_p, part.sigma_cc, 1e-3, fast)
+    assert not condition_check(*args, part.value - 1.0, part.q_p, part.sigma_cc, 1e-3, fast)
+    assert calls == []
 
 
 def test_trace_outer_boundary_endpoint(sec7, fast):

@@ -89,3 +89,36 @@ def test_traced_curves_count_their_grid_solves_and_polish(monkeypatch, sec7):
         tracer.uninstall()
     counted = ("achievable.mu_sum_achievable", "outer.mu_sum_partial_outer", "regions.cross_polish")
     assert {name: tracer.calls[name] for name in counted if tracer.calls[name] == 0} == {}
+
+
+def test_traced_commands_reach_every_counted_layer(monkeypatch, tmp_path):
+    # the benchmark drives the program through cli.main; each command must
+    # still reach the layers it counts through the names it patches
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    import cograte.cli as cli
+
+    channel = tmp_path / "channel.json"
+    channel.write_text(cli.bundled_channel_text())
+    common = ["--channel", str(channel), "--starts", "1"]
+    grid = ["--mu-grid", "log:0.5:2:3"]
+    commands = [
+        ["region", *common, *grid, "--out", str(tmp_path / "region.csv")],
+        ["bound", *common, *grid, "--alpha", "1", "--out", str(tmp_path / "bound")],
+        ["sweep-alpha", *common, "--out", str(tmp_path / "sweep.json")],
+    ]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    spans = ("outer.condition_check", "outer.bc_mu_sum", "outer.mu_sum_partial_outer",
+             "outer.inf_alpha_partial_outer", "achievable.mu_sum_achievable",
+             "regions.cross_polish", "channel.composite_matrices", "solvers.waterfill",
+             "linalg.encode_psd", "linalg.build_lower", "linalg.log_det_id_plus",
+             "linalg.slogdet")
+    assert {name: tracer.calls[name] for name in spans if tracer.calls[name] == 0} == {}
+    assert tracer.counts["solvers.scan_evals"] > 0
