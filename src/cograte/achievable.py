@@ -247,7 +247,8 @@ class LogDetProgram:
                 lambda: np.sum(np.log1p(s**2), axis=-1) / LN2,
                 lambda: (u * (s / (1.0 + s**2))[..., None, :]) @ vh,
             )
-        m = self._eye + e @ np.conj(np.swapaxes(e, -1, -2))
+        m = e @ (np.conj(e.mT) if self.complex_mode else e.mT)
+        m += self._eye
         return lambda: np.linalg.slogdet(m)[1] / LN2, lambda: np.linalg.solve(m, e)
 
     def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,30 +403,25 @@ def _corner_allocations(ch: CognitiveChannel):
     return corners
 
 
-def mu_sum_achievable(
-    ch: CognitiveChannel,
-    mu,
-    opts: SolverSettings | None = None,
-    extra_starts=(),
-):
+def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = None):
     """Maximize mu*r_p + r_c over feasible DPC allocations.
 
     Multi-start projected gradient ascent over Cholesky parameters of the
-    stacked covariance block and sigma_cc; block-PSD holds by construction
-    and the two trace budgets are enforced by exact group projection.
-    ``extra_starts`` may carry allocations or raw parameter vectors.
+    stacked covariance block and sigma_cc, from the corner allocations and
+    seeded random draws; block-PSD holds by construction and the two trace
+    budgets are enforced by exact group projection.
 
-    A 1-D grid ``mu`` is solved in one lockstep ascent, with a sequence of
-    ``extra_starts`` per mu, into a list of the results each mu gets alone.
+    A 1-D grid ``mu`` is solved in one lockstep ascent into a list of the
+    results each mu gets alone.
     """
-    mus, extra = as_grid(mu, extra_starts)
+    mus, _ = as_grid(mu)
     mats = _dpc_matrices(ch)
     program = _two_block_program(ch, *mats)
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
-    thetas = _solve(program, mus, groups, opts, [[*corners, *own] for own in extra])
+    thetas = _solve(program, mus, groups, opts, [corners] * len(mus))
     results = []
     for mu_i, theta in zip(mus, thetas):
         witness = DpcAllocation.from_net(*program.decode(theta))

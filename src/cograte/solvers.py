@@ -114,7 +114,6 @@ def make_group_projection(groups):
 
 
 _LADDER = np.array([4.0, 1.0, 0.25, 0.0625])
-_MOMENTUM = np.array([2.0, 8.0, 32.0])
 #: Overflow guard on the step: the ladder's largest candidate stays finite.
 _MAX_STEP = 1e300
 
@@ -143,11 +142,12 @@ def maximize_multistart(
     makes two batched objective calls (the matrices are tiny; call overhead
     dominates): one at the active iterates, whose gradient alone is taken,
     and one at all their line-search candidates, whose values alone are.
-    Each iteration line-searches along the gradient over a step ladder and
-    also tries heavy-ball extrapolations along the recent trajectory; a start
-    retires after three consecutive relative improvements below ``rel_tol``
-    or when its step underflows.  No start sees another, so each weighting
-    climbs as it would alone; a non-finite value raises
+    Each iteration line-searches the normalized gradient over the step
+    ladder ``_LADDER * step`` and moves to the best rung that improves,
+    which becomes the step; when none improves, the step shrinks fourfold.
+    A start retires after three consecutive relative improvements below
+    ``rel_tol`` or when its step underflows.  No start sees another, so
+    each weighting climbs as it would alone; a non-finite value raises
     :class:`SolverDiverged` with the index of its weighting as ``owner``.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -177,9 +177,8 @@ def maximize_multistart(
 
     step = np.full(n_starts, 0.25 * scale)
     stall = np.zeros(n_starts, dtype=int)
-    prev = thetas.copy()  # first momentum candidates are no-ops
     active = np.ones(n_starts, dtype=bool)
-    n_cand = len(_LADDER) + len(_MOMENTUM)
+    n_cand = len(_LADDER)
 
     for _ in range(settings.max_iters):
         idx = active.nonzero()[0]
@@ -198,29 +197,20 @@ def maximize_multistart(
                 continue
         direction = grad / gnorm[:, None]
         ladders = _LADDER[None, :] * step[idx][:, None]
-        cands = np.concatenate(
-            [
-                th[:, None, :] + ladders[:, :, None] * direction[:, None, :],
-                th[:, None, :] + _MOMENTUM[None, :, None] * (th - prev[idx])[:, None, :],
-            ],
-            axis=1,
-        )
+        cands = th[:, None, :] + ladders[:, :, None] * direction[:, None, :]
         cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
         cvals = np.asarray(
             objective(cands.reshape(-1, k))[0](w.repeat(n_cand, axis=0)), dtype=float
         ).reshape(len(idx), n_cand)
         finite(cvals, own, "during line search")
 
-        # each row moves to its best candidate if that improves on it
+        # each row moves to its best rung if that improves on it
         best, top, old = cvals.argmax(axis=1), cvals.max(axis=1), vals[idx]
         improved = top > old
         up, b, top = idx[improved], best[improved], top[improved]
-        prev[up] = thetas[up]
         thetas[up] = cands[improved, b]
         vals[up] = top
-        ladder = b < len(_LADDER)
-        grown = _LADDER[b[ladder]] * step[up[ladder]]
-        step[up[ladder]] = np.minimum(np.maximum(grown, 1e-14), _MAX_STEP)
+        step[up] = np.minimum(np.maximum(ladders[improved, b], 1e-14), _MAX_STEP)
         stalls = (stall[up] + 1) * (top - old[improved] < settings.rel_tol * (1.0 + np.abs(top)))
         stall[up] = stalls
         active[up[stalls >= 3]] = False

@@ -33,7 +33,13 @@ from cograte.outer import (
 )
 from cograte.oracles import grid_oracle
 from cograte.regions import RatePair
-from cograte.solvers import SolverSettings, golden_section, waterfill
+from cograte.solvers import (
+    SolverSettings,
+    central_slope,
+    golden_section,
+    scan_then_golden,
+    waterfill,
+)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 MAX_RP = 2.354204853970093
@@ -388,6 +394,24 @@ def test_bc_dominates_partial(sec7, fast):
         embed = (part.q_p, _embed_structured(sec7, part.sigma_cc))
         bc = bc_mu_sum(sec7, alpha, mu, fast, extra_starts=[embed])
         assert bc.value >= part.value - 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_capacity_sandwich_closes_on_the_ladder_at_large_mu(monkeypatch, n):
+    # at large mu the broadcast upper bound at the alpha of the licensed-rate
+    # cap meets the DPC lower one, so an ascent that settles below the global
+    # maximum of the achievable mu-sum opens the sandwich
+    ch = _ladder(monkeypatch, n)
+    scan = scan_then_golden(
+        central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
+        np.log(np.geomspace(1e-3, 1e3, 6)),
+        tol=1e-12,
+    )
+    opts = SolverSettings(starts=8, seed=0)
+    for mu in (30.0, 1e3):
+        bc = bc_mu_sum(ch, math.exp(scan.x), mu, opts)
+        gap = bc.value + bc.gap_bits - mu_sum_achievable(ch, mu, opts).value
+        assert -1e-9 * mu <= gap <= 1e-6 * mu
 
 
 def _condition_at(ch, alpha, mu, tol, opts):

@@ -184,7 +184,7 @@ def test_multistart_raises_on_non_finite_gradient():
 def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts):
     """One weighting's ascent with its per-start update as a Python loop: the
     reference that the lockstep ascent must reproduce exactly."""
-    from cograte.solvers import _LADDER, _MAX_STEP, _MOMENTUM
+    from cograte.solvers import _LADDER, _MAX_STEP
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
     starts = [np.zeros(n_params), *extra_starts]
@@ -194,7 +194,6 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
     vals = objective(thetas)[0](w)
     step = np.full(len(thetas), 0.25 * scale)
     stall = np.zeros(len(thetas), dtype=int)
-    prev = thetas.copy()
     active = np.ones(len(thetas), dtype=bool)
     for _ in range(settings.max_iters):
         idx = np.nonzero(active)[0]
@@ -209,23 +208,15 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
         if idx.size == 0:
             continue
         ladders = _LADDER[None, :] * step[idx][:, None]
-        cands = np.concatenate(
-            [
-                th[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :],
-                th[:, None, :] + _MOMENTUM[None, :, None] * (th - prev[idx])[:, None, :],
-            ],
-            axis=1,
-        )
+        cands = th[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
         cands = project(cands.reshape(-1, n_params)).reshape(len(idx), -1, n_params)
         cvals = objective(cands.reshape(-1, n_params))[0](w).reshape(len(idx), -1)
         for local, start in enumerate(idx):
             b = np.argmax(cvals[local])
             if cvals[local, b] > vals[start]:
                 gain = cvals[local, b] - vals[start]
-                prev[start], thetas[start] = thetas[start], cands[local, b]
-                vals[start] = cvals[local, b]
-                if b < len(_LADDER):
-                    step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
+                thetas[start], vals[start] = cands[local, b], cvals[local, b]
+                step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
                 if gain < settings.rel_tol * (1.0 + abs(vals[start])):
                     stall[start] += 1
                     active[start] = stall[start] < 3
@@ -260,6 +251,40 @@ def test_lockstep_ascent_equals_a_per_start_loop(monkeypatch, sec7, channel):
             program.objective, program.n_params, project, settings, w, scale, starts
         )
         assert value == want[0] and np.array_equal(theta, want[1])
+
+
+def test_each_line_search_tries_the_ladder_alone(monkeypatch, sec7):
+    # every iteration's line search evaluates the ladder's rungs, and nothing
+    # else, at each start whose gradient does not vanish
+    from cograte.solvers import _LADDER
+
+    calls = []
+
+    def watched(objective, *args, **kwargs):
+        def wrapped(thetas):
+            values, gradient = objective(thetas)
+
+            def counted_gradient(w):
+                grad = gradient(w)
+                live = np.sqrt((grad * grad).sum(axis=1)) >= 1e-15
+                calls.append(("gradient", int(live.sum())))
+                return grad
+
+            def counted_values(w):
+                calls.append(("values", len(thetas)))
+                return values(w)
+
+            return counted_values, counted_gradient
+
+        return maximize_multistart(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(achievable, "maximize_multistart", watched)
+    achievable.mu_sum_achievable(sec7, [2.0, 0.5], SolverSettings(starts=4, seed=0))
+    assert calls[0][0] == "values"  # the starts
+    searches = [(prev, call) for prev, call in zip(calls[1:], calls[2:]) if call[0] == "values"]
+    assert len(searches) > 10
+    assert all(prev[0] == "gradient" for prev, _ in searches)
+    assert all(rows == len(_LADDER) * prev[1] for prev, (_, rows) in searches)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
