@@ -349,13 +349,15 @@ def _solve(program: LogDetProgram, mus, groups, opts, starts, where: str = "") -
     the trace budgets ``groups`` (parameter indices, budget).  ``starts`` has
     a sequence per mu of tuples of one matrix per block, :class:`DpcAllocation`
     (its stacked block and sigma_cc) or raw parameter vectors.  A divergence
-    names its mu, then ``where``."""
+    names its mu, then ``where``.  A start shared by mus is encoded once."""
 
     def encode(item):
         if isinstance(item, DpcAllocation):
             item = (item.sigma_p_net, item.sigma_cc)
         return program.encode(*item) if isinstance(item, tuple) else item
 
+    unique = {id(item): item for own in starts for item in own}
+    encoded = {key: encode(item) for key, item in unique.items()}
     try:
         _, thetas = maximize_multistart(
             program.objective,
@@ -364,7 +366,7 @@ def _solve(program: LogDetProgram, mus, groups, opts, starts, where: str = "") -
             opts or SolverSettings(),
             program.weights(mus),
             scale=math.sqrt(max(budget for _, budget in groups)),
-            extra_starts=[[encode(item) for item in own] for own in starts],
+            extra_starts=[[encoded[id(item)] for item in own] for own in starts],
         )
     except SolverDiverged as exc:
         if exc.owner is None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import ORACLE_GAP
 
+import cograte.achievable as achievable
 from cograte.achievable import (
     DpcAllocation,
     dpc_rate_caps,
@@ -124,6 +125,16 @@ def test_mu_sum_rejects_bad_mu(sec7, fast):
         mu_sum_achievable(sec7, -1.0, fast)
     with pytest.raises(ValueError):
         mu_sum_achievable(sec7, math.inf, fast)
+
+
+def test_grid_solve_encodes_each_shared_corner_once(monkeypatch, sec7):
+    # every mu of a grid starts from the same corner objects; encoding them
+    # (eigh and Cholesky per block) once per mu cost as much as the grid
+    calls = []
+    encode = achievable.encode_psd
+    monkeypatch.setattr(achievable, "encode_psd", lambda *a, **k: calls.append(1) or encode(*a, **k))
+    mu_sum_achievable(sec7, [2.0, 1.0, 0.5], SolverSettings(starts=1, max_iters=2))
+    assert len(calls) == 2 * len(achievable._corner_allocations(sec7))
 
 
 def test_mu_sum_matches_oracle(sec7, fast):

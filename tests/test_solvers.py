@@ -7,9 +7,9 @@ import pytest
 
 import cograte.achievable as achievable
 from cograte.achievable import _dpc_matrices, _two_block_program, _two_block_rates
-from cograte.channel import composite_matrices, load_channel
+from cograte.channel import CognitiveChannel, composite_matrices, load_channel
 from cograte.errors import NonPositivePower, SolverDiverged, ZeroChannel
-from cograte.outer import _bound_corners
+from cograte.outer import _bound_corners, mu_sum_partial_outer
 from cograte.solvers import (
     NEG_INF,
     SolverSettings,
@@ -182,16 +182,19 @@ def test_multistart_raises_on_non_finite_gradient():
 
 
 def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts):
-    """One weighting's ascent with its per-start update as a Python loop: the
-    reference that the lockstep ascent must reproduce exactly."""
-    from cograte.solvers import _LADDER, _MAX_STEP
+    """One weighting's ascent with its per-start extrapolation and update as
+    a Python loop: the reference that the lockstep ascent must reproduce
+    exactly."""
+    from cograte.solvers import _LADDER, _MAX_MOMENTUM, _MAX_STEP
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
-    starts = [np.zeros(n_params), *extra_starts]
+    starts = list(extra_starts)
     for i in range(settings.starts):
         starts.append(scale * (0.3 if i % 2 else 1.0) * rng.standard_normal(n_params))
     thetas = project(np.asarray(starts, dtype=float))
     vals = objective(thetas)[0](w)
+    prev = thetas.copy()
+    t = [1.0] * len(thetas)
     step = np.full(len(thetas), 0.25 * scale)
     stall = np.zeros(len(thetas), dtype=int)
     active = np.ones(len(thetas), dtype=bool)
@@ -199,29 +202,38 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        th = thetas[idx]
-        grad = objective(th)[1](w)
+        t_next = [min((1.0 + math.sqrt(1.0 + 4.0 * t[s] * t[s])) / 2.0, _MAX_MOMENTUM) for s in idx]
+        y = np.array([
+            thetas[s] + ((t[s] - 1.0) / tn) * (thetas[s] - prev[s]) for s, tn in zip(idx, t_next)
+        ])
+        grad = objective(y)[1](w)
         gnorm = np.linalg.norm(grad, axis=1)
         keep = gnorm >= 1e-15
         active[idx[~keep]] = False
-        idx, th, grad, gnorm = idx[keep], th[keep], grad[keep], gnorm[keep]
+        idx, y, grad, gnorm = idx[keep], y[keep], grad[keep], gnorm[keep]
+        t_next = [tn for tn, kept in zip(t_next, keep) if kept]
         if idx.size == 0:
             continue
         ladders = _LADDER[None, :] * step[idx][:, None]
-        cands = th[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
+        cands = y[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
         cands = project(cands.reshape(-1, n_params)).reshape(len(idx), -1, n_params)
         cvals = objective(cands.reshape(-1, n_params))[0](w).reshape(len(idx), -1)
         for local, start in enumerate(idx):
-            b = np.argmax(cvals[local])
+            b = max(range(len(_LADDER)), key=lambda r: (cvals[local, r], r))
             if cvals[local, b] > vals[start]:
                 gain = cvals[local, b] - vals[start]
+                prev[start] = thetas[start]
                 thetas[start], vals[start] = cands[local, b], cvals[local, b]
                 step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
-                if gain < settings.rel_tol * (1.0 + abs(vals[start])):
+                t[start] = t_next[local]
+                if gain < settings.rel_tol * (1.0 + abs(vals[start])) * t_next[local]:
                     stall[start] += 1
                     active[start] = stall[start] < 3
+                    t[start], prev[start] = 1.0, thetas[start]
                 else:
                     stall[start] = 0
+            elif t[start] > 1.0:
+                t[start], prev[start] = 1.0, thetas[start]
             else:
                 step[start] *= 0.25
                 active[start] = step[start] >= 1e-13 * scale
@@ -287,13 +299,43 @@ def test_each_line_search_tries_the_ladder_alone(monkeypatch, sec7):
     assert all(rows == len(_LADDER) * prev[1] for prev, (_, rows) in searches)
 
 
+@pytest.mark.parametrize(
+    "solve, floor",
+    [
+        (lambda ch, opts: achievable.mu_sum_achievable(ch, 2.0, opts), 43.3236006180),
+        (lambda ch, opts: mu_sum_partial_outer(ch, 1.0, 2.0, opts), 43.4177927343),
+    ],
+    ids=["achievable", "partial_outer"],
+)
+def test_four_antenna_solves_end_below_the_cap(monkeypatch, solve, floor):
+    # a random complex 4-antenna channel at p = 10, mu = 2, alpha = 1: the
+    # ascent without momentum ran both solves to the iteration cap, with these
+    # floors as values; the accelerated one must retire every start earlier
+    rng = np.random.default_rng(4)
+    h = [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / math.sqrt(2.0)
+         for _ in range(4)]
+    ch = CognitiveChannel(*h, p_p=10.0, p_c=10.0)
+    gradient_calls = []
+    objective = achievable.LogDetProgram.objective
+
+    def counted(program, thetas):
+        values, gradient = objective(program, thetas)
+        return values, lambda w: gradient_calls.append(len(thetas)) or gradient(w)
+
+    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    opts = SolverSettings(starts=8, seed=0)
+    result = solve(ch, opts)
+    assert len(gradient_calls) < opts.max_iters
+    assert result.value >= floor - 1e-9
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ascent_whose_step_outgrows_the_float_square_runs_clean(monkeypatch, sec7):
+def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, sec7):
     # a broadcast program over coupled noise, [[I, q], [q†, I]], whitened into
-    # the cognitive term: on the sum-power ball's boundary the ascent's step
-    # grows fourfold per iteration up to the overflow guard, so its candidate
-    # rows pass 1e154, whose squares overflow, and the projection takes them
-    # onto the sphere in units of their largest entry
+    # the cognitive term: on the sum-power ball's boundary the ladder's rungs
+    # project to nearly the same point, and a step that grew fourfold on each
+    # near-tie would pass 1e150, where squares overflow; the ascent keeps its
+    # candidate rows within a few thousand of the ball (radius sqrt(10))
     q = np.array([[0.3, -0.2]])
     sigma_z = np.block([[np.eye(1), q], [q.T, np.eye(2)]])
     mats = composite_matrices(sec7, 1.0)
@@ -324,7 +366,7 @@ def test_ascent_whose_step_outgrows_the_float_square_runs_clean(monkeypatch, sec
     value = _two_block_rates(sec7, ga, ga, kw, q_p, q_c).mu_sum(1.0)
     assert value == pytest.approx(3.537974049, abs=1e-6)
     assert np.trace(q_p + q_c) <= budget + 1e-9
-    assert max(largest) > 1e150
+    assert max(largest) < 1e4
 
 
 def test_waterfill_flipped_row_channel():

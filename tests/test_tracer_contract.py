@@ -122,3 +122,27 @@ def test_traced_commands_reach_every_counted_layer(monkeypatch, tmp_path):
              "linalg.slogdet")
     assert {name: tracer.calls[name] for name in spans if tracer.calls[name] == 0} == {}
     assert tracer.counts["solvers.scan_evals"] > 0
+
+
+def test_traced_iterations_are_the_solver_gradient_calls(monkeypatch, sec7):
+    # the benchmark counts an iteration per objective call that does not
+    # follow a projection; a solver that projects anything other than its
+    # line-search candidates before an objective call reads fewer (or none)
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    gradient_calls = []
+    objective = achievable.LogDetProgram.objective
+
+    def counted(program, thetas):
+        values, gradient = objective(program, thetas)
+        return values, lambda w: gradient_calls.append(len(thetas)) or gradient(w)
+
+    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        achievable.mu_sum_achievable(sec7, [2.0, 0.5], SolverSettings(starts=2, max_iters=40))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["solvers.iterations"] == len(gradient_calls) > 0
