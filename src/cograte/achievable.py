@@ -324,18 +324,25 @@ def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, q0, q1) -> RatePair:
     return _two_block_root_rates(ch, g, h_int, h_c, psd_sqrt(q0), psd_sqrt(q1))
 
 
-def _two_block_root_rates(ch: CognitiveChannel, g, h_int, h_c, *roots) -> RatePair:
+def _two_block_root_rates(ch: CognitiveChannel, g, h_int, h_c, *roots):
     """:func:`_two_block_rates` at ``q_i = R_i R_i†`` from factors ``R_i``: a
     factor known exactly keeps what the square root of a rounded huge ``q_i``
-    loses, such as a beam that ``g`` hears almost nothing of."""
+    loses, such as a beam that ``g`` hears almost nothing of.  Stacks
+    ``(k, n, n)`` of factors give a list of ``k`` rate pairs, from one
+    ``log_det_id_plus`` of a stack per log-det."""
 
     def log_det(*terms):
         hs = _on_range([h for h, _ in terms])
-        f = np.hstack([h @ roots[block] for h, (_, block) in zip(hs, terms)])
-        return ch.rate_scale * log_det_id_plus(f @ np.conj(f.T))
+        f = np.concatenate([h @ roots[block] for h, (_, block) in zip(hs, terms)], axis=-1)
+        return ch.rate_scale * log_det_id_plus(f @ np.conj(np.swapaxes(f, -1, -2)))
 
     r_p = log_det((g, 0), (h_int, 1)) - log_det((h_int, 1))
-    return RatePair(r_p=max(r_p, 0.0), r_c=max(log_det((h_c, 1)), 0.0))
+    r_c = log_det((h_c, 1))
+    pairs = [
+        RatePair(r_p=max(p, 0.0), r_c=max(c, 0.0))
+        for p, c in zip(np.atleast_1d(r_p), np.atleast_1d(r_c))
+    ]
+    return pairs if np.ndim(roots[0]) > 2 else pairs[0]
 
 
 def _dpc_matrices(ch: CognitiveChannel):
@@ -344,35 +351,53 @@ def _dpc_matrices(ch: CognitiveChannel):
     return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
-def _solve(program: LogDetProgram, mus, groups, opts, starts, where: str = "") -> np.ndarray:
+def _encode(program: LogDetProgram, item) -> np.ndarray:
+    """Parameter vector of a start: a tuple of one matrix per block, a
+    :class:`DpcAllocation` (its stacked block and sigma_cc), or a raw vector."""
+    if isinstance(item, DpcAllocation):
+        item = (item.sigma_p_net, item.sigma_cc)
+    return program.encode(*item) if isinstance(item, tuple) else item
+
+
+def _solve(
+    program: LogDetProgram, mus, groups, opts, starts, where=None, column_scale=None
+) -> np.ndarray:
     """Winning thetas of the program's mu-sums, a row per mu of ``mus``, under
     the trace budgets ``groups`` (parameter indices, budget).  ``starts`` has
-    a sequence per mu of tuples of one matrix per block, :class:`DpcAllocation`
-    (its stacked block and sigma_cc) or raw parameter vectors.  A divergence
-    names its mu, then ``where``.  A start shared by mus is encoded once."""
-
-    def encode(item):
-        if isinstance(item, DpcAllocation):
-            item = (item.sigma_p_net, item.sigma_cc)
-        return program.encode(*item) if isinstance(item, tuple) else item
-
+    a sequence per mu of starts (:func:`_encode`); a start shared by mus is
+    encoded once.  ``column_scale``, a row per mu, is handed to
+    :func:`maximize_multistart`.  Each distinct weighting (mu and column
+    scale) is climbed once, from the union of its repeats' starts.  A
+    divergence names its mu, then its entry of ``where``."""
+    n = len(mus)
+    where = where or [""] * n
+    cols = np.ones((n, program.n_params)) if column_scale is None else np.asarray(column_scale)
+    first: dict = {}
+    slot = [first.setdefault((mu, row.tobytes()), len(first)) for mu, row in zip(mus, cols)]
+    head = [slot.index(j) for j in range(len(first))]
     unique = {id(item): item for own in starts for item in own}
-    encoded = {key: encode(item) for key, item in unique.items()}
+    encoded = {key: _encode(program, item) for key, item in unique.items()}
+    merged = [[] for _ in head]
+    for j, own in zip(slot, starts):
+        seen = {start.tobytes() for start in merged[j]}
+        merged[j] += [encoded[id(item)] for item in own if encoded[id(item)].tobytes() not in seen]
     try:
         _, thetas = maximize_multistart(
             program.objective,
             program.n_params,
             make_group_projection(groups),
             opts or SolverSettings(),
-            program.weights(mus),
+            program.weights([mus[i] for i in head]),
             scale=math.sqrt(max(budget for _, budget in groups)),
-            extra_starts=[[encoded[id(item)] for item in own] for own in starts],
+            extra_starts=merged,
+            column_scale=cols[head],
         )
     except SolverDiverged as exc:
         if exc.owner is None:
             raise
-        raise SolverDiverged(f"{exc} (at mu={mus[exc.owner]:g}{where})") from exc
-    return thetas
+        i = head[exc.owner]
+        raise SolverDiverged(f"{exc} (at mu={mus[i]:g}{where[i]})") from exc
+    return thetas[slot]
 
 
 def _corner_allocations(ch: CognitiveChannel):
@@ -424,12 +449,14 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
     thetas = _solve(program, mus, groups, opts, [corners] * len(mus))
-    results = []
-    for mu_i, theta in zip(mus, thetas):
-        witness = DpcAllocation.from_net(*program.decode(theta))
+    witnesses = [DpcAllocation.from_net(*program.decode(theta)) for theta in thetas]
+    for witness in witnesses:
         _require(_feasibility_violation(ch, witness, DEFAULT_TOL))
-        rate = _two_block_root_rates(ch, *mats, *program.lower_factors(theta))
-        results.append(MuSumResult(rate.mu_sum(mu_i), rate, witness, theta))
+    rates = _two_block_root_rates(ch, *mats, *program.lower_factors(thetas))
+    results = [
+        MuSumResult(rate.mu_sum(mu_i), rate, witness, theta)
+        for mu_i, rate, witness, theta in zip(mus, rates, witnesses, thetas)
+    ]
     return results if np.ndim(mu) else results[0]
 
 

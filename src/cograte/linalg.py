@@ -61,8 +61,9 @@ def range_basis(a: np.ndarray) -> np.ndarray:
     return u[:, : int(np.sum(s > s.max(initial=0.0) * max(a.shape) * np.finfo(s.dtype).eps))]
 
 
-def logdet2_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """log2-determinant of a Hermitian positive definite matrix.
+def logdet2_pd(a: np.ndarray, tol: float = DEFAULT_TOL):
+    """log2-determinant of a Hermitian positive definite matrix, or of each of
+    a ``(..., n, n)`` stack; a float for one matrix, an array for a stack.
 
     Cholesky is tried first (fast, stable); on failure the eigenvalues of the
     symmetrized matrix are used, raising :class:`NonPositiveDefinite` when any
@@ -71,18 +72,22 @@ def logdet2_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     s = symmetrize(a)
     try:
         c = np.linalg.cholesky(s)
-        return float(2.0 * np.sum(np.log2(np.real(np.diagonal(c)))))
+        out = 2.0 * np.sum(np.log2(np.real(np.diagonal(c, axis1=-2, axis2=-1))), axis=-1)
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(s)
-        if w[0] <= tol:
+        low = float(np.min(w[..., 0]))
+        if low <= tol:
             raise NonPositiveDefinite(
-                f"matrix has eigenvalue {w[0]:.3e} <= tolerance {tol:.1e}"
+                f"matrix has eigenvalue {low:.3e} <= tolerance {tol:.1e}"
             ) from None
-        return float(np.sum(np.log2(w)))
+        out = np.sum(np.log2(w), axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def log_det_id_plus(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Evaluate log2 det(I + m) for Hermitian ``m`` with I + m > 0.
+def log_det_id_plus(m: np.ndarray, tol: float = DEFAULT_TOL):
+    """Evaluate log2 det(I + m) for Hermitian ``m`` with I + m > 0, or for
+    each of a ``(..., n, n)`` stack (a float for one matrix, an array for a
+    stack).
 
     This is the kernel of every rate formula in the package.  Callers in
     real-signal mode apply their own 1/2 prefactor.

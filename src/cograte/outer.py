@@ -24,6 +24,7 @@ from .achievable import (
     LogDetProgram,
     _budget_violation,
     _dpc_matrices,
+    _encode,
     _require,
     _solve,
     _two_block_program,
@@ -34,7 +35,7 @@ from .achievable import (
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .errors import BracketUnbounded
-from .linalg import DEFAULT_TOL, LN2, range_basis, symmetrize
+from .linalg import DEFAULT_TOL, LN2, param_rows, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, as_grid, check_mu, cross_polish
 from .solvers import (
     ScanResult,
@@ -117,7 +118,7 @@ def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
 
 def mu_sum_partial_outer(
     ch: CognitiveChannel,
-    alpha: float,
+    alpha,
     mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
@@ -126,29 +127,61 @@ def mu_sum_partial_outer(
 
     ``extra_starts`` accepts DPC allocations of ``ch`` (mapped into the
     bound through :func:`scale_allocation`, which keeps their rate pair),
-    (q_p, sigma_cc) pairs, or raw parameter vectors.  A 1-D grid ``mu`` is
-    solved as :func:`~cograte.achievable.mu_sum_achievable` solves one.
+    (q_p, sigma_cc) pairs, or raw parameter vectors.
+
+    ``alpha`` and ``mu`` may each be a 1-D grid: two grids pair up entry by
+    entry, and a scalar pairs with every entry of the other.  The (alpha,
+    mu) weightings, with a sequence of extra starts each, then climb in one
+    lockstep ascent into a list of the results each gets alone, as
+    :func:`~cograte.achievable.mu_sum_achievable` solves a mu grid.  One
+    program serves every alpha: the bound at alpha is the alpha = 1 program
+    read at ``s ⊙ θ``, with ``s`` 1 on the licensed rows of the stacked
+    block's Cholesky factor and ``1/sqrt(alpha)`` on its cognitive rows and
+    on all of sigma_cc's factor, since ``[h_pp, h_cp/√α] L = [h_pp, h_cp]
+    (D L)`` and ``D L`` is still lower-triangular.  Each weighting climbs
+    ``φ = θ / sqrt(B)`` on the unit ball, ``B = p_p + alpha p_c`` its sum
+    budget, under the column scale ``sqrt(B) s``, and the winners are
+    re-scored in one batch.
     """
+    grid = bool(np.ndim(alpha) or np.ndim(mu))
+    if np.ndim(alpha) and not np.ndim(mu):
+        mu = [mu] * len(alpha)
     mus, extra = as_grid(mu, extra_starts)
-    budget = ch.p_p + alpha * ch.p_c
-    scaled = scaled_channel(ch, alpha)
-    program = _two_block_program(scaled, *_dpc_matrices(scaled))
-    corners = _bound_corners(ch, alpha, budget)
-    starts = [
-        corners + [scale_allocation(a, alpha) if isinstance(a, DpcAllocation) else a for a in own]
-        for own in extra
-    ]
-    thetas = _solve(
-        program, mus, [(np.arange(program.n_params), budget)], opts, starts, f", alpha={alpha:g}"
-    )
-    results = []
-    for mu_i, theta in zip(mus, thetas):
-        q_p, s_cc = program.decode(theta)
+    alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * len(mus)
+    if len(alphas) != len(mus):
+        raise ValueError(f"{len(alphas)} alphas cannot pair with {len(mus)} mus")
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
+    licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
+    per_alpha = {}
+    for a in dict.fromkeys(alphas):
+        budget = ch.p_p + a * ch.p_c
+        root = math.sqrt(budget)
+        corners = [_encode(program, c) / root for c in _bound_corners(ch, a, budget)]
+        per_alpha[a] = (budget, corners, root * np.where(licensed, 1.0, 1.0 / math.sqrt(a)))
+
+    def start(item, a):
+        item = scale_allocation(item, a) if isinstance(item, DpcAllocation) else item
+        return np.asarray(_encode(program, item), dtype=float) / math.sqrt(per_alpha[a][0])
+
+    cols = np.array([per_alpha[a][2] for a in alphas])
+    starts = [per_alpha[a][1] + [start(item, a) for item in own] for a, own in zip(alphas, extra)]
+    where = [f", alpha={a:g}" for a in alphas]
+    phis = _solve(program, mus, [(np.arange(program.n_params), 1.0)], opts, starts, where, cols)
+    budgets = [per_alpha[a][0] for a in alphas]
+    thetas = phis * np.sqrt(budgets)[:, None]
+    covariances = list(zip(*program.decode(thetas)))
+    for budget, (q_p, s_cc) in zip(budgets, covariances):
         _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
-        roots = tuple(program.lower_factors(theta))
-        rate = _partial_root_rates(ch, alpha, roots)
-        results.append(BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, alpha, roots))
-    return results if np.ndim(mu) else results[0]
+    # the alpha = 1 factors at the points the ascent read score every rate
+    rates = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(cols * phis))
+    results = [
+        BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, a, roots)
+        for a, mu_i, rate, (q_p, s_cc), theta, roots in zip(
+            alphas, mus, rates, covariances, thetas, zip(*program.lower_factors(thetas))
+        )
+    ]
+    return results if grid else results[0]
 
 
 def _partial_root_rates(ch: CognitiveChannel, alpha: float, roots) -> RatePair:
@@ -213,6 +246,9 @@ def inf_alpha_partial_outer(
     of ``n_scan`` points, both bracket edges included, brackets the minimum
     where the slope turns from negative to positive, and a root finder on
     the slope polishes it to 1e-6 in ``log alpha`` (:func:`scan_then_golden`).
+    The scan's alphas not solved yet are solved together, in one lockstep
+    call of :func:`mu_sum_partial_outer`, before the scan reads them; each
+    polish step and the final solve at the minimizer are one call each.
     The slope brackets from any two scan points, so the scan is coarse: its
     density only sets how finely a second minimum is looked for, whose
     turn sets ``non_unimodal``.  The bracket widens tenfold, up to three
@@ -223,8 +259,8 @@ def inf_alpha_partial_outer(
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"invalid alpha bracket ({lo}, {hi})")
     opts = opts or SolverSettings()
-    # scan evaluations run with a trimmed budget (warm-chained along alpha);
-    # only the final solve at the minimizer uses the full settings
+    # scan and polish evaluations run with a trimmed budget; only the final
+    # solve at the minimizer uses the full settings
     inner_opts = replace(
         opts,
         starts=max(2, opts.starts // 3),
@@ -232,19 +268,21 @@ def inf_alpha_partial_outer(
     )
 
     cache: dict[float, BoundMuSumResult] = {}
-    warm: list[np.ndarray] = []
+
+    def solve(alphas) -> None:
+        new = [a for a in dict.fromkeys(alphas) if a not in cache]
+        if new:
+            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner_opts)))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
-        if a not in cache:
-            res = mu_sum_partial_outer(ch, a, mu, inner_opts, extra_starts=list(warm[-1:]))
-            cache[a] = res
-            warm.append(res.theta)
+        solve([a])
         return cache[a].value, _alpha_slope(ch, a, mu, cache[a].roots)
 
     result: ScanResult | None = None
     for _ in range(4):
         xs = np.log(np.geomspace(lo, hi, n_scan))
+        solve([math.exp(x) for x in xs])
         result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
         if result.flat or result.edge == 0:
             break

@@ -128,6 +128,7 @@ def maximize_multistart(
     weights,
     scale: float = 1.0,
     extra_starts=((),),
+    column_scale=None,
 ):
     """Multi-start accelerated projected gradient ascent of one objective under
     several weightings at once; returns the best (values, thetas) of each weighting.
@@ -139,6 +140,10 @@ def maximize_multistart(
     n_params) gradient.  ``project`` maps parameter batches onto the
     feasible set.  Each weighting starts from its own sequence of
     ``extra_starts`` and the same seeded random draws, as alone it would.
+    ``column_scale`` (default all ones) holds a row ``c`` per weighting: its
+    starts climb ``y -> objective(c ⊙ y)``, whose gradient is ``c ⊙`` the
+    objective's, so weightings on differently scaled parameters share one
+    projection; the returned thetas are the ``y``.
 
     All starts of all weightings climb in lockstep, so that one iteration
     makes two batched objective calls (the matrices are tiny; call overhead
@@ -172,6 +177,8 @@ def maximize_multistart(
     if any(theta.size != n_params for theta in starts):
         raise ValueError("extra start has wrong length")
     owner = np.asarray(owner)
+    cols = np.ones((len(weights), n_params)) if column_scale is None else column_scale
+    cols = np.asarray(cols, dtype=float)[owner]
 
     def finite(a, rows, where):
         if not np.isfinite(a).all():
@@ -180,7 +187,7 @@ def maximize_multistart(
 
     thetas = project(np.asarray(starts, dtype=float))
     n_starts, k = thetas.shape
-    vals = np.asarray(objective(thetas)[0](weights[owner]), dtype=float)
+    vals = np.asarray(objective(cols * thetas)[0](weights[owner]), dtype=float)
     finite(vals, owner, "at a start point")
 
     moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
@@ -194,19 +201,21 @@ def maximize_multistart(
         idx = active.nonzero()[0]
         if idx.size == 0:
             break
-        th, own = thetas[idx], owner[idx]
+        th, own, c = thetas[idx], owner[idx], cols[idx]
         w = weights[own]
         ti = t[idx]
         t_next = np.minimum(0.5 + np.sqrt(0.25 + ti * ti), _MAX_MOMENTUM)
         # unprojected: the benchmark's tracer reads a call after a projection as a line search
         y = th + ((ti - 1.0) / t_next)[:, None] * moved[idx]
-        grad = np.asarray(objective(y)[1](w), dtype=float)
+        grad = c * np.asarray(objective(c * y)[1](w), dtype=float)
         finite(grad, own, "during gradient evaluation")
         gnorm = np.sqrt((grad * grad).sum(axis=1))
         dead = gnorm < 1e-15
         if dead.any():
             active[idx[dead]] = False
-            idx, y, grad, gnorm, w, t_next = (a[~dead] for a in (idx, y, grad, gnorm, w, t_next))
+            idx, y, grad, gnorm, w, c, t_next = (
+                a[~dead] for a in (idx, y, grad, gnorm, w, c, t_next)
+            )
             if idx.size == 0:
                 continue
         direction = grad / gnorm[:, None]
@@ -214,7 +223,8 @@ def maximize_multistart(
         cands = y[:, None, :] + ladders[:, :, None] * direction[:, None, :]
         cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
         cvals = np.asarray(
-            objective(cands.reshape(-1, k))[0](w.repeat(n_cand, axis=0)), dtype=float
+            objective((cands * c[:, None, :]).reshape(-1, k))[0](w.repeat(n_cand, axis=0)),
+            dtype=float,
         ).reshape(len(idx), n_cand)
         finite(cvals, owner[idx], "during line search")
 
@@ -380,13 +390,16 @@ def central_slope(f):
     return value_and_slope
 
 
-def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False, tol: float = 1e-12):
+def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False):
     """Capacity-achieving covariance of a point-to-point link under a trace cap.
 
     Maximizes log2|I + h S h†| over PSD S with Tr(S) <= p_total by pouring
-    power over the squared singular values of ``h``; the dual water level is
-    found by bisection.  Returns (capacity_bits, sigma); capacity carries the
-    1/2 real-signalling prefactor when ``real_mode``.
+    power over the squared singular values of ``h``.  The water level is
+    exact: with the inverse gains sorted ascending, the first ``k`` of them
+    share the level ``(p_total + Σ_{i≤k} inv_i) / k``, and the largest ``k``
+    whose level lies above ``inv_k`` is the one that fills.  Returns
+    (capacity_bits, sigma); capacity carries the 1/2 real-signalling
+    prefactor when ``real_mode``.
 
     Raises
     ------
@@ -408,17 +421,10 @@ def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False, tol: float
     gains = gains[keep]
     v = np.conj(vh[keep].T)
 
-    inv = 1.0 / gains
-    lo, hi = 0.0, p_total + float(np.max(inv))
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(np.clip(mid - inv, 0.0, None))) >= p_total:
-            hi = mid
-        else:
-            lo = mid
-    level = 0.5 * (lo + hi)
+    inv = 1.0 / gains  # ascending, as the singular values descend
+    levels = (p_total + np.cumsum(inv)) / np.arange(1, len(inv) + 1)
+    # the strongest gain always fills, even below the rounding of inv[0]
+    level = levels[max(np.count_nonzero(levels > inv), 1) - 1]
     powers = np.clip(level - inv, 0.0, None)
     total = float(np.sum(powers))
     if total > 0.0:

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cograte import cli, errors, outer
+from cograte import achievable, cli, errors, outer
 from cograte.achievable import mu_sum_achievable
 from cograte.channel import load_channel
 from cograte.cli import build_parser, bundled_channel_text, main
@@ -143,7 +144,7 @@ def test_sweep_alpha_resolution_sets_the_scan_points(monkeypatch, tmp_path, chan
         return sweep(*args, **kwargs)
 
     def counted_solve(*args, **kwargs):
-        alphas.append(args[1])
+        alphas.extend(np.atleast_1d(args[1]))  # one entry per (alpha, mu) weighting
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "inf_alpha_partial_outer", counted_sweep)
@@ -172,13 +173,36 @@ def test_sweep_alpha_solves_the_partial_bound_once_per_alpha_eval(
     solve, calls = outer.mu_sum_partial_outer, []
 
     def counted_solve(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(np.atleast_1d(args[1]))  # one entry per (alpha, mu) weighting
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
     out = tmp_path / "sweep.json"
     assert run(["sweep-alpha", "--channel", channel_file, "--out", str(out), "--starts", "4"]) == 0
     assert len(calls) == json.loads(out.read_text())["alpha_evals"]
+
+
+def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, tmp_path):
+    # a work guard without timing: six curves, the peak, one call for the
+    # sweep's whole 6-point scan, one per polish step, the final solve and
+    # the broadcast check (20 calls when the scan took one call per alpha)
+    solves, scans = [], []
+    multistart, solve = achievable.maximize_multistart, outer.mu_sum_partial_outer
+
+    def counted_multistart(*args, **kwargs):
+        solves.append(len(args[4]))
+        return multistart(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        scans.append(np.size(args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(achievable, "maximize_multistart", counted_multistart)
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
+    assert len(solves) <= 15
+    assert scans.count(6) == 1 and scans.count(1) == len(scans) - 1
+    assert 6 in solves  # the scan's six alphas are six weightings of one ascent
 
 
 def test_sweep_alpha_and_reproduce_paper_write_the_same_sweep_report(tmp_path, channel_file):

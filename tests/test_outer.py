@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from conftest import ORACLE_GAP
 
+import cograte.achievable as achievable
 import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
     LogDetProgram,
     _dpc_matrices,
     _two_block_program,
+    _two_block_root_rates,
     dpc_rate_caps,
     mu_sum_achievable,
     scale_allocation,
@@ -20,7 +22,7 @@ from cograte.achievable import (
 )
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
 from cograte.errors import InfeasibleAllocation, SolverDiverged, UnsupportedMu
-from cograte.linalg import log_det_id_plus
+from cograte.linalg import log_det_id_plus, param_rows
 from cograte.outer import (
     _alpha_slope,
     bc_mu_sum,
@@ -195,7 +197,7 @@ def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
     solve = outer.mu_sum_partial_outer
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(np.atleast_1d(args[1]))  # one entry per (alpha, mu) weighting
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted)
@@ -287,7 +289,7 @@ def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
     solve = outer.mu_sum_partial_outer
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(np.atleast_1d(args[1]))  # one entry per (alpha, mu) weighting
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted)
@@ -537,6 +539,104 @@ def test_a_grid_solve_is_each_mu_solved_alone(monkeypatch, sec7, channel):
             assert got.value == pytest.approx(want.value, rel=1e-12)
             assert got.value == pytest.approx(got.rate.mu_sum(mu), rel=1e-15)
             np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
+
+
+def _bundled_or_ladder(monkeypatch, sec7, channel):
+    return sec7 if channel == "bundled" else _ladder(monkeypatch, 2)
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_the_bound_at_alpha_is_the_alpha_one_program_on_scaled_columns(
+    monkeypatch, sec7, channel, rng
+):
+    # the identity every alpha grid rests on: the program of the scaled
+    # channel at theta equals the alpha = 1 program at s * theta, with s
+    # 1/sqrt(alpha) on the cognitive rows of both Cholesky factors
+    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    one = _two_block_program(ch, *_dpc_matrices(ch))
+    rows = param_rows(ch.n_pt + ch.n_ct, one.complex_mode)
+    licensed = np.concatenate([rows < ch.n_pt, np.zeros(one.n_params - len(rows), bool)])
+    thetas = rng.standard_normal((5, one.n_params))
+    for alpha in (1e-3, 0.3, 7.0):
+        scaled = scaled_channel(ch, alpha)
+        program = _two_block_program(scaled, *_dpc_matrices(scaled))
+        s = np.where(licensed, 1.0, 1.0 / math.sqrt(alpha))
+        for got, want in zip(one.rates(s * thetas), program.rates(thetas)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_an_alpha_grid_is_each_weighting_solved_alone(monkeypatch, sec7, channel):
+    # an alpha grid, alone or paired with a mu grid, climbs every (alpha, mu)
+    # weighting in one ascent; each must end where its own call ends
+    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    opts = SolverSettings(starts=3, seed=4)
+    alphas, mus = [0.05, 1.0, 3.0], [2.0, 0.5, 4.0]
+    cases = [
+        (mu_sum_partial_outer(ch, alphas, 2.0, opts), list(zip(alphas, [2.0] * 3))),
+        (mu_sum_partial_outer(ch, alphas, mus, opts), list(zip(alphas, mus))),
+    ]
+    for together, pairs in cases:
+        assert len(together) == len(pairs)
+        for (alpha, mu), got in zip(pairs, together):
+            want = mu_sum_partial_outer(ch, alpha, mu, opts)
+            assert got.alpha == alpha
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="cannot pair"):
+        mu_sum_partial_outer(ch, alphas, mus[:2], opts)
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_a_batched_rescore_is_each_point_rescored_alone(monkeypatch, sec7, channel, rng):
+    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    mats = _dpc_matrices(ch)
+    program = _two_block_program(ch, *mats)
+    roots = program.lower_factors(rng.standard_normal((4, program.n_params)))
+    together = _two_block_root_rates(ch, *mats, *roots)
+    assert len(together) == 4
+    for i, got in enumerate(together):
+        want = _two_block_root_rates(ch, *mats, *(r[i] for r in roots))
+        assert got.r_p == pytest.approx(want.r_p, rel=1e-12)
+        assert got.r_c == pytest.approx(want.r_c, rel=1e-12)
+
+
+def test_repeated_weightings_are_climbed_once(monkeypatch, sec7, fast):
+    # a repeated mu, or (alpha, mu) pair, is one weighting of the ascent, and
+    # every repeat gets its result
+    handed = []
+    solve = achievable.maximize_multistart
+
+    def counted(*args, **kwargs):
+        handed.append(len(args[4]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(achievable, "maximize_multistart", counted)
+    region = trace_boundary(sec7, [2.0, 1.0, 1.0], fast)
+    trace_outer_boundary(sec7, 1.0, [2.0, 1.0, 1.0], fast, warm_boundary=region)
+    pairs = mu_sum_partial_outer(sec7, [0.5, 2.0, 0.5], [1.0, 1.0, 1.0], fast)
+    assert handed == [2, 2, 2]
+    assert pairs[0].value == pairs[2].value
+    np.testing.assert_array_equal(pairs[0].theta, pairs[2].theta)
+
+
+def test_a_diverging_alpha_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):
+    # as for a mu grid: only mu = 0.5's rows go non-finite, and that weighting
+    # is paired with alpha = 2
+    objective = LogDetProgram.objective
+
+    def poisoned(self, thetas):
+        values, gradient = objective(self, thetas)
+
+        def bad_gradient(w):
+            offending = np.isclose(w[:, 0], 0.5 * w[:, 2])
+            return np.where(offending[:, None], np.nan, gradient(w))
+
+        return values, bad_gradient
+
+    monkeypatch.setattr(LogDetProgram, "objective", poisoned)
+    with pytest.raises(SolverDiverged, match=r"gradient evaluation \(at mu=0.5, alpha=2\)$"):
+        mu_sum_partial_outer(sec7, [1.0, 2.0, 4.0], [1.0, 0.5, 3.0], fast)
 
 
 def test_containment_on_randomized_channels(rng):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -405,6 +406,66 @@ def test_waterfill_first_order_optimality(rng):
         if w[0] < 0:
             continue  # left the PSD cone; not a feasible perturbation
         assert cap_of(cand) <= capacity + 1e-6
+
+
+def _waterfill_by_active_sets(h, p_total):
+    """Water-filling capacity by brute force: the best allocation over every
+    nonempty set of active modes, each filled to its common level."""
+    inv = 1.0 / np.linalg.svd(h, compute_uv=False) ** 2
+    best = 0.0
+    for size in range(1, len(inv) + 1):
+        for active in itertools.combinations(range(len(inv)), size):
+            level = (p_total + inv[list(active)].sum()) / size
+            powers = level - inv[list(active)]
+            if (powers >= 0.0).all():
+                best = max(best, float(np.sum(np.log2(level / inv[list(active)]))))
+    return best
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_waterfill_matches_brute_force_over_active_sets(rng, complex_mode):
+    for _ in range(40):
+        rows, cols = rng.integers(1, 5, size=2)
+        h = rng.standard_normal((rows, cols)) * rng.uniform(0.05, 3.0, size=cols)
+        if complex_mode:
+            h = h + 1j * rng.standard_normal((rows, cols))
+        p_total = float(10.0 ** rng.uniform(-3, 3))
+        capacity, sigma = waterfill(h, p_total)
+        assert capacity == pytest.approx(_waterfill_by_active_sets(h, p_total), rel=1e-12)
+        m = np.eye(rows) + h @ sigma @ np.conj(h.T)
+        assert float(np.linalg.slogdet(m)[1] / math.log(2)) == pytest.approx(capacity, rel=1e-12)
+        assert np.trace(sigma).real == pytest.approx(p_total, rel=1e-12)
+
+
+def test_column_scale_climbs_the_objective_at_the_scaled_columns():
+    # maximize_multistart with a column scale c per weighting ends where the
+    # same ascent of y -> f(c * y), handed over as an objective, ends
+    target = np.array([0.3, -0.2, 0.1])
+
+    def objective(thetas):
+        return (
+            lambda w: -np.sum((thetas - target) ** 2, axis=1) * w[:, 0],
+            lambda w: -2.0 * (thetas - target) * w[:, :1],
+        )
+
+    def scaled(c):
+        def wrapped(thetas):
+            values, gradient = objective(c * thetas)
+            return values, lambda w: c * gradient(w)
+
+        return wrapped
+
+    project = make_group_projection([(np.arange(3), 1.0)])
+    opts = SolverSettings(starts=3, seed=2)
+    cols = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0]])
+    values, thetas = maximize_multistart(
+        objective, 3, project, opts, [[1.0], [1.0]], extra_starts=[(), ()], column_scale=cols
+    )
+    for c, value, theta in zip(cols, values, thetas):
+        (want_value,), (want_theta,) = maximize_multistart(scaled(c), 3, project, opts, [[1.0]])
+        assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(theta, want_theta, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(c * theta, target, atol=1e-4)
 
 
 def test_waterfill_errors():
