@@ -162,21 +162,18 @@ def _bounds_report(ch: CognitiveChannel, alphas, curves) -> dict:
     }
 
 
-def _trace(ch: CognitiveChannel, mu_grid, settings: SolverSettings, alphas=()):
+def _trace(ch: CognitiveChannel, mu_grid, settings: SolverSettings, alphas):
     """The achievable boundary over ``mu_grid`` and the partial bound's
-    boundary at each of ``alphas``.  The region seeds every bound solve: the
-    bound contains the region, so its witnesses are feasible warm starts on
-    the bound side."""
+    boundary at each of ``alphas``, all alphas in one solve.  The region
+    seeds every bound solve: the bound contains the region, so its witnesses
+    are feasible warm starts on the bound side."""
     region = trace_boundary(ch, mu_grid, settings)
-    return region, [
-        trace_outer_boundary(ch, alpha, mu_grid, settings, warm_boundary=region)
-        for alpha in alphas
-    ]
+    return region, trace_outer_boundary(ch, alphas, mu_grid, settings, warm_boundary=region)
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
-    region, _ = _trace(_load(args.channel), mu_grid, settings)
+    region = trace_boundary(_load(args.channel), mu_grid, settings)
     _emit(region, args.out or f"region.{args.format}", args.format)
     return 0
 

@@ -38,9 +38,9 @@ from .errors import BracketUnbounded
 from .linalg import DEFAULT_TOL, LN2, param_rows, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, as_grid, check_mu, cross_polish
 from .solvers import (
+    _SLOPE_STEP,
     ScanResult,
     SolverSettings,
-    central_slope,
     scan_then_golden,
     waterfill,
 )
@@ -184,28 +184,21 @@ def mu_sum_partial_outer(
     return results if grid else results[0]
 
 
-def _partial_root_rates(ch: CognitiveChannel, alpha: float, roots) -> RatePair:
-    """Partial-bound rate pair at the covariances ``R R†`` of the factors
-    ``roots`` of ``(q_p, sigma_cc)``, unchecked against the budget."""
-    scaled = scaled_channel(ch, alpha)
-    return _two_block_root_rates(scaled, *_dpc_matrices(scaled), *roots)
-
-
 def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
     """Slope in ``log alpha`` of the partial-bound mu-sum along the witness
     path: the factors ``roots`` of a witness at ``alpha``, scaled by
     ``sqrt(B(a) / B(alpha))`` with ``B(a) = p_p + a p_c``, spend the whole
     budget at every ``a``.  So the path lies below the bound and touches it
     at ``alpha``, and where both are smooth their slopes agree (Danskin's
-    theorem).  Two re-scores of the factors; no solve."""
-    budget = ch.p_p + alpha * ch.p_c
-
-    def along(log_a: float) -> float:
-        a = math.exp(log_a)
-        c = math.sqrt((ch.p_p + a * ch.p_c) / budget)
-        return _partial_root_rates(ch, a, [c * r for r in roots]).mu_sum(mu)
-
-    return central_slope(along)(math.log(alpha))[1]
+    theorem).  Both points of the central difference in ``log alpha`` are
+    re-scored in one stack, on the alpha = 1 matrices with the factors
+    scaled by ``s`` (see :func:`mu_sum_partial_outer`); no solve."""
+    a = np.array([[[math.exp(math.log(alpha) + h)]] for h in (_SLOPE_STEP, -_SLOPE_STEP)])
+    c, s = np.sqrt((ch.p_p + a * ch.p_c) / (ch.p_p + alpha * ch.p_c)), 1.0 / np.sqrt(a)
+    cognitive = np.arange(ch.n_pt + ch.n_ct)[:, None] >= ch.n_pt
+    stacks = (c * np.where(cognitive, s, 1.0) * roots[0], c * s * roots[1])
+    up, down = _two_block_root_rates(ch, *_dpc_matrices(ch), *stacks)
+    return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
 
 
 def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
@@ -499,18 +492,22 @@ def condition_check(
 
 def trace_outer_boundary(
     ch: CognitiveChannel,
-    alpha: float,
+    alpha,
     mu_grid,
     opts: SolverSettings | None = None,
     warm_boundary: RegionBoundary | None = None,
-) -> RegionBoundary:
-    """Trace the partial bound's boundary over a mu grid at one alpha, as
-    :func:`~cograte.achievable.trace_boundary` traces the region.
+) -> RegionBoundary | list[RegionBoundary]:
+    """Trace the partial bound's boundary over a mu grid, as
+    :func:`~cograte.achievable.trace_boundary` traces the region: one
+    boundary for one ``alpha``, or a list of them, one per alpha, for a
+    sequence.  Every (alpha, mu) weighting climbs in one lockstep
+    :func:`mu_sum_partial_outer` call, each as it would alone, and each
+    alpha's winners are cross-polished into its curve.
 
     ``warm_boundary`` (typically the achievable boundary over the same grid)
-    adds its mapped witness at each mu to that mu's starts, which keeps the
-    traced bound numerically above the region it contains even where the
-    two curves touch.
+    adds its mapped witness at each mu to that mu's starts at every alpha,
+    which keeps the traced bound numerically above the region it contains
+    even where the two curves touch.
     """
     opts = opts or SolverSettings()
 
@@ -520,10 +517,15 @@ def trace_outer_boundary(
         for p in (warm_boundary.points if warm_boundary is not None else ())
         if all(k in p.witness for k in keys)
     }
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
     mus = sorted(mu_grid, reverse=True)
-    extra = [warm_by_mu.get(mu, []) for mu in mus]
-    results = mu_sum_partial_outer(ch, alpha, mus, opts, extra_starts=extra)
-    witnesses = [{"q_p": r.q_p, "sigma_cc": r.sigma_cc} for r in results]
-    points = cross_polish(mus, [r.rate for r in results], witnesses)
-    metadata = {"kind": "partial_outer", "alpha": alpha, "channel": ch.digest()}
-    return RegionBoundary(points, {**metadata, "settings": asdict(opts)})
+    extra = [warm_by_mu.get(mu, []) for mu in mus] * len(alphas)
+    results = mu_sum_partial_outer(ch, np.repeat(alphas, len(mus)), mus * len(alphas), opts, extra)
+    boundaries = []
+    for i, a in enumerate(alphas):
+        own = results[i * len(mus) : (i + 1) * len(mus)]
+        witnesses = [{"q_p": r.q_p, "sigma_cc": r.sigma_cc} for r in own]
+        points = cross_polish(mus, [r.rate for r in own], witnesses)
+        metadata = {"kind": "partial_outer", "alpha": a, "channel": ch.digest()}
+        boundaries.append(RegionBoundary(points, {**metadata, "settings": asdict(opts)}))
+    return boundaries if np.ndim(alpha) else boundaries[0]

@@ -183,9 +183,10 @@ def test_sweep_alpha_solves_the_partial_bound_once_per_alpha_eval(
 
 
 def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, tmp_path):
-    # a work guard without timing: six curves, the peak, one call for the
-    # sweep's whole 6-point scan, one per polish step, the final solve and
-    # the broadcast check (20 calls when the scan took one call per alpha)
+    # a work guard without timing: the region, one call for the whole bound
+    # family (5 alphas x 25 mus), the peak, one call for the sweep's whole
+    # 6-point scan, one per polish step, the final solve and the broadcast
+    # check (15 calls when each alpha's curve took its own call)
     solves, scans = [], []
     multistart, solve = achievable.maximize_multistart, outer.mu_sum_partial_outer
 
@@ -200,9 +201,46 @@ def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, 
     monkeypatch.setattr(achievable, "maximize_multistart", counted_multistart)
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
     assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
-    assert len(solves) <= 15
-    assert scans.count(6) == 1 and scans.count(1) == len(scans) - 1
-    assert 6 in solves  # the scan's six alphas are six weightings of one ascent
+    assert len(solves) <= 11
+    assert scans.count(125) == 1 and scans.count(6) == 1
+    assert scans.count(1) == len(scans) - 2
+    # the family's and the scan's weightings are each one ascent
+    assert 125 in solves and 6 in solves
+
+
+def test_bound_solves_the_region_and_the_whole_family_once(monkeypatch, tmp_path, channel_file):
+    # a work guard without timing: one call for the region and one for every
+    # alpha's curve (6 calls when each alpha took its own)
+    solves = []
+    multistart = achievable.maximize_multistart
+
+    def counted(*args, **kwargs):
+        solves.append(len(args[4]))
+        return multistart(*args, **kwargs)
+
+    monkeypatch.setattr(achievable, "maximize_multistart", counted)
+    code = run([
+        "bound", "--channel", channel_file, "--alpha", "0.25,0.5,1,2,4",
+        "--mu-grid", "log:0.1:10:4", "--out", str(tmp_path / "b"), "--starts", "2",
+    ])
+    assert code == 0
+    assert solves == [4, 5 * 4]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_bound_family_writes_what_each_alpha_writes_alone(tmp_path, channel_file, fmt):
+    common = ["--channel", channel_file, "--mu-grid", "log:0.1:10:4", "--starts", "3",
+              "--format", fmt]
+    family = str(tmp_path / "family")
+    assert run(["bound", *common, "--alpha", "0.5,1,2", "--out", family]) == 0
+    combined = json.loads(open(f"{family}.json").read())["alphas"]
+    assert sorted(combined) == ["0.5", "1", "2"]
+    for label in combined:
+        alone = str(tmp_path / f"alone{label}")
+        assert run(["bound", *common, "--alpha", label, "--out", alone]) == 0
+        got = open(f"{family}_alpha{label}.{fmt}", "rb").read()
+        assert got == open(f"{alone}_alpha{label}.{fmt}", "rb").read()
+        assert combined[label] == json.loads(open(f"{alone}.json").read())["alphas"][label]
 
 
 def test_sweep_alpha_and_reproduce_paper_write_the_same_sweep_report(tmp_path, channel_file):

@@ -34,7 +34,7 @@ from cograte.outer import (
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
-from cograte.regions import RatePair
+from cograte.regions import RatePair, RegionBoundary
 from cograte.solvers import (
     SolverSettings,
     central_slope,
@@ -282,6 +282,33 @@ def test_witness_path_slope_matches_re_solved_differences(monkeypatch, sec7, cas
         for s in (h, -h)
     )
     assert slope == pytest.approx((up - down) / (2 * h), rel=1e-4)
+
+
+def _scaled_channel_slope(ch, alpha, mu, roots):
+    """The witness-path slope as first written: three re-scores, each on
+    ``scaled_channel(ch, a)`` of its own ``a``."""
+    budget = ch.p_p + alpha * ch.p_c
+
+    def along(log_a):
+        a = math.exp(log_a)
+        scaled = scaled_channel(ch, a)
+        c = math.sqrt((ch.p_p + a * ch.p_c) / budget)
+        return _two_block_root_rates(scaled, *_dpc_matrices(scaled), *(c * r for r in roots))
+
+    return central_slope(lambda log_a: along(log_a).mu_sum(mu))(math.log(alpha))[1]
+
+
+@pytest.mark.parametrize("case, mu", [("bundled", 2.0), ("ladder", 4.0)])
+def test_witness_path_slope_matches_the_scaled_channel_form(monkeypatch, sec7, case, mu):
+    # one stacked re-score on the alpha = 1 matrices, the factors scaled by s
+    # of each alpha, against the per-alpha scaled channels
+    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+    opts = SolverSettings(starts=2, seed=0)
+    for alpha in (0.05, 0.3, 7.0):
+        roots = mu_sum_partial_outer(ch, alpha, mu, opts).roots
+        want = _scaled_channel_slope(ch, alpha, mu, roots)
+        assert abs(want) > 1e-2  # away from the minimizer, where the slope is rounding
+        assert _alpha_slope(ch, alpha, mu, roots) == pytest.approx(want, rel=1e-9)
 
 
 def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
@@ -637,6 +664,44 @@ def test_a_diverging_alpha_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):
     monkeypatch.setattr(LogDetProgram, "objective", poisoned)
     with pytest.raises(SolverDiverged, match=r"gradient evaluation \(at mu=0.5, alpha=2\)$"):
         mu_sum_partial_outer(sec7, [1.0, 2.0, 4.0], [1.0, 0.5, 3.0], fast)
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo"])
+def test_a_bound_family_is_each_alpha_traced_alone(monkeypatch, sec7, channel):
+    # every alpha's whole mu grid climbs in one ascent; each curve must be
+    # the one its own call traces from the same warm boundary.  The gradient
+    # ends in one BLAS product over the whole batch, whose rounding of a row
+    # can depend on the batch's size; on the complex ladder the curves differ
+    # by up to 6e-15 relative, so they are held to 1e-12, and the bundled
+    # channel's to the bit
+    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    rtol = 0.0 if channel == "bundled" else 1e-12
+    opts = SolverSettings(starts=3, seed=2)
+    grid, alphas = [4.0, 1.0, 0.3], [0.25, 1.0, 4.0]
+    region = trace_boundary(ch, grid, opts)
+    family = trace_outer_boundary(ch, alphas, grid, opts, warm_boundary=region)
+    assert isinstance(family, list) and len(family) == len(alphas)
+    for alpha, curve in zip(alphas, family):
+        alone = trace_outer_boundary(ch, alpha, grid, opts, warm_boundary=region)
+        assert isinstance(alone, RegionBoundary)
+        assert curve.metadata == alone.metadata
+        for got, want in zip(curve.points, alone.points, strict=True):
+            assert got.mu == want.mu
+            for key in ("r_p", "r_c"):
+                assert getattr(got.rate, key) == pytest.approx(getattr(want.rate, key), rel=rtol)
+            for key in ("q_p", "sigma_cc"):
+                np.testing.assert_allclose(got.witness[key], want.witness[key], rtol=rtol, atol=0)
+
+
+def test_a_diverging_bound_family_names_its_alpha_and_mu(monkeypatch, sec7, fast):
+    # the last weighting of mu = 0.5 in the family's order is alpha = 2's
+    def diverging(objective, n_params, project, settings, weights, *args, **kwargs):
+        rows = np.flatnonzero(np.isclose(weights[:, 0], 0.5 * weights[:, 2]))
+        raise SolverDiverged("non-finite objective in gradient evaluation", owner=int(rows[-1]))
+
+    monkeypatch.setattr(achievable, "maximize_multistart", diverging)
+    with pytest.raises(SolverDiverged, match=r"evaluation \(at mu=0.5, alpha=2\)$"):
+        trace_outer_boundary(sec7, [0.5, 2.0], [1.0, 0.5, 3.0], fast)
 
 
 def test_containment_on_randomized_channels(rng):
