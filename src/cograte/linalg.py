@@ -37,16 +37,18 @@ def min_eigenvalue(a: np.ndarray) -> float:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Project onto the PSD cone by clipping negative eigenvalues to zero.
+    """Project onto the PSD cone by clipping negative eigenvalues to zero,
+    one matrix or each of a ``(..., n, n)`` stack.
 
     Idempotent, and the identity on matrices that are already PSD.
     """
     s = symmetrize(m)
     w, v = np.linalg.eigh(s)
-    if w[0] >= 0.0:
+    psd = w[..., :1, None] >= 0.0
+    if psd.all():
         return s
     w = np.clip(w, 0.0, None)
-    return symmetrize((v * w) @ np.conj(v.T))
+    return np.where(psd, s, symmetrize((v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -209,7 +211,8 @@ def lower_product_map(h: np.ndarray, dim: int, complex_mode: bool = False) -> np
 
 def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12) -> np.ndarray:
     """Parameters whose :func:`build_lower` factor ``L`` has ``L L†`` equal
-    to ``m`` up to ``jitter`` on the diagonal.
+    to ``m`` up to ``jitter`` on the diagonal; a ``(..., n, n)`` stack gives
+    a ``(..., param_len)`` stack, each row as its matrix alone would.
 
     The input is floored onto the PSD cone and given a tiny diagonal boost so
     the Cholesky factor exists for rank-deficient matrices; used to warm-start
@@ -217,8 +220,8 @@ def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12)
     """
     s = project_psd(m)
     dim = s.shape[-1]
-    scale = max(float(np.real(np.trace(s))) / dim, 1.0)
+    scale = np.maximum(np.real(np.trace(s, axis1=-2, axis2=-1)) / dim, 1.0)[..., None, None]
     low = np.linalg.cholesky(s + jitter * scale * np.eye(dim, dtype=s.dtype))
     rows, cols, imag = _slots(dim, complex_mode)
-    entries = low[rows, cols]
+    entries = low[..., rows, cols]
     return np.where(imag, np.imag(entries), np.real(entries)).astype(float)

@@ -153,26 +153,27 @@ def mu_sum_partial_outer(
     program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
     licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
-    per_alpha = {}
-    for a in dict.fromkeys(alphas):
-        budget = ch.p_p + a * ch.p_c
-        root = math.sqrt(budget)
-        corners = [_encode(program, c) / root for c in _bound_corners(ch, a, budget)]
-        per_alpha[a] = (budget, corners, root * np.where(licensed, 1.0, 1.0 / math.sqrt(a)))
-
-    def start(item, a):
-        item = scale_allocation(item, a) if isinstance(item, DpcAllocation) else item
-        return np.asarray(_encode(program, item), dtype=float) / math.sqrt(per_alpha[a][0])
-
-    cols = np.array([per_alpha[a][2] for a in alphas])
-    starts = [per_alpha[a][1] + [start(item, a) for item in own] for a, own in zip(alphas, extra)]
+    budget = {a: ch.p_p + a * ch.p_c for a in alphas}
+    corners = {a: _bound_corners(ch, a, b) for a, b in budget.items()}
+    starts = [
+        corners[a] + [scale_allocation(i, a) if isinstance(i, DpcAllocation) else i for i in own]
+        for a, own in zip(alphas, extra)
+    ]
+    # each distinct start encoded once, all in one call, then put on its unit ball
+    unique = {(id(i), a): i for a, own in zip(alphas, starts) for i in own}
+    thetas = _encode(program, unique.values())
+    phi = {key: theta / math.sqrt(budget[key[1]]) for key, theta in zip(unique, thetas)}
+    starts = [[phi[id(i), a] for i in own] for a, own in zip(alphas, starts)]
+    cols = np.array(
+        [math.sqrt(budget[a]) * np.where(licensed, 1.0, 1.0 / math.sqrt(a)) for a in alphas]
+    )
     where = [f", alpha={a:g}" for a in alphas]
     phis = _solve(program, mus, [(np.arange(program.n_params), 1.0)], opts, starts, where, cols)
-    budgets = [per_alpha[a][0] for a in alphas]
+    budgets = [budget[a] for a in alphas]
     thetas = phis * np.sqrt(budgets)[:, None]
     covariances = list(zip(*program.decode(thetas)))
-    for budget, (q_p, s_cc) in zip(budgets, covariances):
-        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
+    for b, (q_p, s_cc) in zip(budgets, covariances):
+        _require(_budget_violation("sum", b, DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
     # the alpha = 1 factors at the points the ascent read score every rate
     rates = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(cols * phis))
     results = [

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,10 +145,13 @@ def cross_polish(mus, rates, witnesses):
 
 
 def write_atomic(path: str, content: str) -> None:
-    """Write ``content`` to ``path`` via a temp file and rename."""
+    """Write ``content`` to ``path`` via a temp file and rename.  The temp
+    file is made with mode 0o666 through the umask, as ``open(path, "w")``
+    makes a file, where ``tempfile.mkstemp`` would force 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)

@@ -160,8 +160,10 @@ def maximize_multistart(
     ``rel_tol * (1 + |f|) * t⁺`` (momentum multiplies the gain per step by
     up to about ``t``) is a stall and restarts the momentum; three stalls in
     a row, or a step underflow, retire the start.  No start sees another, so
-    each weighting climbs as it would alone; a non-finite value raises
-    :class:`SolverDiverged` with the index of its weighting as ``owner``.
+    each weighting climbs as it would alone, up to how BLAS rounds the
+    gradient's final product, which depends on the batch's size (a few ulps
+    on complex channels); a non-finite value raises :class:`SolverDiverged`
+    with the index of its weighting as ``owner``.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))

@@ -129,12 +129,16 @@ def test_mu_sum_rejects_bad_mu(sec7, fast):
 
 def test_grid_solve_encodes_each_shared_corner_once(monkeypatch, sec7):
     # every mu of a grid starts from the same corner objects; encoding them
-    # (eigh and Cholesky per block) once per mu cost as much as the grid
+    # (eigh and Cholesky per block) once per mu cost as much as the grid, and
+    # once per corner cost LAPACK's per-matrix overhead on 1x1 and 2x2 blocks
     calls = []
     encode = achievable.encode_psd
-    monkeypatch.setattr(achievable, "encode_psd", lambda *a, **k: calls.append(1) or encode(*a, **k))
+    monkeypatch.setattr(
+        achievable, "encode_psd", lambda *a, **k: calls.append(a[0]) or encode(*a, **k)
+    )
     mu_sum_achievable(sec7, [2.0, 1.0, 0.5], SolverSettings(starts=1, max_iters=2))
-    assert len(calls) == 2 * len(achievable._corner_allocations(sec7))
+    corners = len(achievable._corner_allocations(sec7))
+    assert [len(stack) for stack in calls] == [corners, corners]  # one stacked call per block
 
 
 def test_mu_sum_matches_oracle(sec7, fast):

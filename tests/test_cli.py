@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -11,7 +12,10 @@ from cograte import achievable, cli, errors, outer
 from cograte.achievable import mu_sum_achievable
 from cograte.channel import load_channel
 from cograte.cli import build_parser, bundled_channel_text, main
+from cograte.regions import write_atomic
 from cograte.solvers import SolverSettings
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture()
@@ -38,6 +42,26 @@ def test_region_csv(tmp_path, channel_file, capsys):
     first = lines[1].split(",")  # largest mu row
     assert float(first[0]) == pytest.approx(100.0)
     assert float(first[1]) == pytest.approx(2.3542, abs=1e-3)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_take_the_mode_a_plain_open_gives(tmp_path, umask):
+    # the atomic write renames a temp file into place; mkstemp made that file
+    # 0o600 whatever the umask
+    old = os.umask(umask)
+    try:
+        write_atomic(str(tmp_path / "written.csv"), "mu,r_p,r_c\n")
+        with open(tmp_path / "plain.csv", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    assert mode("written.csv") == mode("plain.csv") == 0o666 & ~umask
+    assert (tmp_path / "written.csv").read_text() == "mu,r_p,r_c\n"
+    assert sorted(os.listdir(tmp_path)) == ["plain.csv", "written.csv"]
 
 
 def test_region_single_zero_mu(tmp_path, channel_file):
@@ -206,6 +230,22 @@ def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, 
     assert scans.count(1) == len(scans) - 2
     # the family's and the scan's weightings are each one ascent
     assert 125 in solves and 6 in solves
+
+
+def test_only_log_dets_taller_than_one_take_a_lapack_solve(monkeypatch, tmp_path):
+    # the bundled channel's log-dets are all 1x1, where LAPACK's per-matrix
+    # cost was most of a gradient call; 2x2 ones keep the solve
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
+    assert solves == []
+    monkeypatch.syspath_prepend(BENCH)
+    from inputs import mimo_channel
+
+    ch = load_channel(json.dumps(mimo_channel(2, 1)))
+    mu_sum_achievable(ch, 2.0, SolverSettings(starts=1, max_iters=2))
+    assert solves
 
 
 def test_bound_solves_the_region_and_the_whole_family_once(monkeypatch, tmp_path, channel_file):

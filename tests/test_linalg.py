@@ -106,6 +106,35 @@ def test_decode_always_psd(values):
     assert min_eigenvalue(m) >= -1e-12 * max(1.0, float(np.trace(m)))
 
 
+def _kinds(rng, dim, complex_mode):
+    """A PSD, a rank-deficient, a slightly negative and a zero matrix, each
+    ``q diag(w) q†`` on a random unitary ``q``."""
+    a = rng.standard_normal((dim, dim))
+    q = np.linalg.qr(a + 1j * rng.standard_normal((dim, dim)) if complex_mode else a)[0]
+    spectra = [
+        rng.uniform(0.1, 3.0, dim),
+        np.r_[0.0, rng.uniform(0.1, 3.0, dim - 1)],
+        np.r_[-1e-9, rng.uniform(0.1, 3.0, dim - 1)],
+        np.zeros(dim),
+    ]
+    return [(q * w) @ np.conj(q.T) for w in spectra]
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_stack_projects_and_encodes_as_each_matrix_alone(dim, complex_mode):
+    # the solvers encode all their starts in one call per block; each row must
+    # be bit for bit what the matrix gets alone, or the outputs would move
+    rng = np.random.default_rng(dim + 10 * complex_mode)
+    mats = _kinds(rng, dim, complex_mode) + _kinds(rng, dim, complex_mode)
+    for stack in (mats, mats[:1], [m for i, m in enumerate(mats) if i % 4 == 0]):
+        alone = [project_psd(m) for m in stack]
+        assert np.array_equal(project_psd(np.array(stack)), alone)
+        alone = [encode_psd(m, complex_mode) for m in stack]
+        assert alone[0].shape == (param_len(dim, complex_mode),)
+        assert np.array_equal(encode_psd(np.array(stack), complex_mode), alone)
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1))
 def test_project_psd_idempotent(seed):

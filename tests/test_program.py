@@ -2,7 +2,9 @@
 functions each solver reports its winner through, and the broadcast
 mu-sum's dual MAC maps back onto the broadcast region."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from cograte.achievable import (
     _two_block_rates,
     dpc_rates,
 )
-from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
+from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
 from cograte.linalg import (
     DEFAULT_TOL,
     budget_tol,
@@ -38,6 +40,8 @@ from cograte.outer import (
 )
 from cograte.regions import RatePair
 from cograte.solvers import SolverSettings, waterfill
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def _draw(rng, shape, complex_mode):
@@ -126,6 +130,31 @@ def test_a_gradient_call_takes_no_log_det(monkeypatch):
     assert calls == []
     assert values(program.weights(2.0)).shape == (4,)
     assert len(calls) == 1
+
+
+def _ladder(monkeypatch, n):
+    monkeypatch.syspath_prepend(BENCH)
+    from inputs import mimo_channel
+
+    return load_channel(json.dumps(mimo_channel(n, 1)))
+
+
+@pytest.mark.parametrize("channel", ["bundled", "mimo_1x1"])
+def test_a_scalar_log_det_gradient_is_the_lapack_solve_bit_for_bit(monkeypatch, sec7, channel):
+    # on 1x1 log-dets the gradient's M⁻¹E is E times 1/M, which rounds as
+    # OpenBLAS's 1x1 solve does (E / M differs in the last bit in about a
+    # quarter of the real entries), so every ascent climbs as it did on LAPACK
+    ch = sec7 if channel == "bundled" else _ladder(monkeypatch, 1)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    assert program._shape[1] == 1 and program.complex_mode == (channel != "bundled")
+    rng = np.random.default_rng(21)
+    scale = 10.0 ** rng.uniform(-4.0, 8.0, (2000, 1))
+    thetas = scale * rng.standard_normal((2000, program.n_params))
+    e = program._factors(thetas)
+    assert np.abs(e).max() > 1e8
+    m = e @ (np.conj(e.mT) if program.complex_mode else e.mT)
+    m += program._eye
+    assert np.array_equal(program._log_dets(thetas)[1](), np.linalg.solve(m, e))
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
