@@ -32,7 +32,7 @@ from .linalg import (
     range_basis,
     symmetrize,
 )
-from .regions import RatePair, RegionBoundary, as_grid, cross_polish
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import SolverSettings, make_group_projection, maximize_multistart
 
 
@@ -356,38 +356,41 @@ def _dpc_matrices(ch: CognitiveChannel):
     return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
-def _encode(program: LogDetProgram, items) -> list[np.ndarray]:
-    """Parameter vectors of starts, each a tuple of one matrix per block, a
-    :class:`DpcAllocation` (its stacked block and sigma_cc) or a raw vector;
-    the matrices are encoded in one stacked call per block."""
-    items = [(i.sigma_p_net, i.sigma_cc) if isinstance(i, DpcAllocation) else i for i in items]
-    pairs = [i for i in items if isinstance(i, tuple)]
-    encoded = iter(program.encode(*map(np.array, zip(*pairs))) if pairs else ())
-    return [next(encoded) if isinstance(i, tuple) else np.asarray(i, dtype=float) for i in items]
-
-
-def _solve(
-    program: LogDetProgram, mus, groups, opts, starts, where=None, column_scale=None
-) -> np.ndarray:
-    """Winning thetas of the program's mu-sums, a row per mu of ``mus``, under
-    the trace budgets ``groups`` (parameter indices, budget).  ``starts`` has
-    a sequence per mu of starts (:func:`_encode`); a start shared by mus is
-    encoded once.  ``column_scale``, a row per mu, is handed to
-    :func:`maximize_multistart`.  Each distinct weighting (mu and column
-    scale) is climbed once, from the union of its repeats' starts.  A
-    divergence names its mu, then its entry of ``where``."""
-    n = len(mus)
-    where = where or [""] * n
-    cols = np.ones((n, program.n_params)) if column_scale is None else np.asarray(column_scale)
+def _solve(program, mu, groups, opts, starts_of, extra_starts=(), where=None, cols=None,
+           radius=None):
+    """Checked weights (:func:`check_mu`) and winning thetas of the program's
+    mu-sums under the trace budgets ``groups`` (parameter indices, budget),
+    for a weight ``mu`` or a nonempty 1-D grid.  ``extra_starts`` is one
+    sequence of starts for a weight, and one per weight (or none) for a grid;
+    ``starts_of(k, extra)`` makes weighting ``k``'s starts from its own:
+    tuples of a matrix per block, allocations or raw vectors.  Each distinct
+    start is encoded once, in one stacked call per block, then divided by
+    ``radius[k]`` (default 1), the radius of weighting ``k``'s ball.  ``cols``
+    (column scales, a row per weighting) go to :func:`maximize_multistart`.
+    Each distinct weighting (mu and column scale) climbs once, from the union
+    of its repeats' starts.  A divergence names its mu, then ``where[k]``."""
+    mus = [check_mu(m) for m in (mu if np.ndim(mu) else [mu])]
+    extra = (list(extra_starts) or [()] * len(mus)) if np.ndim(mu) else [extra_starts]
+    if not mus or len(extra) != len(mus):
+        raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
+    starts = [starts_of(k, own) for k, own in enumerate(extra)]
+    where, radius = where or [""] * len(mus), radius or [1.0] * len(mus)
+    cols = np.ones((len(mus), program.n_params)) if cols is None else np.asarray(cols)
     first: dict = {}
     slot = [first.setdefault((mu, row.tobytes()), len(first)) for mu, row in zip(mus, cols)]
     head = [slot.index(j) for j in range(len(first))]
-    unique = {id(item): item for own in starts for item in own}
-    encoded = dict(zip(unique, _encode(program, unique.values())))
+    unique = {id(i): i for own in starts for i in own}
+    items = [
+        (i.sigma_p_net, i.sigma_cc) if isinstance(i, DpcAllocation) else i for i in unique.values()
+    ]
+    blocks = [i for i in items if isinstance(i, tuple)]
+    stacks = iter(program.encode(*map(np.array, zip(*blocks))) if blocks else ())
+    encoded = [next(stacks) if isinstance(i, tuple) else np.asarray(i, dtype=float) for i in items]
+    encoded = dict(zip(unique, encoded))
     merged = [[] for _ in head]
-    for j, own in zip(slot, starts):
+    for j, own, r in zip(slot, starts, radius):
         seen = {start.tobytes() for start in merged[j]}
-        merged[j] += [encoded[id(item)] for item in own if encoded[id(item)].tobytes() not in seen]
+        merged[j] += [s for s in (encoded[id(i)] / r for i in own) if s.tobytes() not in seen]
     try:
         _, thetas = maximize_multistart(
             program.objective,
@@ -404,7 +407,7 @@ def _solve(
             raise
         i = head[exc.owner]
         raise SolverDiverged(f"{exc} (at mu={mus[i]:g}{where[i]})") from exc
-    return thetas[slot]
+    return mus, thetas[slot]
 
 
 def _corner_allocations(ch: CognitiveChannel):
@@ -448,14 +451,13 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     A 1-D grid ``mu`` is solved in one lockstep ascent into a list of the
     results each mu gets alone.
     """
-    mus, _ = as_grid(mu)
     mats = _dpc_matrices(ch)
     program = _two_block_program(ch, *mats)
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
-    thetas = _solve(program, mus, groups, opts, [corners] * len(mus))
+    mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners)
     witnesses = [DpcAllocation.from_net(*program.decode(theta)) for theta in thetas]
     for witness in witnesses:
         _require(_feasibility_violation(ch, witness, DEFAULT_TOL))

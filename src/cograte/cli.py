@@ -62,12 +62,16 @@ def _positive(text: str) -> float:
     return value
 
 
-def _resolution(text: str) -> int:
-    """argparse type: an integer >= 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"resolution must be >= 2, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--channel": dict(help="channel spec JSON path"),
         "--mu-grid": dict(default=DEFAULT_MU_GRID,
                           help="log:lo:hi:n | lin:lo:hi:n | single:v (v may be 'inf')"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=_at_least(0), default=0),
         "--out": dict(help="output path (or stem for bound)"),
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--mu-infinity": dict(type=_positive, default=1e6,
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts": dict(type=int, default=8, help="solver multi-start count"),
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
-        "--resolution": dict(type=_resolution, default=DEFAULT_RESOLUTION,
+        "--resolution": dict(type=_at_least(2), default=DEFAULT_RESOLUTION,
                              help="alpha scan points, one partial solve each: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,

@@ -15,6 +15,8 @@ LN2 = float(np.log(2.0))
 
 #: Default eigenvalue tolerance for PSD certification.
 DEFAULT_TOL = 1e-9
+#: Diagonal boost of :func:`encode_psd`, relative to ``max(trace / n, 1)``.
+ENCODE_JITTER = 1e-12
 
 
 def budget_tol(tol: float, budget: float) -> float:
@@ -209,10 +211,10 @@ def lower_product_map(h: np.ndarray, dim: int, complex_mode: bool = False) -> np
     return w.view(float) if complex_mode else w
 
 
-def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12) -> np.ndarray:
+def encode_psd(m: np.ndarray, complex_mode: bool = False) -> np.ndarray:
     """Parameters whose :func:`build_lower` factor ``L`` has ``L L†`` equal
-    to ``m`` up to ``jitter`` on the diagonal; a ``(..., n, n)`` stack gives
-    a ``(..., param_len)`` stack, each row as its matrix alone would.
+    to ``m`` up to ``ENCODE_JITTER`` on the diagonal; a ``(..., n, n)``
+    stack gives a ``(..., param_len)`` stack, each row as its matrix alone would.
 
     The input is floored onto the PSD cone and given a tiny diagonal boost so
     the Cholesky factor exists for rank-deficient matrices; used to warm-start
@@ -221,7 +223,7 @@ def encode_psd(m: np.ndarray, complex_mode: bool = False, jitter: float = 1e-12)
     s = project_psd(m)
     dim = s.shape[-1]
     scale = np.maximum(np.real(np.trace(s, axis1=-2, axis2=-1)) / dim, 1.0)[..., None, None]
-    low = np.linalg.cholesky(s + jitter * scale * np.eye(dim, dtype=s.dtype))
+    low = np.linalg.cholesky(s + ENCODE_JITTER * scale * np.eye(dim, dtype=s.dtype))
     rows, cols, imag = _slots(dim, complex_mode)
     entries = low[..., rows, cols]
     return np.where(imag, np.imag(entries), np.real(entries)).astype(float)

@@ -24,7 +24,6 @@ from .achievable import (
     LogDetProgram,
     _budget_violation,
     _dpc_matrices,
-    _encode,
     _require,
     _solve,
     _two_block_program,
@@ -36,7 +35,7 @@ from .achievable import (
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .errors import BracketUnbounded
 from .linalg import DEFAULT_TOL, LN2, param_rows, range_basis, symmetrize
-from .regions import RatePair, RegionBoundary, as_grid, check_mu, cross_polish
+from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import (
     _SLOPE_STEP,
     ScanResult,
@@ -131,49 +130,42 @@ def mu_sum_partial_outer(
 
     ``alpha`` and ``mu`` may each be a 1-D grid: two grids pair up entry by
     entry, and a scalar pairs with every entry of the other.  The (alpha,
-    mu) weightings, with a sequence of extra starts each, then climb in one
-    lockstep ascent into a list of the results each gets alone, as
+    mu) weightings, with a sequence of extra starts each (or none), climb in
+    one lockstep ascent into a list of the results each gets alone, as
     :func:`~cograte.achievable.mu_sum_achievable` solves a mu grid.  One
     program serves every alpha: the bound at alpha is the alpha = 1 program
     read at ``s ⊙ θ``, with ``s`` 1 on the licensed rows of the stacked
     block's Cholesky factor and ``1/sqrt(alpha)`` on its cognitive rows and
     on all of sigma_cc's factor, since ``[h_pp, h_cp/√α] L = [h_pp, h_cp]
     (D L)`` and ``D L`` is still lower-triangular.  Each weighting climbs
-    ``φ = θ / sqrt(B)`` on the unit ball, ``B = p_p + alpha p_c`` its sum
-    budget, under the column scale ``sqrt(B) s``, and the winners are
-    re-scored in one batch.
+    ``φ = θ / sqrt(B)``, ``B = p_p + alpha p_c``, on the unit ball under the
+    column scale ``sqrt(B) s``; :func:`~cograte.achievable._solve` checks it
+    and places its starts there, and the winners are re-scored in one batch.
     """
-    grid = bool(np.ndim(alpha) or np.ndim(mu))
-    if np.ndim(alpha) and not np.ndim(mu):
-        mu = [mu] * len(alpha)
-    mus, extra = as_grid(mu, extra_starts)
-    alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * len(mus)
-    if len(alphas) != len(mus):
-        raise ValueError(f"{len(alphas)} alphas cannot pair with {len(mus)} mus")
+    mu = [mu] * len(alpha) if np.ndim(alpha) and not np.ndim(mu) else mu
+    alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * np.size(mu)
+    if len(alphas) != np.size(mu):
+        raise ValueError(f"{len(alphas)} alphas cannot pair with {np.size(mu)} mus")
     program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
     licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
     budget = {a: ch.p_p + a * ch.p_c for a in alphas}
     corners = {a: _bound_corners(ch, a, b) for a, b in budget.items()}
-    starts = [
-        corners[a] + [scale_allocation(i, a) if isinstance(i, DpcAllocation) else i for i in own]
-        for a, own in zip(alphas, extra)
-    ]
-    # each distinct start encoded once, all in one call, then put on its unit ball
-    unique = {(id(i), a): i for a, own in zip(alphas, starts) for i in own}
-    thetas = _encode(program, unique.values())
-    phi = {key: theta / math.sqrt(budget[key[1]]) for key, theta in zip(unique, thetas)}
-    starts = [[phi[id(i), a] for i in own] for a, own in zip(alphas, starts)]
-    cols = np.array(
-        [math.sqrt(budget[a]) * np.where(licensed, 1.0, 1.0 / math.sqrt(a)) for a in alphas]
-    )
+
+    def starts_of(k, extra):
+        a = alphas[k]
+        return corners[a] + [scale_allocation(i, a) if isinstance(i, DpcAllocation) else i
+                             for i in extra]
+
+    radius = [math.sqrt(budget[a]) for a in alphas]
+    cols = np.array(radius)[:, None] * np.where(licensed, 1.0, 1.0 / np.sqrt(alphas)[:, None])
     where = [f", alpha={a:g}" for a in alphas]
-    phis = _solve(program, mus, [(np.arange(program.n_params), 1.0)], opts, starts, where, cols)
-    budgets = [budget[a] for a in alphas]
-    thetas = phis * np.sqrt(budgets)[:, None]
+    groups = [(np.arange(program.n_params), 1.0)]
+    mus, phis = _solve(program, mu, groups, opts, starts_of, extra_starts, where, cols, radius)
+    thetas = phis * np.array(radius)[:, None]
     covariances = list(zip(*program.decode(thetas)))
-    for b, (q_p, s_cc) in zip(budgets, covariances):
-        _require(_budget_violation("sum", b, DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
+    for a, (q_p, s_cc) in zip(alphas, covariances):
+        _require(_budget_violation("sum", budget[a], DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
     # the alpha = 1 factors at the points the ascent read score every rate
     rates = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(cols * phis))
     results = [
@@ -182,7 +174,7 @@ def mu_sum_partial_outer(
             alphas, mus, rates, covariances, thetas, zip(*program.lower_factors(thetas))
         )
     ]
-    return results if grid else results[0]
+    return results if np.ndim(mu) else results[0]
 
 
 def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
@@ -252,6 +244,8 @@ def inf_alpha_partial_outer(
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"invalid alpha bracket ({lo}, {hi})")
+    if n_scan < 2:
+        raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
     opts = opts or SolverSettings()
     # scan and polish evaluations run with a trimmed budget; only the final
     # solve at the minimizer uses the full settings
@@ -433,7 +427,8 @@ def bc_mu_sum(
     # channels; at 1e-12 it stays above that ascent
     opts = opts or SolverSettings()
     opts = replace(opts, rel_tol=min(opts.rel_tol, 1e-12))
-    (theta,) = _solve(program, [mu], [(np.arange(program.n_params), budget)], opts, [starts])
+    groups = [(np.arange(program.n_params), budget)]
+    _, (theta,) = _solve(program, mu, groups, opts, lambda k, extra: starts)
     low_p, low_c = program.lower_factors(theta)
     root_p, root_c = u_p @ low_p, u_c @ low_c
     roots = _mac_to_bc(ga, k, root_p, root_c)

@@ -107,19 +107,6 @@ def _matrix_list(m):
     return [[float(v) for v in row] for row in a]
 
 
-def as_grid(mu, extra_starts=()):
-    """``(mus, starts)`` of a weight or a 1-D grid of weights: the checked
-    weights (:func:`check_mu`) as a list, and one sequence of extra starts
-    per weight, which ``extra_starts`` is for a grid and holds for a scalar."""
-    if np.ndim(mu) == 0:
-        return [check_mu(mu)], [extra_starts]
-    mus = [check_mu(m) for m in mu]
-    starts = list(extra_starts) or [()] * len(mus)
-    if not mus or len(starts) != len(mus):
-        raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
-    return mus, starts
-
-
 def cross_polish(mus, rates, witnesses):
     """Assign to every mu the best rate pair among all solved witnesses.
 

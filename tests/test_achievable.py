@@ -18,6 +18,7 @@ from cograte.channel import CognitiveChannel, mc_mutual_info
 from cograte.errors import InfeasibleAllocation
 from cograte.linalg import log_det_id_plus
 from cograte.oracles import grid_oracle
+from cograte.outer import trace_outer_boundary
 from cograte.solvers import SolverSettings
 
 # frozen from the direct scalar evaluation of the two log-det formulas
@@ -125,6 +126,10 @@ def test_mu_sum_rejects_bad_mu(sec7, fast):
         mu_sum_achievable(sec7, -1.0, fast)
     with pytest.raises(ValueError):
         mu_sum_achievable(sec7, math.inf, fast)
+    # a grid: empty, or with one bad weight among good ones
+    for grid in ([], [1.0, math.nan], [2.0, -1.0]):
+        with pytest.raises(ValueError, match="mu"):
+            mu_sum_achievable(sec7, grid, fast)
 
 
 def test_grid_solve_encodes_each_shared_corner_once(monkeypatch, sec7):
@@ -136,9 +141,18 @@ def test_grid_solve_encodes_each_shared_corner_once(monkeypatch, sec7):
     monkeypatch.setattr(
         achievable, "encode_psd", lambda *a, **k: calls.append(a[0]) or encode(*a, **k)
     )
-    mu_sum_achievable(sec7, [2.0, 1.0, 0.5], SolverSettings(starts=1, max_iters=2))
+    opts = SolverSettings(starts=1, max_iters=2)
+    grid = [2.0, 1.0, 0.5]
+    mu_sum_achievable(sec7, grid, opts)
     corners = len(achievable._corner_allocations(sec7))
     assert [len(stack) for stack in calls] == [corners, corners]  # one stacked call per block
+    # a bound family: each alpha's 3 corners once, and each weighting's warm
+    # start (the region's witness at its mu, mapped to its alpha), in one
+    # stacked call per block
+    region = trace_boundary(sec7, grid, opts)
+    calls.clear()
+    trace_outer_boundary(sec7, [0.5, 1.0, 2.0], grid, opts, warm_boundary=region)
+    assert [len(stack) for stack in calls] == [3 * 3 + 9, 3 * 3 + 9]
 
 
 def test_mu_sum_matches_oracle(sec7, fast):

@@ -401,11 +401,17 @@ def test_each_command_declares_only_the_flags_it_reads():
     ["sweep-alpha", "--mu", "0"],
     ["region", "--mu-grid", "single:-1"],
     ["region", "--starts", "0"],
+    ["region", "--seed", "-1"],
+    ["reproduce-paper", "--seed", "-1"],
 ], ids=" ".join)
-def test_bad_command_line_exits_2_before_the_channel_is_read(channel_file, no_channel_read, argv):
+def test_bad_command_line_exits_2_before_the_channel_is_read(
+    monkeypatch, tmp_path, channel_file, no_channel_read, argv
+):
     if argv[0] != "reproduce-paper":
         argv = argv + ["--channel", channel_file]
+    monkeypatch.chdir(tmp_path)  # where every default output, reproduce_out too, would go
     assert run(argv) == 2
+    assert os.listdir(tmp_path) == ["channel.json"]
 
 
 @pytest.mark.parametrize("alphas", ["0.5000001,0.5000002", "1,1", "2,0.25,2.0000001"])

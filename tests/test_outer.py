@@ -191,6 +191,18 @@ def test_inf_alpha_unattained_infimum_reports_unbounded_from_the_edges_alone(sec
         )
 
 
+@pytest.mark.parametrize("n_scan", [0, 1])
+def test_alpha_sweep_rejects_a_scan_without_both_edges(monkeypatch, sec7, n_scan):
+    # the slope brackets the minimum between two scan points, so a scan
+    # needs both bracket edges
+    def fail(*_args, **_kwargs):
+        pytest.fail("the sweep solved before checking n_scan")
+
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", fail)
+    with pytest.raises(ValueError, match="n_scan"):
+        inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
+
+
 @pytest.mark.parametrize("n_scan", [2, 3, 6])
 def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
     calls = []
@@ -612,6 +624,49 @@ def test_an_alpha_grid_is_each_weighting_solved_alone(monkeypatch, sec7, channel
             np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="cannot pair"):
         mu_sum_partial_outer(ch, alphas, mus[:2], opts)
+    with pytest.raises(ValueError, match="cannot pair"):  # a length-1 list is a grid
+        mu_sum_partial_outer(ch, [1.0], mus[:2], opts)
+
+
+def test_each_partial_bound_start_sits_in_its_own_unit_ball(monkeypatch, sec7):
+    # each weighting climbs theta / sqrt(p_p + alpha p_c); a corner spends the
+    # whole budget, so it lands on the unit sphere, and a warm theta keeps its
+    # direction
+    handed = []
+    solve = achievable.maximize_multistart
+
+    def spy(*args, **kwargs):
+        handed.append(kwargs["extra_starts"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(achievable, "maximize_multistart", spy)
+    opts = SolverSettings(starts=1, max_iters=3)
+    warm = mu_sum_partial_outer(sec7, 1.0, 2.0, opts).theta
+    handed.clear()
+    alphas = [0.25, 4.0]
+    mu_sum_partial_outer(sec7, alphas, [2.0, 2.0], opts, extra_starts=[[warm], [warm]])
+    for alpha, starts in zip(alphas, handed[0]):
+        radius = math.sqrt(sec7.p_p + alpha * sec7.p_c)
+        corners = [np.linalg.norm(start) for start in starts[:-1]]
+        assert max(corners) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_array_equal(starts[-1], warm / radius)
+
+
+@pytest.mark.parametrize("alpha, mu, extra", [
+    (1.0, [], ()),  # empty grids
+    ([], 2.0, ()),
+    (1.0, [1.0, math.nan], ()),  # a bad weight inside a grid
+    ([0.5, 1.0], [2.0, -1.0], ()),
+    (1.0, [1.0, 2.0], [[]]),  # one sequence of extra starts, two weightings
+    ([0.5, 1.0], 2.0, [[], [], []]),  # three sequences, two weightings
+], ids=["empty-mu", "empty-alpha", "nan-mu", "negative-mu", "one-start-list", "three-start-lists"])
+def test_a_bad_weighting_grid_is_rejected_before_any_solve(monkeypatch, sec7, alpha, mu, extra):
+    def fail(*_args, **_kwargs):
+        pytest.fail("a bad grid reached the ascent")
+
+    monkeypatch.setattr(achievable, "maximize_multistart", fail)
+    with pytest.raises(ValueError, match="mu"):
+        mu_sum_partial_outer(sec7, alpha, mu, SolverSettings(starts=1), extra_starts=extra)
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])

@@ -479,7 +479,8 @@ def _generic_broadcast_value(ch, alpha, mu, opts):
         (zero_n, waterfill(k, budget, real_mode=ch.real_mode)[1]),
         (iso, iso),
     ]
-    (theta,) = _solve(program, [mu], [(np.arange(program.n_params), budget)], opts, [starts])
+    groups = [(np.arange(program.n_params), budget)]
+    _, (theta,) = _solve(program, mu, groups, opts, lambda k, extra: starts)
     return _two_block_rates(ch, *mats, *program.decode(theta)).mu_sum(mu)
 
 

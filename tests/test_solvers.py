@@ -362,7 +362,8 @@ def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, s
 
     monkeypatch.setattr(achievable, "make_group_projection", watched)
     groups = [(np.arange(program.n_params), budget)]
-    (theta,) = achievable._solve(program, [1.0], groups, SolverSettings(starts=4, seed=1), [starts])
+    opts = SolverSettings(starts=4, seed=1)
+    _, (theta,) = achievable._solve(program, 1.0, groups, opts, lambda k, extra: starts)
     q_p, q_c = program.decode(theta)
     value = _two_block_rates(sec7, ga, ga, kw, q_p, q_c).mu_sum(1.0)
     assert value == pytest.approx(3.537974049, abs=1e-6)
