@@ -111,8 +111,6 @@ def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
 
 def is_feasible(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) -> bool:
     """True iff the block-PSD and both trace constraints hold within tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     return _feasibility_violation(ch, a, tol) is None
 
 

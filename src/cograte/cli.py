@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format": dict(choices=("csv", "json"), default="csv"),
         "--mu-infinity": dict(type=_positive, default=1e6,
                               help="finite surrogate for the mu -> infinity limit"),
-        "--starts": dict(type=int, default=8, help="solver multi-start count"),
+        "--starts": dict(type=_at_least(1), default=8, help="solver multi-start count"),
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
         "--resolution": dict(type=_at_least(2), default=DEFAULT_RESOLUTION,

@@ -24,6 +24,8 @@ def budget_tol(tol: float, budget: float) -> float:
     ``budget``: ``tol`` plus ``1e-12 * budget``, since the traces and
     eigenvalues of such covariances round at a fixed fraction of the budget,
     which an absolute ``tol`` alone falls below at large budgets."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     return tol + 1e-12 * budget
 
 

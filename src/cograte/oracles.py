@@ -205,6 +205,9 @@ def kyfan_gap(
     grid oracle; larger ones fall back to the ascent solvers.
     """
     mu = check_mu(mu)
+    lo, hi = alpha_bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"invalid alpha bracket ({lo}, {hi})")
     opts = opts or SolverSettings()
 
     if ch.n_pt == 1 and ch.n_ct == 1 and ch.n_pr == 1 and ch.real_mode:
@@ -215,7 +218,7 @@ def kyfan_gap(
         def inner(log_a: float) -> float:
             return grid_oracle(ch, mu, resolution, "partial_outer", math.exp(log_a))
 
-        xs = np.log(np.geomspace(alpha_bracket[0], alpha_bracket[1], 25))
+        xs = np.log(np.geomspace(lo, hi, 25))
         inf_sup = scan_then_golden(central_slope(inner), xs, tol=1e-12).value
     else:
         res = mu_sum_achievable(ch, mu, opts)

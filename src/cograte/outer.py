@@ -33,16 +33,9 @@ from .achievable import (
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
-from .errors import BracketUnbounded
 from .linalg import DEFAULT_TOL, LN2, param_rows, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
-from .solvers import (
-    _SLOPE_STEP,
-    ScanResult,
-    SolverSettings,
-    scan_then_golden,
-    waterfill,
-)
+from .solvers import _SLOPE_STEP, SolverSettings, scan_then_golden, waterfill
 
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
@@ -237,9 +230,9 @@ def inf_alpha_partial_outer(
     polish step and the final solve at the minimizer are one call each.
     The slope brackets from any two scan points, so the scan is coarse: its
     density only sets how finely a second minimum is looked for, whose
-    turn sets ``non_unimodal``.  The bracket widens tenfold, up to three
-    times per side, whenever the minimum lies past an edge, mirroring the
-    divergence of the objective at 0 and infinity.
+    turn sets ``non_unimodal``.  A minimum past an edge adds one alpha, a
+    tenfold step past it and one solve, up to three times in all, as the
+    objective diverges at 0 and infinity; ``bracket`` is the range scanned.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 < lo < hi < math.inf):
@@ -267,21 +260,10 @@ def inf_alpha_partial_outer(
         solve([a])
         return cache[a].value, _alpha_slope(ch, a, mu, cache[a].roots)
 
-    result: ScanResult | None = None
-    for _ in range(4):
-        xs = np.log(np.geomspace(lo, hi, n_scan))
-        solve([math.exp(x) for x in xs])
-        result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
-        if result.flat or result.edge == 0:
-            break
-        if result.edge < 0:
-            lo /= 10.0
-        else:
-            hi *= 10.0
-    else:
-        raise BracketUnbounded(
-            f"alpha minimizer kept touching the bracket edge; last bracket ({lo:g}, {hi:g})"
-        )
+    xs = np.log(np.geomspace(lo, hi, n_scan))
+    solve([math.exp(x) for x in xs])
+    result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
+    low, high = result.widened
 
     # scan_then_golden returns an evaluated point, so its solve is cached
     alpha_star = math.exp(result.x)
@@ -293,7 +275,7 @@ def inf_alpha_partial_outer(
         q_p=best.q_p,
         sigma_cc=best.sigma_cc,
         non_unimodal=result.non_unimodal,
-        bracket=(lo, hi),
+        bracket=(lo / 10.0**low, hi * 10.0**high),
         evaluations=len(cache) + 1,
         slope=_alpha_slope(ch, alpha_star, mu, best.roots),
     )

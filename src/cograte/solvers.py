@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositivePower, SolverDiverged, ZeroChannel
+from .errors import BracketUnbounded, NonPositivePower, SolverDiverged, ZeroChannel
 from .linalg import symmetrize
 
 
@@ -77,8 +77,12 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts <= 0 or self.max_iters <= 0 or self.rel_tol <= 0:
-            raise ValueError("starts, max_iters and rel_tol must be positive")
+        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)  # an integer as operator.index takes one, not a bool
+            if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
 
 
 def make_group_projection(groups):
@@ -258,6 +262,8 @@ def maximize_multistart(
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: :func:`scan_then_golden` widens one tenfold alpha at a time, three times in all.
+_WIDEN_STEP, _MAX_WIDENINGS = math.log(10.0), 3
 
 
 def golden_section(f, lo: float, hi: float, tol: float = 1e-10, max_iters: int = 200):
@@ -287,30 +293,32 @@ class ScanResult:
     x: float
     value: float
     non_unimodal: bool
-    edge: int  # -1 minimum past the low edge, +1 past the high edge, 0 interior
     flat: bool
+    widened: tuple[int, int]  # scan points added past the low and the high end
 
 
 def scan_then_golden(f, xs, tol: float = 1e-10) -> ScanResult:
-    """Minimize a scalar function from a coarse scan over ``xs`` and a
-    bracketed root of its slope.
+    """Minimize a function of ``log alpha`` from a coarse scan over ``xs``
+    and a bracketed root of its slope.
 
     ``f(x)`` returns ``(value, slope)``.  A slope that goes from negative to
     non-negative between two scan points brackets a local minimum, however
     far apart they are, so a few points suffice; more scan points only look
-    more finely for a second such change, which sets ``non_unimodal``.  A first slope >= 0 puts the
-    minimum at or below the low edge (``edge = -1``), a last slope <= 0 at
-    or above the high edge (``edge = +1``); neither is polished.  Otherwise
-    the bracket whose scan values are lowest is polished by
-    :func:`_bracketed_root` on the slope to ``tol`` in ``x``.  The result is
-    always the *evaluated* point of smallest value, so a caller that caches
-    its evaluations finds it cached.
+    more finely for a second such change, which sets ``non_unimodal``.  A
+    first slope >= 0 or a last slope <= 0 puts the minimum past that end, so
+    the scan gains one point ``ln 10`` (a tenfold alpha) past it, the
+    lower-valued end first when both qualify, and is read again; ``widened``
+    counts the points added past each end, and after three in all
+    :class:`BracketUnbounded` is raised.  The bracket whose scan values are
+    lowest is then polished by :func:`_bracketed_root` on the slope to
+    ``tol`` in ``x``.  The result is always the *evaluated* point of
+    smallest value, so a caller that caches its evaluations finds it cached.
 
     The name is kept for the benchmark's tracer, which wraps it by name
     (``perfbench/tracing.py``); it is due for a rename with the next change
     to the benchmark.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = [float(x) for x in xs]
     seen: dict[float, float] = {}
 
     def slope(x: float) -> float:
@@ -320,24 +328,31 @@ def scan_then_golden(f, xs, tol: float = 1e-10) -> ScanResult:
         seen[x] = float(value)
         return float(s)
 
-    slopes = [slope(float(x)) for x in xs]
-    vals = [seen[float(x)] for x in xs]
-
-    def result(non_unimodal: bool, edge: int, flat: bool = False) -> ScanResult:
-        x = min(seen, key=seen.get)
-        return ScanResult(x, seen[x], non_unimodal, edge, flat)
-
-    if max(vals) - min(vals) < 1e-12:
-        mid = float(xs[len(xs) // 2])
-        return ScanResult(mid, seen[mid], False, 0, True)
+    slopes = [slope(x) for x in xs]
+    widened = [0, 0]
+    while True:
+        vals = [seen[x] for x in xs]
+        if max(vals) - min(vals) < 1e-12:
+            mid = xs[len(xs) // 2]
+            return ScanResult(mid, seen[mid], False, True, tuple(widened))
+        ends = [(vals[0], 0)] if slopes[0] >= 0.0 else []
+        ends += [(vals[-1], 1)] if slopes[-1] <= 0.0 else []
+        if not ends:
+            break
+        if sum(widened) == _MAX_WIDENINGS:
+            raise BracketUnbounded("alpha minimizer kept touching the bracket edge; last bracket "
+                                   f"({math.exp(xs[0]):g}, {math.exp(xs[-1]):g})")
+        end = min(ends)[1]
+        widened[end] += 1
+        at, x = (len(xs), xs[-1] + _WIDEN_STEP) if end else (0, xs[0] - _WIDEN_STEP)
+        xs.insert(at, x)
+        slopes.insert(at, slope(x))
+    # a first slope < 0 and a last > 0 change sign in between
     changes = [i for i in range(len(xs) - 1) if slopes[i] < 0.0 <= slopes[i + 1]]
-    edges = [(vals[0], -1)] if slopes[0] >= 0.0 else []
-    edges += [(vals[-1], 1)] if slopes[-1] <= 0.0 else []
-    if edges or not changes:
-        return result(len(changes) > 1, min(edges)[1] if edges else 0)
     i = min(changes, key=lambda j: min(vals[j], vals[j + 1]))
-    _bracketed_root(slope, float(xs[i]), slopes[i], float(xs[i + 1]), slopes[i + 1], tol)
-    return result(len(changes) > 1, 0)
+    _bracketed_root(slope, xs[i], slopes[i], xs[i + 1], slopes[i + 1], tol)
+    x = min(seen, key=seen.get)
+    return ScanResult(x, seen[x], len(changes) > 1, False, tuple(widened))
 
 
 def _bracketed_root(g, a: float, ga: float, b: float, gb: float, tol: float):

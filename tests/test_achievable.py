@@ -18,7 +18,7 @@ from cograte.channel import CognitiveChannel, mc_mutual_info
 from cograte.errors import InfeasibleAllocation
 from cograte.linalg import log_det_id_plus
 from cograte.oracles import grid_oracle
-from cograte.outer import trace_outer_boundary
+from cograte.outer import partial_outer_rates, trace_outer_boundary
 from cograte.solvers import SolverSettings
 
 # frozen from the direct scalar evaluation of the two log-det formulas
@@ -76,6 +76,19 @@ def test_is_feasible_examples(sec7):
     assert not is_feasible(sec7, scalar_alloc(5.0, 5.0, 1.0, 0.0))
     # the stacked block [[1, 1.5], [1.5, 1]] has eigenvalue -0.5
     assert not is_feasible(sec7, scalar_alloc(1.0, 1.0, 0.0, 1.5))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_every_budget_check_rejects_a_bad_tolerance(sec7, tol):
+    # the allocation breaks every budget; a nan or infinite slack let it pass
+    a = scalar_alloc(50.0, 40.0, -3.0, 0.0)
+    for check in (
+        lambda: is_feasible(sec7, a, tol=tol),
+        lambda: dpc_rates(sec7, a, tol=tol),
+        lambda: partial_outer_rates(sec7, 1.0, a.sigma_p_net, a.sigma_cc, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check()
 
 
 @pytest.mark.parametrize("n_pt", [1, 2])

@@ -315,6 +315,22 @@ def test_reproduce_paper(tmp_path):
     )
 
 
+def test_reproduce_paper_widens_a_bracket_above_alpha_star(tmp_path):
+    # alpha* = 0.5535 lies below 1:10; the closed-form scan and the sweep both widen to 0.1
+    out_dir = str(tmp_path / "rep")
+    assert run(["reproduce-paper", "--alpha-bracket", "1:10", "--out-dir", out_dir]) == 0
+    summary = json.loads(open(os.path.join(out_dir, "summary.json")).read())
+    assert summary["alpha_star"] == pytest.approx(0.553516, rel=1e-6)
+    sweep = json.loads(open(os.path.join(out_dir, "sweep_alpha.json")).read())
+    assert sweep["bracket"] == [0.1, 10.0]
+
+
+def test_starts_below_one_fails_while_parsing(tmp_path, channel_file, no_channel_read, capsys):
+    out = str(tmp_path / "r.csv")
+    assert run(["region", "--channel", channel_file, "--starts", "0", "--out", out]) == 2
+    assert "argument --starts: expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_reproduce_paper_deterministic_csv(tmp_path):
     dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for out_dir in dirs:
@@ -401,6 +417,7 @@ def test_each_command_declares_only_the_flags_it_reads():
     ["sweep-alpha", "--mu", "0"],
     ["region", "--mu-grid", "single:-1"],
     ["region", "--starts", "0"],
+    ["reproduce-paper", "--starts", "0"],
     ["region", "--seed", "-1"],
     ["reproduce-paper", "--seed", "-1"],
 ], ids=" ".join)

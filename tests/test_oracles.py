@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import ORACLE_GAP
 
+import cograte.oracles as oracles
 from cograte.achievable import DpcAllocation, dpc_rate_caps, dpc_rates
 from cograte.channel import CognitiveChannel
 from cograte.errors import OracleTooLarge
@@ -194,6 +195,22 @@ def test_kyfan_gap_bundled(sec7):
         res = kyfan_gap(sec7, mu)
         assert isinstance(res, KyFanResult)
         assert res.gap <= 1e-3
+
+
+@pytest.mark.parametrize("bracket", [(10.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, math.inf)])
+def test_kyfan_gap_rejects_a_bad_bracket_before_any_solve(monkeypatch, sec7, bracket):
+    def fail(*_args, **_kwargs):
+        pytest.fail("kyfan_gap solved before checking its bracket")
+
+    monkeypatch.setattr(oracles, "grid_oracle", fail)
+    monkeypatch.setattr(oracles, "mu_sum_achievable", fail)
+    with pytest.raises(ValueError, match="invalid alpha bracket"):
+        kyfan_gap(sec7, 2.0, alpha_bracket=bracket)
+
+
+def test_kyfan_gap_widens_a_bracket_above_the_minimizer(sec7):
+    # the inf-sup side's alpha* lies below 1 at mu = 2, so the scan widens to 0.1
+    assert kyfan_gap(sec7, 2.0, alpha_bracket=(1.0, 10.0)).gap <= 1e-3
 
 
 def test_kyfan_gap_symmetric_scalar():

@@ -191,6 +191,15 @@ def test_inf_alpha_unattained_infimum_reports_unbounded_from_the_edges_alone(sec
         )
 
 
+def test_alpha_sweep_widens_a_bracket_above_alpha_star(sec7):
+    # alpha* = 0.55 lies below (1, 10): one tenfold alpha past the low edge reaches it
+    opts = SolverSettings(starts=8, seed=0)
+    wide = inf_alpha_partial_outer(sec7, 1e6, opts=opts)
+    narrow = inf_alpha_partial_outer(sec7, 1e6, (1.0, 10.0), opts)
+    assert narrow.bracket == (0.1, 10.0)
+    assert narrow.alpha_star == pytest.approx(wide.alpha_star, rel=1e-6)
+
+
 @pytest.mark.parametrize("n_scan", [0, 1])
 def test_alpha_sweep_rejects_a_scan_without_both_edges(monkeypatch, sec7, n_scan):
     # the slope brackets the minimum between two scan points, so a scan

@@ -9,7 +9,7 @@ import pytest
 import cograte.achievable as achievable
 from cograte.achievable import _dpc_matrices, _two_block_program, _two_block_rates
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel
-from cograte.errors import NonPositivePower, SolverDiverged, ZeroChannel
+from cograte.errors import BracketUnbounded, NonPositivePower, SolverDiverged, ZeroChannel
 from cograte.outer import _bound_corners, mu_sum_partial_outer
 from cograte.solvers import (
     NEG_INF,
@@ -48,6 +48,21 @@ def test_settings_validation():
     assert s.starts == 16 and s.max_iters == 2000
 
 
+@pytest.mark.parametrize("field, value", [
+    ("starts", 0), ("starts", 2.5), ("starts", True), ("max_iters", 0), ("max_iters", 2.5),
+    ("rel_tol", 0.0), ("rel_tol", -1e-9), ("rel_tol", math.inf), ("rel_tol", math.nan),
+    ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", False),
+])
+def test_settings_reject_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverSettings(**{field: value})
+
+
+def test_settings_take_any_index_integer():
+    s = SolverSettings(starts=np.int64(3), max_iters=np.int32(5), seed=np.uint8(7))
+    assert (s.starts, s.max_iters, s.seed) == (3, 5, 7)
+
+
 def test_golden_section_quadratic():
     x, fx = golden_section(lambda t: (t - 1.3) ** 2, -4.0, 5.0, tol=1e-12)
     assert x == pytest.approx(1.3, abs=1e-6)
@@ -66,9 +81,10 @@ def _recording(f):
 
 
 def test_scan_then_golden_flags_two_minima():
-    f = lambda t: (math.cos(3 * t), -3 * math.sin(3 * t))  # minima at pi/3 and pi
-    res = scan_then_golden(f, np.linspace(0.0, 4.0, 40))
-    assert res.non_unimodal
+    # minima at pi/3 and pi; the scan starts past 0, where the slope is -0.0 (an edge)
+    f = lambda t: (math.cos(3 * t), -3 * math.sin(3 * t))
+    res = scan_then_golden(f, np.linspace(0.1, 4.0, 40))
+    assert res.non_unimodal and res.widened == (0, 0)
 
 
 def test_scan_then_golden_flat():
@@ -80,7 +96,7 @@ def test_slope_search_finds_a_quadratic_minimum_in_few_steps():
     f, seen = _recording(lambda t: ((t - 1.3) ** 2, 2 * (t - 1.3)))
     res = scan_then_golden(f, np.linspace(-4.0, 5.0, 15), tol=1e-10)
     assert res.x == pytest.approx(1.3, abs=1e-10)
-    assert (res.edge, res.non_unimodal, res.flat) == (0, False, False)
+    assert (res.widened, res.non_unimodal, res.flat) == ((0, 0), False, False)
     assert len(seen) <= 15 + 3  # a linear slope is one secant step from its root
     assert res.x in seen
 
@@ -91,7 +107,7 @@ def test_slope_search_closes_on_a_kink():
     f, seen = _recording(lambda t: (abs(t - c), math.copysign(1.0, t - c)))
     res = scan_then_golden(f, np.linspace(-4.0, 5.0, 15), tol=1e-8)
     assert res.x == pytest.approx(c, abs=1e-8)
-    assert res.x in seen and res.edge == 0
+    assert res.x in seen and res.widened == (0, 0)
 
 
 def test_slope_search_flags_two_minima_and_polishes_the_lower():
@@ -99,19 +115,42 @@ def test_slope_search_flags_two_minima_and_polishes_the_lower():
     f = lambda t: ((t * t - 1) ** 2 + 0.15 * (1 + t), 4 * t * (t * t - 1) + 0.15)
     g, seen = _recording(f)
     res = scan_then_golden(g, np.linspace(-2.0, 2.0, 21), tol=1e-10)
-    assert res.non_unimodal and res.edge == 0
+    assert res.non_unimodal and res.widened == (0, 0)
     assert res.x < 0 and f(res.x)[1] == pytest.approx(0.0, abs=1e-8)
     assert res.x in seen and res.value == min(f(x)[0] for x in seen)
 
 
 @pytest.mark.parametrize("sign, edge", [(1.0, -1), (-1.0, 1)])
-def test_slope_search_reports_a_monotone_function_at_its_edge(sign, edge):
+def test_slope_search_widens_past_a_monotone_edge_three_times_then_raises(sign, edge):
     f, seen = _recording(lambda t: (sign * t, sign))
     xs = np.linspace(0.0, 4.0, 10)
-    res = scan_then_golden(f, xs)
-    assert res.edge == edge and not res.non_unimodal
-    assert len(seen) == len(xs)  # an edge is left for the caller to widen, not polished
-    assert res.x == (xs[0] if edge < 0 else xs[-1])
+    with pytest.raises(BracketUnbounded, match="bracket edge"):
+        scan_then_golden(f, xs)
+    # one point ln 10 (a tenfold alpha) further past the falling end each time
+    end = xs[0] if edge < 0 else xs[-1]
+    assert seen == list(xs) + [end + edge * k * math.log(10.0) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_slope_search_widens_to_a_minimum_past_either_edge(sign):
+    # the minimum at +-5 lies past one end of the scan over [-1, 1]: the
+    # second point added there, 1 + 2 ln 10 = 5.6 from the centre, passes it
+    c = 5.0 * sign
+    f, seen = _recording(lambda t: ((t - c) ** 2, 2 * (t - c)))
+    xs = np.linspace(-1.0, 1.0, 5)
+    res = scan_then_golden(f, xs, tol=1e-10)
+    assert res.x == pytest.approx(c, abs=1e-10) and res.x in seen
+    assert res.widened == ((0, 2) if sign > 0 else (2, 0))
+    assert not res.non_unimodal and not res.flat
+
+
+def test_slope_search_widens_the_lower_end_first():
+    # a maximum at -0.2 leaves both end slopes pointing out of [-1, 1]; the
+    # high end is the lower one and stays so, so every added point goes there
+    f, seen = _recording(lambda t: (-((t + 0.2) ** 2), -2 * (t + 0.2)))
+    with pytest.raises(BracketUnbounded):
+        scan_then_golden(f, np.linspace(-1.0, 1.0, 3))
+    assert seen[3:] == pytest.approx([1.0 + k * math.log(10.0) for k in (1, 2, 3)])
 
 
 def test_slope_search_returns_the_lowest_evaluated_point():

@@ -60,16 +60,20 @@ def test_traced_alpha_sweep_counts_its_scalar_search(monkeypatch, sec7):
 
     import cograte.cli as cli
 
-    tracer = Tracer()
-    tracer.install()
-    try:
-        cli.inf_alpha_partial_outer(
-            sec7, 1e6, (1e-3, 1e3), SolverSettings(starts=1, max_iters=5), n_scan=5
-        )
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["solvers.scan_evals"] > 0
-    assert tracer.counts["outer.alpha_evals"] > 0
+    # (1, 10) lies above alpha*, so the search adds a point past its low edge
+    for bracket, scanned in (((1e-3, 1e3), (1e-3, 1e3)), ((1.0, 10.0), (0.1, 10.0))):
+        tracer = Tracer()
+        tracer.install()
+        try:
+            res = cli.inf_alpha_partial_outer(
+                sec7, 1e6, bracket, SolverSettings(starts=1, max_iters=5), n_scan=5
+            )
+        finally:
+            tracer.uninstall()
+        assert res.bracket == scanned
+        # each alpha solved for the search, an added one too, is a counted evaluation
+        assert tracer.counts["solvers.scan_evals"] >= res.evaluations - 1
+        assert tracer.counts["outer.alpha_evals"] > 0
 
 
 def test_traced_curves_count_their_grid_solves_and_polish(monkeypatch, sec7):
