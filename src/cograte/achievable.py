@@ -70,14 +70,15 @@ class DpcAllocation:
 
 
 def _budget_violation(kind: str, budget: float, tol: float, traced: dict, psd=None):
-    """Message naming the first violated constraint, or None: every
-    covariance of ``psd`` (default: ``traced``) is PSD and the traces of
-    ``traced`` add up to at most the ``kind`` budget ``budget``, both within
-    ``budget_tol(tol, budget)``."""
-    slack = budget_tol(tol, budget)
-    for label, m in (traced if psd is None else psd).items():
-        e = min_eigenvalue(m)
-        if e < -slack:
+    """Message naming the first violated constraint, or None: every matrix
+    of ``traced`` and ``psd`` is finite, those of ``psd`` (default:
+    ``traced``) are PSD and the traces of ``traced`` add up to at most the
+    ``kind`` budget ``budget``, both within ``budget_tol(tol, budget)``."""
+    slack, psd = budget_tol(tol, budget), traced if psd is None else psd
+    for label, m in {**psd, **traced}.items():
+        if not np.isfinite(m).all():
+            return f"{label} has a non-finite entry"
+        if label in psd and (e := min_eigenvalue(m)) < -slack:
             return f"{label} is not PSD (min eigenvalue {e:.3e})"
     total = float(np.real(sum(np.trace(m) for m in traced.values())))
     if total > budget + slack:
@@ -94,6 +95,7 @@ def _require(violation) -> None:
 
 def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
     """Return a message naming the first violated constraint, or None."""
+    budget_tol(tol, 0.0)  # a bad tol raises, whatever the allocation
     if a.sigma_p.shape != (ch.n_pt, ch.n_pt):
         return f"sigma_p has shape {a.sigma_p.shape}, expected {(ch.n_pt, ch.n_pt)}"
     if a.sigma_cp.shape != (ch.n_ct, ch.n_ct) or a.sigma_cc.shape != (ch.n_ct, ch.n_ct):
@@ -119,9 +121,10 @@ def dpc_rate_caps(ch: CognitiveChannel, a: DpcAllocation) -> RatePair:
 
     The Lagrangian case analysis evaluates allocations whose traces violate
     the budgets on purpose; only the PSD structure is required for the
-    log-dets to make sense.
+    log-dets to make sense.  The DPC program scores its two blocks' PSD roots.
     """
-    return _two_block_rates(ch, *_dpc_matrices(ch), a.sigma_p_net, a.sigma_cc)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    return program.factor_rates([psd_sqrt(a.sigma_p_net), psd_sqrt(a.sigma_cc)])[0]
 
 
 def dpc_rates(ch: CognitiveChannel, a: DpcAllocation, tol: float = DEFAULT_TOL) -> RatePair:
@@ -186,7 +189,8 @@ class LogDetProgram:
     ``2 M⁻¹ E / ln 2``.  On 1×1 log-dets, as on the paper's channel, ``M⁻¹
     E`` is ``E * (1 / M)``, which rounds as LAPACK's 1×1 solve does but skips
     its fixed cost per matrix, most of a gradient call there.  The values keep
-    ``slogdet`` at every height, so the benchmark's count of it sees them all.
+    ``slogdet`` at every height, so the benchmark's count of it sees them all
+    and no solve's rounding moves; reported rates come from :meth:`factor_rates`.
 
     With ``singular_values`` each log-det is instead ``Σ log2(1 + σ²)`` over
     the singular values of ``E``, and ``M⁻¹ E = U diag(σ / (1 + σ²)) V†``.
@@ -212,7 +216,7 @@ class LogDetProgram:
                     hs = _on_range([terms[t][0] for t in indices])
                     logdets.append([(h, terms[t][1]) for h, t in zip(hs, indices)])
                     coef.append(sign * np.eye(2)[r])
-        self._coef, self.scale = np.asarray(coef), scale
+        self._coef, self.scale, self._terms = np.asarray(coef), scale, logdets
         height = max([1] + [len(h) for log_det in logdets for h, _ in log_det])
         width = max(sum(self.blocks[block][1] for _, block in log_det) for log_det in logdets)
         product = np.zeros((self.n_params, len(logdets), height, width), dtype=dtype)
@@ -253,10 +257,16 @@ class LogDetProgram:
         solve = (lambda: e * (1.0 / m)) if self._shape[1] == 1 else (lambda: np.linalg.solve(m, e))
         return lambda: np.linalg.slogdet(m)[1] / LN2, solve
 
-    def rates(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched (r_p, r_c) of parameter rows ``thetas``."""
-        out = self.scale * (self._log_dets(thetas)[0]() @ self._coef)
-        return out[:, 0], out[:, 1]
+    def factor_rates(self, factors) -> list[RatePair]:
+        """Rate pairs at ``q_i = R_i R_i†``: a list of one for a factor ``R_i``
+        per block, of ``k`` for a ``(k, n, m)`` stack per block.  Each log-det
+        is one ``log_det_id_plus`` of ``F F†``, ``F`` its on-range terms' ``H
+        R`` side by side.  An exact factor keeps what the root of a rounded huge
+        ``q_i`` loses, such as a beam that ``H`` hears almost nothing of."""
+        fs = [np.concatenate([h @ factors[b] for h, b in terms], axis=-1) for terms in self._terms]
+        log_dets = [log_det_id_plus(f @ np.conj(np.swapaxes(f, -1, -2))) for f in fs]
+        pairs = self.scale * (np.atleast_2d(np.stack(log_dets, axis=-1)) @ self._coef)
+        return [RatePair(r_p=max(p, 0.0), r_c=max(c, 0.0)) for p, c in pairs]
 
     def weights(self, mu) -> np.ndarray:
         """Log-det weights of ``mu*r_p + r_c``, a row per mu of a 1-D ``mu``."""
@@ -317,35 +327,6 @@ def _two_block_program(ch: CognitiveChannel, g, h_int, h_c) -> LogDetProgram:
         rates=[((0, 1), (1,)), ((2,), ())],
         scale=ch.rate_scale,
     )
-
-
-def _two_block_rates(ch: CognitiveChannel, g, h_int, h_c, q0, q1) -> RatePair:
-    """Rate pair at ``(q0, q1)`` of :func:`_two_block_program` on the same
-    matrices: ``r_p = log2|I + g q0 g† + h_int q1 h_int†| - log2|I + h_int q1
-    h_int†|`` and ``r_c = log2|I + h_c q1 h_c†|``, each log-det the
-    ``log_det_id_plus`` of a Gram ``F F†`` on the range of its matrices."""
-    return _two_block_root_rates(ch, g, h_int, h_c, psd_sqrt(q0), psd_sqrt(q1))
-
-
-def _two_block_root_rates(ch: CognitiveChannel, g, h_int, h_c, *roots):
-    """:func:`_two_block_rates` at ``q_i = R_i R_i†`` from factors ``R_i``: a
-    factor known exactly keeps what the square root of a rounded huge ``q_i``
-    loses, such as a beam that ``g`` hears almost nothing of.  Stacks
-    ``(k, n, n)`` of factors give a list of ``k`` rate pairs, from one
-    ``log_det_id_plus`` of a stack per log-det."""
-
-    def log_det(*terms):
-        hs = _on_range([h for h, _ in terms])
-        f = np.concatenate([h @ roots[block] for h, (_, block) in zip(hs, terms)], axis=-1)
-        return ch.rate_scale * log_det_id_plus(f @ np.conj(np.swapaxes(f, -1, -2)))
-
-    r_p = log_det((g, 0), (h_int, 1)) - log_det((h_int, 1))
-    r_c = log_det((h_c, 1))
-    pairs = [
-        RatePair(r_p=max(p, 0.0), r_c=max(c, 0.0))
-        for p, c in zip(np.atleast_1d(r_p), np.atleast_1d(r_c))
-    ]
-    return pairs if np.ndim(roots[0]) > 2 else pairs[0]
 
 
 def _dpc_matrices(ch: CognitiveChannel):
@@ -449,8 +430,7 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     A 1-D grid ``mu`` is solved in one lockstep ascent into a list of the
     results each mu gets alone.
     """
-    mats = _dpc_matrices(ch)
-    program = _two_block_program(ch, *mats)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
@@ -459,7 +439,7 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     witnesses = [DpcAllocation.from_net(*program.decode(theta)) for theta in thetas]
     for witness in witnesses:
         _require(_feasibility_violation(ch, witness, DEFAULT_TOL))
-    rates = _two_block_root_rates(ch, *mats, *program.lower_factors(thetas))
+    rates = program.factor_rates(program.lower_factors(thetas))
     results = [
         MuSumResult(rate.mu_sum(mu_i), rate, witness, theta)
         for mu_i, rate, witness, theta in zip(mus, rates, witnesses, thetas)

@@ -30,9 +30,11 @@ from .achievable import mu_sum_achievable, trace_boundary
 from .channel import CognitiveChannel, load_channel, scaled_channel
 from .errors import CograteError, ConfigError
 from .outer import (
+    DEFAULT_RESOLUTION,
     condition_check,
     inf_alpha_partial_outer,
     partial_outer_max_rp,
+    scan_points,
     trace_outer_boundary,
 )
 from .regions import SCHEMA_VERSION, check_mu, write_atomic
@@ -44,7 +46,6 @@ REPORTED_ALPHA_STAR = 0.9689
 
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_MU_GRID = "log:0.01:100:25"
-DEFAULT_RESOLUTION = 400
 
 def bundled_channel_text() -> str:
     """JSON text of the packaged example channel."""
@@ -206,7 +207,7 @@ def _sweep_report(ch: CognitiveChannel, mu: float, args: argparse.Namespace,
                   settings: SolverSettings, resolution: int = DEFAULT_RESOLUTION) -> dict:
     """Minimize the partial bound over alpha at ``mu``, check the tightness
     condition at the sweep's winner, and report both."""
-    n_scan = resolution // 100 + 2
+    n_scan = scan_points(resolution)
     sweep = inf_alpha_partial_outer(ch, mu, args.alpha_bracket, settings, n_scan=n_scan)
     condition = condition_check(
         ch, sweep.alpha_star, mu, sweep.n_value, sweep.q_p, sweep.sigma_cc, args.tol, settings
@@ -270,7 +271,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     lo, hi = args.alpha_bracket
     scan = scan_then_golden(
         central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
-        np.log(np.geomspace(lo, hi, 6)),
+        np.log(np.geomspace(lo, hi, scan_points(DEFAULT_RESOLUTION))),
         tol=1e-12,
     )
     alpha_star = math.exp(scan.x)

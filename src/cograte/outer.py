@@ -27,13 +27,11 @@ from .achievable import (
     _require,
     _solve,
     _two_block_program,
-    _two_block_rates,
-    _two_block_root_rates,
     dpc_rate_caps,
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
-from .linalg import DEFAULT_TOL, LN2, param_rows, range_basis, symmetrize
+from .linalg import DEFAULT_TOL, LN2, param_rows, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import _SLOPE_STEP, SolverSettings, scan_then_golden, waterfill
 
@@ -54,8 +52,7 @@ def partial_outer_rates(
     alpha)`` of the allocation whose stacked block is ``q_p``, checked
     against the one sum budget ``p_p + alpha p_c`` instead of two."""
     scaled = scaled_channel(ch, alpha)
-    q_p = np.atleast_2d(np.asarray(q_p))
-    sigma_cc = np.atleast_2d(np.asarray(sigma_cc))
+    q_p, sigma_cc = np.atleast_2d(q_p, sigma_cc)
     budget = scaled.p_p + scaled.p_c
     _require(_budget_violation("sum", budget, tol, {"q_p": q_p, "sigma_cc": sigma_cc}))
     return dpc_rate_caps(scaled, DpcAllocation.from_net(q_p, sigma_cc))
@@ -160,7 +157,7 @@ def mu_sum_partial_outer(
     for a, (q_p, s_cc) in zip(alphas, covariances):
         _require(_budget_violation("sum", budget[a], DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
     # the alpha = 1 factors at the points the ascent read score every rate
-    rates = _two_block_root_rates(ch, *_dpc_matrices(ch), *program.lower_factors(cols * phis))
+    rates = program.factor_rates(program.lower_factors(cols * phis))
     results = [
         BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, a, roots)
         for a, mu_i, rate, (q_p, s_cc), theta, roots in zip(
@@ -183,7 +180,7 @@ def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
     c, s = np.sqrt((ch.p_p + a * ch.p_c) / (ch.p_p + alpha * ch.p_c)), 1.0 / np.sqrt(a)
     cognitive = np.arange(ch.n_pt + ch.n_ct)[:, None] >= ch.n_pt
     stacks = (c * np.where(cognitive, s, 1.0) * roots[0], c * s * roots[1])
-    up, down = _two_block_root_rates(ch, *_dpc_matrices(ch), *stacks)
+    up, down = _two_block_program(ch, *_dpc_matrices(ch)).factor_rates(stacks)
     return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
 
 
@@ -196,6 +193,14 @@ def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
     mats = composite_matrices(ch, alpha)
     capacity, _ = waterfill(mats.g_alpha, ch.p_p + alpha * ch.p_c, real_mode=ch.real_mode)
     return capacity
+
+
+DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution
+
+
+def scan_points(resolution: int) -> int:
+    """Points of the alpha sweep's scan at ``resolution``, both edges included."""
+    return resolution // 100 + 2
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,7 @@ def inf_alpha_partial_outer(
     mu: float,
     alpha_bracket: tuple[float, float] = (1e-3, 1e3),
     opts: SolverSettings | None = None,
-    n_scan: int = 6,
+    n_scan: int = scan_points(DEFAULT_RESOLUTION),
 ) -> InfAlphaResult:
     """Minimize the partial-bound mu-sum over the alpha scaling.
 
@@ -380,10 +385,10 @@ def bc_mu_sum(
     holds, so mu >= 1 is required.
 
     The dual winner maps back to ``(q_p, q_c)`` through :func:`_mac_to_bc`.
-    That witness and every ``(q_p, q_c)`` pair of ``extra_starts`` are
-    re-scored with the broadcast rates, and the best wins.  ``gap_bits`` is
-    :func:`_dual_gap` at the dual winner, so ``value + gap_bits`` is an upper
-    value of the broadcast mu-sum.
+    One two-block program's ``factor_rates`` on the broadcast matrices scores
+    that witness's factors and the PSD roots of each ``extra_starts`` pair
+    (checked before the solve); the best wins.  ``gap_bits``, :func:`_dual_gap`
+    at the dual winner, makes ``value + gap_bits`` an upper value of the mu-sum.
 
     This mu-sum is also the infimum over noise couplings of the paper's full
     bound.  There the cognitive receiver also hears a genie copy of the
@@ -397,6 +402,9 @@ def bc_mu_sum(
     mats = _broadcast_matrices(ch, alpha)
     ga, _, k = mats
     budget = ch.p_p + alpha * ch.p_c
+    extra = [[np.atleast_2d(q) for q in pair] for pair in extra_starts]
+    for q_p, q_c in extra:
+        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
     program, (u_p, u_c) = _dual_mac(ch, ga, k)
     (_, d_p, _), (_, d_c, _) = program.blocks
     # k = 0 leaves P_c without a gradient, so one start keeps it at zero
@@ -417,12 +425,9 @@ def bc_mu_sum(
     total = sum(np.linalg.norm(r) ** 2 for r in roots)
     if total > budget:  # the transform keeps the total power; its rounding may not
         roots = [r * math.sqrt(budget / total) for r in roots]
-    witness = [symmetrize(r @ _herm(r)) for r in roots]
-    scored = [(_two_block_root_rates(ch, *mats, *roots), *witness)]
-    for q_p, q_c in extra_starts:
-        q_p, q_c = np.atleast_2d(np.asarray(q_p)), np.atleast_2d(np.asarray(q_c))
-        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
-        scored.append((_two_block_rates(ch, *mats, q_p, q_c), q_p, q_c))
+    scorer = _two_block_program(ch, *mats)
+    scored = [(*scorer.factor_rates(roots), *(symmetrize(r @ _herm(r)) for r in roots))]
+    scored += [(*scorer.factor_rates([psd_sqrt(q) for q in pair]), *pair) for pair in extra]
     rate, q_p, q_c = max(scored, key=lambda item: item[0].mu_sum(mu))
     return BcMuSumResult(
         value=rate.mu_sum(mu),

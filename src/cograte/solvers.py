@@ -12,6 +12,7 @@ sentinel used by the Lagrangian case analysis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,9 @@ class SolverSettings:
             value = getattr(self, name)  # an integer as operator.index takes one, not a bool
             if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        tol = self.rel_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise ValueError(f"rel_tol must be a finite real number > 0, got {tol!r}")
 
 
 def make_group_projection(groups):

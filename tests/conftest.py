@@ -3,6 +3,7 @@ import pytest
 
 from cograte.channel import load_channel
 from cograte.cli import bundled_channel_text
+from cograte.linalg import psd_sqrt
 from cograte.solvers import SolverSettings
 
 #: Accepted shortfall in bits of a solver against a brute-force oracle.
@@ -23,6 +24,19 @@ def fast():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def ascent_rates(program, thetas):
+    """(r_p, r_c) rows of the log-dets that ``program``'s ascent climbs, at
+    parameter rows ``thetas``: ``slogdet``, or singular values."""
+    out = program.scale * (program._log_dets(thetas)[0]() @ program._coef)
+    return out[:, 0], out[:, 1]
+
+
+def covariance_rates(program, *covariances):
+    """``program``'s reported rate pair at one PSD covariance per block,
+    scored at their PSD square roots."""
+    return program.factor_rates([psd_sqrt(q) for q in covariances])[0]
 
 
 def random_psd(rng, dim, trace=None):

@@ -80,15 +80,30 @@ def test_is_feasible_examples(sec7):
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_every_budget_check_rejects_a_bad_tolerance(sec7, tol):
-    # the allocation breaks every budget; a nan or infinite slack let it pass
+    # the allocation breaks every budget; a nan or infinite slack let it pass.
+    # A bad tolerance is named before the shapes are checked
     a = scalar_alloc(50.0, 40.0, -3.0, 0.0)
+    misshaped = DpcAllocation(np.eye(2), [[1.0]], [[1.0]], [[0.0], [0.0]])
     for check in (
         lambda: is_feasible(sec7, a, tol=tol),
         lambda: dpc_rates(sec7, a, tol=tol),
         lambda: partial_outer_rates(sec7, 1.0, a.sigma_p_net, a.sigma_cc, tol=tol),
+        lambda: is_feasible(sec7, misshaped, tol=tol),
+        lambda: dpc_rates(sec7, misshaped, tol=tol),
     ):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check()
+
+
+def test_a_non_finite_covariance_breaks_its_budget_by_name(sec7):
+    # every comparison with nan is false, so a nan trace and eigenvalue
+    # passed each budget check, and only RatePair rejected the nan rate
+    a = DpcAllocation([[math.nan]], [[1.0]], [[1.0]], [[0.0]])
+    assert not is_feasible(sec7, a)
+    with pytest.raises(InfeasibleAllocation, match="stacked covariance block has a non-finite"):
+        dpc_rates(sec7, a)
+    with pytest.raises(InfeasibleAllocation, match="q_p has a non-finite entry"):
+        partial_outer_rates(sec7, 1.0, np.diag([math.nan, 0.0]), [[0.0]])
 
 
 @pytest.mark.parametrize("n_pt", [1, 2])

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP
+from conftest import ORACLE_GAP, ascent_rates
 
 import cograte.achievable as achievable
 import cograte.outer as outer
@@ -14,7 +14,6 @@ from cograte.achievable import (
     LogDetProgram,
     _dpc_matrices,
     _two_block_program,
-    _two_block_root_rates,
     dpc_rate_caps,
     mu_sum_achievable,
     scale_allocation,
@@ -314,7 +313,8 @@ def _scaled_channel_slope(ch, alpha, mu, roots):
         a = math.exp(log_a)
         scaled = scaled_channel(ch, a)
         c = math.sqrt((ch.p_p + a * ch.p_c) / budget)
-        return _two_block_root_rates(scaled, *_dpc_matrices(scaled), *(c * r for r in roots))
+        program = _two_block_program(scaled, *_dpc_matrices(scaled))
+        return program.factor_rates([c * r for r in roots])[0]
 
     return central_slope(lambda log_a: along(log_a).mu_sum(mu))(math.log(alpha))[1]
 
@@ -417,6 +417,19 @@ def test_bc_mu_sum_rejects_small_mu(sec7, fast):
     part = mu_sum_partial_outer(sec7, 1.0, 0.5, fast)
     with pytest.raises(UnsupportedMu):
         condition_check(sec7, 1.0, 0.5, part.value, part.q_p, part.sigma_cc, 1e-3, fast)
+
+
+@pytest.mark.parametrize("start, message", [
+    ((np.full((2, 2), math.nan), np.zeros((2, 2))), "q_p has a non-finite entry"),
+    ((np.zeros((2, 2)), 6.0 * np.eye(2)), "exceeds sum budget"),
+], ids=["nan", "over-budget"])
+def test_bc_mu_sum_rejects_a_bad_start_before_its_solve(monkeypatch, sec7, start, message):
+    def fail(*_args, **_kwargs):
+        pytest.fail("a bad start reached the ascent")
+
+    monkeypatch.setattr(achievable, "maximize_multistart", fail)
+    with pytest.raises(InfeasibleAllocation, match=message):
+        bc_mu_sum(sec7, 1.0, 2.0, SolverSettings(starts=1), extra_starts=[start])
 
 
 def test_bc_mu_sum_scalar_degraded_grid_oracle():
@@ -609,7 +622,7 @@ def test_the_bound_at_alpha_is_the_alpha_one_program_on_scaled_columns(
         scaled = scaled_channel(ch, alpha)
         program = _two_block_program(scaled, *_dpc_matrices(scaled))
         s = np.where(licensed, 1.0, 1.0 / math.sqrt(alpha))
-        for got, want in zip(one.rates(s * thetas), program.rates(thetas)):
+        for got, want in zip(ascent_rates(one, s * thetas), ascent_rates(program, thetas)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -681,13 +694,12 @@ def test_a_bad_weighting_grid_is_rejected_before_any_solve(monkeypatch, sec7, al
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
 def test_a_batched_rescore_is_each_point_rescored_alone(monkeypatch, sec7, channel, rng):
     ch = _bundled_or_ladder(monkeypatch, sec7, channel)
-    mats = _dpc_matrices(ch)
-    program = _two_block_program(ch, *mats)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
     roots = program.lower_factors(rng.standard_normal((4, program.n_params)))
-    together = _two_block_root_rates(ch, *mats, *roots)
+    together = program.factor_rates(roots)
     assert len(together) == 4
     for i, got in enumerate(together):
-        want = _two_block_root_rates(ch, *mats, *(r[i] for r in roots))
+        (want,) = program.factor_rates([r[i] for r in roots])
         assert got.r_p == pytest.approx(want.r_p, rel=1e-12)
         assert got.r_c == pytest.approx(want.r_c, rel=1e-12)
 

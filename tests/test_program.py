@@ -8,17 +8,21 @@ import os
 
 import numpy as np
 import pytest
+from conftest import ascent_rates, covariance_rates
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
     LogDetProgram,
     _dpc_matrices,
     _solve,
     _two_block_program,
-    _two_block_rates,
+    dpc_rate_caps,
     dpc_rates,
+    is_feasible,
+    scale_allocation,
 )
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
 from cograte.linalg import (
@@ -230,7 +234,7 @@ def _dense_rates(complex_mode, spec, theta):
 
 
 def _check_kernel(program, spec, complex_mode, thetas):
-    got = program.rates(thetas)
+    got = ascent_rates(program, thetas)
     expected = np.array([_dense_rates(complex_mode, spec, t) for t in np.atleast_2d(thetas)])
     for r, want in zip(got, expected.T):
         assert r.shape == (len(want),)
@@ -306,7 +310,8 @@ def test_gradient_matches_central_differences(complex_mode, dims, receivers, div
     values, gradient = program.objective(thetas)
     got = gradient(program.weights(mu))
     assert got.shape == thetas.shape
-    want = mu * program.rates(thetas)[0] + program.rates(thetas)[1]
+    r_p, r_c = ascent_rates(program, thetas)
+    want = mu * r_p + r_c
     np.testing.assert_allclose(values(program.weights(mu)), want)
     for row, theta in zip(got, thetas):
         want = _central_differences(program, mu, theta)
@@ -361,8 +366,9 @@ def test_rank_deficient_terms_match_dense_reference(complex_mode, dims, receiver
         h_pp=g, h_pc=np.zeros((len(h_c), dims[0])), h_cp=h_int, h_cc=h_c,
         p_p=1.0, p_c=1.0, real_mode=not complex_mode,
     )
+    scorer = _two_block_program(ch, g, h_int, h_c)
     for theta in thetas:
-        rate = _two_block_rates(ch, g, h_int, h_c, *program.decode(theta))
+        rate = covariance_rates(scorer, *program.decode(theta))
         want = _dense_rates(complex_mode, spec, theta)
         np.testing.assert_allclose([rate.r_p, rate.r_c], want, rtol=1e-12, atol=1e-12)
 
@@ -383,7 +389,7 @@ def test_singular_value_log_dets_match_the_slogdet_ones(
     program, spec = _kernel_case(rng, complex_mode, dims, receivers, 1.0, kinds)
     by_svd = LogDetProgram(complex_mode, **spec, singular_values=True)
     thetas = rng.standard_normal((3, program.n_params))
-    for got, want in zip(by_svd.rates(thetas), program.rates(thetas)):
+    for got, want in zip(ascent_rates(by_svd, thetas), ascent_rates(program, thetas)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     got, want = (p.objective(thetas)[1](p.weights(mu)) for p in (by_svd, program))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 + 1e-9 * np.abs(want).max())
@@ -401,7 +407,7 @@ def test_singular_value_log_dets_keep_the_identity_beside_a_huge_rank_one_term()
         scale=1.0,
         singular_values=True,
     )
-    (r_p,), (r_c,) = program.rates(np.array([1e10, 0.0]))
+    (r_p,), (r_c,) = ascent_rates(program, np.array([1e10, 0.0]))
     assert r_p == pytest.approx(math.log2(1.0 + 1.25e20), rel=1e-14)
     assert abs(r_c) <= 1e-13
 
@@ -419,10 +425,47 @@ def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode,
     q_p, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
     shrink = 0.9 * (ch.p_p + alpha * ch.p_c) / np.trace(q_p + _embed_structured(ch, s_cc)).real
     q_p, s_cc = shrink * q_p, shrink * s_cc
-    bc = _two_block_rates(ch, *_broadcast_matrices(ch, alpha), q_p, _embed_structured(ch, s_cc))
+    scorer = _two_block_program(ch, *_broadcast_matrices(ch, alpha))
+    bc = covariance_rates(scorer, q_p, _embed_structured(ch, s_cc))
     partial = partial_outer_rates(ch, alpha, q_p, s_cc)
     assert bc.r_p == pytest.approx(partial.r_p, rel=1e-12)
     assert bc.r_c == pytest.approx(partial.r_c, rel=1e-12)
+
+
+def _feasible_allocation(rng, ch):
+    """A random allocation that uses a random share of each power budget."""
+    complex_mode, npt = not ch.real_mode, ch.n_pt
+    n = npt + ch.n_ct
+    a, b = _draw(rng, (n, n), complex_mode), _draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
+    net, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
+    licensed, cognitive, split = rng.uniform(0.0, 1.0, size=3)
+    d = np.sqrt(np.where(
+        np.arange(n) < npt,
+        licensed * ch.p_p / np.trace(net[:npt, :npt]).real,
+        cognitive * split * ch.p_c / np.trace(net[npt:, npt:]).real,
+    ))
+    s_cc *= cognitive * (1.0 - split) * ch.p_c / np.trace(s_cc).real
+    return DpcAllocation.from_net(d[:, None] * net * d, s_cc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complex_mode=st.booleans(), alpha=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_rates_are_invariant_under_the_alpha_scaling(complex_mode, alpha, seed):
+    # scaled_channel divides the cognitive columns by sqrt(alpha) and
+    # scale_allocation puts alpha times the cognitive power through them, so
+    # the DPC rates and the partial bound's rates at alpha are those of ch
+    rng = np.random.default_rng(seed)
+    ch = _channel(rng, complex_mode)
+    a = _feasible_allocation(rng, ch)
+    assert is_feasible(ch, a)
+    want = dpc_rate_caps(ch, a)
+    s = scale_allocation(a, alpha)
+    for got in (
+        dpc_rate_caps(scaled_channel(ch, alpha), s),
+        partial_outer_rates(ch, alpha, s.sigma_p_net, s.sigma_cc),
+    ):
+        assert got.r_p == pytest.approx(want.r_p, rel=1e-9, abs=1e-10)
+        assert got.r_c == pytest.approx(want.r_c, rel=1e-9, abs=1e-10)
 
 
 def _dual_case(rng, complex_mode):
@@ -459,7 +502,7 @@ def test_mac_to_bc_keeps_each_rate_and_the_total_power(complex_mode, mu, seed):
     e_p = np.conj(ga.T) @ root_p
     both = _svd_log_det(np.hstack([e_p, np.conj(k.T) @ root_c]))
     r_p, r_c = ch.rate_scale * _svd_log_det(e_p), ch.rate_scale * (both - _svd_log_det(e_p))
-    rate = _two_block_rates(ch, ga, ga, k, q_p, q_c)
+    rate = covariance_rates(_two_block_program(ch, ga, ga, k), q_p, q_c)
     np.testing.assert_allclose([rate.r_p, rate.r_c], [r_p, r_c], rtol=1e-9, atol=1e-12)
     assert rate.mu_sum(mu) == pytest.approx(mu * r_p + r_c, rel=1e-9)
 
@@ -481,7 +524,7 @@ def _generic_broadcast_value(ch, alpha, mu, opts):
     ]
     groups = [(np.arange(program.n_params), budget)]
     _, (theta,) = _solve(program, mu, groups, opts, lambda k, extra: starts)
-    return _two_block_rates(ch, *mats, *program.decode(theta)).mu_sum(mu)
+    return covariance_rates(program, *program.decode(theta)).mu_sum(mu)
 
 
 @settings(max_examples=15, deadline=None)
@@ -498,6 +541,22 @@ def test_bc_mu_sum_is_not_below_the_generic_broadcast_ascent(complex_mode, mu, s
     assert res.gap_bits >= 0.0
     assert res.value >= _generic_broadcast_value(ch, alpha, mu, opts) - 1e-9
 
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_a_winning_extra_start_is_scored_with_the_broadcast_rates(monkeypatch, complex_mode):
+    # with the mapped dual witness at zero power, a full solve's covariances,
+    # handed back as an extra start, win and must carry their own broadcast
+    # rates
+    rng = np.random.default_rng(3)
+    ch, alpha, _, (ga, _, k) = _dual_case(rng, complex_mode)
+    opts = SolverSettings(starts=2, seed=0)
+    full = bc_mu_sum(ch, alpha, 2.0, opts)
+    monkeypatch.setattr(outer, "_mac_to_bc", lambda ga, *_: [np.zeros((ga.shape[1], 1))] * 2)
+    res = bc_mu_sum(ch, alpha, 2.0, opts, extra_starts=[(full.q_p, full.q_c)])
+    assert np.array_equal(res.q_p, full.q_p) and np.array_equal(res.q_c, full.q_c)
+    want = _bc_rates(ch, ga, k, full.q_p, full.q_c)
+    np.testing.assert_allclose([res.rate.r_p, res.rate.r_c], [want.r_p, want.r_c], rtol=1e-9)
 
 def _log2_det(m):
     sign, value = np.linalg.slogdet(m)

@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from conftest import covariance_rates
 
 import cograte.achievable as achievable
-from cograte.achievable import _dpc_matrices, _two_block_program, _two_block_rates
+from cograte.achievable import _dpc_matrices, _two_block_program
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel
 from cograte.errors import BracketUnbounded, NonPositivePower, SolverDiverged, ZeroChannel
 from cograte.outer import _bound_corners, mu_sum_partial_outer
@@ -51,6 +52,7 @@ def test_settings_validation():
 @pytest.mark.parametrize("field, value", [
     ("starts", 0), ("starts", 2.5), ("starts", True), ("max_iters", 0), ("max_iters", 2.5),
     ("rel_tol", 0.0), ("rel_tol", -1e-9), ("rel_tol", math.inf), ("rel_tol", math.nan),
+    ("rel_tol", "1e-9"), ("rel_tol", True),
     ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", False),
 ])
 def test_settings_reject_a_bad_field_by_name(field, value):
@@ -61,6 +63,7 @@ def test_settings_reject_a_bad_field_by_name(field, value):
 def test_settings_take_any_index_integer():
     s = SolverSettings(starts=np.int64(3), max_iters=np.int32(5), seed=np.uint8(7))
     assert (s.starts, s.max_iters, s.seed) == (3, 5, 7)
+    assert SolverSettings(rel_tol=np.float64(1e-6)).rel_tol == 1e-6
 
 
 def test_golden_section_quadratic():
@@ -404,7 +407,7 @@ def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, s
     opts = SolverSettings(starts=4, seed=1)
     _, (theta,) = achievable._solve(program, 1.0, groups, opts, lambda k, extra: starts)
     q_p, q_c = program.decode(theta)
-    value = _two_block_rates(sec7, ga, ga, kw, q_p, q_c).mu_sum(1.0)
+    value = covariance_rates(program, q_p, q_c).mu_sum(1.0)
     assert value == pytest.approx(3.537974049, abs=1e-6)
     assert np.trace(q_p + q_c) <= budget + 1e-9
     assert max(largest) < 1e4
