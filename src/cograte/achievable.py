@@ -25,7 +25,6 @@ from .linalg import (
     encode_psd,
     log_det_id_plus,
     lower_product_map,
-    min_eigenvalue,
     param_len,
     param_rows,
     psd_sqrt,
@@ -57,34 +56,45 @@ class DpcAllocation:
 
     @property
     def sigma_p_net(self) -> np.ndarray:
-        top = np.hstack([self.sigma_p, self.q])
-        bottom = np.hstack([np.conj(self.q.T), self.sigma_cp])
-        return np.vstack([top, bottom])
+        return np.block([[self.sigma_p, self.q], [self.q.conj().swapaxes(-1, -2), self.sigma_cp]])
 
     @classmethod
     def from_net(cls, net: np.ndarray, sigma_cc: np.ndarray) -> "DpcAllocation":
         """Inverse of ``sigma_p_net``: split the stacked block into the four
         blocks; the cognitive side has ``sigma_cc``'s dimension."""
-        npt = len(net) - len(np.atleast_2d(sigma_cc))
-        return cls(net[:npt, :npt], net[npt:, npt:], sigma_cc, net[:npt, npt:])
+        npt = net.shape[-1] - np.atleast_2d(sigma_cc).shape[-1]
+        return cls(net[..., :npt, :npt], net[..., npt:, npt:], sigma_cc, net[..., :npt, npt:])
 
 
-def _budget_violation(kind: str, budget: float, tol: float, traced: dict, psd=None):
+def _budget_violation(kind: str, budget, tol: float, traced: dict, psd=None, where=None):
     """Message naming the first violated constraint, or None: every matrix
     of ``traced`` and ``psd`` is finite, those of ``psd`` (default:
     ``traced``) are PSD and the traces of ``traced`` add up to at most the
-    ``kind`` budget ``budget``, both within ``budget_tol(tol, budget)``."""
+    ``kind`` budget ``budget``, both within ``budget_tol(tol, budget)``.
+    Stacks of ``k`` matrices, with ``k`` budgets or one, take one ``eigvalsh``
+    each, and ``where[i]`` names the first row ``i`` to break a constraint."""
     slack, psd = budget_tol(tol, budget), traced if psd is None else psd
-    for label, m in {**psd, **traced}.items():
-        if not np.isfinite(m).all():
-            return f"{label} has a non-finite entry"
-        if label in psd and (e := min_eigenvalue(m)) < -slack:
-            return f"{label} is not PSD (min eigenvalue {e:.3e})"
-    total = float(np.real(sum(np.trace(m) for m in traced.values())))
-    if total > budget + slack:
-        label = "+".join(f"trace({name})" for name in traced)
-        return f"{label} = {total:.6g} exceeds {kind} budget {budget:g}"
+    stacks = {label: np.reshape(m, (-1, *np.shape(m)[-2:])) for label, m in (psd | traced).items()}
+    where = where or [""] * len(next(iter(stacks.values())))
+    for label, m in stacks.items():
+        if not (finite := np.isfinite(m).all(axis=(1, 2))).all():
+            return f"{label} has a non-finite entry{where[finite.argmin()]}"
+        low = np.linalg.eigvalsh(symmetrize(m))[:, 0] if label in psd else np.zeros(1)
+        if (bad := low < -slack).any():
+            return f"{label} is not PSD (min eigenvalue {low[bad][0]:.3e}){where[bad.argmax()]}"
+    total = np.real(sum((np.trace(stacks[name], axis1=1, axis2=2) for name in traced), np.zeros(1)))
+    if (bad := total > budget + slack).any():
+        i, label = bad.argmax(), "+".join(f"trace({name})" for name in traced)
+        budget = np.broadcast_to(budget, bad.shape)[i]
+        return f"{label} = {total[i]:.6g} exceeds {kind} budget {budget:g}{where[i]}"
     return None
+
+
+def _shape_violation(shapes: dict):
+    """Message naming the first matrix of ``{label: (matrix, shape)}`` of
+    another shape (of its rows, in a stack), or None."""
+    return next((f"{label} has shape {np.shape(m)}, expected {s}"
+                 for label, (m, s) in shapes.items() if np.shape(m)[-2:] != s), None)
 
 
 def _require(violation) -> None:
@@ -93,21 +103,17 @@ def _require(violation) -> None:
         raise InfeasibleAllocation(violation)
 
 
-def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float):
-    """Return a message naming the first violated constraint, or None."""
+def _feasibility_violation(ch: CognitiveChannel, a: DpcAllocation, tol: float, where=None):
+    """Return a message naming the first violated constraint, or None; for
+    an allocation of stacks, ``where`` names their rows (:func:`_budget_violation`)."""
     budget_tol(tol, 0.0)  # a bad tol raises, whatever the allocation
-    if a.sigma_p.shape != (ch.n_pt, ch.n_pt):
-        return f"sigma_p has shape {a.sigma_p.shape}, expected {(ch.n_pt, ch.n_pt)}"
-    if a.sigma_cp.shape != (ch.n_ct, ch.n_ct) or a.sigma_cc.shape != (ch.n_ct, ch.n_ct):
-        return "sigma_cp/sigma_cc shape inconsistent with the cognitive antenna count"
-    if a.q.shape != (ch.n_pt, ch.n_ct):
-        return f"q has shape {a.q.shape}, expected {(ch.n_pt, ch.n_ct)}"
-    net = {"stacked covariance block": a.sigma_p_net}
-    cognitive = {"sigma_cp": a.sigma_cp, "sigma_cc": a.sigma_cc}
-    return (
-        _budget_violation("sum", ch.p_p + ch.p_c, tol, {}, net)
-        or _budget_violation("licensed", ch.p_p, tol, {"sigma_p": a.sigma_p}, {})
-        or _budget_violation("cognitive", ch.p_c, tol, cognitive, {"sigma_cc": a.sigma_cc})
+    n, m, cognitive = ch.n_pt, ch.n_ct, {"sigma_cp": a.sigma_cp, "sigma_cc": a.sigma_cc}
+    return _shape_violation({"sigma_p": (a.sigma_p, (n, n)), "sigma_cp": (a.sigma_cp, (m, m)),
+                             "sigma_cc": (a.sigma_cc, (m, m)), "q": (a.q, (n, m))}) or (
+        _budget_violation("sum", ch.p_p + ch.p_c, tol, {},
+                          {"stacked covariance block": a.sigma_p_net}, where)
+        or _budget_violation("licensed", ch.p_p, tol, {"sigma_p": a.sigma_p}, {}, where)
+        or _budget_violation("cognitive", ch.p_c, tol, cognitive, {"sigma_cc": a.sigma_cc}, where)
     )
 
 
@@ -436,9 +442,10 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
     mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners)
-    witnesses = [DpcAllocation.from_net(*program.decode(theta)) for theta in thetas]
-    for witness in witnesses:
-        _require(_feasibility_violation(ch, witness, DEFAULT_TOL))
+    decoded = [program.decode(theta) for theta in thetas]  # one by one, as the benchmark counts
+    stacked = DpcAllocation.from_net(*map(np.array, zip(*decoded)))
+    _require(_feasibility_violation(ch, stacked, DEFAULT_TOL, [f" (at mu={m:g})" for m in mus]))
+    witnesses = [DpcAllocation.from_net(*blocks) for blocks in decoded]
     rates = program.factor_rates(program.lower_factors(thetas))
     results = [
         MuSumResult(rate.mu_sum(mu_i), rate, witness, theta)

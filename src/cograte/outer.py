@@ -25,13 +25,14 @@ from .achievable import (
     _budget_violation,
     _dpc_matrices,
     _require,
+    _shape_violation,
     _solve,
     _two_block_program,
     dpc_rate_caps,
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
-from .linalg import DEFAULT_TOL, LN2, param_rows, psd_sqrt, range_basis, symmetrize
+from .linalg import DEFAULT_TOL, LN2, budget_tol, param_rows, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import _SLOPE_STEP, SolverSettings, scan_then_golden, waterfill
 
@@ -53,8 +54,10 @@ def partial_outer_rates(
     against the one sum budget ``p_p + alpha p_c`` instead of two."""
     scaled = scaled_channel(ch, alpha)
     q_p, sigma_cc = np.atleast_2d(q_p, sigma_cc)
-    budget = scaled.p_p + scaled.p_c
-    _require(_budget_violation("sum", budget, tol, {"q_p": q_p, "sigma_cc": sigma_cc}))
+    budget_tol(tol, 0.0)  # a bad tol raises, whatever the shapes
+    budget, n, m = scaled.p_p + scaled.p_c, ch.n_pt + ch.n_ct, ch.n_ct
+    _require(_shape_violation({"q_p": (q_p, (n, n)), "sigma_cc": (sigma_cc, (m, m))})
+             or _budget_violation("sum", budget, tol, {"q_p": q_p, "sigma_cc": sigma_cc}))
     return dpc_rate_caps(scaled, DpcAllocation.from_net(q_p, sigma_cc))
 
 
@@ -111,6 +114,7 @@ def mu_sum_partial_outer(
     mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
+    *, _program=None,
 ):
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
@@ -131,12 +135,13 @@ def mu_sum_partial_outer(
     ``φ = θ / sqrt(B)``, ``B = p_p + alpha p_c``, on the unit ball under the
     column scale ``sqrt(B) s``; :func:`~cograte.achievable._solve` checks it
     and places its starts there, and the winners are re-scored in one batch.
+    ``_program``, the DPC program of ``ch``, lets an alpha sweep build it once.
     """
     mu = [mu] * len(alpha) if np.ndim(alpha) and not np.ndim(mu) else mu
     alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * np.size(mu)
     if len(alphas) != np.size(mu):
         raise ValueError(f"{len(alphas)} alphas cannot pair with {np.size(mu)} mus")
-    program = _two_block_program(ch, *_dpc_matrices(ch))
+    program = _two_block_program(ch, *_dpc_matrices(ch)) if _program is None else _program
     licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
     licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
     budget = {a: ch.p_p + a * ch.p_c for a in alphas}
@@ -153,21 +158,22 @@ def mu_sum_partial_outer(
     groups = [(np.arange(program.n_params), 1.0)]
     mus, phis = _solve(program, mu, groups, opts, starts_of, extra_starts, where, cols, radius)
     thetas = phis * np.array(radius)[:, None]
-    covariances = list(zip(*program.decode(thetas)))
-    for a, (q_p, s_cc) in zip(alphas, covariances):
-        _require(_budget_violation("sum", budget[a], DEFAULT_TOL, {"q_p": q_p, "sigma_cc": s_cc}))
+    q_ps, s_ccs = program.decode(thetas)
+    at = [f" (at mu={m:g}{w})" for m, w in zip(mus, where)]
+    _require(_budget_violation("sum", np.array([budget[a] for a in alphas]), DEFAULT_TOL,
+                               {"q_p": q_ps, "sigma_cc": s_ccs}, where=at))
     # the alpha = 1 factors at the points the ascent read score every rate
     rates = program.factor_rates(program.lower_factors(cols * phis))
     results = [
         BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, a, roots)
-        for a, mu_i, rate, (q_p, s_cc), theta, roots in zip(
-            alphas, mus, rates, covariances, thetas, zip(*program.lower_factors(thetas))
+        for a, mu_i, rate, q_p, s_cc, theta, roots in zip(
+            alphas, mus, rates, q_ps, s_ccs, thetas, zip(*program.lower_factors(thetas))
         )
     ]
     return results if np.ndim(mu) else results[0]
 
 
-def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
+def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
     """Slope in ``log alpha`` of the partial-bound mu-sum along the witness
     path: the factors ``roots`` of a witness at ``alpha``, scaled by
     ``sqrt(B(a) / B(alpha))`` with ``B(a) = p_p + a p_c``, spend the whole
@@ -175,12 +181,12 @@ def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
     at ``alpha``, and where both are smooth their slopes agree (Danskin's
     theorem).  Both points of the central difference in ``log alpha`` are
     re-scored in one stack, on the alpha = 1 matrices with the factors
-    scaled by ``s`` (see :func:`mu_sum_partial_outer`); no solve."""
+    scaled by ``s`` (see :func:`mu_sum_partial_outer`) in ``ch``'s DPC ``program``; no solve."""
     a = np.array([[[math.exp(math.log(alpha) + h)]] for h in (_SLOPE_STEP, -_SLOPE_STEP)])
     c, s = np.sqrt((ch.p_p + a * ch.p_c) / (ch.p_p + alpha * ch.p_c)), 1.0 / np.sqrt(a)
     cognitive = np.arange(ch.n_pt + ch.n_ct)[:, None] >= ch.n_pt
     stacks = (c * np.where(cognitive, s, 1.0) * roots[0], c * s * roots[1])
-    up, down = _two_block_program(ch, *_dpc_matrices(ch)).factor_rates(stacks)
+    up, down = program.factor_rates(stacks)
     return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
 
 
@@ -254,16 +260,17 @@ def inf_alpha_partial_outer(
     )
 
     cache: dict[float, BoundMuSumResult] = {}
+    dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
     def solve(alphas) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
-            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner_opts)))
+            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner_opts, _program=dpc)))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
         solve([a])
-        return cache[a].value, _alpha_slope(ch, a, mu, cache[a].roots)
+        return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
     xs = np.log(np.geomspace(lo, hi, n_scan))
     solve([math.exp(x) for x in xs])
@@ -272,7 +279,7 @@ def inf_alpha_partial_outer(
 
     # scan_then_golden returns an evaluated point, so its solve is cached
     alpha_star = math.exp(result.x)
-    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, extra_starts=[cache[alpha_star].theta])
+    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, [cache[alpha_star].theta], _program=dpc)
     return InfAlphaResult(
         alpha_star=alpha_star,
         n_value=best.value,
@@ -282,7 +289,7 @@ def inf_alpha_partial_outer(
         non_unimodal=result.non_unimodal,
         bracket=(lo / 10.0**low, hi * 10.0**high),
         evaluations=len(cache) + 1,
-        slope=_alpha_slope(ch, alpha_star, mu, best.roots),
+        slope=_alpha_slope(dpc, ch, alpha_star, mu, best.roots),
     )
 
 
@@ -401,10 +408,11 @@ def bc_mu_sum(
     mu = check_mu(mu, 1.0)
     mats = _broadcast_matrices(ch, alpha)
     ga, _, k = mats
-    budget = ch.p_p + alpha * ch.p_c
+    budget, shape = ch.p_p + alpha * ch.p_c, (ch.n_pt + ch.n_ct,) * 2
     extra = [[np.atleast_2d(q) for q in pair] for pair in extra_starts]
     for q_p, q_c in extra:
-        _require(_budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
+        _require(_shape_violation({"q_p": (q_p, shape), "q_c": (q_c, shape)})
+                 or _budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
     program, (u_p, u_c) = _dual_mac(ch, ga, k)
     (_, d_p, _), (_, d_c, _) = program.blocks
     # k = 0 leaves P_c without a gradient, so one start keeps it at zero

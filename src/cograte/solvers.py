@@ -95,6 +95,8 @@ def make_group_projection(groups):
     the exact Euclidean projection because the groups are disjoint.
     """
     groups = [(np.asarray(idx, dtype=int), float(b)) for idx, b in groups]
+    keys = [slice(i[0], i[0] + i.size) if i.size and i[0] >= 0 and (np.diff(i) == 1).all() else i
+            for i, _ in groups]
 
     def project(theta: np.ndarray) -> np.ndarray:
         theta = np.array(theta, dtype=float, copy=True)
@@ -107,13 +109,10 @@ def make_group_projection(groups):
                     huge = np.ix_(np.isinf(np.sum(flat[:, idx] ** 2, axis=1)), idx)
                 unit = flat[huge] / np.max(np.abs(flat[huge]), axis=1, keepdims=True)
                 flat[huge] = unit * np.sqrt(budget / np.sum(unit**2, axis=1, keepdims=True))
-        for idx, budget in groups:
-            rows = flat[:, idx]
-            sq = np.sum(rows**2, axis=1)
-            factor = np.ones_like(sq)
-            over = sq > budget
-            factor[over] = np.sqrt(budget / sq[over])
-            flat[:, idx] = rows * factor[:, None]
+        for key, (_, budget) in zip(keys, groups):
+            # summed in a gathered copy's column order: a view's rounds otherwise
+            sq = np.square(flat[:, key], order="F").sum(axis=1)
+            flat[:, key] *= np.sqrt(budget / np.maximum(sq, budget))[:, None]
         return flat.reshape(theta.shape)
 
     return project
@@ -124,6 +123,16 @@ _LADDER = np.array([4.0, 1.0, 0.25, 0.0625])
 _MAX_STEP = 1e300
 #: Cap on the extrapolation weight ``t``: momentum coefficients stay at most 0.9.
 _MAX_MOMENTUM = 10.0
+
+
+def _momentum_table():
+    """``t⁺``, ``(t − 1)/t⁺`` and the place of ``t⁺`` at each place of ``t``
+    on its walk ``t⁺ = min(½ + √(¼ + t²), 10)`` from 1, which stays at 10."""
+    t = [1.0]
+    while t[-1] < _MAX_MOMENTUM:
+        t.append(min(0.5 + math.sqrt(0.25 + t[-1] * t[-1]), _MAX_MOMENTUM))
+    t, after = np.array(t), np.array(t[1:] + t[-1:])
+    return after, (t - 1.0) / after, np.minimum(np.arange(1, len(t) + 1), len(t) - 1)
 
 
 def maximize_multistart(
@@ -165,11 +174,14 @@ def maximize_multistart(
     2015), or shrinks the step fourfold when ``t`` is 1.  A gain below
     ``rel_tol * (1 + |f|) * t⁺`` (momentum multiplies the gain per step by
     up to about ``t``) is a stall and restarts the momentum; three stalls in
-    a row, or a step underflow, retire the start.  No start sees another, so
-    each weighting climbs as it would alone, up to how BLAS rounds the
-    gradient's final product, which depends on the batch's size (a few ulps
-    on complex channels); a non-finite value raises :class:`SolverDiverged`
-    with the index of its weighting as ``owner``.
+    a row, a step underflow, or a vanishing gradient retire the start.  No
+    start sees another, so each weighting climbs as it would alone, up to
+    how BLAS rounds the gradient's final product, which depends on the
+    batch's size (a few ulps on complex channels); a non-finite value raises
+    :class:`SolverDiverged` with the index of its weighting as ``owner``.
+    The loop keeps only the running starts' rows, ``t`` as a place on
+    :func:`_momentum_table`; in an iteration where starts retire, their
+    thetas and values are written back and every array drops their rows.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
@@ -188,76 +200,64 @@ def maximize_multistart(
     cols = np.ones((len(weights), n_params)) if column_scale is None else column_scale
     cols = np.asarray(cols, dtype=float)[owner]
 
-    def finite(a, rows, where):
+    def finite(a, run, where):
         if not np.isfinite(a).all():
-            bad = ~np.isfinite(a.reshape(len(rows), -1)).all(axis=1)
-            raise SolverDiverged(f"non-finite objective {where}", owner=int(rows[bad][0]))
+            bad = ~np.isfinite(a.reshape(len(run), -1)).all(axis=1)
+            raise SolverDiverged(f"non-finite objective {where}", owner=int(owner[run[bad][0]]))
+
+    def retire(done, run, th, val, *rest):
+        thetas[run[done]], vals[run[done]] = th[done], val[done]
+        return [a[~done] for a in (run, th, val, *rest)]
 
     thetas = project(np.asarray(starts, dtype=float))
     n_starts, k = thetas.shape
     vals = np.asarray(objective(cols * thetas)[0](weights[owner]), dtype=float)
-    finite(vals, owner, "at a start point")
-
+    run, th, val, w, c = np.arange(n_starts), thetas, vals, weights[owner], cols
+    finite(vals, run, "at a start point")
     moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
-    t = np.ones(n_starts)
     step = np.full(n_starts, 0.25 * scale)
-    stall = np.zeros(n_starts, dtype=int)
-    active = np.ones(n_starts, dtype=bool)
-    n_cand = len(_LADDER)
+    stall, place = np.zeros(n_starts, dtype=int), np.zeros(n_starts, dtype=int)
+    t_next, extrapolate, advance = _momentum_table()
+    n_cand, rows = len(_LADDER), ()
 
     for _ in range(settings.max_iters):
-        idx = active.nonzero()[0]
-        if idx.size == 0:
-            break
-        th, own, c = thetas[idx], owner[idx], cols[idx]
-        w = weights[own]
-        ti = t[idx]
-        t_next = np.minimum(0.5 + np.sqrt(0.25 + ti * ti), _MAX_MOMENTUM)
         # unprojected: the benchmark's tracer reads a call after a projection as a line search
-        y = th + ((ti - 1.0) / t_next)[:, None] * moved[idx]
-        grad = c * np.asarray(objective(c * y)[1](w), dtype=float)
-        finite(grad, own, "during gradient evaluation")
+        y = th + extrapolate[place][:, None] * moved
+        grad = c * objective(c * y)[1](w)
+        finite(grad, run, "during gradient evaluation")
         gnorm = np.sqrt((grad * grad).sum(axis=1))
-        dead = gnorm < 1e-15
-        if dead.any():
-            active[idx[dead]] = False
-            idx, y, grad, gnorm, w, c, t_next = (
-                a[~dead] for a in (idx, y, grad, gnorm, w, c, t_next)
-            )
-            if idx.size == 0:
-                continue
-        direction = grad / gnorm[:, None]
-        ladders = _LADDER[None, :] * step[idx][:, None]
-        cands = y[:, None, :] + ladders[:, :, None] * direction[:, None, :]
-        cands = project(cands.reshape(-1, k)).reshape(len(idx), n_cand, k)
-        cvals = np.asarray(
-            objective((cands * c[:, None, :]).reshape(-1, k))[0](w.repeat(n_cand, axis=0)),
-            dtype=float,
-        ).reshape(len(idx), n_cand)
-        finite(cvals, owner[idx], "during line search")
+        if (dead := gnorm < 1e-15).any():
+            run, th, val, moved, step, stall, place, w, c, y, grad, gnorm = retire(
+                dead, run, th, val, moved, step, stall, place, w, c, y, grad, gnorm)
+            if not run.size:
+                break
+        if len(rows) != len(run):  # weights and column scales of the line search
+            rows, w_cand, c_cand = np.arange(len(run)), w.repeat(n_cand, axis=0), c[:, None, :]
+        ladders = _LADDER * step[:, None]
+        cands = y[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
+        cands = project(cands.reshape(-1, k)).reshape(len(run), n_cand, k)
+        cvals = objective((cands * c_cand).reshape(-1, k))[0](w_cand).reshape(len(run), n_cand)
+        finite(cvals, run, "during line search")
 
         # each row moves to its best rung, the smallest of a tie, if that beats
         # its value; a stall, or a miss under momentum, restarts the momentum
         best = n_cand - 1 - cvals[:, ::-1].argmax(axis=1)
-        top, old = cvals.max(axis=1), vals[idx]
-        improved = top > old
-        up, b, top, t_up = idx[improved], best[improved], top[improved], t_next[improved]
-        new = cands[improved, b]
-        moved[up] = new - thetas[up]
-        thetas[up] = new
-        vals[up] = top
-        step[up] = np.minimum(np.maximum(ladders[improved, b], 1e-14), _MAX_STEP)
-        t[up] = t_up
-        slow = top - old[improved] < settings.rel_tol * (1.0 + np.abs(top)) * t_up
-        stall[up] = (stall[up] + 1) * slow
-        active[up[stall[up] >= 3]] = False
-        down = idx[~improved]
-        shrink = down[t[down] == 1.0]  # a miss without momentum shrinks the step
-        step[shrink] *= 0.25
-        active[shrink[step[shrink] < 1e-13 * scale]] = False
-        restart = np.concatenate([up[slow], down])  # t = 1 holds only with moved = 0
-        t[restart] = 1.0
-        moved[restart] = 0.0
+        top = cvals.max(axis=1)
+        up = top > val
+        slow = top - val < settings.rel_tol * (1.0 + np.abs(top)) * t_next[place]
+        new, keep = cands[rows, best], up & ~slow  # keep: the momentum
+        moved = np.where(keep[:, None], new - th, 0.0)
+        th, val = np.where(up[:, None], new, th), np.where(up, top, val)
+        shrink = ~up & (place == 0)  # a miss without momentum shrinks the step
+        rung = np.minimum(np.maximum(ladders[rows, best], 1e-14), _MAX_STEP)
+        step = np.where(up, rung, np.where(shrink, 0.25 * step, step))
+        stall, place = np.where(up, (stall + 1) * slow, stall), np.where(keep, advance[place], 0)
+        if (done := (stall >= 3) | (shrink & (step < 1e-13 * scale))).any():
+            run, th, val, moved, step, stall, place, w, c = retire(
+                done, run, th, val, moved, step, stall, place, w, c)
+            if not run.size:
+                break
+    thetas[run], vals[run] = th, val
 
     winners = [np.flatnonzero(owner == m)[np.argmax(vals[owner == m])] for m in range(len(weights))]
     return vals[winners], thetas[winners]

@@ -90,6 +90,7 @@ def test_every_budget_check_rejects_a_bad_tolerance(sec7, tol):
         lambda: partial_outer_rates(sec7, 1.0, a.sigma_p_net, a.sigma_cc, tol=tol),
         lambda: is_feasible(sec7, misshaped, tol=tol),
         lambda: dpc_rates(sec7, misshaped, tol=tol),
+        lambda: partial_outer_rates(sec7, 1.0, np.eye(3), [[0.0]], tol=tol),
     ):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check()
@@ -104,6 +105,18 @@ def test_a_non_finite_covariance_breaks_its_budget_by_name(sec7):
         dpc_rates(sec7, a)
     with pytest.raises(InfeasibleAllocation, match="q_p has a non-finite entry"):
         partial_outer_rates(sec7, 1.0, np.diag([math.nan, 0.0]), [[0.0]])
+
+
+def test_a_grid_witness_over_its_budget_is_named_by_mu(monkeypatch, sec7):
+    solve = achievable._solve
+
+    def doubled(*args, **kwargs):
+        mus, thetas = solve(*args, **kwargs)
+        return mus, thetas * np.array([[1.0], [2.0]])  # the second at four times its power
+
+    monkeypatch.setattr(achievable, "_solve", doubled)
+    with pytest.raises(InfeasibleAllocation, match=r"exceeds \w+ budget 5 \(at mu=0.5\)$"):
+        mu_sum_achievable(sec7, [2.0, 0.5], SolverSettings(starts=1, max_iters=5))
 
 
 @pytest.mark.parametrize("n_pt", [1, 2])

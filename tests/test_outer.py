@@ -296,7 +296,7 @@ def test_witness_path_slope_matches_re_solved_differences(monkeypatch, sec7, cas
     opts = SolverSettings(starts=2, seed=0, rel_tol=1e-12)
     alpha, h = 2.0, 1e-3
     res = mu_sum_partial_outer(ch, alpha, mu, opts)
-    slope = _alpha_slope(ch, alpha, mu, res.roots)
+    slope = _alpha_slope(_two_block_program(ch, *_dpc_matrices(ch)), ch, alpha, mu, res.roots)
     up, down = (
         mu_sum_partial_outer(ch, alpha * math.exp(s), mu, opts, extra_starts=[res.theta]).value
         for s in (h, -h)
@@ -329,7 +329,7 @@ def test_witness_path_slope_matches_the_scaled_channel_form(monkeypatch, sec7, c
         roots = mu_sum_partial_outer(ch, alpha, mu, opts).roots
         want = _scaled_channel_slope(ch, alpha, mu, roots)
         assert abs(want) > 1e-2  # away from the minimizer, where the slope is rounding
-        assert _alpha_slope(ch, alpha, mu, roots) == pytest.approx(want, rel=1e-9)
+        assert _alpha_slope(_two_block_program(ch, *_dpc_matrices(ch)), ch, alpha, mu, roots) == pytest.approx(want, rel=1e-9)
 
 
 def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
@@ -430,6 +430,48 @@ def test_bc_mu_sum_rejects_a_bad_start_before_its_solve(monkeypatch, sec7, start
     monkeypatch.setattr(achievable, "maximize_multistart", fail)
     with pytest.raises(InfeasibleAllocation, match=message):
         bc_mu_sum(sec7, 1.0, 2.0, SolverSettings(starts=1), extra_starts=[start])
+
+
+def test_a_misshaped_covariance_is_named_before_any_solve(monkeypatch, sec7):
+    # numpy's matmul rejected these inside the rate scorer, and bc_mu_sum
+    # only after its whole dual solve
+    def fail(*_args, **_kwargs):
+        pytest.fail("a mis-shaped start reached the solve")
+
+    monkeypatch.setattr(outer, "_solve", fail)
+    with pytest.raises(InfeasibleAllocation, match=r"q_p has shape \(3, 3\), expected \(2, 2\)"):
+        partial_outer_rates(sec7, 1.0, np.eye(3), [[0.0]])
+    with pytest.raises(InfeasibleAllocation, match=r"sigma_cc has shape \(2, 2\), expected \(1, 1\)"):
+        partial_outer_rates(sec7, 1.0, np.eye(2), np.eye(2))
+    opts = SolverSettings(starts=1)
+    with pytest.raises(InfeasibleAllocation, match=r"q_p has shape \(3, 3\), expected \(2, 2\)"):
+        bc_mu_sum(sec7, 1.0, 2.0, opts, extra_starts=[(np.eye(3), np.eye(3))])
+    with pytest.raises(InfeasibleAllocation, match=r"q_c has shape \(1, 1\), expected \(2, 2\)"):
+        bc_mu_sum(sec7, 1.0, 2.0, opts, extra_starts=[(np.eye(2), [[1.0]])])
+
+
+def test_grid_witnesses_take_one_eigenvalue_check_per_block(monkeypatch, sec7):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
+    opts = SolverSettings(starts=1, max_iters=5)
+    mu_sum_achievable(sec7, [4.0, 2.0, 1.0, 0.5], opts)
+    assert calls == [(4, 2, 2), (4, 1, 1)]
+    calls.clear()
+    mu_sum_partial_outer(sec7, [0.5, 1.0, 2.0], 2.0, opts)
+    assert calls == [(3, 2, 2), (3, 1, 1)]
+
+
+def test_a_grid_witness_over_its_budget_is_named_by_mu_and_alpha(monkeypatch, sec7):
+    solve = outer._solve
+
+    def doubled(*args, **kwargs):
+        mus, phis = solve(*args, **kwargs)
+        return mus, phis * np.array([[1.0], [2.0], [1.0]])  # the second at twice its radius
+
+    monkeypatch.setattr(outer, "_solve", doubled)
+    with pytest.raises(InfeasibleAllocation, match=r"sum budget 7.5 \(at mu=2, alpha=0.5\)$"):
+        mu_sum_partial_outer(sec7, [1.0, 0.5, 2.0], 2.0, SolverSettings(starts=1, max_iters=5))
 
 
 def test_bc_mu_sum_scalar_degraded_grid_oracle():

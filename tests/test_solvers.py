@@ -189,6 +189,48 @@ def test_group_projection_puts_rows_past_the_float_square_on_the_sphere():
     assert np.array_equal(out[2], rows[2] * np.sqrt(10.0 / 25.0))
 
 
+def _gathered_projection(groups, rows):
+    """Each group's rows gathered, scaled onto its ball when outside: the
+    projection as first written."""
+    want = rows.copy()
+    for idx, budget in groups:
+        sq = np.sum(rows[:, idx] ** 2, axis=1)
+        want[:, idx] = rows[:, idx] * np.where(sq > budget, np.sqrt(budget / sq), 1.0)[:, None]
+    return want
+
+
+def test_group_projection_sums_squares_as_a_gathered_copy(rng):
+    # contiguous groups are scaled through slice views; summing the squares
+    # of a view rounds differently in the last bit for most rows of 8 entries
+    # or more, which moved every multi-antenna solve
+    groups = [(np.arange(0, 9), 3.0), (np.arange(9, 20), 5.0)]
+    rows = rng.standard_normal((200, 20))
+    assert np.array_equal(make_group_projection(groups)(rows), _gathered_projection(groups, rows))
+
+
+def test_group_projection_of_scattered_groups_is_exact(rng):
+    groups = [(np.array([0, 2, 5]), 2.0), (np.array([4, 1]), 0.5), (np.array([3]), 1.0)]
+    project = make_group_projection(groups)
+    rows = 2.0 * rng.standard_normal((40, 6))
+    assert np.array_equal(project(rows), _gathered_projection(groups, rows))
+    # past the float square, each scattered group still lands on its sphere
+    out = project(np.array([[1e200, 3.0, -1e200, 5.0, 4e160, 2e180]]))
+    for idx, budget in groups:
+        assert np.sum(out[0, idx] ** 2) == pytest.approx(budget, rel=1e-15)
+
+
+def test_momentum_table_is_the_recurrence_to_the_bit():
+    from cograte.solvers import _MAX_MOMENTUM, _momentum_table
+
+    t_next, extrapolate, advance = _momentum_table()
+    t, place = np.ones(1), 0
+    for _ in range(2 * len(t_next)):
+        after = np.minimum(0.5 + np.sqrt(0.25 + t * t), _MAX_MOMENTUM)
+        assert t_next[place] == after[0] and extrapolate[place] == ((t - 1.0) / after)[0]
+        t, place = after, advance[place]
+    assert t[0] == _MAX_MOMENTUM and place == len(t_next) - 1
+
+
 def test_multistart_concave_toy():
     # maximize -(theta - c)^2 over the ball of radius 1: optimum is c / ||c||
     c = np.array([2.0, 1.0])
@@ -281,6 +323,61 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
                 step[start] *= 0.25
                 active[start] = step[start] >= 1e-13 * scale
     return vals.max(), thetas[np.argmax(vals)]
+
+
+def _quadratic_or_plateau(c, a, r):
+    """Weights ``(1, 0)`` climb ``-|θ - c|²``; weights ``(0, 1)`` climb
+    ``-max(0, |θ - a|² - r²)``, whose gradient vanishes within ``r`` of ``a``.
+    Row by row, so a row's values do not depend on its batch."""
+
+    def objective(thetas):
+        to_c, to_a = thetas - c, thetas - a
+        over = np.sum(to_a**2, axis=1) - r * r
+        return (
+            lambda w: -w[..., 0] * np.sum(to_c**2, axis=1) - w[..., 1] * np.maximum(over, 0.0),
+            lambda w: -2.0 * (w[..., :1] * to_c + w[..., 1:] * (over > 0.0)[:, None] * to_a),
+        )
+
+    return objective
+
+
+def test_dead_gradients_retire_with_their_values_while_the_rest_climb_alone():
+    a = np.array([0.5, 0.5])
+    objective = _quadratic_or_plateau(np.array([3.0, 0.0]), a, 0.1)
+    project = make_group_projection([(np.arange(2), 4.0)])
+    opts, weights = SolverSettings(starts=6, seed=3), np.array([[1.0, 0.0], [0.0, 1.0]])
+    gradient_rows = []
+
+    def watched(thetas):
+        values, gradient = objective(thetas)
+        return values, lambda w: gradient_rows.append(len(thetas)) or gradient(w)
+
+    # the plateau's extra start at a has a dead gradient from the first iteration
+    values, thetas = maximize_multistart(watched, 2, project, opts, weights, extra_starts=[(), [a]])
+    assert gradient_rows[0] == 13 and gradient_rows[1] <= 12
+    for m, extra in enumerate([(), [a]]):
+        want = _loop_ascent(objective, 2, project, opts, weights[m], 1.0, list(extra))
+        assert values[m] == want[0] and np.array_equal(thetas[m], want[1])
+    (alone,), (alone_theta,) = maximize_multistart(objective, 2, project, opts, weights[:1])
+    assert values[0] == alone and np.array_equal(thetas[0], alone_theta)
+    assert values[1] == 0.0 and np.sum((thetas[1] - a) ** 2) <= 0.01
+
+
+def test_an_all_dead_batch_ends_the_call():
+    calls = []
+
+    def flat(thetas):
+        calls.append(len(thetas))
+        return lambda w: np.full(len(thetas), 2.0), lambda w: np.zeros_like(thetas)
+
+    project = make_group_projection([(np.arange(3), 1.0)])
+    firsts = np.array([[2.0, 0.0, 0.0], [0.1, -0.2, 0.3]])  # each weighting's first start
+    values, thetas = maximize_multistart(
+        flat, 3, project, SolverSettings(starts=2, seed=4), [[1.0], [2.0]],
+        extra_starts=[firsts[:1], firsts[1:]],
+    )
+    assert calls == [6, 6]  # the starts' values, then one gradient call
+    assert np.array_equal(values, [2.0, 2.0]) and np.array_equal(thetas, project(firsts))
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])

@@ -150,3 +150,31 @@ def test_traced_iterations_are_the_solver_gradient_calls(monkeypatch, sec7):
     finally:
         tracer.uninstall()
     assert tracer.counts["solvers.iterations"] == len(gradient_calls) > 0
+
+
+def test_traced_counts_follow_a_grid_whose_starts_retire_apart(monkeypatch, sec7):
+    # the ascent keeps only its running starts' rows and drops a start's row
+    # in the iteration it retires; every gradient call must still read as an
+    # iteration, and every row handed to the objective as an objective row
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    rows, gradient_rows = [], []
+    objective = achievable.LogDetProgram.objective
+
+    def counted(program, thetas):
+        rows.append(len(thetas))
+        values, gradient = objective(program, thetas)
+        return values, lambda w: gradient_rows.append(len(thetas)) or gradient(w)
+
+    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        achievable.mu_sum_achievable(sec7, [4.0, 1.0, 0.25], SolverSettings(starts=3, seed=1))
+    finally:
+        tracer.uninstall()
+    assert len(set(gradient_rows)) > 3  # starts retired at several iterations
+    assert tracer.counts["solvers.iterations"] == len(gradient_rows)
+    assert tracer.counts["solvers.objective_calls"] == len(rows)
+    assert tracer.counts["solvers.objective_rows"] == sum(rows)
