@@ -442,10 +442,10 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
     mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners)
-    decoded = [program.decode(theta) for theta in thetas]  # one by one, as the benchmark counts
-    stacked = DpcAllocation.from_net(*map(np.array, zip(*decoded)))
+    decoded = program.decode(thetas)
+    stacked = DpcAllocation.from_net(*decoded)
     _require(_feasibility_violation(ch, stacked, DEFAULT_TOL, [f" (at mu={m:g})" for m in mus]))
-    witnesses = [DpcAllocation.from_net(*blocks) for blocks in decoded]
+    witnesses = [DpcAllocation.from_net(*blocks) for blocks in zip(*decoded)]
     rates = program.factor_rates(program.lower_factors(thetas))
     results = [
         MuSumResult(rate.mu_sum(mu_i), rate, witness, theta)

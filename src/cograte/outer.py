@@ -202,6 +202,7 @@ def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
 
 
 DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution
+_SCAN_MAX_ITERS, _POLISH_MAX_ITERS = 100, 400  # iteration caps of the alpha sweep's solves
 
 
 def scan_points(resolution: int) -> int:
@@ -244,6 +245,15 @@ def inf_alpha_partial_outer(
     turn sets ``non_unimodal``.  A minimum past an edge adds one alpha, a
     tenfold step past it and one solve, up to three times in all, as the
     objective diverges at 0 and infinity; ``bracket`` is the range scanned.
+
+    Three iteration budgets: the scan runs at most ``_SCAN_MAX_ITERS``
+    iterations, each widening and polish step ``_POLISH_MAX_ITERS`` (both
+    with a third of the starts, two at least), and the final solve at the
+    minimizer the full ``opts``.  The scan may be short because only its
+    slopes' signs, which bracket, and its coarse values, which pick a
+    bracket, are read; alpha* and ``n_value`` come from the polish steps and
+    the final solve.  What a longer scan adds is losing starts at an edge
+    alpha that climb on below its winner.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 < lo < hi < math.inf):
@@ -251,29 +261,23 @@ def inf_alpha_partial_outer(
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
     opts = opts or SolverSettings()
-    # scan and polish evaluations run with a trimmed budget; only the final
-    # solve at the minimizer uses the full settings
-    inner_opts = replace(
-        opts,
-        starts=max(2, opts.starts // 3),
-        max_iters=min(opts.max_iters, 400),
-    )
-
     cache: dict[float, BoundMuSumResult] = {}
     dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
-    def solve(alphas) -> None:
+    def solve(alphas, cap: int) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
-            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner_opts, _program=dpc)))
+            inner = replace(opts, starts=max(2, opts.starts // 3),
+                            max_iters=min(opts.max_iters, cap))
+            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner, _program=dpc)))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
-        solve([a])
+        solve([a], _POLISH_MAX_ITERS)
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
     xs = np.log(np.geomspace(lo, hi, n_scan))
-    solve([math.exp(x) for x in xs])
+    solve([math.exp(x) for x in xs], _SCAN_MAX_ITERS)
     result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
 

@@ -239,7 +239,7 @@ def _ladder(monkeypatch, n):
 def _golden_alpha_reference(ch, mu, opts, n_scan):
     """The alpha search as it was before the slope search: golden section to
     1e-6 in log alpha on re-solved values between the neighbours of the scan
-    minimum, with the same warm chain, inner settings and final solve."""
+    minimum, with the same warm chain, polish settings and final solve."""
     inner = dataclasses.replace(
         opts, starts=max(2, opts.starts // 3), max_iters=min(opts.max_iters, 400)
     )
@@ -345,6 +345,57 @@ def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
     res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
     assert len(calls) == res.evaluations <= n_scan + 8
     assert res.alpha_star == calls[-1]
+
+
+def _sweep_budgets(monkeypatch, ch, *args, **kwargs):
+    """``(alphas, max_iters)`` of each partial solve of one alpha sweep."""
+    calls = []
+    solve = outer.mu_sum_partial_outer
+
+    def recorded(ch, alpha, mu, opts, *rest, **options):
+        calls.append((np.atleast_1d(alpha).tolist(), opts.max_iters))
+        return solve(ch, alpha, mu, opts, *rest, **options)
+
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", recorded)
+    return inf_alpha_partial_outer(ch, 1e6, *args, **kwargs), calls
+
+
+def test_each_alpha_sweep_solve_gets_its_own_budget(monkeypatch, sec7):
+    # the scan reads slope signs and coarse values only, so it gets a short
+    # budget; the polish steps and the final solve fix alpha* and n_value
+    opts = SolverSettings(starts=2, seed=0)
+    res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts, n_scan=6)
+    (scan, scan_budget), *polish, (final, final_budget) = calls
+    assert len(scan) == 6 and scan_budget == 100
+    assert polish and all(len(alphas) == 1 and budget == 400 for alphas, budget in polish)
+    assert final == [res.alpha_star] and final_budget == opts.max_iters == 2000
+
+    _, capped = _sweep_budgets(monkeypatch, sec7, opts=dataclasses.replace(opts, max_iters=60))
+    assert len(capped) > 2 and max(budget for _, budget in capped) == 60
+
+
+def test_a_widening_solve_keeps_the_polish_budget(monkeypatch, sec7):
+    # alpha* = 0.55 lies below (1, 10), so the scan gains the point 0.1
+    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), SolverSettings(starts=2, seed=0))
+    assert res.bracket == (0.1, 10.0)
+    widening = [budget for alphas, budget in calls if alphas[0] == pytest.approx(0.1, rel=1e-12)]
+    assert widening == [400]
+    assert calls[0][1] == 100
+
+
+@pytest.mark.parametrize("n_scan", [3, 6])
+@pytest.mark.parametrize("case, mu", [("bundled", 1e6), ("bundled", 2.0), ("ladder", 4.0)])
+def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, mu, n_scan):
+    # the same sweep with the scan at the polish budget: the scan's brackets
+    # and every result the polish and the final solve fix are unchanged
+    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 3)
+    opts = SolverSettings(starts=2, seed=0)
+    short = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
+    monkeypatch.setattr(outer, "_SCAN_MAX_ITERS", 400)
+    long = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
+    assert (short.bracket, short.non_unimodal) == (long.bracket, long.non_unimodal)
+    assert abs(math.log(short.alpha_star / long.alpha_star)) <= 2e-6
+    assert short.n_value == pytest.approx(long.n_value, rel=1e-11)
 
 
 @pytest.mark.parametrize("path", ["dpc", "partial"])
