@@ -342,7 +342,7 @@ def _dpc_matrices(ch: CognitiveChannel):
 
 
 def _solve(program, mu, groups, opts, starts_of, extra_starts=(), where=None, cols=None,
-           radius=None):
+           radius=None, upper=None):
     """Checked weights (:func:`check_mu`) and winning thetas of the program's
     mu-sums under the trace budgets ``groups`` (parameter indices, budget),
     for a weight ``mu`` or a nonempty 1-D grid.  ``extra_starts`` is one
@@ -351,7 +351,8 @@ def _solve(program, mu, groups, opts, starts_of, extra_starts=(), where=None, co
     tuples of a matrix per block, allocations or raw vectors.  Each distinct
     start is encoded once, in one stacked call per block, then divided by
     ``radius[k]`` (default 1), the radius of weighting ``k``'s ball.  ``cols``
-    (column scales, a row per weighting) go to :func:`maximize_multistart`.
+    (column scales, a row per weighting) and ``upper(mus)`` (upper values,
+    asked for once the weights are checked) go to :func:`maximize_multistart`.
     Each distinct weighting (mu and column scale) climbs once, from the union
     of its repeats' starts.  A divergence names its mu, then ``where[k]``."""
     mus = [check_mu(m) for m in (mu if np.ndim(mu) else [mu])]
@@ -386,6 +387,7 @@ def _solve(program, mu, groups, opts, starts_of, extra_starts=(), where=None, co
             scale=math.sqrt(max(budget for _, budget in groups)),
             extra_starts=merged,
             column_scale=cols[head],
+            upper=None if upper is None else np.asarray(upper(mus))[head],
         )
     except SolverDiverged as exc:
         if exc.owner is None:

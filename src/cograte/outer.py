@@ -108,13 +108,37 @@ def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
     ]
 
 
+def _power_split_bound(ch: CognitiveChannel, alphas, mus) -> np.ndarray:
+    """Closed-form upper value ``U`` of the partial bound's mu-sum per (alpha,
+    mu).  At every feasible ``(Q0, Q1) = (q_p, sigma_cc)``, ``r_p ≤ log|I + g
+    Q0 g†|`` (``g = g_alpha``), as the interference ``N = I + h Q1 h† ⪰ I``
+    (``h = h_cp/√α``) only lowers it; ``r_c ≤ log|I + h_cc Q1 h_cc† / α|``;
+    ``tr Q0 + tr Q1 ≤ B = p_p + α p_c``.  So for every mu >= 0, ``U`` is one
+    water-filling of ``B`` (Telatar, Eur. Trans. Telecom. 1999) over the
+    squared singular values ``γ`` of ``g``, weighted ``w = mu``, and of
+    ``h_cc/√α``, weighted 1: ``Σ w max(0, log2(ν w γ))``.  With the modes
+    sorted as in :func:`waterfill`, the prefix levels ``(B + Σ 1/γ) / Σ w``
+    fall while modes fill and rise after: the water level ``ν`` is the least."""
+    s_cc = np.linalg.svd(ch.h_cc, compute_uv=False)
+    s_g = {a: np.linalg.svd(composite_matrices(ch, a).g_alpha, compute_uv=False)
+           for a in set(alphas)}
+    gain = np.array([np.concatenate([s_g[a], s_cc / math.sqrt(a)]) for a in alphas]) ** 2
+    weight = np.array([[m] * (gain.shape[1] - len(s_cc)) + [1.0] * len(s_cc) for m in mus])
+    order = np.argsort(-weight * gain, axis=1)
+    gain, weight = np.take_along_axis(gain, order, 1), np.take_along_axis(weight, order, 1)
+    budget = ch.p_p + np.asarray(alphas)[:, None] * ch.p_c
+    with np.errstate(divide="ignore", invalid="ignore"):  # modes with wγ = 0 read inf or nan
+        nu = np.min((budget + np.cumsum(1.0 / gain, axis=1)) / np.cumsum(weight, axis=1), axis=1)
+        return ch.rate_scale * (weight * np.fmax(np.log2(nu[:, None] * weight * gain), 0.0)).sum(1)
+
+
 def mu_sum_partial_outer(
     ch: CognitiveChannel,
     alpha,
     mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
-    *, _program=None,
+    *, _program=None, _certify=True,
 ):
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
@@ -136,6 +160,8 @@ def mu_sum_partial_outer(
     column scale ``sqrt(B) s``; :func:`~cograte.achievable._solve` checks it
     and places its starts there, and the winners are re-scored in one batch.
     ``_program``, the DPC program of ``ch``, lets an alpha sweep build it once.
+    Unless ``_certify`` is false, :func:`_power_split_bound` gives each
+    weighting's ``upper`` value in :func:`maximize_multistart`.
     """
     mu = [mu] * len(alpha) if np.ndim(alpha) and not np.ndim(mu) else mu
     alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * np.size(mu)
@@ -156,7 +182,9 @@ def mu_sum_partial_outer(
     cols = np.array(radius)[:, None] * np.where(licensed, 1.0, 1.0 / np.sqrt(alphas)[:, None])
     where = [f", alpha={a:g}" for a in alphas]
     groups = [(np.arange(program.n_params), 1.0)]
-    mus, phis = _solve(program, mu, groups, opts, starts_of, extra_starts, where, cols, radius)
+    upper = (lambda mus: _power_split_bound(ch, alphas, mus)) if _certify else None
+    mus, phis = _solve(program, mu, groups, opts, starts_of, extra_starts, where, cols, radius,
+                       upper)
     thetas = phis * np.array(radius)[:, None]
     q_ps, s_ccs = program.decode(thetas)
     at = [f" (at mu={m:g}{w})" for m, w in zip(mus, where)]
@@ -252,8 +280,8 @@ def inf_alpha_partial_outer(
     minimizer the full ``opts``.  The scan may be short because only its
     slopes' signs, which bracket, and its coarse values, which pick a
     bracket, are read; alpha* and ``n_value`` come from the polish steps and
-    the final solve.  What a longer scan adds is losing starts at an edge
-    alpha that climb on below its winner.
+    the final solve, which :func:`mu_sum_partial_outer` certifies.  The scan
+    is not certified yet, so its losing starts at an edge alpha climb on.
     """
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     if not (0.0 < lo < hi < math.inf):
@@ -264,12 +292,13 @@ def inf_alpha_partial_outer(
     cache: dict[float, BoundMuSumResult] = {}
     dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
-    def solve(alphas, cap: int) -> None:
+    def solve(alphas, cap: int, certify: bool = True) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
             inner = replace(opts, starts=max(2, opts.starts // 3),
                             max_iters=min(opts.max_iters, cap))
-            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner, _program=dpc)))
+            solved = mu_sum_partial_outer(ch, new, mu, inner, _program=dpc, _certify=certify)
+            cache.update(zip(new, solved))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
@@ -277,7 +306,8 @@ def inf_alpha_partial_outer(
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
     xs = np.log(np.geomspace(lo, hi, n_scan))
-    solve([math.exp(x) for x in xs], _SCAN_MAX_ITERS)
+    # uncertified: traced paper_repro needs its capped solve until ROADMAP item 1
+    solve([math.exp(x) for x in xs], _SCAN_MAX_ITERS, certify=False)
     result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
 
@@ -495,7 +525,7 @@ def trace_outer_boundary(
     """Trace the partial bound's boundary over a mu grid, as
     :func:`~cograte.achievable.trace_boundary` traces the region: one
     boundary for one ``alpha``, or a list of them, one per alpha, for a
-    sequence.  Every (alpha, mu) weighting climbs in one lockstep
+    sequence.  Every (alpha, mu) weighting climbs in one lockstep, certified
     :func:`mu_sum_partial_outer` call, each as it would alone, and each
     alpha's winners are cross-polished into its curve.
 

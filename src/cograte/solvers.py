@@ -144,6 +144,7 @@ def maximize_multistart(
     scale: float = 1.0,
     extra_starts=((),),
     column_scale=None,
+    upper=None,
 ):
     """Multi-start accelerated projected gradient ascent of one objective under
     several weightings at once; returns the best (values, thetas) of each weighting.
@@ -182,6 +183,9 @@ def maximize_multistart(
     The loop keeps only the running starts' rows, ``t`` as a place on
     :func:`_momentum_table`; in an iteration where starts retire, their
     thetas and values are written back and every array drops their rows.
+    ``upper`` (default ``+inf``) holds an upper value ``U`` per weighting:
+    once a start reaches ``U − rel_tol * max(1, |U|)``, at the start values or
+    after a line search, its weighting's other starts retire, and it climbs on.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
@@ -214,21 +218,34 @@ def maximize_multistart(
     vals = np.asarray(objective(cols * thetas)[0](weights[owner]), dtype=float)
     run, th, val, w, c = np.arange(n_starts), thetas, vals, weights[owner], cols
     finite(vals, run, "at a start point")
+    u = np.full(len(weights), np.inf) if upper is None else np.asarray(upper, dtype=float)
+    bar = (u - settings.rel_tol * np.clip(np.abs(u), 1.0, np.finfo(float).max))[owner]
     moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
     step = np.full(n_starts, 0.25 * scale)
     stall, place = np.zeros(n_starts, dtype=int), np.zeros(n_starts, dtype=int)
     t_next, extrapolate, advance = _momentum_table()
-    n_cand, rows = len(_LADDER), ()
+    n_cand, rows, done = len(_LADDER), (), np.zeros(n_starts, dtype=bool)
 
     for _ in range(settings.max_iters):
+        if (hit := val >= bar).any():  # a certified weighting keeps only its best start
+            lose = np.isin(owner[run], owner[run[hit]])
+            for m in np.unique(owner[run[hit]]):
+                lead = np.argmax(np.where(owner[run] == m, val, -np.inf))
+                lose[lead], bar[lead] = False, np.inf
+            done |= lose
+        if done.any():
+            run, th, val, moved, step, stall, place, w, c, bar = retire(
+                done, run, th, val, moved, step, stall, place, w, c, bar)
+            if not run.size:
+                break
         # unprojected: the benchmark's tracer reads a call after a projection as a line search
         y = th + extrapolate[place][:, None] * moved
         grad = c * objective(c * y)[1](w)
         finite(grad, run, "during gradient evaluation")
         gnorm = np.sqrt((grad * grad).sum(axis=1))
         if (dead := gnorm < 1e-15).any():
-            run, th, val, moved, step, stall, place, w, c, y, grad, gnorm = retire(
-                dead, run, th, val, moved, step, stall, place, w, c, y, grad, gnorm)
+            run, th, val, moved, step, stall, place, w, c, bar, y, grad, gnorm = retire(
+                dead, run, th, val, moved, step, stall, place, w, c, bar, y, grad, gnorm)
             if not run.size:
                 break
         if len(rows) != len(run):  # weights and column scales of the line search
@@ -252,11 +269,7 @@ def maximize_multistart(
         rung = np.minimum(np.maximum(ladders[rows, best], 1e-14), _MAX_STEP)
         step = np.where(up, rung, np.where(shrink, 0.25 * step, step))
         stall, place = np.where(up, (stall + 1) * slow, stall), np.where(keep, advance[place], 0)
-        if (done := (stall >= 3) | (shrink & (step < 1e-13 * scale))).any():
-            run, th, val, moved, step, stall, place, w, c = retire(
-                done, run, th, val, moved, step, stall, place, w, c)
-            if not run.size:
-                break
+        done = (stall >= 3) | (shrink & (step < 1e-13 * scale))
     thetas[run], vals[run] = th, val
 
     winners = [np.flatnonzero(owner == m)[np.argmax(vals[owner == m])] for m in range(len(weights))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cograte.channel import load_channel
+from cograte.channel import CognitiveChannel, load_channel
 from cograte.cli import bundled_channel_text
 from cograte.linalg import psd_sqrt
 from cograte.solvers import SolverSettings
@@ -24,6 +24,26 @@ def fast():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+def draw(rng, shape, complex_mode):
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_mode else m
+
+
+def random_channel(rng, complex_mode):
+    """A channel with 1 or 2 antennas per terminal and standard normal
+    entries, complex ones in ``complex_mode``, at p_p = 3 and p_c = 2."""
+    n_pt, n_pr, n_ct, n_cr = rng.integers(1, 3, size=4)
+    return CognitiveChannel(
+        h_pp=draw(rng, (n_pr, n_pt), complex_mode),
+        h_pc=draw(rng, (n_cr, n_pt), complex_mode),
+        h_cp=draw(rng, (n_pr, n_ct), complex_mode),
+        h_cc=draw(rng, (n_cr, n_ct), complex_mode),
+        p_p=3.0,
+        p_c=2.0,
+        real_mode=not complex_mode,
+    )
 
 
 def ascent_rates(program, thetas):

@@ -5,7 +5,9 @@ import os
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP, ascent_rates
+from conftest import ORACLE_GAP, ascent_rates, random_channel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cograte.achievable as achievable
 import cograte.outer as outer
@@ -24,6 +26,7 @@ from cograte.errors import InfeasibleAllocation, SolverDiverged, UnsupportedMu
 from cograte.linalg import log_det_id_plus, param_rows
 from cograte.outer import (
     _alpha_slope,
+    _power_split_bound,
     bc_mu_sum,
     condition_check,
     inf_alpha_partial_outer,
@@ -348,15 +351,24 @@ def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
 
 
 def _sweep_budgets(monkeypatch, ch, *args, **kwargs):
-    """``(alphas, max_iters)`` of each partial solve of one alpha sweep."""
+    """An alpha sweep at mu = 1e6 and ``[alphas, max_iters, iterations]`` of
+    each of its partial solves, an iteration being a gradient call."""
     calls = []
-    solve = outer.mu_sum_partial_outer
+    solve, ascend = outer.mu_sum_partial_outer, achievable.maximize_multistart
 
     def recorded(ch, alpha, mu, opts, *rest, **options):
-        calls.append((np.atleast_1d(alpha).tolist(), opts.max_iters))
+        calls.append([np.atleast_1d(alpha).tolist(), opts.max_iters, 0])
         return solve(ch, alpha, mu, opts, *rest, **options)
 
+    def counted(objective, *args, **kwargs):
+        def wrapped(thetas):
+            values, gradient = objective(thetas)
+            return values, lambda w: calls[-1].__setitem__(2, calls[-1][2] + 1) or gradient(w)
+
+        return ascend(wrapped, *args, **kwargs)
+
     monkeypatch.setattr(outer, "mu_sum_partial_outer", recorded)
+    monkeypatch.setattr(achievable, "maximize_multistart", counted)
     return inf_alpha_partial_outer(ch, 1e6, *args, **kwargs), calls
 
 
@@ -365,20 +377,20 @@ def test_each_alpha_sweep_solve_gets_its_own_budget(monkeypatch, sec7):
     # budget; the polish steps and the final solve fix alpha* and n_value
     opts = SolverSettings(starts=2, seed=0)
     res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts, n_scan=6)
-    (scan, scan_budget), *polish, (final, final_budget) = calls
+    (scan, scan_budget, _), *polish, (final, final_budget, _) = calls
     assert len(scan) == 6 and scan_budget == 100
-    assert polish and all(len(alphas) == 1 and budget == 400 for alphas, budget in polish)
+    assert polish and all(len(alphas) == 1 and budget == 400 for alphas, budget, _ in polish)
     assert final == [res.alpha_star] and final_budget == opts.max_iters == 2000
 
     _, capped = _sweep_budgets(monkeypatch, sec7, opts=dataclasses.replace(opts, max_iters=60))
-    assert len(capped) > 2 and max(budget for _, budget in capped) == 60
+    assert len(capped) > 2 and max(budget for _, budget, _ in capped) == 60
 
 
 def test_a_widening_solve_keeps_the_polish_budget(monkeypatch, sec7):
     # alpha* = 0.55 lies below (1, 10), so the scan gains the point 0.1
     res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), SolverSettings(starts=2, seed=0))
     assert res.bracket == (0.1, 10.0)
-    widening = [budget for alphas, budget in calls if alphas[0] == pytest.approx(0.1, rel=1e-12)]
+    widening = [budget for alphas, budget, _ in calls if alphas[0] == pytest.approx(0.1, rel=1e-12)]
     assert widening == [400]
     assert calls[0][1] == 100
 
@@ -396,6 +408,72 @@ def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, m
     assert (short.bracket, short.non_unimodal) == (long.bracket, long.non_unimodal)
     assert abs(math.log(short.alpha_star / long.alpha_star)) <= 2e-6
     assert short.n_value == pytest.approx(long.n_value, rel=1e-11)
+
+
+def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
+    # at mu = 1e6 the licensed corner meets the power-split bound at every
+    # alpha, so each polish step and the final solve end a few iterations
+    # after their start values, and the sweep's result is bit for bit the
+    # uncertified one; the scan is left uncertified and still ends at its cap
+    opts = SolverSettings(starts=8, seed=0)  # reproduce-paper's
+    res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
+    (_, scan_cap, scan_iterations), *rest = calls
+    assert scan_cap == scan_iterations == 100
+    assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
+
+    monkeypatch.setattr(outer, "_power_split_bound", lambda ch, alphas, mus: np.full(len(mus), np.inf))
+    free, free_calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
+    assert min(iterations for _, _, iterations in free_calls[1:]) > 20
+    for field in dataclasses.fields(res):
+        got, want = getattr(res, field.name), getattr(free, field.name)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
+def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monkeypatch, sec7):
+    # at mu = 1e6 all power goes to the licensed rate, so the bound is mu
+    # times the water-filled capacity of g_alpha under p_p + alpha p_c
+    _, calls = _sweep_budgets(monkeypatch, sec7, opts=SolverSettings(starts=2, seed=0))
+    alphas = [a for own, _, _ in calls for a in own]
+    assert len(alphas) >= 10
+    upper = _power_split_bound(sec7, alphas, [1e6] * len(alphas))
+    for a, u in zip(alphas, upper):
+        assert u == pytest.approx(1e6 * partial_outer_max_rp(sec7, a), rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_power_split_bound_lies_above_every_partial_solve(complex_mode, seed):
+    # mu = 0 is the cognitive corner, where the bound is the maximum itself;
+    # a certified solve ends where the uncertified one does
+    ch = random_channel(np.random.default_rng(seed), complex_mode)
+    alphas, mus = np.repeat([0.2, 1.0, 5.0], 5), [0.0, 0.3, 1.0, 3.0, 30.0] * 3
+    opts = SolverSettings(starts=2, max_iters=200, seed=0)  # any point's value lies below
+    free = mu_sum_partial_outer(ch, alphas, mus, opts, _certify=False)
+    certified = mu_sum_partial_outer(ch, alphas, mus, opts)
+    for u, got, want in zip(_power_split_bound(ch, alphas, mus), certified, free):
+        assert want.value <= u + 1e-12 * max(1.0, u)
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+
+
+def test_the_power_split_bound_is_the_optimum_without_interference():
+    # with h_cp = 0 the licensed receiver hears no interference and the bound
+    # is the partial bound's maximum, here with power on both sides: the best
+    # split of p_p + alpha p_c between the two water-fillings
+    ch = CognitiveChannel(h_pp=[[1.2, 0.3], [-0.4, 0.9]], h_pc=[[0.2, 0.1], [0.3, -0.1]],
+                          h_cp=np.zeros((2, 2)), h_cc=[[0.8, 0.2], [0.1, 1.1]], p_p=3.0, p_c=2.0)
+    alpha, mu = 0.7, 1.5
+    (upper,) = _power_split_bound(ch, [alpha], [mu])
+    g, budget = composite_matrices(ch, alpha).g_alpha, ch.p_p + alpha * ch.p_c
+
+    def lost(p0):
+        return -(mu * waterfill(g, p0)[0] + waterfill(ch.h_cc / math.sqrt(alpha), budget - p0)[0])
+
+    split, best = golden_section(lost, 1e-9, budget - 1e-9, tol=1e-12)
+    assert 0.1 * budget < split < 0.9 * budget
+    assert upper == pytest.approx(-best, rel=1e-12)
+    res = mu_sum_partial_outer(ch, alpha, mu, SolverSettings(starts=4, seed=0), _certify=False)
+    assert res.rate.r_p > 1.0 and res.rate.r_c > 1.0
+    assert res.value == pytest.approx(upper, rel=1e-9)
 
 
 @pytest.mark.parametrize("path", ["dpc", "partial"])

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import ascent_rates, covariance_rates
+from conftest import ascent_rates, covariance_rates, draw, random_channel
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,24 +46,6 @@ from cograte.regions import RatePair
 from cograte.solvers import SolverSettings, waterfill
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-
-
-def _draw(rng, shape, complex_mode):
-    m = rng.standard_normal(shape)
-    return m + 1j * rng.standard_normal(shape) if complex_mode else m
-
-
-def _channel(rng, complex_mode):
-    n_pt, n_pr, n_ct, n_cr = rng.integers(1, 3, size=4)
-    return CognitiveChannel(
-        h_pp=_draw(rng, (n_pr, n_pt), complex_mode),
-        h_pc=_draw(rng, (n_cr, n_pt), complex_mode),
-        h_cp=_draw(rng, (n_pr, n_ct), complex_mode),
-        h_cc=_draw(rng, (n_cr, n_ct), complex_mode),
-        p_p=3.0,
-        p_c=2.0,
-        real_mode=not complex_mode,
-    )
 
 
 def _bc_rates(ch, ga, kk, q_p, q_c):
@@ -108,7 +90,7 @@ def _programs(rng, ch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_objective_matches_reported_rates(complex_mode, seed):
     rng = np.random.default_rng(seed)
-    ch = _channel(rng, complex_mode)
+    ch = random_channel(rng, complex_mode)
     for program, rates in _programs(rng, ch):
         thetas = rng.standard_normal((6, program.n_params))
         # inside every power budget, so each rate function accepts the witness
@@ -127,7 +109,7 @@ def test_a_gradient_call_takes_no_log_det(monkeypatch):
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m) or slogdet(m))
     rng = np.random.default_rng(7)
-    ch = _channel(rng, True)
+    ch = random_channel(rng, True)
     program = _two_block_program(ch, *_dpc_matrices(ch))
     values, gradient = program.objective(rng.standard_normal((4, program.n_params)))
     assert gradient(program.weights(2.0)).shape == (4, program.n_params)
@@ -165,11 +147,11 @@ def test_a_scalar_log_det_gradient_is_the_lapack_solve_bit_for_bit(monkeypatch, 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_decode_inverts_encode(complex_mode, seed):
     rng = np.random.default_rng(seed)
-    ch = _channel(rng, complex_mode)
+    ch = random_channel(rng, complex_mode)
     for program, _ in _programs(rng, ch):
         matrices = []
         for _, dim, _ in program.blocks:
-            a = _draw(rng, (dim, dim), complex_mode)
+            a = draw(rng, (dim, dim), complex_mode)
             matrices.append(a @ np.conj(a.T))
         matrices[-1] = np.zeros_like(matrices[-1])  # rank-deficient block
         theta = program.encode(*matrices)
@@ -186,11 +168,11 @@ def _term(rng, shape, kind, complex_mode):
     if kind == "zero_columns":
         keep = rng.random(shape[1]) < 0.5
         keep[-1] = True
-        return _draw(rng, shape, complex_mode) * keep
+        return draw(rng, shape, complex_mode) * keep
     if kind == "low_rank":
-        h = _draw(rng, (shape[0], 1), complex_mode) @ _draw(rng, (1, shape[1]), complex_mode)
+        h = draw(rng, (shape[0], 1), complex_mode) @ draw(rng, (1, shape[1]), complex_mode)
         return h * math.sqrt(h.size * (2 if complex_mode else 1)) / np.linalg.norm(h)
-    return _draw(rng, shape, complex_mode)
+    return draw(rng, shape, complex_mode)
 
 
 def _kernel_case(rng, complex_mode, dims, receivers, divisor, kinds=("dense",) * 3):
@@ -199,7 +181,7 @@ def _kernel_case(rng, complex_mode, dims, receivers, divisor, kinds=("dense",) *
     term by whitening) and its inputs; the second block's terms carry a
     factor 1/sqrt(divisor), as on a scaled channel."""
     (d0, d1), (m_p, m_c) = dims, receivers
-    noise_a = _draw(rng, (m_c, m_c), complex_mode)
+    noise_a = draw(rng, (m_c, m_c), complex_mode)
     whiten = np.linalg.inv(np.linalg.cholesky(np.eye(m_c) + noise_a @ np.conj(noise_a.T)))
     shapes = ((m_p, d0), (m_p, d1), (m_c, d1))
     g, h_int, h_c = (_term(rng, shape, kind, complex_mode) for shape, kind in zip(shapes, kinds))
@@ -325,8 +307,8 @@ def test_gradient_of_a_small_rank_one_term_matches_central_differences(complex_m
     # log-dets themselves missed the analytic gradient by 3.7-8.8 times the
     # tolerance
     rng = np.random.default_rng(1)
-    g, h_int = _draw(rng, (2, 1), complex_mode), _draw(rng, (2, 2), complex_mode)
-    h_c = _draw(rng, (2, 1), complex_mode) @ _draw(rng, (1, 2), complex_mode)
+    g, h_int = draw(rng, (2, 1), complex_mode), draw(rng, (2, 2), complex_mode)
+    h_c = draw(rng, (2, 1), complex_mode) @ draw(rng, (1, 2), complex_mode)
     h_c *= 0.0079 / np.linalg.norm(h_c)
     program = LogDetProgram(
         complex_mode,
@@ -418,10 +400,10 @@ def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode,
     # the partial bound is the broadcast bound with q_c confined to the
     # cognitive block, so both rate formulas must agree there
     rng = np.random.default_rng(seed)
-    ch = _channel(rng, complex_mode)
+    ch = random_channel(rng, complex_mode)
     alpha = float(rng.uniform(0.3, 3.0))
     n = ch.n_pt + ch.n_ct
-    a, b = _draw(rng, (n, n), complex_mode), _draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
+    a, b = draw(rng, (n, n), complex_mode), draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
     q_p, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
     shrink = 0.9 * (ch.p_p + alpha * ch.p_c) / np.trace(q_p + _embed_structured(ch, s_cc)).real
     q_p, s_cc = shrink * q_p, shrink * s_cc
@@ -436,7 +418,7 @@ def _feasible_allocation(rng, ch):
     """A random allocation that uses a random share of each power budget."""
     complex_mode, npt = not ch.real_mode, ch.n_pt
     n = npt + ch.n_ct
-    a, b = _draw(rng, (n, n), complex_mode), _draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
+    a, b = draw(rng, (n, n), complex_mode), draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
     net, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
     licensed, cognitive, split = rng.uniform(0.0, 1.0, size=3)
     d = np.sqrt(np.where(
@@ -455,7 +437,7 @@ def test_rates_are_invariant_under_the_alpha_scaling(complex_mode, alpha, seed):
     # scale_allocation puts alpha times the cognitive power through them, so
     # the DPC rates and the partial bound's rates at alpha are those of ch
     rng = np.random.default_rng(seed)
-    ch = _channel(rng, complex_mode)
+    ch = random_channel(rng, complex_mode)
     a = _feasible_allocation(rng, ch)
     assert is_feasible(ch, a)
     want = dpc_rate_caps(ch, a)
@@ -469,7 +451,7 @@ def test_rates_are_invariant_under_the_alpha_scaling(complex_mode, alpha, seed):
 
 
 def _dual_case(rng, complex_mode):
-    ch = _channel(rng, complex_mode)
+    ch = random_channel(rng, complex_mode)
     alpha = float(rng.uniform(0.3, 3.0))
     return ch, alpha, ch.p_p + alpha * ch.p_c, _broadcast_matrices(ch, alpha)
 
@@ -491,7 +473,7 @@ def test_mac_to_bc_keeps_each_rate_and_the_total_power(complex_mode, mu, seed):
     rng = np.random.default_rng(seed)
     ch, alpha, budget, (ga, _, k) = _dual_case(rng, complex_mode)
     program, bases = _dual_mac(ch, ga, k)
-    lows = [_draw(rng, (dim, dim), complex_mode) for _, dim, _ in program.blocks]
+    lows = [draw(rng, (dim, dim), complex_mode) for _, dim, _ in program.blocks]
     scale = math.sqrt(budget / sum(np.linalg.norm(low) ** 2 for low in lows))
     root_p, root_c = (scale * u @ low for u, low in zip(bases, lows))
     roots = _mac_to_bc(ga, k, root_p, root_c)
@@ -580,7 +562,7 @@ def test_coupled_noise_never_lowers_the_broadcast_cognitive_rate(complex_mode, m
     eye_p, eye_c = np.eye(ch.n_pr), np.eye(ch.n_cr)
     c_pp, c_pc, c_cc = (a @ q_c @ np.conj(b.T) for a, b in ((ga, ga), (ga, k), (k, k)))
     for _ in range(3):
-        q_z = _draw(rng, (ch.n_pr, ch.n_cr), complex_mode)
+        q_z = draw(rng, (ch.n_pr, ch.n_cr), complex_mode)
         q_z *= rng.uniform(0.0, 0.95) / np.linalg.svd(q_z, compute_uv=False)[0]
         sigma_z = np.block([[eye_p, q_z], [np.conj(q_z.T), eye_c]])
         kw = np.linalg.solve(np.linalg.cholesky(sigma_z), np.vstack([ga, k]))

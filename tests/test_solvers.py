@@ -11,7 +11,7 @@ import cograte.achievable as achievable
 from cograte.achievable import _dpc_matrices, _two_block_program
 from cograte.channel import CognitiveChannel, composite_matrices, load_channel
 from cograte.errors import BracketUnbounded, NonPositivePower, SolverDiverged, ZeroChannel
-from cograte.outer import _bound_corners, mu_sum_partial_outer
+from cograte.outer import _bound_corners, _power_split_bound, mu_sum_partial_outer
 from cograte.solvers import (
     NEG_INF,
     SolverSettings,
@@ -380,6 +380,16 @@ def test_an_all_dead_batch_ends_the_call():
     assert np.array_equal(values, [2.0, 2.0]) and np.array_equal(thetas, project(firsts))
 
 
+def _partial_ascent(ch):
+    """The partial bound at alpha = 1 as :func:`maximize_multistart` climbs
+    it: the DPC program, its projection, its corner starts and its scale."""
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    budget = ch.p_p + ch.p_c
+    project = make_group_projection([(np.arange(program.n_params), budget)])
+    starts = [program.encode(*pair) for pair in _bound_corners(ch, 1.0, budget)]
+    return program, project, starts, math.sqrt(budget)
+
+
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
 def test_lockstep_ascent_equals_a_per_start_loop(monkeypatch, sec7, channel):
     if channel == "mimo":
@@ -387,13 +397,10 @@ def test_lockstep_ascent_equals_a_per_start_loop(monkeypatch, sec7, channel):
         from inputs import mimo_channel
 
         sec7 = load_channel(json.dumps(mimo_channel(2, 1)))
-    program = _two_block_program(sec7, *_dpc_matrices(sec7))
-    budget = sec7.p_p + sec7.p_c
-    project = make_group_projection([(np.arange(program.n_params), budget)])
-    starts = [program.encode(*pair) for pair in _bound_corners(sec7, 1.0, budget)]
+    program, project, starts, scale = _partial_ascent(sec7)
     # a grid of one, since a wider batch may round the objective's matrix
     # product differently in the last digit (test_outer covers grids)
-    settings, scale = SolverSettings(starts=4, seed=5), math.sqrt(budget)
+    settings = SolverSettings(starts=4, seed=5)
     for mu in (3.0, 1.0, 0.25):
         w = program.weights(mu)
         (value,), (theta,) = maximize_multistart(
@@ -437,6 +444,91 @@ def test_each_line_search_tries_the_ladder_alone(monkeypatch, sec7):
     assert len(searches) > 10
     assert all(prev[0] == "gradient" for prev, _ in searches)
     assert all(rows == len(_LADDER) * prev[1] for prev, (_, rows) in searches)
+
+
+def _recorded(objective, calls):
+    """``objective`` that appends ``("values", values)`` and ``("gradient",
+    rows)`` to ``calls`` at each call of its two functions."""
+
+    def wrapped(thetas):
+        values, gradient = objective(thetas)
+
+        def recorded_values(w):
+            out = values(w)
+            calls.append(("values", out.copy()))  # the ascent writes into its start values
+            return out
+
+        return recorded_values, lambda w: calls.append(("gradient", len(thetas))) or gradient(w)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("upper", [None, math.inf], ids=["none", "inf"])
+def test_no_finite_upper_value_leaves_the_ascent_as_it_was(sec7, upper):
+    program, project, starts, scale = _partial_ascent(sec7)
+    settings = SolverSettings(starts=4, seed=5)
+    for mu in (1e6, 1.0):
+        w = program.weights(mu)
+        (value,), (theta,) = maximize_multistart(
+            program.objective, program.n_params, project, settings, w[None], scale, [starts],
+            upper=None if upper is None else [upper],
+        )
+        want = _loop_ascent(program.objective, program.n_params, project, settings, w, scale, starts)
+        assert value == want[0] and np.array_equal(theta, want[1])
+
+
+def test_a_weighting_proven_at_a_corner_retires_its_losing_starts_at_once(sec7):
+    # at mu = 1e6 the licensed corner meets the power-split bound at the start
+    # values: the other six starts of that weighting retire before the first
+    # gradient, and the corner ends where the uncertified ascent ends; the
+    # uncertified weighting beside it climbs bit for bit as alone
+    program, project, starts, scale = _partial_ascent(sec7)
+    settings = SolverSettings(starts=4, seed=5)
+    weights = program.weights([1e6, 1.0])
+    upper = [_power_split_bound(sec7, [1.0], [1e6])[0], math.inf]
+    calls = []
+    values, thetas = maximize_multistart(
+        _recorded(program.objective, calls), program.n_params, project, settings, weights, scale,
+        [starts, starts], upper=upper,
+    )
+    (_, start_values), (_, rows) = calls[:2]
+    n = len(starts) + settings.starts
+    assert start_values[0] >= upper[0] * (1.0 - settings.rel_tol) > start_values[1:n].max()
+    assert rows == 1 + n
+    for m, w in enumerate(weights):
+        (alone,), (alone_theta,) = maximize_multistart(
+            program.objective, program.n_params, project, settings, w[None], scale, [starts]
+        )
+        assert values[m] == alone and np.array_equal(thetas[m], alone_theta)
+    # alone, the incumbent is not returned at once: it climbs until it stalls
+    calls.clear()
+    maximize_multistart(_recorded(program.objective, calls), program.n_params, project, settings,
+                        weights[:1], scale, [starts], upper=upper[:1])
+    rows = [n for kind, n in calls if kind == "gradient"]
+    assert len(rows) >= 3 and set(rows) == {1}
+
+
+def test_a_weighting_that_meets_its_upper_value_mid_ascent_is_certified_then():
+    target = np.array([0.3, -0.2])
+
+    def objective(thetas):
+        return (lambda w: -w[:, 0] * np.sum((thetas - target) ** 2, axis=1),
+                lambda w: -2.0 * w[:, :1] * (thetas - target))
+
+    project = make_group_projection([(np.arange(2), 4.0)])
+    settings = SolverSettings(starts=6, seed=1)
+    certified, free = [], []
+    (value,), _ = maximize_multistart(_recorded(objective, certified), 2, project, settings,
+                                      [[1.0]], upper=[0.0])
+    maximize_multistart(_recorded(objective, free), 2, project, settings, [[1.0]])
+    # the start values, then one line search per iteration, each after a gradient
+    searches = [v.max() for kind, v in certified if kind == "values"]
+    rows = [n for kind, n in certified if kind == "gradient"]
+    first = next(i for i, top in enumerate(searches) if top >= -settings.rel_tol)
+    assert first >= 2 and value >= -settings.rel_tol
+    assert rows[first - 1] > 1 and rows[first] == 1  # the losing starts retire at once
+    free_rows = [n for kind, n in free if kind == "gradient"]
+    assert rows[:first] == free_rows[:first] and free_rows[first] > 1
 
 
 @pytest.mark.parametrize(
