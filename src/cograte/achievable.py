@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import CognitiveChannel
-from .errors import InfeasibleAllocation, SolverDiverged
+from .channel import CognitiveChannel, composite_matrices
+from .errors import CograteError, InfeasibleAllocation, SolverDiverged
 from .linalg import (
     DEFAULT_TOL,
     LN2,
@@ -32,7 +32,8 @@ from .linalg import (
     symmetrize,
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
-from .solvers import SolverSettings, make_group_projection, maximize_multistart
+from .solvers import SolverSettings, central_slope, make_group_projection, maximize_multistart
+from .solvers import scan_then_golden, waterfill
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,34 @@ def scale_allocation(a: DpcAllocation, alpha: float) -> DpcAllocation:
     )
 
 
+def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
+    """Largest licensed rate inside the partial bound at ``alpha``: the
+    water-filled capacity of ``g_alpha`` under the sum budget ``p_p + alpha p_c``."""
+    budget = ch.p_p + alpha * ch.p_c
+    return waterfill(composite_matrices(ch, alpha).g_alpha, budget, real_mode=ch.real_mode)[0]
+
+
+def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=(1e-3, 1e3)):
+    """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
+    licensed rate (``outer._power_split_bound``, step 3), as :func:`scan_then_golden`
+    finds it from six log-spaced alphas over the bracket, to 1e-12 in ``log alpha``."""
+    lo, hi = alpha_bracket
+    return scan_then_golden(central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
+                            np.log(np.geomspace(lo, hi, 6)), tol=1e-12)
+
+
+def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
+    """Upper values of the DPC mu-sums (``outer._power_split_bound``, step 3):
+    ``mu`` times :func:`inf_alpha_max_rp` where ``mu >= max(1, ch.licensed_weight)``, and
+    ``+inf`` elsewhere or where that least fails."""
+    corner = np.asarray(mus, dtype=float) >= max(1.0, ch.licensed_weight)
+    try:
+        rp = inf_alpha_max_rp(ch).value if corner.any() else math.inf
+    except CograteError:  # such as BracketUnbounded, where h_cp = 0 lets the cap fall with alpha
+        rp = math.inf
+    return rp * np.where(corner, mus, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # mu-sum optimization
 # ---------------------------------------------------------------------------
@@ -238,11 +267,12 @@ class LogDetProgram:
         self._shape = product.shape[1:]
         product = product.reshape(self.n_params, -1)
         self._product = product.view(float) if cm else product
+        self._product_t = np.ascontiguousarray(self._product.T)
 
     def _factors(self, thetas: np.ndarray) -> np.ndarray:
         """``E`` of every log-det of parameter rows ``thetas``."""
         thetas = np.atleast_2d(thetas)
-        e = thetas @ self._product
+        e = _row_product(thetas, self._product)
         if self.complex_mode:
             e = e.view(complex)
         return e.reshape(len(thetas), *self._shape)
@@ -290,7 +320,7 @@ class LogDetProgram:
         def gradient(w: np.ndarray) -> np.ndarray:
             g = inverse_times_e() * ((2.0 / LN2) * w[..., None, None])
             g = g.reshape(len(g), -1)
-            return (g.view(float) if self.complex_mode else g) @ self._product.T
+            return _row_product(g.view(float) if self.complex_mode else g, self._product_t)
 
         return lambda w: (log_dets() * w).sum(axis=-1), gradient
 
@@ -311,6 +341,12 @@ class LogDetProgram:
         return [
             symmetrize(low @ np.conj(np.swapaxes(low, -1, -2))) for low in self.lower_factors(theta)
         ]
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, a row rounded alike at every batch size for a C-contiguous
+    ``b``: a lone row goes in twice, as BLAS's matrix-vector path rounds otherwise."""
+    return (np.vstack([a, a]) @ b)[:1] if len(a) == 1 else a @ b
 
 
 def _on_range(hs: list[np.ndarray]) -> list[np.ndarray]:
@@ -436,14 +472,16 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     budgets are enforced by exact group projection.
 
     A 1-D grid ``mu`` is solved in one lockstep ascent into a list of the
-    results each mu gets alone.
+    results each mu gets alone.  A weighting with an upper value from
+    :func:`_licensed_corner_upper` ends its losing starts once it is met.
     """
     program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
     corners = _corner_allocations(ch)
-    mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners)
+    mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners,
+                         upper=lambda mus: _licensed_corner_upper(ch, mus))
     decoded = program.decode(thetas)
     stacked = DpcAllocation.from_net(*decoded)
     _require(_feasibility_violation(ch, stacked, DEFAULT_TOL, [f" (at mu={m:g})" for m in mus]))

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +135,19 @@ class CognitiveChannel:
     def rate_scale(self) -> float:
         """Prefactor on every log-det rate: 1/2 for real signalling, else 1."""
         return 0.5 if self.real_mode else 1.0
+
+    @cached_property
+    def licensed_weight(self) -> float:
+        """``mu* = λmax(h_cc†h_cc, h_cp†h_cp)``, the largest ``|h_cc x|² / |h_cp
+        x|²``: ``‖h_cc V S⁻¹‖₂²`` over the SVD ``h_cp = U S V†`` cut as
+        ``matrix_rank`` cuts it, ``+inf`` where ``h_cc`` hears what ``h_cp``
+        does not.  See ``outer._power_split_bound``."""
+        _, s, vh = np.linalg.svd(self.h_cp)
+        rank = int(np.sum(s > s.max(initial=0.0) * max(self.h_cp.shape) * np.finfo(float).eps))
+        heard = self.h_cc @ np.conj(vh.T)  # on h_cp's right singular vectors, null space last
+        if np.linalg.norm(heard[:, rank:]) > max(heard.shape) * 1e-15 * np.linalg.norm(heard):
+            return math.inf
+        return float(np.linalg.norm(heard[:, :rank] / s[:rank], 2) ** 2) if rank else 0.0
 
     def digest(self) -> str:
         """Stable hash of the channel contents, recorded in output metadata."""

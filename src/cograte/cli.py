@@ -26,19 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .achievable import mu_sum_achievable, trace_boundary
+from .achievable import inf_alpha_max_rp, mu_sum_achievable, trace_boundary
 from .channel import CognitiveChannel, load_channel, scaled_channel
 from .errors import CograteError, ConfigError
 from .outer import (
     DEFAULT_RESOLUTION,
     condition_check,
     inf_alpha_partial_outer,
-    partial_outer_max_rp,
     scan_points,
     trace_outer_boundary,
 )
 from .regions import SCHEMA_VERSION, check_mu, write_atomic
-from .solvers import SolverSettings, central_slope, scan_then_golden
+from .solvers import SolverSettings, scan_then_golden  # noqa: F401 (perfbench/tracing.py wraps it)
 
 #: Values reported for the bundled example channel, emitted for comparison.
 REPORTED_MAX_RP = 2.3542
@@ -265,15 +264,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             containment_slack = min(containment_slack, slack)
     _write_json(os.path.join(out_dir, "bounds.json"), _bounds_report(ch, DEFAULT_ALPHAS, curves))
 
-    # scalar minimization of the bound's licensed-rate cap over alpha; the
-    # inner value is the closed-form water-filling capacity at each alpha,
-    # scanned at the alpha sweep's default points
-    lo, hi = args.alpha_bracket
-    scan = scan_then_golden(
-        central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
-        np.log(np.geomspace(lo, hi, scan_points(DEFAULT_RESOLUTION))),
-        tol=1e-12,
-    )
+    # the bound's licensed-rate cap minimized over alpha, the closed-form
+    # water-filling capacity at each alpha, which certifies the peak solve too
+    scan = inf_alpha_max_rp(ch, args.alpha_bracket)
     alpha_star = math.exp(scan.x)
     rp_bound = scan.value
     tightness_gap = rp_bound - max_rp

@@ -29,6 +29,7 @@ from .achievable import (
     _solve,
     _two_block_program,
     dpc_rate_caps,
+    partial_outer_max_rp,
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
@@ -110,20 +111,35 @@ def _bound_corners(ch: CognitiveChannel, alpha: float, budget: float):
 
 def _power_split_bound(ch: CognitiveChannel, alphas, mus) -> np.ndarray:
     """Closed-form upper value ``U`` of the partial bound's mu-sum per (alpha,
-    mu).  At every feasible ``(Q0, Q1) = (q_p, sigma_cc)``, ``r_p ≤ log|I + g
-    Q0 g†|`` (``g = g_alpha``), as the interference ``N = I + h Q1 h† ⪰ I``
-    (``h = h_cp/√α``) only lowers it; ``r_c ≤ log|I + h_cc Q1 h_cc† / α|``;
-    ``tr Q0 + tr Q1 ≤ B = p_p + α p_c``.  So for every mu >= 0, ``U`` is one
-    water-filling of ``B`` (Telatar, Eur. Trans. Telecom. 1999) over the
-    squared singular values ``γ`` of ``g``, weighted ``w = mu``, and of
-    ``h_cc/√α``, weighted 1: ``Σ w max(0, log2(ν w γ))``.  With the modes
-    sorted as in :func:`waterfill`, the prefix levels ``(B + Σ 1/γ) / Σ w``
-    fall while modes fill and rise after: the water level ``ν`` is the least."""
+    mu).  Write ``g = g_alpha``, ``h = h_cp/√α``, ``h_c = h_cc/√α``, ``(Q0, Q1)
+    = (q_p, sigma_cc)`` with ``tr Q0 + tr Q1 ≤ B = p_p + α p_c``, and ``C(g,
+    b)`` for the water-filled capacity (:func:`partial_outer_max_rp`).
+
+    1. ``r_p = log|I + g(Q0 + Q1')g†| − log|I + h Q1 h†|``, ``Q1'`` the stacked
+       block holding ``Q1`` in its cognitive corner, so the first log-det is at
+       most ``C(g, tr Q0 + tr Q1)``.  As ``h Q1 h† ⪰ 0``, ``r_p ≤ log|I + g Q0
+       g†|``; and ``r_c = log|I + h_c Q1 h_c†|``.  So every mu-sum is at most
+       one water-filling of ``B`` (Telatar, Eur. Trans. Telecom. 1999) over the
+       squared singular values ``γ`` of ``g``, weighted ``w = mu``, and of
+       ``h_c``, weighted 1: ``Σ w max(0, log2(ν w γ))``.
+    2. For ``mu ≥ max(1, mu*)`` (``ch.licensed_weight``), ``h_cc†h_cc ⪯ mu
+       h_cp†h_cp``, so with ``X = Q1^{1/2}``, ``A = h_c†h_c`` and ``H = h†h``,
+       ``log|I + XAX| ≤ log|I + mu XHX| ≤ mu log|I + XHX|``: ``r_c`` minus mu
+       times the interference log-det is at most 0, and ``mu r_p + r_c ≤ mu
+       C(g, B)``, the water-filling with cognitive weights 0 (the smaller, as
+       it grows with its weights), which the licensed corner meets.
+    3. The DPC region maps into each alpha's bound (:func:`scale_allocation`),
+       so at such mu its maximum is ``mu min_α C(g_α, B(α))``, tight by Lagrange
+       duality over its two budgets (Yu & Lan, IEEE T-SP 55(6), 2007).
+
+    With the modes sorted as in :func:`waterfill`, the prefix levels ``(B + Σ
+    1/γ) / Σ w`` fall while modes fill and rise after: ``ν`` is the least."""
     s_cc = np.linalg.svd(ch.h_cc, compute_uv=False)
-    s_g = {a: np.linalg.svd(composite_matrices(ch, a).g_alpha, compute_uv=False)
-           for a in set(alphas)}
+    s_g = {a: np.linalg.svd(np.hstack([ch.h_pp, ch.h_cp / math.sqrt(a)]), compute_uv=False)
+           for a in set(alphas)}  # g_alpha; composite_matrices builds it for the corners
     gain = np.array([np.concatenate([s_g[a], s_cc / math.sqrt(a)]) for a in alphas]) ** 2
-    weight = np.array([[m] * (gain.shape[1] - len(s_cc)) + [1.0] * len(s_cc) for m in mus])
+    corner, n_g = max(1.0, ch.licensed_weight), gain.shape[1] - len(s_cc)
+    weight = np.array([[m] * n_g + [float(m < corner)] * len(s_cc) for m in mus])
     order = np.argsort(-weight * gain, axis=1)
     gain, weight = np.take_along_axis(gain, order, 1), np.take_along_axis(weight, order, 1)
     budget = ch.p_p + np.asarray(alphas)[:, None] * ch.p_c
@@ -216,17 +232,6 @@ def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) 
     stacks = (c * np.where(cognitive, s, 1.0) * roots[0], c * s * roots[1])
     up, down = program.factor_rates(stacks)
     return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
-
-
-def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
-    """Largest licensed rate inside the partial bound at a given alpha.
-
-    With all weight on r_p the bound is a single point-to-point link with the
-    scaled stacked matrix under the sum budget, solved by water-filling.
-    """
-    mats = composite_matrices(ch, alpha)
-    capacity, _ = waterfill(mats.g_alpha, ch.p_p + alpha * ch.p_c, real_mode=ch.real_mode)
-    return capacity
 
 
 DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution

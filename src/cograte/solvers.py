@@ -176,16 +176,16 @@ def maximize_multistart(
     ``rel_tol * (1 + |f|) * t⁺`` (momentum multiplies the gain per step by
     up to about ``t``) is a stall and restarts the momentum; three stalls in
     a row, a step underflow, or a vanishing gradient retire the start.  No
-    start sees another, so each weighting climbs as it would alone, up to
-    how BLAS rounds the gradient's final product, which depends on the
-    batch's size (a few ulps on complex channels); a non-finite value raises
+    start sees another, so each weighting climbs as it would alone, bit for
+    bit where the objective rounds a row alike at every batch size (as
+    :class:`~cograte.achievable.LogDetProgram` does); a non-finite value raises
     :class:`SolverDiverged` with the index of its weighting as ``owner``.
     The loop keeps only the running starts' rows, ``t`` as a place on
     :func:`_momentum_table`; in an iteration where starts retire, their
     thetas and values are written back and every array drops their rows.
     ``upper`` (default ``+inf``) holds an upper value ``U`` per weighting:
-    once a start reaches ``U − rel_tol * max(1, |U|)``, at the start values or
-    after a line search, its weighting's other starts retire, and it climbs on.
+    once a start reaches ``U − rel_tol * |U|``, at the start values or after a
+    line search, its weighting's other starts retire, and it climbs on.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
@@ -219,7 +219,7 @@ def maximize_multistart(
     run, th, val, w, c = np.arange(n_starts), thetas, vals, weights[owner], cols
     finite(vals, run, "at a start point")
     u = np.full(len(weights), np.inf) if upper is None else np.asarray(upper, dtype=float)
-    bar = (u - settings.rel_tol * np.clip(np.abs(u), 1.0, np.finfo(float).max))[owner]
+    bar = (u - settings.rel_tol * np.minimum(np.abs(u), np.finfo(float).max))[owner]  # no inf - inf
     moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
     step = np.full(n_starts, 0.25 * scale)
     stall, place = np.zeros(n_starts, dtype=int), np.zeros(n_starts, dtype=int)
@@ -228,8 +228,8 @@ def maximize_multistart(
 
     for _ in range(settings.max_iters):
         if (hit := val >= bar).any():  # a certified weighting keeps only its best start
-            lose = np.isin(owner[run], owner[run[hit]])
-            for m in np.unique(owner[run[hit]]):
+            lose = (owner[run, None] == owner[run[hit]]).any(axis=1)
+            for m in set(owner[run[hit]].tolist()):
                 lead = np.argmax(np.where(owner[run] == m, val, -np.inf))
                 lose[lead], bar[lead] = False, np.inf
             done |= lose

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from cograte.achievable import (
     mu_sum_achievable,
     trace_boundary,
 )
-from cograte.channel import CognitiveChannel, mc_mutual_info
-from cograte.errors import InfeasibleAllocation
+from cograte.channel import CognitiveChannel, load_channel, mc_mutual_info
+from cograte.errors import BracketUnbounded, InfeasibleAllocation
 from cograte.linalg import log_det_id_plus
 from cograte.oracles import grid_oracle
 from cograte.outer import partial_outer_rates, trace_outer_boundary
 from cograte.solvers import SolverSettings
 
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 # frozen from the direct scalar evaluation of the two log-det formulas
 MAX_RP = 2.354204853970093
 RC_FULL = 1.6856244190235852
@@ -300,3 +303,71 @@ def test_boundary_csv_shape(sec7, fast):
     lines = boundary.to_csv().strip().splitlines()
     assert lines[0] == "mu,r_p,r_c"
     assert len(lines) == 3
+
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(achievable, "_licensed_corner_upper",
+                        lambda ch, mus: np.full(len(mus), math.inf))
+
+
+@pytest.mark.parametrize("channel", ["bundled", "ladder"])
+def test_certified_achievable_values_are_the_uncertified_ones(monkeypatch, sec7, channel):
+    # mu* is 2.93 on the bundled channel and 3.68 on the 2-antenna rung: the
+    # weights past max(1, mu*) are certified, at mu times the least licensed
+    # cap over alpha, which no solve passes; the others run as before
+    ch = sec7
+    if channel == "ladder":
+        monkeypatch.syspath_prepend(BENCH)
+        from inputs import mimo_channel
+
+        ch = load_channel(json.dumps(mimo_channel(2, 1)))
+    mus = [1e6, 100.0, 10.0, 4.0, 2.0, 1.0, 0.5]
+    opts = SolverSettings(starts=4, seed=0)
+    upper = achievable._licensed_corner_upper(ch, mus)
+    assert np.isfinite(upper).tolist() == [True] * 4 + [False] * 3
+    certified = mu_sum_achievable(ch, mus, opts)
+    _uncertified(monkeypatch)
+    free = mu_sum_achievable(ch, mus, opts)
+    for u, got, want in zip(upper, certified, free):
+        assert got.value == pytest.approx(want.value, rel=1e-9)
+        assert want.value <= u * (1.0 + 1e-12)
+    assert upper[0] == pytest.approx(1e6 * achievable.inf_alpha_max_rp(ch).value, rel=1e-15)
+
+
+def test_a_proven_peak_ends_within_a_few_iterations(monkeypatch, sec7):
+    # reproduce-paper's peak at mu = 1e6: 27 iterations uncertified
+    gradient_calls = []
+    objective = achievable.LogDetProgram.objective
+
+    def counted(program, thetas):
+        values, gradient = objective(program, thetas)
+        return values, lambda w: gradient_calls.append(len(thetas)) or gradient(w)
+
+    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    opts = SolverSettings(starts=8, seed=0)
+    peak = mu_sum_achievable(sec7, 1e6, opts)
+    assert len(gradient_calls) <= 5 and peak.rate.r_p == pytest.approx(MAX_RP, rel=1e-9)
+    gradient_calls.clear()
+    _uncertified(monkeypatch)
+    assert mu_sum_achievable(sec7, 1e6, opts).value == pytest.approx(peak.value, rel=1e-9)
+    assert len(gradient_calls) > 20
+
+
+def test_the_least_cap_is_taken_only_when_a_weight_qualifies(monkeypatch, sec7):
+    def fail(*args):
+        raise AssertionError("inf_alpha_max_rp called")
+
+    monkeypatch.setattr(achievable, "inf_alpha_max_rp", fail)
+    assert mu_sum_achievable(sec7, [2.9, 1.0], SolverSettings(starts=2, seed=0, max_iters=50))
+
+
+def test_a_least_cap_that_fails_leaves_the_solve_uncertified(sec7):
+    # with h_cp = 0 the cap falls as alpha does and the scan raises
+    # BracketUnbounded: no upper value, and the solve goes on
+    ch = dataclasses.replace(sec7, h_cp=np.zeros((1, 1)), h_cc=np.zeros((2, 1)))
+    assert ch.licensed_weight == 0.0
+    with pytest.raises(BracketUnbounded):
+        achievable.inf_alpha_max_rp(ch)
+    assert achievable._licensed_corner_upper(ch, [2.0, 0.5]).tolist() == [math.inf] * 2
+    res = mu_sum_achievable(ch, 2.0, SolverSettings(starts=2, seed=0))
+    assert res.rate.r_p == pytest.approx(0.5 * math.log2(1.0 + 1.4435**2 * 5.0), rel=1e-9)

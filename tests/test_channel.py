@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cograte.achievable import DpcAllocation, dpc_rates, scale_allocation
 from cograte.channel import (
+    CognitiveChannel,
     composite_matrices,
     load_channel,
     mc_mutual_info,
@@ -20,6 +22,8 @@ from cograte.errors import (
     SingularNoise,
 )
 from cograte.linalg import log_det_id_plus
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_bundled_fixture_values(sec7):
@@ -266,3 +270,40 @@ def test_channel_digest_stable(sec7):
         "p_c": 5,
         "real_mode": True,
     })).digest() == "06c8e20e3415bec7"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n, want", [(2, 3.6764), (3, 12.351)])
+def test_the_licensed_weight_of_the_ladder(monkeypatch, n, want, seed):
+    # the largest generalized eigenvalue of (h_cc†h_cc, h_cp†h_cp); the seed
+    # rotates the receivers, which leaves it as it is
+    monkeypatch.syspath_prepend(BENCH)
+    from inputs import mimo_channel
+
+    ch = load_channel(json.dumps(mimo_channel(n, seed)))
+    assert ch.licensed_weight == pytest.approx(want, rel=1e-4)
+    gram = [h.conj().T @ h for h in (ch.h_cc, ch.h_cp)]
+    assert ch.licensed_weight == pytest.approx(
+        max(np.linalg.eigvals(np.linalg.solve(gram[1], gram[0])).real), rel=1e-12)
+
+
+def test_the_licensed_weight_of_the_bundled_channel(sec7):
+    # a scalar h_cp: |h_cc|² / |h_cp|²
+    assert sec7.licensed_weight == pytest.approx(2.9285, rel=1e-4)
+    assert sec7.licensed_weight == pytest.approx(
+        np.sum(sec7.h_cc**2) / sec7.h_cp[0, 0] ** 2, rel=1e-14)
+
+
+def test_the_licensed_weight_is_infinite_where_h_cp_misses_what_h_cc_hears():
+    h_pp, h_pc = [[1.0, 0.2], [0.3, 0.9]], [[0.5, 0.1], [0.2, 0.4]]
+    h_cc = np.array([[0.8, 0.2], [0.1, 1.1]])
+
+    def weight(h_cp, h_cc=h_cc):
+        return CognitiveChannel(h_pp, h_pc, h_cp, h_cc, p_p=3.0, p_c=2.0).licensed_weight
+
+    assert weight(np.zeros((2, 2))) == math.inf
+    rank_one = np.outer([1.0, -0.5], [0.6, 0.8])
+    assert weight(rank_one) == math.inf
+    # h_cc hearing only what h_cp hears: finite again, from h_cp's row space
+    assert weight(rank_one, 2.0 * rank_one) == pytest.approx(4.0, rel=1e-12)
+    assert weight(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0

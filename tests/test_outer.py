@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 from conftest import ORACLE_GAP, ascent_rates, random_channel
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cograte.achievable as achievable
@@ -33,6 +33,7 @@ from cograte.outer import (
     mu_sum_partial_outer,
     partial_outer_max_rp,
     partial_outer_rates,
+    scan_points,
     trace_outer_boundary,
 )
 from cograte.oracles import grid_oracle
@@ -350,8 +351,8 @@ def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
     assert res.alpha_star == calls[-1]
 
 
-def _sweep_budgets(monkeypatch, ch, *args, **kwargs):
-    """An alpha sweep at mu = 1e6 and ``[alphas, max_iters, iterations]`` of
+def _sweep_budgets(monkeypatch, ch, *args, mu=1e6, **kwargs):
+    """An alpha sweep at ``mu`` and ``[alphas, max_iters, iterations]`` of
     each of its partial solves, an iteration being a gradient call."""
     calls = []
     solve, ascend = outer.mu_sum_partial_outer, achievable.maximize_multistart
@@ -369,7 +370,7 @@ def _sweep_budgets(monkeypatch, ch, *args, **kwargs):
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", recorded)
     monkeypatch.setattr(achievable, "maximize_multistart", counted)
-    return inf_alpha_partial_outer(ch, 1e6, *args, **kwargs), calls
+    return inf_alpha_partial_outer(ch, mu, *args, **kwargs), calls
 
 
 def test_each_alpha_sweep_solve_gets_its_own_budget(monkeypatch, sec7):
@@ -429,6 +430,50 @@ def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
+def test_past_the_licensed_weight_a_mimo_sweep_certifies_every_solve_but_its_scan(monkeypatch):
+    # mimo_tightness's sweep: mu = 4 lies past mu* = 3.68, where the bound is
+    # the licensed corner's value; the power-split form alone lies bits above
+    ch = _ladder(monkeypatch, 2)
+    opts = SolverSettings(starts=2, seed=0)
+    res, calls = _sweep_budgets(monkeypatch, ch, mu=4.0, opts=opts, n_scan=scan_points(100))
+    (_, scan_cap, scan_iterations), *rest = calls
+    assert scan_cap == scan_iterations == 100
+    assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
+    probe = mu_sum_partial_outer(ch, 1.0, 4.0, opts)
+    assert probe.value == pytest.approx(4.0 * partial_outer_max_rp(ch, 1.0), rel=1e-9)
+    assert res.n_value == pytest.approx(4.0 * partial_outer_max_rp(ch, res.alpha_star), rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_past_the_licensed_weight_the_bound_is_the_licensed_corner(complex_mode, seed):
+    # from mu = max(1, mu*) on, U is mu C(g_alpha, p_p + alpha p_c), which the
+    # licensed corner meets and no solve passes
+    ch = random_channel(np.random.default_rng(seed), complex_mode)
+    assume(math.isfinite(ch.licensed_weight))
+    alphas = np.repeat([0.2, 1.0, 5.0], 3)
+    mus = max(1.0, ch.licensed_weight) * np.array([1.0, 1.5, 30.0] * 3)
+    opts = SolverSettings(starts=2, max_iters=200, seed=0)
+    free = mu_sum_partial_outer(ch, alphas, mus, opts, _certify=False)
+    for a, mu, u, want in zip(alphas, mus, _power_split_bound(ch, alphas, mus), free):
+        assert u == pytest.approx(mu * partial_outer_max_rp(ch, a), rel=1e-12)
+        assert want.value <= u * (1.0 + 1e-12)
+        assert want.value == pytest.approx(u, rel=1e-9)
+
+
+def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
+    # mu* = 0.395 on the one-antenna rung, but at mu = 0.5 < 1 the cognitive
+    # rate is worth more than the interference it causes: the solve lies more
+    # than a bit above mu C(g, B), and the certificates stay away
+    ch = _ladder(monkeypatch, 1)
+    assert ch.licensed_weight < 0.5
+    free = mu_sum_partial_outer(ch, 1.0, 0.5, SolverSettings(starts=4, seed=0), _certify=False)
+    (upper,) = _power_split_bound(ch, [1.0], [0.5])
+    assert free.value > 0.5 * partial_outer_max_rp(ch, 1.0) + 1.0
+    assert free.value <= upper
+    assert achievable._licensed_corner_upper(ch, [0.5, 0.99]).tolist() == [math.inf] * 2
+
+
 def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monkeypatch, sec7):
     # at mu = 1e6 all power goes to the licensed rate, so the bound is mu
     # times the water-filled capacity of g_alpha under p_p + alpha p_c
@@ -442,6 +487,8 @@ def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monke
 
 @settings(max_examples=20, deadline=None)
 @given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(complex_mode=False, seed=128)  # certified 1.03e-9 low under an absolute floor
+@example(complex_mode=True, seed=785)  # a capped solve moved with its batch's size
 def test_the_power_split_bound_lies_above_every_partial_solve(complex_mode, seed):
     # mu = 0 is the cognitive corner, where the bound is the maximum itself;
     # a certified solve ends where the uncertified one does

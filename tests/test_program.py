@@ -125,6 +125,23 @@ def _ladder(monkeypatch, n):
     return load_channel(json.dumps(mimo_channel(n, 1)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_row_is_scored_alike_at_every_batch_size(monkeypatch, n):
+    # so a weighting climbs bit for bit as alone beside any other weightings,
+    # one-row batches included (BLAS's matrix-vector path rounds otherwise)
+    ch = _ladder(monkeypatch, n)
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    rng = np.random.default_rng(3)
+    thetas = rng.standard_normal((64, program.n_params))
+    w = program.weights(np.geomspace(0.1, 10.0, 64))
+    values, gradient = program.objective(thetas)
+    whole = values(w), gradient(w)
+    for k in range(1, 64):
+        values, gradient = program.objective(thetas[:k])
+        assert np.array_equal(values(w[:k]), whole[0][:k])
+        assert np.array_equal(gradient(w[:k]), whole[1][:k])
+
+
 @pytest.mark.parametrize("channel", ["bundled", "mimo_1x1"])
 def test_a_scalar_log_det_gradient_is_the_lapack_solve_bit_for_bit(monkeypatch, sec7, channel):
     # on 1x1 log-dets the gradient's M⁻¹E is E times 1/M, which rounds as

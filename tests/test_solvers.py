@@ -509,23 +509,24 @@ def test_a_weighting_proven_at_a_corner_retires_its_losing_starts_at_once(sec7):
 
 
 def test_a_weighting_that_meets_its_upper_value_mid_ascent_is_certified_then():
+    # a maximum of 1: the rule is relative, so it gives an upper value of 0 no slack
     target = np.array([0.3, -0.2])
 
     def objective(thetas):
-        return (lambda w: -w[:, 0] * np.sum((thetas - target) ** 2, axis=1),
+        return (lambda w: w[:, 0] * (1.0 - np.sum((thetas - target) ** 2, axis=1)),
                 lambda w: -2.0 * w[:, :1] * (thetas - target))
 
     project = make_group_projection([(np.arange(2), 4.0)])
     settings = SolverSettings(starts=6, seed=1)
     certified, free = [], []
     (value,), _ = maximize_multistart(_recorded(objective, certified), 2, project, settings,
-                                      [[1.0]], upper=[0.0])
+                                      [[1.0]], upper=[1.0])
     maximize_multistart(_recorded(objective, free), 2, project, settings, [[1.0]])
     # the start values, then one line search per iteration, each after a gradient
     searches = [v.max() for kind, v in certified if kind == "values"]
     rows = [n for kind, n in certified if kind == "gradient"]
-    first = next(i for i, top in enumerate(searches) if top >= -settings.rel_tol)
-    assert first >= 2 and value >= -settings.rel_tol
+    first = next(i for i, top in enumerate(searches) if top >= 1.0 - settings.rel_tol)
+    assert first >= 2 and value >= 1.0 - settings.rel_tol
     assert rows[first - 1] > 1 and rows[first] == 1  # the losing starts retire at once
     free_rows = [n for kind, n in free if kind == "gradient"]
     assert rows[:first] == free_rows[:first] and free_rows[first] > 1
