@@ -33,7 +33,7 @@ from .linalg import (
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import SolverSettings, central_slope, make_group_projection, maximize_multistart
-from .solvers import scan_then_golden, waterfill
+from .solvers import log_alpha_scan, scan_then_golden, waterfill
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,8 @@ def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=(1e-3, 1e3)):
     """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
     licensed rate (``outer._power_split_bound``, step 3), as :func:`scan_then_golden`
     finds it from six log-spaced alphas over the bracket, to 1e-12 in ``log alpha``."""
-    lo, hi = alpha_bracket
     return scan_then_golden(central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
-                            np.log(np.geomspace(lo, hi, 6)), tol=1e-12)
+                            log_alpha_scan(alpha_bracket, 6), tol=1e-12)
 
 
 def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
@@ -377,60 +376,43 @@ def _dpc_matrices(ch: CognitiveChannel):
     return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
-def _solve(program, mu, groups, opts, starts_of, extra_starts=(), where=None, cols=None,
-           radius=None, upper=None):
+def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=None, upper=None):
     """Checked weights (:func:`check_mu`) and winning thetas of the program's
     mu-sums under the trace budgets ``groups`` (parameter indices, budget),
-    for a weight ``mu`` or a nonempty 1-D grid.  ``extra_starts`` is one
-    sequence of starts for a weight, and one per weight (or none) for a grid;
-    ``starts_of(k, extra)`` makes weighting ``k``'s starts from its own:
-    tuples of a matrix per block, allocations or raw vectors.  Each distinct
-    start is encoded once, in one stacked call per block, then divided by
-    ``radius[k]`` (default 1), the radius of weighting ``k``'s ball.  ``cols``
-    (column scales, a row per weighting) and ``upper(mus)`` (upper values,
-    asked for once the weights are checked) go to :func:`maximize_multistart`.
-    Each distinct weighting (mu and column scale) climbs once, from the union
-    of its repeats' starts.  A divergence names its mu, then ``where[k]``."""
-    mus = [check_mu(m) for m in (mu if np.ndim(mu) else [mu])]
-    extra = (list(extra_starts) or [()] * len(mus)) if np.ndim(mu) else [extra_starts]
-    if not mus or len(extra) != len(mus):
-        raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
-    starts = [starts_of(k, own) for k, own in enumerate(extra)]
+    for a nonempty sequence of weights ``mus``.  ``starts`` holds one sequence
+    of starts per weight: tuples of a matrix per block, or raw parameter
+    vectors.  Each distinct start object is encoded once, in one stacked call
+    per block, then divided by ``radius[k]`` (default 1), the radius of
+    weighting ``k``'s ball.  ``cols`` (column scales, a row per weighting) and
+    ``upper(mus)`` (upper values, asked for once the weights are checked) go to
+    :func:`maximize_multistart`.  Each weighting climbs from its own starts,
+    as it would alone.  A divergence names its mu, then ``where[k]``."""
+    mus = [check_mu(m) for m in mus]
+    if not mus or len(starts) != len(mus):
+        raise ValueError("a mu grid must be nonempty, with one sequence of starts per mu")
     where, radius = where or [""] * len(mus), radius or [1.0] * len(mus)
-    cols = np.ones((len(mus), program.n_params)) if cols is None else np.asarray(cols)
-    first: dict = {}
-    slot = [first.setdefault((mu, row.tobytes()), len(first)) for mu, row in zip(mus, cols)]
-    head = [slot.index(j) for j in range(len(first))]
     unique = {id(i): i for own in starts for i in own}
-    items = [
-        (i.sigma_p_net, i.sigma_cc) if isinstance(i, DpcAllocation) else i for i in unique.values()
-    ]
-    blocks = [i for i in items if isinstance(i, tuple)]
+    blocks = [i for i in unique.values() if isinstance(i, tuple)]
     stacks = iter(program.encode(*map(np.array, zip(*blocks))) if blocks else ())
-    encoded = [next(stacks) if isinstance(i, tuple) else np.asarray(i, dtype=float) for i in items]
-    encoded = dict(zip(unique, encoded))
-    merged = [[] for _ in head]
-    for j, own, r in zip(slot, starts, radius):
-        seen = {start.tobytes() for start in merged[j]}
-        merged[j] += [s for s in (encoded[id(i)] / r for i in own) if s.tobytes() not in seen]
+    encoded = {key: next(stacks) if isinstance(i, tuple) else np.asarray(i, dtype=float)
+               for key, i in unique.items()}
     try:
         _, thetas = maximize_multistart(
             program.objective,
             program.n_params,
             make_group_projection(groups),
             opts or SolverSettings(),
-            program.weights([mus[i] for i in head]),
+            program.weights(mus),
             scale=math.sqrt(max(budget for _, budget in groups)),
-            extra_starts=merged,
-            column_scale=cols[head],
-            upper=None if upper is None else np.asarray(upper(mus))[head],
+            extra_starts=[[encoded[id(i)] / r for i in own] for own, r in zip(starts, radius)],
+            column_scale=cols,
+            upper=None if upper is None else upper(mus),
         )
     except SolverDiverged as exc:
         if exc.owner is None:
             raise
-        i = head[exc.owner]
-        raise SolverDiverged(f"{exc} (at mu={mus[i]:g}{where[i]})") from exc
-    return mus, thetas[slot]
+        raise SolverDiverged(f"{exc} (at mu={mus[exc.owner]:g}{where[exc.owner]})") from exc
+    return mus, thetas
 
 
 def _corner_allocations(ch: CognitiveChannel):
@@ -479,8 +461,9 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
-    corners = _corner_allocations(ch)
-    mus, thetas = _solve(program, mu, groups, opts, lambda k, extra: corners,
+    corners = [(a.sigma_p_net, a.sigma_cc) for a in _corner_allocations(ch)]
+    grid = list(mu) if np.ndim(mu) else [mu]
+    mus, thetas = _solve(program, grid, groups, opts, [corners] * len(grid),
                          upper=lambda mus: _licensed_corner_upper(ch, mus))
     decoded = program.decode(thetas)
     stacked = DpcAllocation.from_net(*decoded)

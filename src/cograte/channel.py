@@ -290,23 +290,18 @@ def mc_mutual_info(
     az = psd_sqrt(sigma_noise)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
+    def draw(n: int, d: int) -> np.ndarray:
+        # unit-power entries: real, or circular complex from two real draws
+        e = rng.standard_normal((n, d))
+        return e if real_mode else (e + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
+
     cov_sum = np.zeros((d_out, d_out), dtype=h.dtype)
     remaining = int(n_samples)
     chunk = 1 << 16
     while remaining > 0:
         n = min(chunk, remaining)
         remaining -= n
-        if real_mode:
-            ex = rng.standard_normal((n, d_in))
-            ez = rng.standard_normal((n, d_out))
-            x = ex @ ax.T
-            z = ez @ az.T
-        else:
-            ex = rng.standard_normal((n, d_in)) + 1j * rng.standard_normal((n, d_in))
-            ez = rng.standard_normal((n, d_out)) + 1j * rng.standard_normal((n, d_out))
-            x = (ex / np.sqrt(2.0)) @ ax.T
-            z = (ez / np.sqrt(2.0)) @ az.T
-        y = x @ h.T + z
+        y = (draw(n, d_in) @ ax.T) @ h.T + draw(n, d_out) @ az.T
         cov_sum += y.T @ np.conj(y)
     cov_y = symmetrize(cov_sum / n_samples)
     estimate = logdet2_pd(cov_y) - logdet2_pd(sigma_noise)

@@ -35,7 +35,7 @@ from .achievable import (
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .linalg import DEFAULT_TOL, LN2, budget_tol, param_rows, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
-from .solvers import _SLOPE_STEP, SolverSettings, scan_then_golden, waterfill
+from .solvers import _SLOPE_STEP, SolverSettings, log_alpha_scan, scan_then_golden, waterfill
 
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
@@ -163,9 +163,11 @@ def mu_sum_partial_outer(
     (q_p, sigma_cc) pairs, or raw parameter vectors.
 
     ``alpha`` and ``mu`` may each be a 1-D grid: two grids pair up entry by
-    entry, and a scalar pairs with every entry of the other.  The (alpha,
-    mu) weightings, with a sequence of extra starts each (or none), climb in
-    one lockstep ascent into a list of the results each gets alone, as
+    entry, and a scalar pairs with every entry of the other.  A grid takes
+    one sequence of extra starts per (alpha, mu) weighting, or none; each
+    weighting, a repeated one too, climbs from its alpha's corners and its
+    own extra starts only.  All climb in one lockstep ascent into a list of
+    the results each gets alone, as
     :func:`~cograte.achievable.mu_sum_achievable` solves a mu grid.  One
     program serves every alpha: the bound at alpha is the alpha = 1 program
     read at ``s ⊙ θ``, with ``s`` 1 on the licensed rows of the stacked
@@ -183,24 +185,29 @@ def mu_sum_partial_outer(
     alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * np.size(mu)
     if len(alphas) != np.size(mu):
         raise ValueError(f"{len(alphas)} alphas cannot pair with {np.size(mu)} mus")
+    extra = (list(extra_starts) or [()] * len(alphas)) if np.ndim(mu) else [extra_starts]
+    if len(extra) != len(alphas):
+        raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
     program = _two_block_program(ch, *_dpc_matrices(ch)) if _program is None else _program
     licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
     licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
     budget = {a: ch.p_p + a * ch.p_c for a in alphas}
     corners = {a: _bound_corners(ch, a, b) for a, b in budget.items()}
 
-    def starts_of(k, extra):
-        a = alphas[k]
-        return corners[a] + [scale_allocation(i, a) if isinstance(i, DpcAllocation) else i
-                             for i in extra]
+    def mapped(start, a):  # a DPC allocation of ch, as the bound's two blocks at alpha = a
+        if isinstance(start, DpcAllocation):
+            start = scale_allocation(start, a)
+            return start.sigma_p_net, start.sigma_cc
+        return start
 
+    starts = [corners[a] + [mapped(i, a) for i in own] for a, own in zip(alphas, extra)]
     radius = [math.sqrt(budget[a]) for a in alphas]
     cols = np.array(radius)[:, None] * np.where(licensed, 1.0, 1.0 / np.sqrt(alphas)[:, None])
     where = [f", alpha={a:g}" for a in alphas]
     groups = [(np.arange(program.n_params), 1.0)]
     upper = (lambda mus: _power_split_bound(ch, alphas, mus)) if _certify else None
-    mus, phis = _solve(program, mu, groups, opts, starts_of, extra_starts, where, cols, radius,
-                       upper)
+    mus, phis = _solve(program, mu if np.ndim(mu) else [mu], groups, opts, starts, where, cols,
+                       radius, upper)
     thetas = phis * np.array(radius)[:, None]
     q_ps, s_ccs = program.decode(thetas)
     at = [f" (at mu={m:g}{w})" for m, w in zip(mus, where)]
@@ -288,11 +295,10 @@ def inf_alpha_partial_outer(
     the final solve, which :func:`mu_sum_partial_outer` certifies.  The scan
     is not certified yet, so its losing starts at an edge alpha climb on.
     """
-    lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
-    if not (0.0 < lo < hi < math.inf):
-        raise ValueError(f"invalid alpha bracket ({lo}, {hi})")
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
+    xs = log_alpha_scan(alpha_bracket, n_scan)
+    lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     opts = opts or SolverSettings()
     cache: dict[float, BoundMuSumResult] = {}
     dpc = _two_block_program(ch, *_dpc_matrices(ch))
@@ -310,7 +316,6 @@ def inf_alpha_partial_outer(
         solve([a], _POLISH_MAX_ITERS)
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
-    xs = np.log(np.geomspace(lo, hi, n_scan))
     # uncertified: traced paper_repro needs its capped solve until ROADMAP item 1
     solve([math.exp(x) for x in xs], _SCAN_MAX_ITERS, certify=False)
     result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
@@ -465,7 +470,7 @@ def bc_mu_sum(
     opts = opts or SolverSettings()
     opts = replace(opts, rel_tol=min(opts.rel_tol, 1e-12))
     groups = [(np.arange(program.n_params), budget)]
-    _, (theta,) = _solve(program, mu, groups, opts, lambda k, extra: starts)
+    _, (theta,) = _solve(program, [mu], groups, opts, [starts])
     low_p, low_c = program.lower_factors(theta)
     root_p, root_c = u_p @ low_p, u_c @ low_c
     roots = _mac_to_bc(ga, k, root_p, root_c)

@@ -411,6 +411,15 @@ def _bracketed_root(g, a: float, ga: float, b: float, gb: float, tol: float):
 _SLOPE_STEP = 1e-5
 
 
+def log_alpha_scan(alpha_bracket, n: int) -> np.ndarray:
+    """``n`` log-spaced values of ``log alpha`` over ``alpha_bracket``, both
+    edges included; a bracket other than ``0 < lo < hi < inf`` raises."""
+    lo, hi = (float(a) for a in alpha_bracket)
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"invalid alpha bracket ({lo}, {hi})")
+    return np.log(np.geomspace(lo, hi, n))
+
+
 def central_slope(f):
     """``x -> (f(x), slope)`` for :func:`scan_then_golden`, the slope a
     central difference of ``f`` over ``x ± 1e-5``: for a value cheap enough
@@ -428,8 +437,8 @@ def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False):
     Maximizes log2|I + h S h†| over PSD S with Tr(S) <= p_total by pouring
     power over the squared singular values of ``h``.  The water level is
     exact: with the inverse gains sorted ascending, the first ``k`` of them
-    share the level ``(p_total + Σ_{i≤k} inv_i) / k``, and the largest ``k``
-    whose level lies above ``inv_k`` is the one that fills.  Returns
+    share the level ``(p_total + Σ_{i≤k} inv_i) / k``, which falls while the
+    modes fill and rises after, so the least is the one that fills.  Returns
     (capacity_bits, sigma); capacity carries the 1/2 real-signalling
     prefactor when ``real_mode``.
 
@@ -454,9 +463,7 @@ def waterfill(h: np.ndarray, p_total: float, real_mode: bool = False):
     v = np.conj(vh[keep].T)
 
     inv = 1.0 / gains  # ascending, as the singular values descend
-    levels = (p_total + np.cumsum(inv)) / np.arange(1, len(inv) + 1)
-    # the strongest gain always fills, even below the rounding of inv[0]
-    level = levels[max(np.count_nonzero(levels > inv), 1) - 1]
+    level = np.min((p_total + np.cumsum(inv)) / np.arange(1, len(inv) + 1))
     powers = np.clip(level - inv, 0.0, None)
     total = float(np.sum(powers))
     if total > 0.0:

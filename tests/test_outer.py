@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cograte.achievable as achievable
+import cograte.oracles as oracles
 import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
@@ -36,7 +37,7 @@ from cograte.outer import (
     scan_points,
     trace_outer_boundary,
 )
-from cograte.oracles import grid_oracle
+from cograte.oracles import grid_oracle, kyfan_gap
 from cograte.regions import RatePair, RegionBoundary
 from cograte.solvers import (
     SolverSettings,
@@ -213,6 +214,29 @@ def test_alpha_sweep_rejects_a_scan_without_both_edges(monkeypatch, sec7, n_scan
     monkeypatch.setattr(outer, "mu_sum_partial_outer", fail)
     with pytest.raises(ValueError, match="n_scan"):
         inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("search", ["max_rp", "partial", "kyfan"])
+@pytest.mark.parametrize("bracket", [(1.0, 1.0), (10.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                     (1.0, math.inf), (math.nan, 1.0)],
+                         ids=["flat", "reversed", "zero", "negative", "infinite", "nan"])
+def test_every_alpha_search_rejects_a_bad_bracket_before_any_work(monkeypatch, sec7, search,
+                                                                  bracket):
+    # a flat bracket scans one alpha only; a zero or negative edge has no log
+    def fail(*_args, **_kwargs):
+        pytest.fail("an alpha search water-filled or solved before checking its bracket")
+
+    for module, name in ((achievable, "waterfill"), (outer, "waterfill"),
+                         (achievable, "maximize_multistart"), (oracles, "grid_oracle"),
+                         (oracles, "mu_sum_achievable")):
+        monkeypatch.setattr(module, name, fail)
+    opts = SolverSettings(starts=2, seed=0)
+    run = {"max_rp": lambda: achievable.inf_alpha_max_rp(sec7, bracket),
+           "partial": lambda: inf_alpha_partial_outer(sec7, 2.0, bracket, opts),
+           "kyfan": lambda: kyfan_gap(sec7, 2.0, opts, alpha_bracket=bracket)}[search]
+    with pytest.raises(ValueError, match=r"invalid alpha bracket \("):
+        run()
 
 
 @pytest.mark.parametrize("n_scan", [2, 3, 6])
@@ -459,6 +483,22 @@ def test_past_the_licensed_weight_the_bound_is_the_licensed_corner(complex_mode,
         assert u == pytest.approx(mu * partial_outer_max_rp(ch, a), rel=1e-12)
         assert want.value <= u * (1.0 + 1e-12)
         assert want.value == pytest.approx(u, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complex_mode=st.booleans(), mu=st.floats(0.1, 10.0),
+       log_alpha=st.floats(math.log(0.1), math.log(10.0)), seed=st.integers(0, 2**32 - 1))
+def test_the_partial_bound_holds_the_mapped_achievable_winner(complex_mode, mu, log_alpha, seed):
+    # scale_allocation maps the DPC region into each alpha's bound with its
+    # rate pair, so the bound seeded with the winner ends no lower
+    ch, alpha = random_channel(np.random.default_rng(seed), complex_mode), math.exp(log_alpha)
+    opts = SolverSettings(starts=2, seed=0)
+    win = mu_sum_achievable(ch, mu, opts)
+    mapped = scale_allocation(win.witness, alpha)
+    rate = partial_outer_rates(ch, alpha, mapped.sigma_p_net, mapped.sigma_cc)
+    np.testing.assert_allclose([rate.r_p, rate.r_c], [win.rate.r_p, win.rate.r_c], atol=1e-9)
+    bound = mu_sum_partial_outer(ch, alpha, mu, opts, [win.witness])
+    assert bound.value >= win.value - 1e-9 * abs(win.value)
 
 
 def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
@@ -922,9 +962,9 @@ def test_a_batched_rescore_is_each_point_rescored_alone(monkeypatch, sec7, chann
         assert got.r_c == pytest.approx(want.r_c, rel=1e-12)
 
 
-def test_repeated_weightings_are_climbed_once(monkeypatch, sec7, fast):
-    # a repeated mu, or (alpha, mu) pair, is one weighting of the ascent, and
-    # every repeat gets its result
+def test_a_repeated_weighting_climbs_as_it_would_alone(monkeypatch, sec7, fast):
+    # a repeated mu, or (alpha, mu) pair, is a weighting of the ascent each
+    # time, and lands on its twin's result
     handed = []
     solve = achievable.maximize_multistart
 
@@ -936,9 +976,23 @@ def test_repeated_weightings_are_climbed_once(monkeypatch, sec7, fast):
     region = trace_boundary(sec7, [2.0, 1.0, 1.0], fast)
     trace_outer_boundary(sec7, 1.0, [2.0, 1.0, 1.0], fast, warm_boundary=region)
     pairs = mu_sum_partial_outer(sec7, [0.5, 2.0, 0.5], [1.0, 1.0, 1.0], fast)
-    assert handed == [2, 2, 2]
+    assert handed == [3, 3, 3]
     assert pairs[0].value == pairs[2].value
     np.testing.assert_array_equal(pairs[0].theta, pairs[2].theta)
+
+
+def test_a_repeated_weighting_climbs_from_its_own_extra_starts(sec7):
+    # a short ascent: the warm start stays ahead of the cold ones, so a
+    # repeat that also climbed from its twin's starts would end elsewhere
+    warm = mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=2, seed=0)).theta
+    opts = SolverSettings(starts=2, max_iters=3, seed=0)
+    grid = mu_sum_partial_outer(sec7, [1.0, 1.0], [2.0, 2.0], opts, extra_starts=[[warm], []])
+    alone = [mu_sum_partial_outer(sec7, 1.0, 2.0, opts, [warm]),
+             mu_sum_partial_outer(sec7, 1.0, 2.0, opts)]
+    assert alone[0].value > alone[1].value
+    for got, want in zip(grid, alone):
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.theta, want.theta)
 
 
 def test_a_diverging_alpha_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):

@@ -522,7 +522,7 @@ def _generic_broadcast_value(ch, alpha, mu, opts):
         (iso, iso),
     ]
     groups = [(np.arange(program.n_params), budget)]
-    _, (theta,) = _solve(program, mu, groups, opts, lambda k, extra: starts)
+    _, (theta,) = _solve(program, [mu], groups, opts, [starts])
     return covariance_rates(program, *program.decode(theta)).mu_sum(mu)
 
 

@@ -595,7 +595,7 @@ def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, s
     monkeypatch.setattr(achievable, "make_group_projection", watched)
     groups = [(np.arange(program.n_params), budget)]
     opts = SolverSettings(starts=4, seed=1)
-    _, (theta,) = achievable._solve(program, 1.0, groups, opts, lambda k, extra: starts)
+    _, (theta,) = achievable._solve(program, [1.0], groups, opts, [starts])
     q_p, q_c = program.decode(theta)
     value = covariance_rates(program, q_p, q_c).mu_sum(1.0)
     assert value == pytest.approx(3.537974049, abs=1e-6)
