@@ -166,15 +166,6 @@ def _bounds_report(ch: CognitiveChannel, alphas, curves) -> dict:
     }
 
 
-def _trace(ch: CognitiveChannel, mu_grid, settings: SolverSettings, alphas):
-    """The achievable boundary over ``mu_grid`` and the partial bound's
-    boundary at each of ``alphas``, all alphas in one solve.  The region
-    seeds every bound solve: the bound contains the region, so its witnesses
-    are feasible warm starts on the bound side."""
-    region = trace_boundary(ch, mu_grid, settings)
-    return region, trace_outer_boundary(ch, alphas, mu_grid, settings, warm_boundary=region)
-
-
 def cmd_region(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
     region = trace_boundary(_load(args.channel), mu_grid, settings)
@@ -185,7 +176,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     mu_grid, settings = _mu_grid(args), _settings(args)
     ch = _load(args.channel, args.alpha)
-    _, curves = _trace(ch, mu_grid, settings, args.alpha)
+    curves = trace_outer_boundary(ch, args.alpha, mu_grid, settings)
     stem = (args.out or "bound").removesuffix(".csv").removesuffix(".json")
     for alpha, curve in zip(args.alpha, curves):
         _emit(curve, f"{stem}_alpha{alpha:g}.{args.format}", args.format)
@@ -247,7 +238,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    region, curves = _trace(ch, mu_grid, settings, DEFAULT_ALPHAS)
+    region = trace_boundary(ch, mu_grid, settings)
+    # the bound contains the region, so its witnesses are feasible warm starts
+    curves = trace_outer_boundary(ch, DEFAULT_ALPHAS, mu_grid, settings, warm_boundary=region)
     write_atomic(os.path.join(out_dir, "region.csv"), region.to_csv())
     write_atomic(os.path.join(out_dir, "region.json"), region.to_json())
 

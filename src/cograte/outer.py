@@ -539,10 +539,11 @@ def trace_outer_boundary(
     :func:`mu_sum_partial_outer` call, each as it would alone, and each
     alpha's winners are cross-polished into its curve.
 
-    ``warm_boundary`` (typically the achievable boundary over the same grid)
-    adds its mapped witness at each mu to that mu's starts at every alpha,
-    which keeps the traced bound numerically above the region it contains
-    even where the two curves touch.
+    ``warm_boundary`` (the achievable boundary over the same grid) adds its
+    mapped witness at each mu to that mu's starts at every alpha, which keeps
+    the bound numerically above the region where the two curves touch.
+    ``reproduce-paper`` passes it for its containment check; ``bound``,
+    which writes no region, does not.
     """
     opts = opts or SolverSettings()
 

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,26 @@ from cograte.solvers import SolverSettings
 
 #: Accepted shortfall in bits of a solver against a brute-force oracle.
 ORACLE_GAP = 1e-2
+
+
+@cache
+def _benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ladder_spec(n, seed=1):
+    """The JSON document of the benchmark's complex ``n``-antenna channel at
+    workload ``seed`` (``perfbench/inputs.py``'s ``mimo_channel``)."""
+    return _benchmark_inputs().mimo_channel(n, seed)
+
+
+def ladder(n, seed=1):
+    """:func:`ladder_spec`'s channel, parsed."""
+    return load_channel(json.dumps(ladder_spec(n, seed)))
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,9 @@
 import dataclasses
-import json
 import math
-import os
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP
+from conftest import ORACLE_GAP, ladder
 
 import cograte.achievable as achievable
 from cograte.achievable import (
@@ -16,14 +14,13 @@ from cograte.achievable import (
     mu_sum_achievable,
     trace_boundary,
 )
-from cograte.channel import CognitiveChannel, load_channel, mc_mutual_info
+from cograte.channel import CognitiveChannel, mc_mutual_info
 from cograte.errors import BracketUnbounded, InfeasibleAllocation
 from cograte.linalg import log_det_id_plus
 from cograte.oracles import grid_oracle
 from cograte.outer import partial_outer_rates, trace_outer_boundary
 from cograte.solvers import SolverSettings
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 # frozen from the direct scalar evaluation of the two log-det formulas
 MAX_RP = 2.354204853970093
 RC_FULL = 1.6856244190235852
@@ -317,10 +314,7 @@ def test_certified_achievable_values_are_the_uncertified_ones(monkeypatch, sec7,
     # cap over alpha, which no solve passes; the others run as before
     ch = sec7
     if channel == "ladder":
-        monkeypatch.syspath_prepend(BENCH)
-        from inputs import mimo_channel
-
-        ch = load_channel(json.dumps(mimo_channel(2, 1)))
+        ch = ladder(2)
     mus = [1e6, 100.0, 10.0, 4.0, 2.0, 1.0, 0.5]
     opts = SolverSettings(starts=4, seed=0)
     upper = achievable._licensed_corner_upper(ch, mus)

@@ -1,10 +1,10 @@
 import json
 import math
-import os
 import re
 
 import numpy as np
 import pytest
+from conftest import ladder
 
 from cograte.achievable import DpcAllocation, dpc_rates, scale_allocation
 from cograte.channel import (
@@ -22,8 +22,6 @@ from cograte.errors import (
     SingularNoise,
 )
 from cograte.linalg import log_det_id_plus
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_bundled_fixture_values(sec7):
@@ -274,13 +272,10 @@ def test_channel_digest_stable(sec7):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("n, want", [(2, 3.6764), (3, 12.351)])
-def test_the_licensed_weight_of_the_ladder(monkeypatch, n, want, seed):
+def test_the_licensed_weight_of_the_ladder(n, want, seed):
     # the largest generalized eigenvalue of (h_cc†h_cc, h_cp†h_cp); the seed
     # rotates the receivers, which leaves it as it is
-    monkeypatch.syspath_prepend(BENCH)
-    from inputs import mimo_channel
-
-    ch = load_channel(json.dumps(mimo_channel(n, seed)))
+    ch = ladder(n, seed)
     assert ch.licensed_weight == pytest.approx(want, rel=1e-4)
     gram = [h.conj().T @ h for h in (ch.h_cc, ch.h_cp)]
     assert ch.licensed_weight == pytest.approx(

@@ -1,11 +1,9 @@
 import dataclasses
-import json
 import math
-import os
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP, ascent_rates, random_channel
+from conftest import ORACLE_GAP, ascent_rates, ladder, random_channel
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +20,7 @@ from cograte.achievable import (
     scale_allocation,
     trace_boundary,
 )
-from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
+from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.errors import InfeasibleAllocation, SolverDiverged, UnsupportedMu
 from cograte.linalg import log_det_id_plus, param_rows
 from cograte.outer import (
@@ -47,7 +45,6 @@ from cograte.solvers import (
     waterfill,
 )
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 MAX_RP = 2.354204853970093
 FLIPPED_A1 = 2.40934687718198
 
@@ -257,13 +254,6 @@ def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
     assert min(calls) == calls[0] and max(calls) == calls[n_scan - 1]
 
 
-def _ladder(monkeypatch, n):
-    monkeypatch.syspath_prepend(BENCH)
-    from inputs import mimo_channel
-
-    return load_channel(json.dumps(mimo_channel(n, 1)))
-
-
 def _golden_alpha_reference(ch, mu, opts, n_scan):
     """The alpha search as it was before the slope search: golden section to
     1e-6 in log alpha on re-solved values between the neighbours of the scan
@@ -301,9 +291,9 @@ _golden_values: dict = {}
         for n_scan in (_GOLDEN_SCAN[case], 3, 6)
     ],
 )
-def test_slope_search_is_not_above_the_golden_section_value(monkeypatch, sec7, case, mu, n_scan):
+def test_slope_search_is_not_above_the_golden_section_value(sec7, case, mu, n_scan):
     # the coarse scans are held to the dense golden-section reference too
-    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+    ch = sec7 if case == "bundled" else ladder(2)
     opts = SolverSettings(starts=2, seed=0)
     res = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
     if (case, mu) not in _golden_values:
@@ -319,8 +309,8 @@ def test_slope_search_is_not_above_the_golden_section_value(monkeypatch, sec7, c
 
 
 @pytest.mark.parametrize("case, mu", [("bundled", 2.0), ("ladder", 4.0)])
-def test_witness_path_slope_matches_re_solved_differences(monkeypatch, sec7, case, mu):
-    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+def test_witness_path_slope_matches_re_solved_differences(sec7, case, mu):
+    ch = sec7 if case == "bundled" else ladder(2)
     opts = SolverSettings(starts=2, seed=0, rel_tol=1e-12)
     alpha, h = 2.0, 1e-3
     res = mu_sum_partial_outer(ch, alpha, mu, opts)
@@ -348,10 +338,10 @@ def _scaled_channel_slope(ch, alpha, mu, roots):
 
 
 @pytest.mark.parametrize("case, mu", [("bundled", 2.0), ("ladder", 4.0)])
-def test_witness_path_slope_matches_the_scaled_channel_form(monkeypatch, sec7, case, mu):
+def test_witness_path_slope_matches_the_scaled_channel_form(sec7, case, mu):
     # one stacked re-score on the alpha = 1 matrices, the factors scaled by s
     # of each alpha, against the per-alpha scaled channels
-    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 2)
+    ch = sec7 if case == "bundled" else ladder(2)
     opts = SolverSettings(starts=2, seed=0)
     for alpha in (0.05, 0.3, 7.0):
         roots = mu_sum_partial_outer(ch, alpha, mu, opts).roots
@@ -425,7 +415,7 @@ def test_a_widening_solve_keeps_the_polish_budget(monkeypatch, sec7):
 def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, mu, n_scan):
     # the same sweep with the scan at the polish budget: the scan's brackets
     # and every result the polish and the final solve fix are unchanged
-    ch = sec7 if case == "bundled" else _ladder(monkeypatch, 3)
+    ch = sec7 if case == "bundled" else ladder(3)
     opts = SolverSettings(starts=2, seed=0)
     short = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
     monkeypatch.setattr(outer, "_SCAN_MAX_ITERS", 400)
@@ -457,7 +447,7 @@ def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
 def test_past_the_licensed_weight_a_mimo_sweep_certifies_every_solve_but_its_scan(monkeypatch):
     # mimo_tightness's sweep: mu = 4 lies past mu* = 3.68, where the bound is
     # the licensed corner's value; the power-split form alone lies bits above
-    ch = _ladder(monkeypatch, 2)
+    ch = ladder(2)
     opts = SolverSettings(starts=2, seed=0)
     res, calls = _sweep_budgets(monkeypatch, ch, mu=4.0, opts=opts, n_scan=scan_points(100))
     (_, scan_cap, scan_iterations), *rest = calls
@@ -505,7 +495,7 @@ def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
     # mu* = 0.395 on the one-antenna rung, but at mu = 0.5 < 1 the cognitive
     # rate is worth more than the interference it causes: the solve lies more
     # than a bit above mu C(g, B), and the certificates stay away
-    ch = _ladder(monkeypatch, 1)
+    ch = ladder(1)
     assert ch.licensed_weight < 0.5
     free = mu_sum_partial_outer(ch, 1.0, 0.5, SolverSettings(starts=4, seed=0), _certify=False)
     (upper,) = _power_split_bound(ch, [1.0], [0.5])
@@ -718,11 +708,11 @@ def test_bc_dominates_partial(sec7, fast):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_capacity_sandwich_closes_on_the_ladder_at_large_mu(monkeypatch, n):
+def test_capacity_sandwich_closes_on_the_ladder_at_large_mu(n):
     # at large mu the broadcast upper bound at the alpha of the licensed-rate
     # cap meets the DPC lower one, so an ascent that settles below the global
     # maximum of the achievable mu-sum opens the sandwich
-    ch = _ladder(monkeypatch, n)
+    ch = ladder(n)
     scan = scan_then_golden(
         central_slope(lambda log_a: partial_outer_max_rp(ch, math.exp(log_a))),
         np.log(np.geomspace(1e-3, 1e3, 6)),
@@ -831,14 +821,11 @@ def test_a_diverging_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
-def test_a_grid_solve_is_each_mu_solved_alone(monkeypatch, sec7, channel):
+def test_a_grid_solve_is_each_mu_solved_alone(sec7, channel):
     # every start of every mu climbs in one batch; each mu's rows must see
     # that mu's weights, so each grid point is its own standalone solve
     if channel == "mimo":
-        monkeypatch.syspath_prepend(BENCH)
-        from inputs import mimo_channel
-
-        ch = load_channel(json.dumps(mimo_channel(2, 1)))
+        ch = ladder(2)
     else:
         ch = sec7
     opts = SolverSettings(starts=4, seed=5)
@@ -860,18 +847,18 @@ def test_a_grid_solve_is_each_mu_solved_alone(monkeypatch, sec7, channel):
             np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
 
 
-def _bundled_or_ladder(monkeypatch, sec7, channel):
-    return sec7 if channel == "bundled" else _ladder(monkeypatch, 2)
+def _bundled_or_ladder(sec7, channel):
+    return sec7 if channel == "bundled" else ladder(2)
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
 def test_the_bound_at_alpha_is_the_alpha_one_program_on_scaled_columns(
-    monkeypatch, sec7, channel, rng
+    sec7, channel, rng
 ):
     # the identity every alpha grid rests on: the program of the scaled
     # channel at theta equals the alpha = 1 program at s * theta, with s
     # 1/sqrt(alpha) on the cognitive rows of both Cholesky factors
-    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    ch = _bundled_or_ladder(sec7, channel)
     one = _two_block_program(ch, *_dpc_matrices(ch))
     rows = param_rows(ch.n_pt + ch.n_ct, one.complex_mode)
     licensed = np.concatenate([rows < ch.n_pt, np.zeros(one.n_params - len(rows), bool)])
@@ -885,10 +872,10 @@ def test_the_bound_at_alpha_is_the_alpha_one_program_on_scaled_columns(
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
-def test_an_alpha_grid_is_each_weighting_solved_alone(monkeypatch, sec7, channel):
+def test_an_alpha_grid_is_each_weighting_solved_alone(sec7, channel):
     # an alpha grid, alone or paired with a mu grid, climbs every (alpha, mu)
     # weighting in one ascent; each must end where its own call ends
-    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    ch = _bundled_or_ladder(sec7, channel)
     opts = SolverSettings(starts=3, seed=4)
     alphas, mus = [0.05, 1.0, 3.0], [2.0, 0.5, 4.0]
     cases = [
@@ -950,8 +937,8 @@ def test_a_bad_weighting_grid_is_rejected_before_any_solve(monkeypatch, sec7, al
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
-def test_a_batched_rescore_is_each_point_rescored_alone(monkeypatch, sec7, channel, rng):
-    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+def test_a_batched_rescore_is_each_point_rescored_alone(sec7, channel, rng):
+    ch = _bundled_or_ladder(sec7, channel)
     program = _two_block_program(ch, *_dpc_matrices(ch))
     roots = program.lower_factors(rng.standard_normal((4, program.n_params)))
     together = program.factor_rates(roots)
@@ -1015,14 +1002,14 @@ def test_a_diverging_alpha_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
-def test_a_bound_family_is_each_alpha_traced_alone(monkeypatch, sec7, channel):
+def test_a_bound_family_is_each_alpha_traced_alone(sec7, channel):
     # every alpha's whole mu grid climbs in one ascent; each curve must be
     # the one its own call traces from the same warm boundary.  The gradient
     # ends in one BLAS product over the whole batch, whose rounding of a row
     # can depend on the batch's size; on the complex ladder the curves differ
     # by up to 6e-15 relative, so they are held to 1e-12, and the bundled
     # channel's to the bit
-    ch = _bundled_or_ladder(monkeypatch, sec7, channel)
+    ch = _bundled_or_ladder(sec7, channel)
     rtol = 0.0 if channel == "bundled" else 1e-12
     opts = SolverSettings(starts=3, seed=2)
     grid, alphas = [4.0, 1.0, 0.3], [0.25, 1.0, 4.0]
@@ -1076,13 +1063,10 @@ def test_containment_on_randomized_channels(rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("mu", [1.0, 4.0])
-def test_bc_mu_sum_gap_bounds_a_long_solve(monkeypatch, n, mu):
+def test_bc_mu_sum_gap_bounds_a_long_solve(n, mu):
     # the Frank-Wolfe gap makes value + gap_bits an upper value: no longer
     # solve may end above it (complex ladder channels of the benchmark)
-    monkeypatch.syspath_prepend(BENCH)
-    from inputs import mimo_channel
-
-    ch = load_channel(json.dumps(mimo_channel(n, 1)))
+    ch = ladder(n)
     res = bc_mu_sum(ch, 1.0, mu, SolverSettings(starts=2, seed=0))
     long = bc_mu_sum(ch, 1.0, mu, SolverSettings(starts=2, seed=0, max_iters=20000, rel_tol=1e-15))
     assert res.gap_bits >= 0.0

@@ -2,13 +2,11 @@
 functions each solver reports its winner through, and the broadcast
 mu-sum's dual MAC maps back onto the broadcast region."""
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
-from conftest import ascent_rates, covariance_rates, draw, random_channel
+from conftest import ascent_rates, covariance_rates, draw, ladder, random_channel
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +22,7 @@ from cograte.achievable import (
     is_feasible,
     scale_allocation,
 )
-from cograte.channel import CognitiveChannel, composite_matrices, load_channel, scaled_channel
+from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.linalg import (
     DEFAULT_TOL,
     budget_tol,
@@ -44,8 +42,6 @@ from cograte.outer import (
 )
 from cograte.regions import RatePair
 from cograte.solvers import SolverSettings, waterfill
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def _bc_rates(ch, ga, kk, q_p, q_c):
@@ -118,18 +114,11 @@ def test_a_gradient_call_takes_no_log_det(monkeypatch):
     assert len(calls) == 1
 
 
-def _ladder(monkeypatch, n):
-    monkeypatch.syspath_prepend(BENCH)
-    from inputs import mimo_channel
-
-    return load_channel(json.dumps(mimo_channel(n, 1)))
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_a_row_is_scored_alike_at_every_batch_size(monkeypatch, n):
+def test_a_row_is_scored_alike_at_every_batch_size(n):
     # so a weighting climbs bit for bit as alone beside any other weightings,
     # one-row batches included (BLAS's matrix-vector path rounds otherwise)
-    ch = _ladder(monkeypatch, n)
+    ch = ladder(n)
     program = _two_block_program(ch, *_dpc_matrices(ch))
     rng = np.random.default_rng(3)
     thetas = rng.standard_normal((64, program.n_params))
@@ -143,11 +132,11 @@ def test_a_row_is_scored_alike_at_every_batch_size(monkeypatch, n):
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo_1x1"])
-def test_a_scalar_log_det_gradient_is_the_lapack_solve_bit_for_bit(monkeypatch, sec7, channel):
+def test_a_scalar_log_det_gradient_is_the_lapack_solve_bit_for_bit(sec7, channel):
     # on 1x1 log-dets the gradient's M⁻¹E is E times 1/M, which rounds as
     # OpenBLAS's 1x1 solve does (E / M differs in the last bit in about a
     # quarter of the real entries), so every ascent climbs as it did on LAPACK
-    ch = sec7 if channel == "bundled" else _ladder(monkeypatch, 1)
+    ch = sec7 if channel == "bundled" else ladder(1)
     program = _two_block_program(ch, *_dpc_matrices(ch))
     assert program._shape[1] == 1 and program.complex_mode == (channel != "bundled")
     rng = np.random.default_rng(21)
@@ -539,7 +528,6 @@ def test_bc_mu_sum_is_not_below_the_generic_broadcast_ascent(complex_mode, mu, s
     assert res.value == pytest.approx(res.rate.mu_sum(mu), rel=1e-15)
     assert res.gap_bits >= 0.0
     assert res.value >= _generic_broadcast_value(ch, alpha, mu, opts) - 1e-9
-
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])

@@ -1,15 +1,13 @@
 import itertools
-import json
 import math
-import os
 
 import numpy as np
 import pytest
-from conftest import covariance_rates
+from conftest import covariance_rates, ladder
 
 import cograte.achievable as achievable
 from cograte.achievable import _dpc_matrices, _two_block_program
-from cograte.channel import CognitiveChannel, composite_matrices, load_channel
+from cograte.channel import CognitiveChannel, composite_matrices
 from cograte.errors import BracketUnbounded, NonPositivePower, SolverDiverged, ZeroChannel
 from cograte.outer import _bound_corners, _power_split_bound, mu_sum_partial_outer
 from cograte.solvers import (
@@ -22,8 +20,6 @@ from cograte.solvers import (
     scan_then_golden,
     waterfill,
 )
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_neg_inf_ordering():
@@ -391,12 +387,9 @@ def _partial_ascent(ch):
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
-def test_lockstep_ascent_equals_a_per_start_loop(monkeypatch, sec7, channel):
+def test_lockstep_ascent_equals_a_per_start_loop(sec7, channel):
     if channel == "mimo":
-        monkeypatch.syspath_prepend(BENCH)
-        from inputs import mimo_channel
-
-        sec7 = load_channel(json.dumps(mimo_channel(2, 1)))
+        sec7 = ladder(2)
     program, project, starts, scale = _partial_ascent(sec7)
     # a grid of one, since a wider batch may round the objective's matrix
     # product differently in the last digit (test_outer covers grids)
