@@ -33,7 +33,7 @@ from .linalg import (
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import SolverSettings, central_slope, make_group_projection, maximize_multistart
-from .solvers import log_alpha_scan, scan_then_golden, waterfill
+from .solvers import log_alpha_scan, newton_polish, scan_then_golden, waterfill
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,14 @@ def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
 def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=(1e-3, 1e3)):
     """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
     licensed rate (``outer._power_split_bound``, step 3), as :func:`scan_then_golden`
-    finds it from six log-spaced alphas over the bracket, to 1e-12 in ``log alpha``."""
-    return scan_then_golden(central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
-                            log_alpha_scan(alpha_bracket, 6), tol=1e-12)
+    finds it from six log-spaced alphas over the bracket, to 1e-12 in ``log alpha``.
+    The result is kept on ``ch`` per bracket: ``reproduce-paper`` reads it three times."""
+    bracket = tuple(float(a) for a in alpha_bracket)
+    if bracket not in ch._derived:
+        ch._derived[bracket] = scan_then_golden(
+            central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
+            log_alpha_scan(bracket, 6), tol=1e-12)
+    return ch._derived[bracket]
 
 
 def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
@@ -376,17 +381,19 @@ def _dpc_matrices(ch: CognitiveChannel):
     return np.hstack([ch.h_pp, ch.h_cp]), ch.h_cp, ch.h_cc
 
 
-def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=None, upper=None):
+def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=None, upper=None,
+           random_starts=True):
     """Checked weights (:func:`check_mu`) and winning thetas of the program's
     mu-sums under the trace budgets ``groups`` (parameter indices, budget),
     for a nonempty sequence of weights ``mus``.  ``starts`` holds one sequence
     of starts per weight: tuples of a matrix per block, or raw parameter
     vectors.  Each distinct start object is encoded once, in one stacked call
     per block, then divided by ``radius[k]`` (default 1), the radius of
-    weighting ``k``'s ball.  ``cols`` (column scales, a row per weighting) and
-    ``upper(mus)`` (upper values, asked for once the weights are checked) go to
-    :func:`maximize_multistart`.  Each weighting climbs from its own starts,
-    as it would alone.  A divergence names its mu, then ``where[k]``."""
+    weighting ``k``'s ball.  ``cols`` (column scales, a row per weighting),
+    ``upper(mus)`` (upper values, asked for once the weights are checked) and
+    ``random_starts`` go to :func:`maximize_multistart`, and its winners to
+    :func:`newton_polish`.  Each weighting climbs from its own starts, as it
+    would alone.  A divergence names its mu, then ``where[k]``."""
     mus = [check_mu(m) for m in mus]
     if not mus or len(starts) != len(mus):
         raise ValueError("a mu grid must be nonempty, with one sequence of starts per mu")
@@ -396,18 +403,15 @@ def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=Non
     stacks = iter(program.encode(*map(np.array, zip(*blocks))) if blocks else ())
     encoded = {key: next(stacks) if isinstance(i, tuple) else np.asarray(i, dtype=float)
                for key, i in unique.items()}
+    opts, weights = opts or SolverSettings(), program.weights(mus)
+    scale, upper = math.sqrt(max(budget for _, budget in groups)), upper(mus) if upper else None
     try:
-        _, thetas = maximize_multistart(
-            program.objective,
-            program.n_params,
-            make_group_projection(groups),
-            opts or SolverSettings(),
-            program.weights(mus),
-            scale=math.sqrt(max(budget for _, budget in groups)),
-            extra_starts=[[encoded[id(i)] / r for i in own] for own, r in zip(starts, radius)],
-            column_scale=cols,
-            upper=None if upper is None else upper(mus),
-        )
+        values, thetas = maximize_multistart(
+            program.objective, program.n_params, make_group_projection(groups), opts, weights,
+            scale=scale, column_scale=cols, upper=upper, random_starts=random_starts,
+            extra_starts=[[encoded[id(i)] / r for i in own] for own, r in zip(starts, radius)])
+        _, thetas = newton_polish(program.objective, groups, opts, weights, thetas, values, scale,
+                                  cols, upper)
     except SolverDiverged as exc:
         if exc.owner is None:
             raise

@@ -149,6 +149,11 @@ class CognitiveChannel:
             return math.inf
         return float(np.linalg.norm(heard[:, :rank] / s[:rank], 2) ** 2) if rank else 0.0
 
+    @cached_property
+    def _derived(self) -> dict:
+        """Searches' results kept for the channel's life, by their arguments."""
+        return {}
+
     def digest(self) -> str:
         """Stable hash of the channel contents, recorded in output metadata."""
         payload = {k: _matrix_list(getattr(self, k)) for k in ("h_pp", "h_pc", "h_cp", "h_cc")}

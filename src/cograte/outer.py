@@ -242,7 +242,6 @@ def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) 
 
 
 DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution
-_SCAN_MAX_ITERS, _POLISH_MAX_ITERS = 100, 400  # iteration caps of the alpha sweep's solves
 
 
 def scan_points(resolution: int) -> int:
@@ -286,14 +285,10 @@ def inf_alpha_partial_outer(
     tenfold step past it and one solve, up to three times in all, as the
     objective diverges at 0 and infinity; ``bracket`` is the range scanned.
 
-    Three iteration budgets: the scan runs at most ``_SCAN_MAX_ITERS``
-    iterations, each widening and polish step ``_POLISH_MAX_ITERS`` (both
-    with a third of the starts, two at least), and the final solve at the
-    minimizer the full ``opts``.  The scan may be short because only its
-    slopes' signs, which bracket, and its coarse values, which pick a
-    bracket, are read; alpha* and ``n_value`` come from the polish steps and
-    the final solve, which :func:`mu_sum_partial_outer` certifies.  The scan
-    is not certified yet, so its losing starts at an edge alpha climb on.
+    Every solve runs the one ascent budget ``opts.max_iters``, then the Newton
+    polish: the scan and each widening and root-finder step with a third of
+    the starts (two at least), the final solve with all.  The scan is not
+    certified yet, so its losing starts climb on to the budget.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
@@ -303,21 +298,20 @@ def inf_alpha_partial_outer(
     cache: dict[float, BoundMuSumResult] = {}
     dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
-    def solve(alphas, cap: int, certify: bool = True) -> None:
+    def solve(alphas, certify: bool = True) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
-            inner = replace(opts, starts=max(2, opts.starts // 3),
-                            max_iters=min(opts.max_iters, cap))
+            inner = replace(opts, starts=max(2, opts.starts // 3))
             solved = mu_sum_partial_outer(ch, new, mu, inner, _program=dpc, _certify=certify)
             cache.update(zip(new, solved))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
-        solve([a], _POLISH_MAX_ITERS)
+        solve([a])
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
     # uncertified: traced paper_repro needs its capped solve until ROADMAP item 1
-    solve([math.exp(x) for x in xs], _SCAN_MAX_ITERS, certify=False)
+    solve([math.exp(x) for x in xs], certify=False)
     result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
 
@@ -435,7 +429,10 @@ def bc_mu_sum(
     maximum (Weingarten, Steinberg & Shamai, IEEE T-IT 2006); below 1 neither
     holds, so mu >= 1 is required.
 
-    The dual winner maps back to ``(q_p, q_c)`` through :func:`_mac_to_bc`.
+    That program is concave, so it climbs from one start (``P_p``
+    water-filled, ``P_c`` zero, no random draws) and the Newton polish
+    reaches its maximum.  The dual winner maps back to ``(q_p, q_c)``
+    through :func:`_mac_to_bc`.
     One two-block program's ``factor_rates`` on the broadcast matrices scores
     that witness's factors and the PSD roots of each ``extra_starts`` pair
     (checked before the solve); the best wins.  ``gap_bits``, :func:`_dual_gap`
@@ -458,19 +455,10 @@ def bc_mu_sum(
         _require(_shape_violation({"q_p": (q_p, shape), "q_c": (q_c, shape)})
                  or _budget_violation("sum", budget, DEFAULT_TOL, {"q_p": q_p, "q_c": q_c}))
     program, (u_p, u_c) = _dual_mac(ch, ga, k)
-    (_, d_p, _), (_, d_c, _) = program.blocks
-    # k = 0 leaves P_c without a gradient, so one start keeps it at zero
-    starts = [
-        (waterfill(_herm(ga) @ u_p, budget, real_mode=ch.real_mode)[1], np.zeros((d_c, d_c))),
-        ((0.5 * budget / d_p) * np.eye(d_p), (0.5 * budget / d_c) * np.eye(d_c)),
-    ]
-    # the dual is cheap: a stall at the default rel_tol of 1e-9 left it up to
-    # 6e-6 bits below a direct ascent over (q_p, q_c) on random 2-antenna
-    # channels; at 1e-12 it stays above that ascent
-    opts = opts or SolverSettings()
-    opts = replace(opts, rel_tol=min(opts.rel_tol, 1e-12))
+    d_c = program.blocks[1][1]
+    start = (waterfill(_herm(ga) @ u_p, budget, real_mode=ch.real_mode)[1], np.zeros((d_c, d_c)))
     groups = [(np.arange(program.n_params), budget)]
-    _, (theta,) = _solve(program, [mu], groups, opts, [starts])
+    _, (theta,) = _solve(program, [mu], groups, opts, [[start]], random_starts=False)
     low_p, low_c = program.lower_factors(theta)
     root_p, root_c = u_p @ low_p, u_c @ low_c
     roots = _mac_to_bc(ga, k, root_p, root_c)

@@ -3,8 +3,10 @@
 The rate-region solvers all reduce to maximizing a smooth objective over
 vectors of Cholesky-factor parameters under per-group squared-norm budgets
 (each group's squared norm is a covariance trace).  This module provides the
-multi-start projected-ascent engine driving them, the scalar minimizers (a
-scan polished by Brent's root finder on the slope, and golden section for
+engine driving them: a multi-start projected ascent run to a short budget,
+which finds each weighting's basin, and a Riemannian trust-region Newton
+polish, which converges its winner.  It also provides the scalar minimizers
+(a scan polished by Brent's root finder on the slope, and golden section for
 functions known only by value), sum-power water-filling, and the -inf
 sentinel used by the Lagrangian case analysis.
 """
@@ -70,10 +72,10 @@ NEG_INF = _NegInf()
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs of the projected-ascent solvers."""
+    """Knobs of the solvers: random starts, ascent budget, stall tolerance, seed."""
 
     starts: int = 16
-    max_iters: int = 2000
+    max_iters: int = 20
     rel_tol: float = 1e-9
     seed: int = 0
 
@@ -135,63 +137,63 @@ def _momentum_table():
     return after, (t - 1.0) / after, np.minimum(np.arange(1, len(t) + 1), len(t) - 1)
 
 
-def maximize_multistart(
-    objective,
-    n_params: int,
-    project,
-    settings: SolverSettings,
-    weights,
-    scale: float = 1.0,
-    extra_starts=((),),
-    column_scale=None,
-    upper=None,
-):
+def _finite(a, owners, where):
+    """``a``; its first non-finite row raises :class:`SolverDiverged` naming its owner."""
+    if not (ok := np.isfinite(a.reshape(len(owners), -1)).all(axis=1)).all():
+        raise SolverDiverged(f"non-finite objective {where}", owner=int(owners[~ok][0]))
+    return a
+
+
+def certified_bar(upper, rel_tol: float, rows: int) -> np.ndarray:
+    """``U − rel_tol·|U|`` per weighting of ``upper`` (default ``+inf``), with no inf − inf."""
+    u = np.full(rows, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    return u - rel_tol * np.minimum(np.abs(u), np.finfo(float).max)
+
+
+def maximize_multistart(objective, n_params: int, project, settings: SolverSettings, weights,
+                        scale: float = 1.0, extra_starts=((),), column_scale=None, upper=None,
+                        random_starts=True):
     """Multi-start accelerated projected gradient ascent of one objective under
-    several weightings at once; returns the best (values, thetas) of each weighting.
+    several weightings at once; returns the best (values, thetas) of each
+    weighting.  Run to the short default budget of ``settings.max_iters``, it
+    finds each weighting's basin, and :func:`newton_polish` converges the winner.
 
     ``objective`` maps a (batch, n_params) array to ``(values, gradient)``,
     two functions of ``w``, the row of ``weights`` of each parameter row's
     weighting: ``values(w)`` returns the (batch,) values, which must be
     finite on the whole parameter space, and ``gradient(w)`` their (batch,
     n_params) gradient.  ``project`` maps parameter batches onto the
-    feasible set.  Each weighting starts from its own sequence of
-    ``extra_starts`` and the same seeded random draws, as alone it would.
-    ``column_scale`` (default all ones) holds a row ``c`` per weighting: its
-    starts climb ``y -> objective(c ⊙ y)``, whose gradient is ``c ⊙`` the
-    objective's, so weightings on differently scaled parameters share one
-    projection; the returned thetas are the ``y``.
+    feasible set.  Each weighting starts from its own ``extra_starts`` and,
+    unless ``random_starts`` is false, the same ``settings.starts`` seeded
+    random draws.  ``column_scale`` (default all ones) holds a row ``c`` per
+    weighting: its starts climb ``y -> objective(c ⊙ y)``, whose gradient is
+    ``c ⊙`` the objective's, so weightings on differently scaled parameters
+    share one projection; the returned thetas are the ``y``.
 
-    All starts of all weightings climb in lockstep, so that one iteration
-    makes two batched objective calls (the matrices are tiny; call overhead
-    dominates): a gradient at each start's extrapolated point and values at
-    all the line-search candidates.  A start extrapolates as in FISTA (Beck
-    & Teboulle, SIAM J. Imaging Sci. 2009), ``y = θ + ((t − 1)/t⁺)(θ −
-    θ_prev)`` with ``t⁺ = min((1 + √(1 + 4t²))/2, 10)``, and tries the
-    projections of ``y`` plus the normalized gradient at ``y`` times the
-    step ladder ``_LADDER * step``.  It moves to the best rung (the smallest
-    of a tie), which becomes the step, if that beats its value, which so
-    never falls.  A miss restarts the momentum (``t = 1``, ``θ_prev = θ``),
-    the function-value restart of O'Donoghue & Candès (Found. Comput. Math.
-    2015), or shrinks the step fourfold when ``t`` is 1.  A gain below
-    ``rel_tol * (1 + |f|) * t⁺`` (momentum multiplies the gain per step by
-    up to about ``t``) is a stall and restarts the momentum; three stalls in
-    a row, a step underflow, or a vanishing gradient retire the start.  No
-    start sees another, so each weighting climbs as it would alone, bit for
-    bit where the objective rounds a row alike at every batch size (as
-    :class:`~cograte.achievable.LogDetProgram` does); a non-finite value raises
-    :class:`SolverDiverged` with the index of its weighting as ``owner``.
-    The loop keeps only the running starts' rows, ``t`` as a place on
-    :func:`_momentum_table`; in an iteration where starts retire, their
-    thetas and values are written back and every array drops their rows.
-    ``upper`` (default ``+inf``) holds an upper value ``U`` per weighting:
-    once a start reaches ``U − rel_tol * |U|``, at the start values or after a
-    line search, its weighting's other starts retire, and it climbs on.
+    All starts climb in lockstep, two batched objective calls an iteration:
+    a gradient at each start's extrapolated point ``y = θ + ((t − 1)/t⁺)(θ −
+    θ_prev)``, ``t⁺ = min((1 + √(1 + 4t²))/2, 10)`` (FISTA: Beck & Teboulle,
+    SIAM J. Imaging Sci. 2009), and values at the projections of ``y`` plus
+    the normalized gradient times the ladder ``_LADDER * step``.  A start
+    moves to the best rung (the smallest of a tie), which becomes the step,
+    if that beats its value.  A miss restarts the momentum (O'Donoghue &
+    Candès, Found. Comput. Math. 2015), or shrinks the step fourfold when
+    ``t`` is 1; a gain below ``rel_tol * (1 + |f|) * t⁺`` (momentum
+    multiplies a step's gain by up to about ``t``) is a stall, which restarts
+    it too.  Three stalls in a row, a step underflow or a vanishing gradient
+    retire the start, and every array drops its row.  No start sees another,
+    so each weighting climbs bit for bit as alone where the objective rounds
+    a row alike at every batch size (as ``LogDetProgram`` does); a non-finite
+    value raises :class:`SolverDiverged` with its weighting's index as
+    ``owner``.  ``upper`` (default ``+inf``) holds an upper value ``U`` per
+    weighting: once a start reaches ``U − rel_tol * |U|``, its weighting's
+    other starts retire, and it climbs on.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
     draws = [
         scale * (0.3 if i % 2 else 1.0) * rng.standard_normal(n_params)
-        for i in range(settings.starts)
+        for i in range(settings.starts if random_starts else 0)
     ]
     starts, owner = [], []
     for m, extra in enumerate(extra_starts):
@@ -204,11 +206,6 @@ def maximize_multistart(
     cols = np.ones((len(weights), n_params)) if column_scale is None else column_scale
     cols = np.asarray(cols, dtype=float)[owner]
 
-    def finite(a, run, where):
-        if not np.isfinite(a).all():
-            bad = ~np.isfinite(a.reshape(len(run), -1)).all(axis=1)
-            raise SolverDiverged(f"non-finite objective {where}", owner=int(owner[run[bad][0]]))
-
     def retire(done, run, th, val, *rest):
         thetas[run[done]], vals[run[done]] = th[done], val[done]
         return [a[~done] for a in (run, th, val, *rest)]
@@ -217,9 +214,8 @@ def maximize_multistart(
     n_starts, k = thetas.shape
     vals = np.asarray(objective(cols * thetas)[0](weights[owner]), dtype=float)
     run, th, val, w, c = np.arange(n_starts), thetas, vals, weights[owner], cols
-    finite(vals, run, "at a start point")
-    u = np.full(len(weights), np.inf) if upper is None else np.asarray(upper, dtype=float)
-    bar = (u - settings.rel_tol * np.minimum(np.abs(u), np.finfo(float).max))[owner]  # no inf - inf
+    _finite(vals, owner[run], "at a start point")
+    bar = certified_bar(upper, settings.rel_tol, len(weights))[owner]
     moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
     step = np.full(n_starts, 0.25 * scale)
     stall, place = np.zeros(n_starts, dtype=int), np.zeros(n_starts, dtype=int)
@@ -241,7 +237,7 @@ def maximize_multistart(
         # unprojected: the benchmark's tracer reads a call after a projection as a line search
         y = th + extrapolate[place][:, None] * moved
         grad = c * objective(c * y)[1](w)
-        finite(grad, run, "during gradient evaluation")
+        _finite(grad, owner[run], "during gradient evaluation")
         gnorm = np.sqrt((grad * grad).sum(axis=1))
         if (dead := gnorm < 1e-15).any():
             run, th, val, moved, step, stall, place, w, c, bar, y, grad, gnorm = retire(
@@ -254,7 +250,7 @@ def maximize_multistart(
         cands = y[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
         cands = project(cands.reshape(-1, k)).reshape(len(run), n_cand, k)
         cvals = objective((cands * c_cand).reshape(-1, k))[0](w_cand).reshape(len(run), n_cand)
-        finite(cvals, run, "during line search")
+        _finite(cvals, owner[run], "during line search")
 
         # each row moves to its best rung, the smallest of a tie, if that beats
         # its value; a stall, or a miss under momentum, restarts the momentum
@@ -274,6 +270,113 @@ def maximize_multistart(
 
     winners = [np.flatnonzero(owner == m)[np.argmax(vals[owner == m])] for m in range(len(weights))]
     return vals[winners], thetas[winners]
+
+
+#: :func:`newton_polish`'s step cap, difference half-width / ``scale`` and stop tolerance.
+_NEWTON_STEPS, _HESSIAN_STEP, _GRADIENT_TOL = 30, 1e-5, 1e-12
+
+
+def newton_polish(objective, groups, settings, weights, thetas, values, scale=1.0,
+                  column_scale=None, upper=None):
+    """Riemannian trust-region Newton polish (Absil, Baker & Gallivan, Found.
+    Comput. Math. 2007) of a point ``y`` per weighting of
+    :func:`maximize_multistart`'s objective, but those at their ``upper`` bar
+    (:func:`certified_bar`), on the spheres of the balls ``groups`` that ``y``
+    lies on, its gradient pointing out; returns (values, thetas).  The
+    Hessian is a central difference of the gradient over ``±h e_i`` in one
+    call, less each such ball's Weingarten term ``(y·∇f / b)·I``, projected
+    onto the tangent space; the step is :func:`_more_sorensen`'s, retracted
+    onto the spheres.  A step is kept if it raises the value, or if the value
+    reads within rounding where the model's gain is below it (the higher
+    reading stays, and the point stops), so no value falls.  A point stops at
+    a gradient norm of ``_GRADIENT_TOL·(1 + |f|)``, or after ``_NEWTON_STEPS``
+    steps.  A row's sums run along its own columns, so a weighting polishes
+    bit for bit as alone where the objective rounds a row alike in any batch.
+    """
+    th, val = np.array(thetas, dtype=float), np.array(values, dtype=float)
+    n, k = th.shape
+    c = np.ones((n, k)) if column_scale is None else np.asarray(column_scale, dtype=float)
+    h, eye = _HESSIAN_STEP * scale, np.eye(k)
+    live = val < certified_bar(upper, settings.rel_tol, n)
+    grad, hess = np.zeros((n, k)), np.zeros((n, k, k))
+    fresh, radius = live.copy(), np.full(n, float(scale))
+
+    def dot(a, b, idx):  # of each row, over the columns idx
+        return (np.ascontiguousarray(a[:, idx]) * np.ascontiguousarray(b[:, idx])).sum(axis=1)
+
+    def gradients(rows, at):
+        return _finite(c[rows] * objective(c[rows] * at)[1](weights[rows]), rows, "in the polish")
+
+    grad[live] = gradients(np.flatnonzero(live), th[live]) if live.any() else 0.0
+    for _ in range(_NEWTON_STEPS):
+        run = np.flatnonzero(live)
+        y, g = th[run], grad[run]
+        normals, bend = np.zeros((len(run), k, len(groups))), np.zeros((len(run), k))
+        for j, (idx, b) in enumerate(groups):
+            sq, radial = dot(y, y, idx), dot(y, g, idx)
+            on = ((sq >= b * (1.0 - 1e-12)) & (radial > 0.0))[:, None]
+            normals[:, idx, j] = np.where(on, y[:, idx] / np.sqrt(np.maximum(sq, b))[:, None], 0.0)
+            bend[:, idx] = np.where(on, (radial / b)[:, None], 0.0)
+        tangent = eye - normals @ normals.mT
+        rg = (tangent @ g[:, :, None])[:, :, 0]
+        more = np.sqrt(np.square(rg).sum(axis=1)) > _GRADIENT_TOL * (1.0 + np.abs(val[run]))
+        live[run] = more
+        if not more.any():
+            break
+        run, y, rg, tangent, bend = run[more], y[more], rg[more], tangent[more], bend[more]
+        if (now := fresh[run]).any():  # Hessians at the points that moved, in one call
+            at = (y[now][:, None, :] + np.vstack([h * eye, -h * eye])).reshape(-1, k)
+            d = gradients(np.repeat(run[now], 2 * k), at).reshape(-1, 2, k, k)
+            d = (d[:, 0] - d[:, 1]) / (2.0 * h)
+            hess[run[now]], fresh[run] = 0.5 * (d + d.mT), False
+        # -f's Riemannian Hessian on the tangent space; the normals sit above its spectrum
+        a = tangent @ (bend[:, :, None] * eye - hess[run]) @ tangent
+        a += (1.0 + k * np.abs(a).max(axis=(1, 2)))[:, None, None] * (eye - tangent)
+        e, v = np.linalg.eigh(a)
+        gt = -(v.mT @ rg[:, :, None])[:, :, 0]
+        coef = _more_sorensen(e, gt, radius[run])
+        model = -(gt * coef + 0.5 * e * coef * coef).sum(axis=1)
+        step = (v @ coef[:, :, None])[:, :, 0]
+        cand = y + step
+        for idx, b in groups:
+            cand[:, idx] *= np.sqrt(b / np.maximum(dot(cand, cand, idx), b))[:, None]
+        values, gradient = objective(c[run] * cand)
+        new, f = _finite(values(weights[run]), run, "in the polish"), val[run]
+        blur = 4.0 * np.finfo(float).eps * (1.0 + np.abs(f))  # a value's rounding
+        up = (new > f) | ((model <= blur) & (new >= f - blur))
+        ratio = (new - f) / np.where(model > 0.0, model, np.inf)
+        norm = np.sqrt(np.square(step).sum(axis=1))
+        grow = np.where((ratio > 0.75) & (norm > 0.99 * radius[run]), 2.0, 1.0) * radius[run]
+        radius[run] = np.where(ratio < 0.25, 0.25 * norm, grow)
+        th[run[up]], val[run[up]], fresh[run[up]] = cand[up], np.maximum(new, f)[up], True
+        grad[run[up]] = c[run[up]] * gradient(weights[run])[up] if up.any() else 0.0
+        live[run] = model > blur
+    return val, th
+
+
+def _more_sorensen(e, g, radius):
+    """Coefficients on the eigenvectors of a model Hessian with eigenvalues
+    ``e`` (ascending, a row per point) of the step minimizing ``g·s + ½ Σ e
+    s²`` over ``|s| ≤ radius`` (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983): ``−g / (e + λ)``, the least ``λ ≥ max(0, −e_min)`` that fits by
+    Newton's method on ``1/|s(λ)|``, and in the hard case a move along the
+    least eigenvector to the boundary."""
+    low = np.maximum(0.0, -e[:, :1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(g == 0.0, 0.0, -g / (e + low))
+    norm = np.sqrt(np.square(s).sum(axis=1))
+    fits, far = norm <= radius, norm > radius
+    hard = fits & (low[:, 0] > 0.0)
+    s[hard, 0] += np.sqrt(radius[hard] ** 2 - norm[hard] ** 2)
+    e, g, r = e[far], g[far], radius[far, None]
+    lam = least = low[far] + 1e-12 * (1.0 + np.abs(e).max(axis=1, keepdims=True, initial=0.0))
+    for _ in range(20 if far.any() else 0):
+        t = -g / (e + lam)
+        norm = np.sqrt(np.square(t).sum(axis=1, keepdims=True))
+        slope = (t * t / (e + lam)).sum(axis=1, keepdims=True)
+        lam = np.maximum(least, lam + (norm - r) / r * norm**2 / slope)
+    s[far] = -g / (e + lam)
+    return s
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -90,3 +90,47 @@ def random_psd(rng, dim, trace=None):
     if trace is not None:
         m *= trace / np.trace(m)
     return m
+
+
+def riemannian_gradient_norms(objective, groups, weights, thetas, column_scale=None):
+    """Riemannian gradient norm at each row of ``thetas`` (a point per row of
+    ``weights``) of :func:`~cograte.solvers.maximize_multistart`'s column-scaled
+    objective: on each group of ``groups`` whose sphere a point lies on, its
+    gradient pointing out, the radial part of the gradient is taken away.  A
+    loop per point and group, as the reference of the lockstep polish."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    c = np.ones_like(thetas) if column_scale is None else np.asarray(column_scale, dtype=float)
+    grads = c * objective(c * thetas)[1](np.atleast_2d(weights))
+    for theta, grad in zip(thetas, grads):
+        for idx, budget in groups:
+            y, g = theta[idx], grad[idx]
+            if y @ y >= budget * (1.0 - 1e-12) and y @ g > 0.0:
+                grad[idx] = g - (y @ g) / (y @ y) * y
+    return np.linalg.norm(grads, axis=1)
+
+
+def record_polish(monkeypatch):
+    """A list that gets the arguments and the result of each call of the
+    Newton polish of :func:`~cograte.achievable._solve`."""
+    import cograte.achievable as achievable
+
+    calls, polish = [], achievable.newton_polish
+
+    def recorded(*args):
+        calls.append({"args": args, "result": polish(*args)})
+        return calls[-1]["result"]
+
+    monkeypatch.setattr(achievable, "newton_polish", recorded)
+    return calls
+
+
+def polish_report(call):
+    """Ascent values, polished values, Riemannian gradient norms of the
+    polished points, and the rows whose weighting was certified before the
+    polish, of one :func:`record_polish` record."""
+    from cograte.solvers import certified_bar
+
+    objective, groups, settings, weights, _, values, _, cols, upper = call["args"]
+    polished, thetas = call["result"]
+    norms = riemannian_gradient_norms(objective, groups, weights, thetas, cols)
+    return values, polished, norms, values >= certified_bar(upper, settings.rel_tol, len(values))

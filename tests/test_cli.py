@@ -287,10 +287,8 @@ def test_a_cold_bound_contains_the_region_and_meets_the_warm_bound(tmp_path, sec
     # bound climbs from its own starts, without the region's witnesses: at
     # every mu each of its curves still lies above the region the CLI writes
     # (n = 0 is the bundled channel, else the benchmark's n-antenna ladder),
-    # and within 1e-7 relative of the bound warm-started from that region;
-    # the worst seen is 3.2e-8, at n = 3, alpha 1, mu 4.  Both ascents stop
-    # short of a stationary point; a polish of each winner (ROADMAP item 2)
-    # would tighten this to 1e-12
+    # and within 1e-12 relative of the bound warm-started from that region:
+    # the Newton polish converges both to the same stationary point
     if n:
         ch, path = ladder(n), tmp_path / "ladder.json"
         path.write_text(json.dumps(ladder_spec(n)))
@@ -316,7 +314,7 @@ def test_a_cold_bound_contains_the_region_and_meets_the_warm_bound(tmp_path, sec
             assert c["mu"] == r.mu == w.mu
             value = c["mu"] * c["r_p"] + c["r_c"]
             assert value >= r.rate.mu_sum(r.mu) - 1e-9
-            assert value == pytest.approx(w.rate.mu_sum(w.mu), rel=1e-7)
+            assert value == pytest.approx(w.rate.mu_sum(w.mu), rel=1e-12)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -388,38 +388,42 @@ def _sweep_budgets(monkeypatch, ch, *args, mu=1e6, **kwargs):
 
 
 def test_each_alpha_sweep_solve_gets_its_own_budget(monkeypatch, sec7):
-    # the scan reads slope signs and coarse values only, so it gets a short
-    # budget; the polish steps and the final solve fix alpha* and n_value
+    # the scan, each polish step and the final solve all get the one ascent
+    # budget of opts; the Newton polish of each winner converges the point
     opts = SolverSettings(starts=2, seed=0)
     res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts, n_scan=6)
     (scan, scan_budget, _), *polish, (final, final_budget, _) = calls
-    assert len(scan) == 6 and scan_budget == 100
-    assert polish and all(len(alphas) == 1 and budget == 400 for alphas, budget, _ in polish)
-    assert final == [res.alpha_star] and final_budget == opts.max_iters == 2000
+    assert len(scan) == 6 and scan_budget == opts.max_iters
+    assert polish and all(len(alphas) == 1 and budget == opts.max_iters
+                          for alphas, budget, _ in polish)
+    assert final == [res.alpha_star] and final_budget == opts.max_iters == 20
 
     _, capped = _sweep_budgets(monkeypatch, sec7, opts=dataclasses.replace(opts, max_iters=60))
-    assert len(capped) > 2 and max(budget for _, budget, _ in capped) == 60
+    assert len(capped) > 2 and {budget for _, budget, _ in capped} == {60}
 
 
 def test_a_widening_solve_keeps_the_polish_budget(monkeypatch, sec7):
-    # alpha* = 0.55 lies below (1, 10), so the scan gains the point 0.1
-    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), SolverSettings(starts=2, seed=0))
+    # alpha* = 0.55 lies below (1, 10), so the scan gains the point 0.1,
+    # whose solve gets the same budget as every other
+    opts = SolverSettings(starts=2, seed=0)
+    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), opts)
     assert res.bracket == (0.1, 10.0)
     widening = [budget for alphas, budget, _ in calls if alphas[0] == pytest.approx(0.1, rel=1e-12)]
-    assert widening == [400]
-    assert calls[0][1] == 100
+    assert widening == [opts.max_iters]
+    assert calls[0][1] == opts.max_iters
 
 
 @pytest.mark.parametrize("n_scan", [3, 6])
 @pytest.mark.parametrize("case, mu", [("bundled", 1e6), ("bundled", 2.0), ("ladder", 4.0)])
 def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, mu, n_scan):
-    # the same sweep with the scan at the polish budget: the scan's brackets
-    # and every result the polish and the final solve fix are unchanged
+    # the same sweep with every ascent, the scan's too, at 400 iterations: the
+    # scan's brackets and every result the polish and the final solve fix
+    # are unchanged
     ch = sec7 if case == "bundled" else ladder(3)
     opts = SolverSettings(starts=2, seed=0)
     short = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
-    monkeypatch.setattr(outer, "_SCAN_MAX_ITERS", 400)
-    long = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
+    long = inf_alpha_partial_outer(ch, mu, opts=dataclasses.replace(opts, max_iters=400),
+                                   n_scan=n_scan)
     assert (short.bracket, short.non_unimodal) == (long.bracket, long.non_unimodal)
     assert abs(math.log(short.alpha_star / long.alpha_star)) <= 2e-6
     assert short.n_value == pytest.approx(long.n_value, rel=1e-11)
@@ -428,17 +432,24 @@ def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, m
 def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
     # at mu = 1e6 the licensed corner meets the power-split bound at every
     # alpha, so each polish step and the final solve end a few iterations
-    # after their start values, and the sweep's result is bit for bit the
-    # uncertified one; the scan is left uncertified and still ends at its cap
+    # after their start values, and skip the Newton polish; the sweep's
+    # result is bit for bit the uncertified ascent's, and within 1e-12 of the
+    # uncertified polished one.  The scan is left uncertified and runs to the
+    # budget
     opts = SolverSettings(starts=8, seed=0)  # reproduce-paper's
     res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
     (_, scan_cap, scan_iterations), *rest = calls
-    assert scan_cap == scan_iterations == 100
+    assert scan_cap == scan_iterations == opts.max_iters
     assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
 
     monkeypatch.setattr(outer, "_power_split_bound", lambda ch, alphas, mus: np.full(len(mus), np.inf))
-    free, free_calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
-    assert min(iterations for _, _, iterations in free_calls[1:]) > 20
+    polished, free_calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
+    assert all(iterations == opts.max_iters for _, _, iterations in free_calls)
+    assert (polished.bracket, polished.non_unimodal) == (res.bracket, res.non_unimodal)
+    assert polished.n_value == pytest.approx(res.n_value, rel=1e-12)
+    monkeypatch.setattr(achievable, "newton_polish",
+                        lambda _f, _groups, _opts, _w, thetas, values, *rest: (values, thetas))
+    free, _ = _sweep_budgets(monkeypatch, sec7, opts=opts)
     for field in dataclasses.fields(res):
         got, want = getattr(res, field.name), getattr(free, field.name)
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
@@ -451,7 +462,7 @@ def test_past_the_licensed_weight_a_mimo_sweep_certifies_every_solve_but_its_sca
     opts = SolverSettings(starts=2, seed=0)
     res, calls = _sweep_budgets(monkeypatch, ch, mu=4.0, opts=opts, n_scan=scan_points(100))
     (_, scan_cap, scan_iterations), *rest = calls
-    assert scan_cap == scan_iterations == 100
+    assert scan_cap == scan_iterations == opts.max_iters
     assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
     probe = mu_sum_partial_outer(ch, 1.0, 4.0, opts)
     assert probe.value == pytest.approx(4.0 * partial_outer_max_rp(ch, 1.0), rel=1e-9)
@@ -968,15 +979,26 @@ def test_a_repeated_weighting_climbs_as_it_would_alone(monkeypatch, sec7, fast):
     np.testing.assert_array_equal(pairs[0].theta, pairs[2].theta)
 
 
-def test_a_repeated_weighting_climbs_from_its_own_extra_starts(sec7):
+def test_a_repeated_weighting_climbs_from_its_own_extra_starts(monkeypatch, sec7):
     # a short ascent: the warm start stays ahead of the cold ones, so a
-    # repeat that also climbed from its twin's starts would end elsewhere
+    # repeat that also climbed from its twin's starts would end elsewhere;
+    # the ascent's winners are read before the Newton polish, which brings
+    # both to the same stationary point
+    ascents = []
+    ascend = achievable.maximize_multistart
+    monkeypatch.setattr(achievable, "maximize_multistart",
+                        lambda *args, **kwargs: ascents.append(ascend(*args, **kwargs)) or ascents[-1])
     warm = mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=2, seed=0)).theta
     opts = SolverSettings(starts=2, max_iters=3, seed=0)
+    ascents.clear()
     grid = mu_sum_partial_outer(sec7, [1.0, 1.0], [2.0, 2.0], opts, extra_starts=[[warm], []])
     alone = [mu_sum_partial_outer(sec7, 1.0, 2.0, opts, [warm]),
              mu_sum_partial_outer(sec7, 1.0, 2.0, opts)]
-    assert alone[0].value > alone[1].value
+    (grid_values, grid_thetas), *alone_ascents = ascents
+    assert alone_ascents[0][0][0] > alone_ascents[1][0][0]
+    for m, (values, thetas) in enumerate(alone_ascents):
+        assert grid_values[m] == values[0]
+        np.testing.assert_array_equal(grid_thetas[m], thetas[0])
     for got, want in zip(grid, alone):
         assert got.value == want.value
         np.testing.assert_array_equal(got.theta, want.theta)

@@ -128,53 +128,69 @@ def test_traced_commands_reach_every_counted_layer(monkeypatch, tmp_path):
     assert tracer.counts["solvers.scan_evals"] > 0
 
 
+def _phase_recorder(monkeypatch):
+    """Rows of every objective call and of every gradient call of the DPC
+    program, filed under the ascent or the Newton polish, which is handed the
+    program's own objective and so is not counted by the tracer."""
+    calls = {phase: {"rows": [], "gradient_rows": []} for phase in ("ascent", "polish")}
+    inside = []
+    objective, polish = achievable.LogDetProgram.objective, achievable.newton_polish
+
+    def counted(program, thetas):
+        own = calls["polish" if inside else "ascent"]
+        own["rows"].append(len(thetas))
+        values, gradient = objective(program, thetas)
+        return values, lambda w: own["gradient_rows"].append(len(thetas)) or gradient(w)
+
+    def polishing(*args, **kwargs):
+        inside.append(True)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    monkeypatch.setattr(achievable, "newton_polish", polishing)
+    return calls["ascent"], calls["polish"]
+
+
 def test_traced_iterations_are_the_solver_gradient_calls(monkeypatch, sec7):
     # the benchmark counts an iteration per objective call that does not
     # follow a projection; a solver that projects anything other than its
-    # line-search candidates before an objective call reads fewer (or none)
+    # line-search candidates before an objective call reads fewer (or none).
+    # The polish's gradient calls are its own, and the tracer does not see them
     monkeypatch.syspath_prepend(BENCH)
     from tracing import Tracer
 
-    gradient_calls = []
-    objective = achievable.LogDetProgram.objective
-
-    def counted(program, thetas):
-        values, gradient = objective(program, thetas)
-        return values, lambda w: gradient_calls.append(len(thetas)) or gradient(w)
-
-    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    ascent, polish = _phase_recorder(monkeypatch)
     tracer = Tracer()
     tracer.install()
     try:
         achievable.mu_sum_achievable(sec7, [2.0, 0.5], SolverSettings(starts=2, max_iters=40))
     finally:
         tracer.uninstall()
-    assert tracer.counts["solvers.iterations"] == len(gradient_calls) > 0
+    assert tracer.counts["solvers.iterations"] == len(ascent["gradient_rows"]) > 0
+    assert len(polish["gradient_rows"]) > 0
 
 
 def test_traced_counts_follow_a_grid_whose_starts_retire_apart(monkeypatch, sec7):
     # the ascent keeps only its running starts' rows and drops a start's row
     # in the iteration it retires; every gradient call must still read as an
-    # iteration, and every row handed to the objective as an objective row
+    # iteration, and every row handed to the objective as an objective row,
+    # while the polish's calls and rows stay out of the tracer's counts
     monkeypatch.syspath_prepend(BENCH)
     from tracing import Tracer
 
-    rows, gradient_rows = [], []
-    objective = achievable.LogDetProgram.objective
-
-    def counted(program, thetas):
-        rows.append(len(thetas))
-        values, gradient = objective(program, thetas)
-        return values, lambda w: gradient_rows.append(len(thetas)) or gradient(w)
-
-    monkeypatch.setattr(achievable.LogDetProgram, "objective", counted)
+    ascent, polish = _phase_recorder(monkeypatch)
     tracer = Tracer()
     tracer.install()
     try:
-        achievable.mu_sum_achievable(sec7, [4.0, 1.0, 0.25], SolverSettings(starts=3, seed=1))
+        achievable.mu_sum_achievable(sec7, [4.0, 1.0, 0.25],
+                                     SolverSettings(starts=3, seed=1, max_iters=2000))
     finally:
         tracer.uninstall()
-    assert len(set(gradient_rows)) > 3  # starts retired at several iterations
-    assert tracer.counts["solvers.iterations"] == len(gradient_rows)
-    assert tracer.counts["solvers.objective_calls"] == len(rows)
-    assert tracer.counts["solvers.objective_rows"] == sum(rows)
+    assert len(set(ascent["gradient_rows"])) > 3  # starts retired at several iterations
+    assert tracer.counts["solvers.iterations"] == len(ascent["gradient_rows"])
+    assert tracer.counts["solvers.objective_calls"] == len(ascent["rows"])
+    assert tracer.counts["solvers.objective_rows"] == sum(ascent["rows"])
+    assert len(polish["gradient_rows"]) > 0
