@@ -436,7 +436,8 @@ def bc_mu_sum(
     One two-block program's ``factor_rates`` on the broadcast matrices scores
     that witness's factors and the PSD roots of each ``extra_starts`` pair
     (checked before the solve); the best wins.  ``gap_bits``, :func:`_dual_gap`
-    at the dual winner, makes ``value + gap_bits`` an upper value of the mu-sum.
+    at the dual winner plus ``4·eps·(1 + |value|)`` for the value's rounding,
+    makes ``value + gap_bits`` an upper value of the mu-sum.
 
     This mu-sum is also the infimum over noise couplings of the paper's full
     bound.  There the cognitive receiver also hears a genie copy of the
@@ -469,13 +470,15 @@ def bc_mu_sum(
     scored = [(*scorer.factor_rates(roots), *(symmetrize(r @ _herm(r)) for r in roots))]
     scored += [(*scorer.factor_rates([psd_sqrt(q) for q in pair]), *pair) for pair in extra]
     rate, q_p, q_c = max(scored, key=lambda item: item[0].mu_sum(mu))
+    value = rate.mu_sum(mu)
+    blur = 4.0 * np.finfo(float).eps * (1.0 + abs(value))  # the value's rounding
     return BcMuSumResult(
-        value=rate.mu_sum(mu),
+        value=value,
         rate=rate,
         q_p=q_p,
         q_c=q_c,
         alpha=alpha,
-        gap_bits=_dual_gap(ch, ga, k, mu, budget, root_p, root_c),
+        gap_bits=_dual_gap(ch, ga, k, mu, budget, root_p, root_c) + blur,
     )
 
 

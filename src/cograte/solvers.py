@@ -3,10 +3,11 @@
 The rate-region solvers all reduce to maximizing a smooth objective over
 vectors of Cholesky-factor parameters under per-group squared-norm budgets
 (each group's squared norm is a covariance trace).  This module provides the
-engine driving them: a multi-start projected ascent run to a short budget,
-which finds each weighting's basin, and a Riemannian trust-region Newton
-polish, which converges its winner.  It also provides the scalar minimizers
-(a scan polished by Brent's root finder on the slope, and golden section for
+engine driving them: a multi-start projected gradient ascent run to a short
+budget, on a fixed step ladder capped at the largest ball's diameter, which
+finds each weighting's basin, and a Riemannian trust-region Newton polish,
+which converges its winner.  It also provides the scalar minimizers (a scan
+polished by Brent's root finder on the slope, and golden section for
 functions known only by value), sum-power water-filling, and the -inf
 sentinel used by the Lagrangian case analysis.
 """
@@ -121,20 +122,6 @@ def make_group_projection(groups):
 
 
 _LADDER = np.array([4.0, 1.0, 0.25, 0.0625])
-#: Overflow guard on the step: the ladder's largest candidate stays finite.
-_MAX_STEP = 1e300
-#: Cap on the extrapolation weight ``t``: momentum coefficients stay at most 0.9.
-_MAX_MOMENTUM = 10.0
-
-
-def _momentum_table():
-    """``t⁺``, ``(t − 1)/t⁺`` and the place of ``t⁺`` at each place of ``t``
-    on its walk ``t⁺ = min(½ + √(¼ + t²), 10)`` from 1, which stays at 10."""
-    t = [1.0]
-    while t[-1] < _MAX_MOMENTUM:
-        t.append(min(0.5 + math.sqrt(0.25 + t[-1] * t[-1]), _MAX_MOMENTUM))
-    t, after = np.array(t), np.array(t[1:] + t[-1:])
-    return after, (t - 1.0) / after, np.minimum(np.arange(1, len(t) + 1), len(t) - 1)
 
 
 def _finite(a, owners, where):
@@ -153,10 +140,10 @@ def certified_bar(upper, rel_tol: float, rows: int) -> np.ndarray:
 def maximize_multistart(objective, n_params: int, project, settings: SolverSettings, weights,
                         scale: float = 1.0, extra_starts=((),), column_scale=None, upper=None,
                         random_starts=True):
-    """Multi-start accelerated projected gradient ascent of one objective under
-    several weightings at once; returns the best (values, thetas) of each
-    weighting.  Run to the short default budget of ``settings.max_iters``, it
-    finds each weighting's basin, and :func:`newton_polish` converges the winner.
+    """Multi-start projected gradient ascent of one objective under several
+    weightings at once; returns the best (values, thetas) of each weighting.
+    Run to the short default budget of ``settings.max_iters``, it finds each
+    weighting's basin, and :func:`newton_polish` converges the winner.
 
     ``objective`` maps a (batch, n_params) array to ``(values, gradient)``,
     two functions of ``w``, the row of ``weights`` of each parameter row's
@@ -171,19 +158,16 @@ def maximize_multistart(objective, n_params: int, project, settings: SolverSetti
     share one projection; the returned thetas are the ``y``.
 
     All starts climb in lockstep, two batched objective calls an iteration:
-    a gradient at each start's extrapolated point ``y = θ + ((t − 1)/t⁺)(θ −
-    θ_prev)``, ``t⁺ = min((1 + √(1 + 4t²))/2, 10)`` (FISTA: Beck & Teboulle,
-    SIAM J. Imaging Sci. 2009), and values at the projections of ``y`` plus
-    the normalized gradient times the ladder ``_LADDER * step``.  A start
-    moves to the best rung (the smallest of a tie), which becomes the step,
-    if that beats its value.  A miss restarts the momentum (O'Donoghue &
-    Candès, Found. Comput. Math. 2015), or shrinks the step fourfold when
-    ``t`` is 1; a gain below ``rel_tol * (1 + |f|) * t⁺`` (momentum
-    multiplies a step's gain by up to about ``t``) is a stall, which restarts
-    it too.  Three stalls in a row, a step underflow or a vanishing gradient
-    retire the start, and every array drops its row.  No start sees another,
-    so each weighting climbs bit for bit as alone where the objective rounds
-    a row alike at every batch size (as ``LogDetProgram`` does); a non-finite
+    a gradient at each start ``θ``, and values at the projections of ``θ``
+    plus the normalized gradient times the ladder ``_LADDER * step``.  A
+    start moves to the best rung (the smallest of a tie) if that beats its
+    value, and that rung, capped at ``2 * scale`` (the largest ball's
+    diameter, ``scale`` being its radius), becomes the step; a miss shrinks
+    the step fourfold.  A gain below ``rel_tol * (1 + |f|)`` is a stall.
+    Three stalls in a row, a step underflow or a vanishing gradient retire
+    the start, and every array drops its row.  No start sees another, so
+    each weighting climbs bit for bit as alone where the objective rounds a
+    row alike at every batch size (as ``LogDetProgram`` does); a non-finite
     value raises :class:`SolverDiverged` with its weighting's index as
     ``owner``.  ``upper`` (default ``+inf``) holds an upper value ``U`` per
     weighting: once a start reaches ``U − rel_tol * |U|``, its weighting's
@@ -216,10 +200,7 @@ def maximize_multistart(objective, n_params: int, project, settings: SolverSetti
     run, th, val, w, c = np.arange(n_starts), thetas, vals, weights[owner], cols
     _finite(vals, owner[run], "at a start point")
     bar = certified_bar(upper, settings.rel_tol, len(weights))[owner]
-    moved = np.zeros_like(thetas)  # θ − θ_prev, zero after a restart
-    step = np.full(n_starts, 0.25 * scale)
-    stall, place = np.zeros(n_starts, dtype=int), np.zeros(n_starts, dtype=int)
-    t_next, extrapolate, advance = _momentum_table()
+    step, stall = np.full(n_starts, 0.25 * scale), np.zeros(n_starts, dtype=int)
     n_cand, rows, done = len(_LADDER), (), np.zeros(n_starts, dtype=bool)
 
     for _ in range(settings.max_iters):
@@ -230,42 +211,35 @@ def maximize_multistart(objective, n_params: int, project, settings: SolverSetti
                 lose[lead], bar[lead] = False, np.inf
             done |= lose
         if done.any():
-            run, th, val, moved, step, stall, place, w, c, bar = retire(
-                done, run, th, val, moved, step, stall, place, w, c, bar)
+            run, th, val, step, stall, w, c, bar = retire(
+                done, run, th, val, step, stall, w, c, bar)
             if not run.size:
                 break
-        # unprojected: the benchmark's tracer reads a call after a projection as a line search
-        y = th + extrapolate[place][:, None] * moved
-        grad = c * objective(c * y)[1](w)
+        grad = c * objective(c * th)[1](w)
         _finite(grad, owner[run], "during gradient evaluation")
         gnorm = np.sqrt((grad * grad).sum(axis=1))
         if (dead := gnorm < 1e-15).any():
-            run, th, val, moved, step, stall, place, w, c, bar, y, grad, gnorm = retire(
-                dead, run, th, val, moved, step, stall, place, w, c, bar, y, grad, gnorm)
+            run, th, val, step, stall, w, c, bar, grad, gnorm = retire(
+                dead, run, th, val, step, stall, w, c, bar, grad, gnorm)
             if not run.size:
                 break
         if len(rows) != len(run):  # weights and column scales of the line search
             rows, w_cand, c_cand = np.arange(len(run)), w.repeat(n_cand, axis=0), c[:, None, :]
         ladders = _LADDER * step[:, None]
-        cands = y[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
+        cands = th[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
         cands = project(cands.reshape(-1, k)).reshape(len(run), n_cand, k)
         cvals = objective((cands * c_cand).reshape(-1, k))[0](w_cand).reshape(len(run), n_cand)
         _finite(cvals, owner[run], "during line search")
 
-        # each row moves to its best rung, the smallest of a tie, if that beats
-        # its value; a stall, or a miss under momentum, restarts the momentum
+        # each row moves to its best rung, the smallest of a tie, if that beats its value
         best = n_cand - 1 - cvals[:, ::-1].argmax(axis=1)
         top = cvals.max(axis=1)
         up = top > val
-        slow = top - val < settings.rel_tol * (1.0 + np.abs(top)) * t_next[place]
-        new, keep = cands[rows, best], up & ~slow  # keep: the momentum
-        moved = np.where(keep[:, None], new - th, 0.0)
-        th, val = np.where(up[:, None], new, th), np.where(up, top, val)
-        shrink = ~up & (place == 0)  # a miss without momentum shrinks the step
-        rung = np.minimum(np.maximum(ladders[rows, best], 1e-14), _MAX_STEP)
-        step = np.where(up, rung, np.where(shrink, 0.25 * step, step))
-        stall, place = np.where(up, (stall + 1) * slow, stall), np.where(keep, advance[place], 0)
-        done = (stall >= 3) | (shrink & (step < 1e-13 * scale))
+        slow = top - val < settings.rel_tol * (1.0 + np.abs(top))
+        th, val = np.where(up[:, None], cands[rows, best], th), np.where(up, top, val)
+        step = np.where(up, np.clip(ladders[rows, best], 1e-14, 2.0 * scale), 0.25 * step)
+        stall = np.where(up, (stall + 1) * slow, stall)
+        done = (stall >= 3) | (~up & (step < 1e-13 * scale))
     thetas[run], vals[run] = th, val
 
     winners = [np.flatnonzero(owner == m)[np.argmax(vals[owner == m])] for m in range(len(weights))]

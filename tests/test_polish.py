@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 from conftest import ladder, polish_report, random_channel, record_polish
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cograte.achievable import mu_sum_achievable
 from cograte.outer import bc_mu_sum, mu_sum_partial_outer, trace_outer_boundary
@@ -43,15 +45,17 @@ def test_each_ladder_winner_ends_stationary_and_no_lower(monkeypatch, n):
     assert uncertified >= 2  # the test is not vacuous
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_no_polished_value_lies_below_its_ascent_value(monkeypatch, seed):
+@settings(max_examples=12, deadline=None)
+@given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_no_polished_value_lies_below_its_ascent_value(complex_mode, seed):
     # random real and complex channels with 1 or 2 antennas per terminal
-    ch = random_channel(np.random.default_rng(seed), complex_mode=bool(seed % 2))
-    polished = record_polish(monkeypatch)
+    ch = random_channel(np.random.default_rng(seed), complex_mode)
     opts = SolverSettings(starts=3, seed=seed)
-    mu_sum_achievable(ch, [0.3, 1.0, 3.0], opts)
-    mu_sum_partial_outer(ch, [0.5, 2.0], 1.5, opts)
-    bc_mu_sum(ch, 1.0, 2.0, opts)
+    with pytest.MonkeyPatch.context() as patch:
+        polished = record_polish(patch)
+        mu_sum_achievable(ch, [0.3, 1.0, 3.0], opts)
+        mu_sum_partial_outer(ch, [0.5, 2.0], 1.5, opts)
+        bc_mu_sum(ch, 1.0, 2.0, opts)
     assert len(polished) == 3
     for call in polished:
         values, after, _, _ = polish_report(call)
@@ -113,11 +117,13 @@ def test_the_short_ascent_and_the_full_one_polish_to_the_same_value(n):
 def test_the_broadcast_duality_gap_closes(sec7, n):
     # the dual MAC is concave: one start, the short ascent and the polish
     # reach its maximum, and the Frank-Wolfe gap certifies it (n = 0 is the
-    # bundled channel)
+    # bundled channel); the gap covers the value's rounding, so value +
+    # gap_bits is an upper value even where the duality gap reads below it
     ch = sec7 if n == 0 else ladder(n)
     for mu in (1.0, 2.0, 4.0, 1e6):
         res = bc_mu_sum(ch, 1.0, mu, SolverSettings(starts=2, seed=0))
-        assert 0.0 <= res.gap_bits <= 1e-9 * max(1.0, res.value)
+        blur = 4.0 * np.finfo(float).eps * (1.0 + abs(res.value))
+        assert blur <= res.gap_bits <= 1e-9 * max(1.0, res.value)
 
 
 def test_a_flat_stretch_of_the_boundary_keeps_its_point():

@@ -216,18 +216,6 @@ def test_group_projection_of_scattered_groups_is_exact(rng):
         assert np.sum(out[0, idx] ** 2) == pytest.approx(budget, rel=1e-15)
 
 
-def test_momentum_table_is_the_recurrence_to_the_bit():
-    from cograte.solvers import _MAX_MOMENTUM, _momentum_table
-
-    t_next, extrapolate, advance = _momentum_table()
-    t, place = np.ones(1), 0
-    for _ in range(2 * len(t_next)):
-        after = np.minimum(0.5 + np.sqrt(0.25 + t * t), _MAX_MOMENTUM)
-        assert t_next[place] == after[0] and extrapolate[place] == ((t - 1.0) / after)[0]
-        t, place = after, advance[place]
-    assert t[0] == _MAX_MOMENTUM and place == len(t_next) - 1
-
-
 def test_multistart_concave_toy():
     # maximize -(theta - c)^2 over the ball of radius 1: optimum is c / ||c||
     c = np.array([2.0, 1.0])
@@ -264,10 +252,9 @@ def test_multistart_raises_on_non_finite_gradient():
 
 
 def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts):
-    """One weighting's ascent with its per-start extrapolation and update as
-    a Python loop: the reference that the lockstep ascent must reproduce
-    exactly."""
-    from cograte.solvers import _LADDER, _MAX_MOMENTUM, _MAX_STEP
+    """One weighting's ascent with its per-start update as a Python loop: the
+    reference that the lockstep ascent must reproduce exactly."""
+    from cograte.solvers import _LADDER
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(settings.seed)))
     starts = list(extra_starts)
@@ -275,8 +262,6 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
         starts.append(scale * (0.3 if i % 2 else 1.0) * rng.standard_normal(n_params))
     thetas = project(np.asarray(starts, dtype=float))
     vals = objective(thetas)[0](w)
-    prev = thetas.copy()
-    t = [1.0] * len(thetas)
     step = np.full(len(thetas), 0.25 * scale)
     stall = np.zeros(len(thetas), dtype=int)
     active = np.ones(len(thetas), dtype=bool)
@@ -284,38 +269,28 @@ def _loop_ascent(objective, n_params, project, settings, w, scale, extra_starts)
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        t_next = [min((1.0 + math.sqrt(1.0 + 4.0 * t[s] * t[s])) / 2.0, _MAX_MOMENTUM) for s in idx]
-        y = np.array([
-            thetas[s] + ((t[s] - 1.0) / tn) * (thetas[s] - prev[s]) for s, tn in zip(idx, t_next)
-        ])
-        grad = objective(y)[1](w)
+        grad = objective(thetas[idx])[1](w)
         gnorm = np.linalg.norm(grad, axis=1)
         keep = gnorm >= 1e-15
         active[idx[~keep]] = False
-        idx, y, grad, gnorm = idx[keep], y[keep], grad[keep], gnorm[keep]
-        t_next = [tn for tn, kept in zip(t_next, keep) if kept]
+        idx, grad, gnorm = idx[keep], grad[keep], gnorm[keep]
         if idx.size == 0:
             continue
         ladders = _LADDER[None, :] * step[idx][:, None]
-        cands = y[:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
+        cands = thetas[idx][:, None, :] + ladders[:, :, None] * (grad / gnorm[:, None])[:, None, :]
         cands = project(cands.reshape(-1, n_params)).reshape(len(idx), -1, n_params)
         cvals = objective(cands.reshape(-1, n_params))[0](w).reshape(len(idx), -1)
         for local, start in enumerate(idx):
             b = max(range(len(_LADDER)), key=lambda r: (cvals[local, r], r))
             if cvals[local, b] > vals[start]:
                 gain = cvals[local, b] - vals[start]
-                prev[start] = thetas[start]
                 thetas[start], vals[start] = cands[local, b], cvals[local, b]
-                step[start] = min(max(ladders[local, b], 1e-14), _MAX_STEP)
-                t[start] = t_next[local]
-                if gain < settings.rel_tol * (1.0 + abs(vals[start])) * t_next[local]:
+                step[start] = min(max(ladders[local, b], 1e-14), 2.0 * scale)
+                if gain < settings.rel_tol * (1.0 + abs(vals[start])):
                     stall[start] += 1
                     active[start] = stall[start] < 3
-                    t[start], prev[start] = 1.0, thetas[start]
                 else:
                     stall[start] = 0
-            elif t[start] > 1.0:
-                t[start], prev[start] = 1.0, thetas[start]
             else:
                 step[start] *= 0.25
                 active[start] = step[start] >= 1e-13 * scale
@@ -535,11 +510,11 @@ def test_a_weighting_that_meets_its_upper_value_mid_ascent_is_certified_then():
     ids=["achievable", "partial_outer"],
 )
 def test_four_antenna_solves_end_below_the_cap(monkeypatch, solve, floor):
-    # a random complex 4-antenna channel at p = 10, mu = 2, alpha = 1: the
-    # ascent without momentum ran both solves to the 2,000-iteration cap,
-    # with these floors as values.  The ascent now runs its short budget and
-    # the Newton polish converges its winner: its gradient norm ends under
-    # the polish's tolerance
+    # a random complex 4-antenna channel at p = 10, mu = 2, alpha = 1: a
+    # 2,000-iteration ascent alone ended both solves at its cap, with these
+    # floors as values.  The ascent now runs its short budget and the Newton
+    # polish converges its winner: its gradient norm ends under the polish's
+    # tolerance
     rng = np.random.default_rng(4)
     h = [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / math.sqrt(2.0)
          for _ in range(4)]
@@ -552,12 +527,14 @@ def test_four_antenna_solves_end_below_the_cap(monkeypatch, solve, floor):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, sec7):
+@pytest.mark.parametrize("max_iters", [20, 2000])
+def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, sec7, max_iters):
     # a broadcast program over coupled noise, [[I, q], [q†, I]], whitened into
     # the cognitive term: on the sum-power ball's boundary the ladder's rungs
     # project to nearly the same point, and a step that grew fourfold on each
-    # near-tie would pass 1e150, where squares overflow; the ascent keeps its
-    # candidate rows within a few thousand of the ball (radius sqrt(10))
+    # near-tie would pass 1e150, where squares overflow; the step is capped at
+    # the ball's diameter, so candidate rows stay near the ball (radius
+    # sqrt(10)) at the default budget and over 2,000 iterations
     q = np.array([[0.3, -0.2]])
     sigma_z = np.block([[np.eye(1), q], [q.T, np.eye(2)]])
     mats = composite_matrices(sec7, 1.0)
@@ -583,7 +560,7 @@ def test_ascent_on_the_power_ball_boundary_keeps_its_step_bounded(monkeypatch, s
 
     monkeypatch.setattr(achievable, "make_group_projection", watched)
     groups = [(np.arange(program.n_params), budget)]
-    opts = SolverSettings(starts=4, seed=1)
+    opts = SolverSettings(starts=4, seed=1, max_iters=max_iters)
     _, (theta,) = achievable._solve(program, [1.0], groups, opts, [starts])
     q_p, q_c = program.decode(theta)
     value = covariance_rates(program, q_p, q_c).mu_sum(1.0)
