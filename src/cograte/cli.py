@@ -264,8 +264,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     rp_bound = scan.value
     tightness_gap = rp_bound - max_rp
 
-    # the solver-driven alpha sweep, independent of the closed form, and the
-    # tightness condition at its winner, reported as sweep-alpha reports them
+    # the alpha sweep, which past max(1, mu*) reads mu times the closed form
+    # above and solves at its alpha* alone, and the tightness condition at
+    # its winner, reported as sweep-alpha reports them
     sweep = _sweep_report(ch, mu_inf, args, settings)
     _write_json(os.path.join(out_dir, "sweep_alpha.json"), sweep)
     condition = sweep["condition_check"]

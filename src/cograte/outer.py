@@ -1,7 +1,8 @@
 """Outer bounds on the capacity region: the partial bound, broadcast-side
 mu-sums, the tightness condition, and the scalar minimization over the alpha
-scaling, which roots the bound's slope in ``log alpha`` read off each solve's
-witness (no solve of its own).
+scaling, which roots the bound's slope in ``log alpha``: read off the closed
+form past ``max(1, mu*)``, and off each solve's witness below it (no solve of
+its own).
 
 The paper's full bound lets both transmitters cooperate under the sum power
 ``p_p + alpha p_c`` and couples the receiver noises.  Its infimum over
@@ -258,7 +259,7 @@ class InfAlphaResult:
     sigma_cc: np.ndarray
     non_unimodal: bool
     bracket: tuple[float, float]
-    evaluations: int  # partial-bound solves, the final one included
+    evaluations: int  # alphas solved, the final one included; 1 past max(1, mu*)
     slope: float  # witness-path slope in log alpha at alpha_star; 0 at a smooth minimum
 
 
@@ -271,53 +272,61 @@ def inf_alpha_partial_outer(
 ) -> InfAlphaResult:
     """Minimize the partial-bound mu-sum over the alpha scaling.
 
-    Each evaluation solves the bound at one alpha and takes its slope in
-    ``log alpha`` from the winner (:func:`_alpha_slope`).  A log-spaced scan
-    of ``n_scan`` points, both bracket edges included, brackets the minimum
-    where the slope turns from negative to positive, and a root finder on
-    the slope polishes it to 1e-6 in ``log alpha`` (:func:`scan_then_golden`).
-    The scan's alphas not solved yet are solved together, in one lockstep
-    call of :func:`mu_sum_partial_outer`, before the scan reads them; each
-    polish step and the final solve at the minimizer are one call each.
-    The slope brackets from any two scan points, so the scan is coarse: its
-    density only sets how finely a second minimum is looked for, whose
-    turn sets ``non_unimodal``.  A minimum past an edge adds one alpha, a
-    tenfold step past it and one solve, up to three times in all, as the
-    objective diverges at 0 and infinity; ``bracket`` is the range scanned.
+    Each evaluation reads the bound at one alpha and its slope in ``log
+    alpha``.  A log-spaced scan of ``n_scan`` points, both bracket edges
+    included, brackets the minimum where the slope turns from negative to
+    positive, and a root finder on the slope polishes it to 1e-6 in ``log
+    alpha`` (:func:`scan_then_golden`).  The slope brackets from any two scan
+    points, so the scan is coarse: its density only sets how finely a second
+    minimum is looked for, whose turn sets ``non_unimodal``.  A minimum past
+    an edge adds one alpha, a tenfold step past it, up to three times in all,
+    as the objective diverges at 0 and infinity; ``bracket`` is the range
+    scanned.
 
-    Every solve runs the one ascent budget ``opts.max_iters``, then the Newton
-    polish: the scan and each widening and root-finder step with a third of
-    the starts (two at least), the final solve with all.  The scan is not
-    certified yet, so its losing starts climb on to the budget.
+    From ``mu >= max(1, mu*)`` on (``ch.licensed_weight``) an evaluation reads
+    the closed form ``mu C(g_alpha, p_p + alpha p_c)`` (:func:`_power_split_bound`,
+    step 3) and its central difference.  Below that weight it solves the bound
+    with a third of the starts (two at least) and reads the slope off the
+    winner (:func:`_alpha_slope`); the scan's alphas share one lockstep call.
+    Either way one solve at alpha*, with all the starts, gives the reported
+    value, rate, witness and slope.  Every solve is certified.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
     xs = log_alpha_scan(alpha_bracket, n_scan)
+    mu = check_mu(mu)
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     opts = opts or SolverSettings()
     cache: dict[float, BoundMuSumResult] = {}
     dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
-    def solve(alphas, certify: bool = True) -> None:
+    def solve(alphas) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
             inner = replace(opts, starts=max(2, opts.starts // 3))
-            solved = mu_sum_partial_outer(ch, new, mu, inner, _program=dpc, _certify=certify)
-            cache.update(zip(new, solved))
+            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner, _program=dpc)))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
         solve([a])
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
-    # uncertified: traced paper_repro needs its capped solve until ROADMAP item 1
-    solve([math.exp(x) for x in xs], certify=False)
-    result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
+    def closed_form(log_a: float) -> tuple[float, float]:
+        value, up, down = _power_split_bound(
+            ch, np.exp(log_a + np.array([0.0, _SLOPE_STEP, -_SLOPE_STEP])), [mu] * 3)
+        return value, (up - down) / (2.0 * _SLOPE_STEP)
+
+    if mu >= max(1.0, ch.licensed_weight):
+        result = scan_then_golden(closed_form, xs, tol=1e-6)
+    else:
+        solve([math.exp(x) for x in xs])
+        result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
 
-    # scan_then_golden returns an evaluated point, so its solve is cached
+    # scan_then_golden returns an evaluated point, so a solver-driven sweep has it cached
     alpha_star = math.exp(result.x)
-    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, [cache[alpha_star].theta], _program=dpc)
+    warm = [cache[alpha_star].theta] if cache else []
+    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, warm, _program=dpc)
     return InfAlphaResult(
         alpha_star=alpha_star,
         n_value=best.value,

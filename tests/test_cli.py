@@ -154,7 +154,14 @@ def test_sweep_alpha_report(tmp_path, channel_file):
     assert 0.4 < doc["alpha_star"] < 0.7
     assert doc["condition_check"] is True
     assert "0.9689" in doc["paper_alpha_note"]
-    # the default resolution 400 scans 6 alphas; the slope search adds a few
+    # past mu* = 2.93 the sweep reads the closed form and solves alpha* alone
+    assert doc["alpha_evals"] == 1
+    assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
+    # below it the default resolution 400 solves 6 scan alphas; the slope
+    # search adds a few
+    assert run(["sweep-alpha", "--channel", channel_file, "--out", out, "--starts", "4",
+                "--mu", "2"]) == 0
+    doc = json.loads(open(out).read())
     assert 6 < doc["alpha_evals"] <= 6 + 8
     assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
 
@@ -174,17 +181,23 @@ def test_sweep_alpha_resolution_sets_the_scan_points(monkeypatch, tmp_path, chan
     monkeypatch.setattr(cli, "inf_alpha_partial_outer", counted_sweep)
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
     out = tmp_path / "sweep.json"
+    # mu = 2 lies below the bundled channel's mu* = 2.93, so the scan is solved
     flags = ["--channel", channel_file, "--out", str(out), "--starts", "4"]
-    assert run(["sweep-alpha", *flags, "--resolution", "100"]) == 0
+    assert run(["sweep-alpha", *flags, "--mu", "2", "--resolution", "100"]) == 0
     assert scans == [3]
     assert json.loads(out.read_text())["alpha_evals"] <= 3 + 8
     # resolution 2 scans the bracket edges alone; the slope brackets alpha* from them
     alphas.clear()
-    assert run(["sweep-alpha", *flags, "--resolution", "2"]) == 0
+    assert run(["sweep-alpha", *flags, "--mu", "2", "--resolution", "2"]) == 0
     assert scans == [3, 2]
     assert alphas[:2] == [pytest.approx(1e-3, rel=1e-15), pytest.approx(1e3, rel=1e-15)]
     assert all(1e-3 < a < 1e3 for a in alphas[2:])
+    # past mu* the scan of the edges reads the closed form, and alpha* alone is solved
+    alphas.clear()
+    assert run(["sweep-alpha", *flags, "--resolution", "2"]) == 0
+    assert scans == [3, 2, 2]
     doc = json.loads(out.read_text())
+    assert alphas == [doc["alpha_star"]] and doc["alpha_evals"] == 1
     assert doc["n_value_per_mu"] == pytest.approx(2.3542, abs=1e-3)
     assert abs(doc["slope_at_alpha_star"]) <= 1e-4 * doc["n_value"]
 
@@ -202,15 +215,20 @@ def test_sweep_alpha_solves_the_partial_bound_once_per_alpha_eval(
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
     out = tmp_path / "sweep.json"
-    assert run(["sweep-alpha", "--channel", channel_file, "--out", str(out), "--starts", "4"]) == 0
-    assert len(calls) == json.loads(out.read_text())["alpha_evals"]
+    flags = ["--channel", channel_file, "--out", str(out), "--starts", "4"]
+    for mu in ("2", "1e6"):  # below and past the bundled channel's mu* = 2.93
+        calls.clear()
+        assert run(["sweep-alpha", *flags, "--mu", mu]) == 0
+        assert len(calls) == json.loads(out.read_text())["alpha_evals"]
 
 
-def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, tmp_path):
+def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, tmp_path,
+                                                                  channel_file):
     # a work guard without timing: the region, one call for the whole bound
-    # family (5 alphas x 25 mus), the peak, one call for the sweep's whole
-    # 6-point scan, one per polish step, the final solve and the broadcast
-    # check (15 calls when each alpha's curve took its own call)
+    # family (5 alphas x 25 mus), the peak, the sweep's one solve at alpha*
+    # (mu = 1e6 lies past mu* = 2.93, where the sweep reads the closed form)
+    # and the broadcast check (15 calls when each alpha's curve took its own
+    # call, and 11 with the sweep's scan and polish steps solved)
     solves, scans = [], []
     multistart, solve = achievable.maximize_multistart, outer.mu_sum_partial_outer
 
@@ -225,11 +243,17 @@ def test_reproduce_paper_solves_each_curve_and_the_alpha_scan_once(monkeypatch, 
     monkeypatch.setattr(achievable, "maximize_multistart", counted_multistart)
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted_solve)
     assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
-    assert len(solves) <= 11
-    assert scans.count(125) == 1 and scans.count(6) == 1
-    assert scans.count(1) == len(scans) - 2
-    # the family's and the scan's weightings are each one ascent
-    assert 125 in solves and 6 in solves
+    assert len(solves) == 5 and scans == [125, 1]
+    # the family's weightings are one ascent
+    assert 125 in solves
+    # below mu*, one call for the sweep's whole 6-point scan, then one per
+    # polish step and the final solve
+    solves.clear()
+    scans.clear()
+    out = str(tmp_path / "sweep.json")
+    assert run(["sweep-alpha", "--channel", channel_file, "--mu", "2", "--out", out]) == 0
+    assert scans[0] == 6 and scans.count(1) == len(scans) - 1 > 1
+    assert solves.count(6) == 1
 
 
 def test_only_log_dets_taller_than_one_take_a_lapack_solve(monkeypatch, tmp_path):

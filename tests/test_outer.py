@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,22 +237,39 @@ def test_every_alpha_search_rejects_a_bad_bracket_before_any_work(monkeypatch, s
         run()
 
 
-@pytest.mark.parametrize("n_scan", [2, 3, 6])
-def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
-    calls = []
-    solve = outer.mu_sum_partial_outer
+def _count_sweep_reads(monkeypatch):
+    """Alphas handed to each partial solve and alphas the sweep's objective
+    reads, in order, one entry per (alpha, mu) weighting or read."""
+    solved, read = [], []
+    solve, scan = outer.mu_sum_partial_outer, outer.scan_then_golden
 
     def counted(*args, **kwargs):
-        calls.extend(np.atleast_1d(args[1]))  # one entry per (alpha, mu) weighting
+        solved.extend(np.atleast_1d(args[1]))
         return solve(*args, **kwargs)
 
+    def scanned(f, xs, *args, **kwargs):
+        return scan(lambda x: read.append(math.exp(x)) or f(x), xs, *args, **kwargs)
+
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted)
-    res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
-    assert res.bracket == (1e-3, 1e3)  # interior minimum: no widening
-    # the scan runs in log alpha, so an edge comes back within an ulp or two
-    assert calls[0] == pytest.approx(1e-3, rel=1e-15)
-    assert calls[n_scan - 1] == pytest.approx(1e3, rel=1e-15)
-    assert min(calls) == calls[0] and max(calls) == calls[n_scan - 1]
+    monkeypatch.setattr(outer, "scan_then_golden", scanned)
+    return solved, read
+
+
+@pytest.mark.parametrize("n_scan", [2, 3, 6])
+def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
+    # mu = 2 lies below the bundled channel's mu* = 2.93, so every scan alpha
+    # is solved; past it the scan reads the closed form at the same alphas
+    opts = SolverSettings(starts=2, seed=0)
+    for mu in (2.0, 1e6):
+        solved, read = _count_sweep_reads(monkeypatch)
+        res = inf_alpha_partial_outer(sec7, mu, opts=opts, n_scan=n_scan)
+        assert res.bracket == (1e-3, 1e3)  # interior minimum: no widening
+        # the scan runs in log alpha, so an edge comes back within an ulp or two
+        for alphas in (read, solved) if mu == 2.0 else (read,):
+            assert alphas[0] == pytest.approx(1e-3, rel=1e-15)
+            assert alphas[n_scan - 1] == pytest.approx(1e3, rel=1e-15)
+            assert min(alphas) == alphas[0] and max(alphas) == alphas[n_scan - 1]
+    assert solved == [res.alpha_star] and res.evaluations == 1
 
 
 def _golden_alpha_reference(ch, mu, opts, n_scan):
@@ -359,10 +377,13 @@ def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(outer, "mu_sum_partial_outer", counted)
-    n_scan = 12
-    res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0), n_scan=n_scan)
-    assert len(calls) == res.evaluations <= n_scan + 8
-    assert res.alpha_star == calls[-1]
+    n_scan, opts = 12, SolverSettings(starts=2, seed=0)
+    # below mu* = 2.93 every alpha read is solved; past it alpha* alone
+    for mu, most in ((2.0, n_scan + 8), (1e6, 1)):
+        calls.clear()
+        res = inf_alpha_partial_outer(sec7, mu, opts=opts, n_scan=n_scan)
+        assert len(calls) == res.evaluations <= most
+        assert res.alpha_star == calls[-1]
 
 
 def _sweep_budgets(monkeypatch, ch, *args, mu=1e6, **kwargs):
@@ -388,29 +409,39 @@ def _sweep_budgets(monkeypatch, ch, *args, mu=1e6, **kwargs):
 
 
 def test_each_alpha_sweep_solve_gets_its_own_budget(monkeypatch, sec7):
-    # the scan, each polish step and the final solve all get the one ascent
-    # budget of opts; the Newton polish of each winner converges the point
+    # below mu* the scan, each polish step and the final solve all get the one
+    # ascent budget of opts; the Newton polish of each winner converges the
+    # point.  Past mu* the final solve is the only one, with that budget
     opts = SolverSettings(starts=2, seed=0)
-    res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts, n_scan=6)
+    res, calls = _sweep_budgets(monkeypatch, sec7, mu=2.0, opts=opts, n_scan=6)
     (scan, scan_budget, _), *polish, (final, final_budget, _) = calls
     assert len(scan) == 6 and scan_budget == opts.max_iters
     assert polish and all(len(alphas) == 1 and budget == opts.max_iters
                           for alphas, budget, _ in polish)
     assert final == [res.alpha_star] and final_budget == opts.max_iters == 20
 
-    _, capped = _sweep_budgets(monkeypatch, sec7, opts=dataclasses.replace(opts, max_iters=60))
+    capped_opts = dataclasses.replace(opts, max_iters=60)
+    _, capped = _sweep_budgets(monkeypatch, sec7, mu=2.0, opts=capped_opts)
     assert len(capped) > 2 and {budget for _, budget, _ in capped} == {60}
+    res, calls = _sweep_budgets(monkeypatch, sec7, opts=capped_opts, n_scan=6)
+    assert [alphas for alphas, _, _ in calls] == [[res.alpha_star]]
+    assert calls[0][1] == 60
 
 
 def test_a_widening_solve_keeps_the_polish_budget(monkeypatch, sec7):
-    # alpha* = 0.55 lies below (1, 10), so the scan gains the point 0.1,
-    # whose solve gets the same budget as every other
+    # alpha* = 0.57 lies below (1, 10) at mu = 2 < mu*, so the scan gains the
+    # point 0.1, whose solve gets the same budget as every other; past mu* the
+    # closed form widens the same way and alpha* alone is solved
     opts = SolverSettings(starts=2, seed=0)
-    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), opts)
+    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), opts, mu=2.0)
     assert res.bracket == (0.1, 10.0)
     widening = [budget for alphas, budget, _ in calls if alphas[0] == pytest.approx(0.1, rel=1e-12)]
     assert widening == [opts.max_iters]
     assert calls[0][1] == opts.max_iters
+    res, calls = _sweep_budgets(monkeypatch, sec7, (1.0, 10.0), opts)
+    assert res.bracket == (0.1, 10.0)
+    assert [(alphas, budget) for alphas, budget, _ in calls] == [
+        ([res.alpha_star], opts.max_iters)]
 
 
 @pytest.mark.parametrize("n_scan", [3, 6])
@@ -429,24 +460,26 @@ def test_the_short_scan_budget_keeps_the_sweep_result(monkeypatch, sec7, case, m
     assert short.n_value == pytest.approx(long.n_value, rel=1e-11)
 
 
-def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
+def test_the_sweep_certifies_every_solve(monkeypatch, sec7):
     # at mu = 1e6 the licensed corner meets the power-split bound at every
-    # alpha, so each polish step and the final solve end a few iterations
-    # after their start values, and skip the Newton polish; the sweep's
-    # result is bit for bit the uncertified ascent's, and within 1e-12 of the
-    # uncertified polished one.  The scan is left uncertified and runs to the
-    # budget
+    # alpha, so the sweep's one solve, at alpha*, ends a few iterations after
+    # its start values and skips the Newton polish: its result is bit for bit
+    # the one with the polish patched out.  Below mu* every solve, the scan's
+    # too, asks the power-split bound for its upper values
     opts = SolverSettings(starts=8, seed=0)  # reproduce-paper's
     res, calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
-    (_, scan_cap, scan_iterations), *rest = calls
-    assert scan_cap == scan_iterations == opts.max_iters
-    assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
+    assert [alphas for alphas, _, _ in calls] == [[res.alpha_star]] and calls[0][2] <= 5
 
-    monkeypatch.setattr(outer, "_power_split_bound", lambda ch, alphas, mus: np.full(len(mus), np.inf))
-    polished, free_calls = _sweep_budgets(monkeypatch, sec7, opts=opts)
-    assert all(iterations == opts.max_iters for _, _, iterations in free_calls)
-    assert (polished.bracket, polished.non_unimodal) == (res.bracket, res.non_unimodal)
-    assert polished.n_value == pytest.approx(res.n_value, rel=1e-12)
+    uppers = []
+    split = outer._power_split_bound
+    monkeypatch.setattr(outer, "_power_split_bound",
+                        lambda ch, alphas, mus: uppers.append(list(alphas))
+                        or split(ch, alphas, mus))
+    _, low_calls = _sweep_budgets(monkeypatch, sec7, mu=2.0, opts=opts, n_scan=6)
+    assert len(low_calls[0][0]) == 6 and len(low_calls) >= 4
+    assert uppers == [alphas for alphas, _, _ in low_calls]
+
+    monkeypatch.setattr(outer, "_power_split_bound", split)
     monkeypatch.setattr(achievable, "newton_polish",
                         lambda _f, _groups, _opts, _w, thetas, values, *rest: (values, thetas))
     free, _ = _sweep_budgets(monkeypatch, sec7, opts=opts)
@@ -455,15 +488,14 @@ def test_the_sweep_certifies_every_solve_but_its_scan(monkeypatch, sec7):
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
-def test_past_the_licensed_weight_a_mimo_sweep_certifies_every_solve_but_its_scan(monkeypatch):
+def test_past_the_licensed_weight_a_mimo_sweep_solves_once(monkeypatch):
     # mimo_tightness's sweep: mu = 4 lies past mu* = 3.68, where the bound is
     # the licensed corner's value; the power-split form alone lies bits above
     ch = ladder(2)
     opts = SolverSettings(starts=2, seed=0)
     res, calls = _sweep_budgets(monkeypatch, ch, mu=4.0, opts=opts, n_scan=scan_points(100))
-    (_, scan_cap, scan_iterations), *rest = calls
-    assert scan_cap == scan_iterations == opts.max_iters
-    assert len(rest) >= 3 and all(iterations <= 5 for _, _, iterations in rest)
+    assert [alphas for alphas, _, _ in calls] == [[res.alpha_star]] and res.evaluations == 1
+    assert calls[0][1] == opts.max_iters and calls[0][2] <= 5
     probe = mu_sum_partial_outer(ch, 1.0, 4.0, opts)
     assert probe.value == pytest.approx(4.0 * partial_outer_max_rp(ch, 1.0), rel=1e-9)
     assert res.n_value == pytest.approx(4.0 * partial_outer_max_rp(ch, res.alpha_star), rel=1e-9)
@@ -484,6 +516,43 @@ def test_past_the_licensed_weight_the_bound_is_the_licensed_corner(complex_mode,
         assert u == pytest.approx(mu * partial_outer_max_rp(ch, a), rel=1e-12)
         assert want.value <= u * (1.0 + 1e-12)
         assert want.value == pytest.approx(u, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_past_the_licensed_weight_the_sweep_is_the_solver_driven_one(complex_mode, seed):
+    # from mu = max(1, mu*) on the sweep reads the closed form and solves
+    # alpha* alone; with the closed form patched out (no weight reaches an
+    # infinite mu*) it solves every alpha it reads, to the same value
+    ch = random_channel(np.random.default_rng(seed), complex_mode)
+    assume(math.isfinite(ch.licensed_weight))
+    opts = SolverSettings(starts=2, seed=0)
+    for mu in max(1.0, ch.licensed_weight) * np.array([1.0, 1.5, 30.0]):
+        res = inf_alpha_partial_outer(ch, mu, opts=opts)
+        with mock.patch.object(CognitiveChannel, "licensed_weight", property(lambda _: math.inf)):
+            solved = inf_alpha_partial_outer(ch, mu, opts=opts)
+        assert res.evaluations == 1 < solved.evaluations
+        assert res.n_value == pytest.approx(solved.n_value, rel=1e-9)
+        rate = partial_outer_rates(ch, res.alpha_star, res.q_p, res.sigma_cc)
+        assert rate.mu_sum(mu) == pytest.approx(res.n_value, rel=1e-9)
+
+
+def test_below_one_the_sweep_still_solves(monkeypatch):
+    # mu* = 0.395 on the one-antenna rung, but at mu = 0.5 < 1 the bound's
+    # least over alpha lies 0.79 bits above mu min_alpha C(g_alpha, B), at an
+    # alpha* (6.79) far from that closed form's (2.16): the sweep must solve
+    # the alphas it reads
+    ch = ladder(1)
+    assert ch.licensed_weight < 0.5
+    calls = []
+    solve = outer.mu_sum_partial_outer
+    monkeypatch.setattr(outer, "mu_sum_partial_outer",
+                        lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
+    res = inf_alpha_partial_outer(ch, 0.5, opts=SolverSettings(starts=4, seed=0))
+    assert len(calls) > 2 and res.evaluations > 2
+    closed = achievable.inf_alpha_max_rp(ch)
+    assert res.n_value > 0.5 * closed.value + 0.5
+    assert abs(math.log(res.alpha_star) - closed.x) > 1.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -516,13 +585,22 @@ def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
 
 
 def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monkeypatch, sec7):
-    # at mu = 1e6 all power goes to the licensed rate, so the bound is mu
-    # times the water-filled capacity of g_alpha under p_p + alpha p_c
-    _, calls = _sweep_budgets(monkeypatch, sec7, opts=SolverSettings(starts=2, seed=0))
-    alphas = [a for own, _, _ in calls for a in own]
-    assert len(alphas) >= 10
-    upper = _power_split_bound(sec7, alphas, [1e6] * len(alphas))
-    for a, u in zip(alphas, upper):
+    # at mu = 1e6 all power goes to the licensed rate, so the bound the sweep
+    # reads at each alpha, both slope points too, is mu times the
+    # water-filled capacity of g_alpha under p_p + alpha p_c
+    reads = []
+    split = outer._power_split_bound
+
+    def recorded(ch, alphas, mus):
+        upper = split(ch, alphas, mus)
+        reads.extend(zip(alphas, mus, upper))
+        return upper
+
+    monkeypatch.setattr(outer, "_power_split_bound", recorded)
+    res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0))
+    assert len(reads) >= 3 * 10 and res.alpha_star in [a for a, _, _ in reads]
+    for a, mu, u in reads:
+        assert mu == 1e6
         assert u == pytest.approx(1e6 * partial_outer_max_rp(sec7, a), rel=1e-12)
 
 
