@@ -182,9 +182,9 @@ def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=(1e-3, 1e3)):
 
 def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
     """Upper values of the DPC mu-sums (``outer._power_split_bound``, step 3):
-    ``mu`` times :func:`inf_alpha_max_rp` where ``mu >= max(1, ch.licensed_weight)``, and
+    ``mu`` times :func:`inf_alpha_max_rp` where ``mu >= ch.corner_weight``, and
     ``+inf`` elsewhere or where that least fails."""
-    corner = np.asarray(mus, dtype=float) >= max(1.0, ch.licensed_weight)
+    corner = np.asarray(mus, dtype=float) >= ch.corner_weight
     try:
         rp = inf_alpha_max_rp(ch).value if corner.any() else math.inf
     except CograteError:  # such as BracketUnbounded, where h_cp = 0 lets the cap fall with alpha

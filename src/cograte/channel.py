@@ -149,6 +149,12 @@ class CognitiveChannel:
             return math.inf
         return float(np.linalg.norm(heard[:, :rank] / s[:rank], 2) ** 2) if rank else 0.0
 
+    @property
+    def corner_weight(self) -> float:
+        """``max(1, mu*)``: from this weight on the licensed corner meets the
+        partial bound at every alpha (``outer._power_split_bound``, step 2)."""
+        return max(1.0, self.licensed_weight)
+
     @cached_property
     def _derived(self) -> dict:
         """Searches' results kept for the channel's life, by their arguments."""

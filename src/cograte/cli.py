@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
         "--resolution": dict(type=_at_least(2), default=DEFAULT_RESOLUTION,
-                             help="alpha scan points, one partial solve each: N // 100 + 2"),
+                             help="alpha scan points: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,
                       help="tolerance of the tightness condition check"),

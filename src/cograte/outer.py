@@ -36,7 +36,14 @@ from .achievable import (
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .linalg import DEFAULT_TOL, LN2, budget_tol, param_rows, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
-from .solvers import _SLOPE_STEP, SolverSettings, log_alpha_scan, scan_then_golden, waterfill
+from .solvers import (
+    _SLOPE_STEP,
+    SolverSettings,
+    central_slope,
+    log_alpha_scan,
+    scan_then_golden,
+    waterfill,
+)
 
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
@@ -123,7 +130,7 @@ def _power_split_bound(ch: CognitiveChannel, alphas, mus) -> np.ndarray:
        one water-filling of ``B`` (Telatar, Eur. Trans. Telecom. 1999) over the
        squared singular values ``γ`` of ``g``, weighted ``w = mu``, and of
        ``h_c``, weighted 1: ``Σ w max(0, log2(ν w γ))``.
-    2. For ``mu ≥ max(1, mu*)`` (``ch.licensed_weight``), ``h_cc†h_cc ⪯ mu
+    2. For ``mu ≥ max(1, mu*)`` (``ch.corner_weight``), ``h_cc†h_cc ⪯ mu
        h_cp†h_cp``, so with ``X = Q1^{1/2}``, ``A = h_c†h_c`` and ``H = h†h``,
        ``log|I + XAX| ≤ log|I + mu XHX| ≤ mu log|I + XHX|``: ``r_c`` minus mu
        times the interference log-det is at most 0, and ``mu r_p + r_c ≤ mu
@@ -139,8 +146,8 @@ def _power_split_bound(ch: CognitiveChannel, alphas, mus) -> np.ndarray:
     s_g = {a: np.linalg.svd(np.hstack([ch.h_pp, ch.h_cp / math.sqrt(a)]), compute_uv=False)
            for a in set(alphas)}  # g_alpha; composite_matrices builds it for the corners
     gain = np.array([np.concatenate([s_g[a], s_cc / math.sqrt(a)]) for a in alphas]) ** 2
-    corner, n_g = max(1.0, ch.licensed_weight), gain.shape[1] - len(s_cc)
-    weight = np.array([[m] * n_g + [float(m < corner)] * len(s_cc) for m in mus])
+    n_g = gain.shape[1] - len(s_cc)
+    weight = np.array([[m] * n_g + [float(m < ch.corner_weight)] * len(s_cc) for m in mus])
     order = np.argsort(-weight * gain, axis=1)
     gain, weight = np.take_along_axis(gain, order, 1), np.take_along_axis(weight, order, 1)
     budget = ch.p_p + np.asarray(alphas)[:, None] * ch.p_c
@@ -283,13 +290,15 @@ def inf_alpha_partial_outer(
     as the objective diverges at 0 and infinity; ``bracket`` is the range
     scanned.
 
-    From ``mu >= max(1, mu*)`` on (``ch.licensed_weight``) an evaluation reads
-    the closed form ``mu C(g_alpha, p_p + alpha p_c)`` (:func:`_power_split_bound`,
-    step 3) and its central difference.  Below that weight it solves the bound
-    with a third of the starts (two at least) and reads the slope off the
-    winner (:func:`_alpha_slope`); the scan's alphas share one lockstep call.
-    Either way one solve at alpha*, with all the starts, gives the reported
-    value, rate, witness and slope.  Every solve is certified.
+    From ``mu >= max(1, mu*)`` on (``ch.corner_weight``) an evaluation reads
+    the closed form ``mu C(g_alpha, p_p + alpha p_c)``, ``mu`` times
+    :func:`partial_outer_max_rp` (:func:`_power_split_bound`, step 3), and its
+    central difference (:func:`central_slope`).  Below that weight it solves
+    the bound with a third of the starts (two at least) and reads the slope
+    off the winner (:func:`_alpha_slope`); the scan's alphas share one
+    lockstep call.  Either way one solve at alpha*, with all the starts,
+    gives the reported value, rate, witness and slope.  Every solve is
+    certified.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
@@ -311,12 +320,8 @@ def inf_alpha_partial_outer(
         solve([a])
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
-    def closed_form(log_a: float) -> tuple[float, float]:
-        value, up, down = _power_split_bound(
-            ch, np.exp(log_a + np.array([0.0, _SLOPE_STEP, -_SLOPE_STEP])), [mu] * 3)
-        return value, (up - down) / (2.0 * _SLOPE_STEP)
-
-    if mu >= max(1.0, ch.licensed_weight):
+    if mu >= ch.corner_weight:
+        closed_form = central_slope(lambda x: mu * partial_outer_max_rp(ch, math.exp(x)))
         result = scan_then_golden(closed_form, xs, tol=1e-6)
     else:
         solve([math.exp(x) for x in xs])

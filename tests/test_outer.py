@@ -488,6 +488,20 @@ def test_the_sweep_certifies_every_solve(monkeypatch, sec7):
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
+def test_the_closed_form_sweep_is_the_uncertified_solver_driven_one(monkeypatch, sec7):
+    # reproduce-paper's sweep against one that solves every alpha it reads
+    # (no weight reaches an infinite mu*) and certifies none of its solves
+    opts = SolverSettings(starts=8, seed=0)  # reproduce-paper's
+    res = inf_alpha_partial_outer(sec7, 1e6, opts=opts)
+    monkeypatch.setattr(CognitiveChannel, "licensed_weight", property(lambda _: math.inf))
+    monkeypatch.setattr(outer, "_power_split_bound",
+                        lambda ch, alphas, mus: np.full(len(mus), np.inf))
+    solved = inf_alpha_partial_outer(sec7, 1e6, opts=opts)
+    assert res.evaluations == 1 < solved.evaluations
+    assert (solved.bracket, solved.non_unimodal) == (res.bracket, res.non_unimodal)
+    assert solved.n_value == pytest.approx(res.n_value, rel=1e-12)
+
+
 def test_past_the_licensed_weight_a_mimo_sweep_solves_once(monkeypatch):
     # mimo_tightness's sweep: mu = 4 lies past mu* = 3.68, where the bound is
     # the licensed corner's value; the power-split form alone lies bits above
@@ -585,23 +599,23 @@ def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
 
 
 def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monkeypatch, sec7):
-    # at mu = 1e6 all power goes to the licensed rate, so the bound the sweep
-    # reads at each alpha, both slope points too, is mu times the
-    # water-filled capacity of g_alpha under p_p + alpha p_c
+    # at mu = 1e6 all power goes to the licensed rate, so the power-split
+    # bound at each alpha the sweep reads is the value the sweep reads there:
+    # mu times the water-filled capacity of g_alpha under p_p + alpha p_c
     reads = []
-    split = outer._power_split_bound
+    scan = outer.scan_then_golden
 
-    def recorded(ch, alphas, mus):
-        upper = split(ch, alphas, mus)
-        reads.extend(zip(alphas, mus, upper))
-        return upper
+    def recorded(f, xs, *args, **kwargs):
+        return scan(lambda x: reads.append((math.exp(x), f(x)[0])) or f(x), xs, *args, **kwargs)
 
-    monkeypatch.setattr(outer, "_power_split_bound", recorded)
+    monkeypatch.setattr(outer, "scan_then_golden", recorded)
     res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0))
-    assert len(reads) >= 3 * 10 and res.alpha_star in [a for a, _, _ in reads]
-    for a, mu, u in reads:
-        assert mu == 1e6
-        assert u == pytest.approx(1e6 * partial_outer_max_rp(sec7, a), rel=1e-12)
+    alphas, values = zip(*reads)
+    assert len(reads) >= 10 and res.alpha_star in alphas
+    upper = _power_split_bound(sec7, alphas, [1e6] * len(alphas))
+    for a, value, u in zip(alphas, values, upper):
+        assert value == 1e6 * partial_outer_max_rp(sec7, a)
+        assert u == pytest.approx(value, rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
