@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import CognitiveChannel, composite_matrices
-from .errors import CograteError, InfeasibleAllocation, SolverDiverged
+from .channel import CognitiveChannel
+from .errors import InfeasibleAllocation, SolverDiverged
 from .linalg import (
     DEFAULT_TOL,
     LN2,
@@ -32,8 +32,7 @@ from .linalg import (
     symmetrize,
 )
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
-from .solvers import SolverSettings, central_slope, make_group_projection, maximize_multistart
-from .solvers import log_alpha_scan, newton_polish, scan_then_golden, waterfill
+from .solvers import SolverSettings, make_group_projection, maximize_multistart, newton_polish
 
 
 @dataclass(frozen=True)
@@ -158,38 +157,6 @@ def scale_allocation(a: DpcAllocation, alpha: float) -> DpcAllocation:
         sigma_cc=alpha * a.sigma_cc,
         q=root * a.q,
     )
-
-
-def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
-    """Largest licensed rate inside the partial bound at ``alpha``: the
-    water-filled capacity of ``g_alpha`` under the sum budget ``p_p + alpha p_c``."""
-    budget = ch.p_p + alpha * ch.p_c
-    return waterfill(composite_matrices(ch, alpha).g_alpha, budget, real_mode=ch.real_mode)[0]
-
-
-def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=(1e-3, 1e3)):
-    """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
-    licensed rate (``outer._power_split_bound``, step 3), as :func:`scan_then_golden`
-    finds it from six log-spaced alphas over the bracket, to 1e-12 in ``log alpha``.
-    The result is kept on ``ch`` per bracket: ``reproduce-paper`` reads it three times."""
-    bracket = tuple(float(a) for a in alpha_bracket)
-    if bracket not in ch._derived:
-        ch._derived[bracket] = scan_then_golden(
-            central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
-            log_alpha_scan(bracket, 6), tol=1e-12)
-    return ch._derived[bracket]
-
-
-def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
-    """Upper values of the DPC mu-sums (``outer._power_split_bound``, step 3):
-    ``mu`` times :func:`inf_alpha_max_rp` where ``mu >= ch.corner_weight``, and
-    ``+inf`` elsewhere or where that least fails."""
-    corner = np.asarray(mus, dtype=float) >= ch.corner_weight
-    try:
-        rp = inf_alpha_max_rp(ch).value if corner.any() else math.inf
-    except CograteError:  # such as BracketUnbounded, where h_cp = 0 lets the cap fall with alpha
-        rp = math.inf
-    return rp * np.where(corner, mus, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +426,10 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
 
     A 1-D grid ``mu`` is solved in one lockstep ascent into a list of the
     results each mu gets alone.  A weighting with an upper value from
-    :func:`_licensed_corner_upper` ends its losing starts once it is met.
+    ``outer._licensed_corner_upper`` ends its losing starts once it is met.
     """
+    from .outer import _licensed_corner_upper  # here, as outer imports this module
+
     program = _two_block_program(ch, *_dpc_matrices(ch))
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)

@@ -26,16 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .achievable import inf_alpha_max_rp, mu_sum_achievable, trace_boundary
+from .achievable import mu_sum_achievable, trace_boundary
 from .channel import CognitiveChannel, load_channel, scaled_channel
 from .errors import CograteError, ConfigError
-from .outer import (
-    DEFAULT_RESOLUTION,
-    condition_check,
-    inf_alpha_partial_outer,
-    scan_points,
-    trace_outer_boundary,
-)
+from .outer import DEFAULT_ALPHA_BRACKET, DEFAULT_RESOLUTION, condition_check, inf_alpha_max_rp
+from .outer import inf_alpha_partial_outer, scan_points, trace_outer_boundary
 from .regions import SCHEMA_VERSION, check_mu, write_atomic
 from .solvers import SolverSettings, scan_then_golden  # noqa: F401 (perfbench/tracing.py wraps it)
 
@@ -258,15 +253,16 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _write_json(os.path.join(out_dir, "bounds.json"), _bounds_report(ch, DEFAULT_ALPHAS, curves))
 
     # the bound's licensed-rate cap minimized over alpha, the closed-form
-    # water-filling capacity at each alpha, which certifies the peak solve too
+    # water-filling capacity at each alpha: the one scan, kept on the channel,
+    # that certifies the peak solve too and that the sweep below reads
     scan = inf_alpha_max_rp(ch, args.alpha_bracket)
     alpha_star = math.exp(scan.x)
     rp_bound = scan.value
     tightness_gap = rp_bound - max_rp
 
-    # the alpha sweep, which past max(1, mu*) reads mu times the closed form
-    # above and solves at its alpha* alone, and the tightness condition at
-    # its winner, reported as sweep-alpha reports them
+    # the alpha sweep, which past max(1, mu*) takes its alpha* from that scan
+    # and solves there alone, and the tightness condition at its winner,
+    # reported as sweep-alpha reports them
     sweep = _sweep_report(ch, mu_inf, args, settings)
     _write_json(os.path.join(out_dir, "sweep_alpha.json"), sweep)
     condition = sweep["condition_check"]
@@ -327,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
         "--resolution": dict(type=_at_least(2), default=DEFAULT_RESOLUTION,
                              help="alpha scan points: N // 100 + 2"),
-        "--alpha-bracket": dict(type=_parse_bracket, default=(1e-3, 1e3), help="LO:HI"),
+        "--alpha-bracket": dict(type=_parse_bracket, default=DEFAULT_ALPHA_BRACKET, help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,
                       help="tolerance of the tightness condition check"),
         "--out-dir": dict(default="reproduce_out"),

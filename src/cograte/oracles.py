@@ -18,7 +18,7 @@ import numpy as np
 from .achievable import DpcAllocation, mu_sum_achievable
 from .channel import CognitiveChannel
 from .errors import OracleTooLarge
-from .outer import inf_alpha_partial_outer
+from .outer import DEFAULT_ALPHA_BRACKET, inf_alpha_partial_outer
 from .regions import RatePair, check_mu
 from .solvers import NEG_INF, SolverSettings, central_slope, log_alpha_scan, scan_then_golden
 
@@ -192,7 +192,7 @@ def kyfan_gap(
     mu: float,
     opts: SolverSettings | None = None,
     resolution: int = 4096,
-    alpha_bracket: tuple[float, float] = (1e-3, 1e3),
+    alpha_bracket: tuple[float, float] = DEFAULT_ALPHA_BRACKET,
 ) -> KyFanResult:
     """Numerical witness that the alpha-infimum and the allocation-supremum
     of the weighted-budget mu-sum commute.

@@ -30,10 +30,10 @@ from .achievable import (
     _solve,
     _two_block_program,
     dpc_rate_caps,
-    partial_outer_max_rp,
     scale_allocation,
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
+from .errors import CograteError
 from .linalg import DEFAULT_TOL, LN2, budget_tol, param_rows, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import (
@@ -48,6 +48,14 @@ from .solvers import (
 # perfbench/tracing.py patches these names on this module too
 from .linalg import build_lower, encode_psd, log_det_id_plus  # noqa: F401
 from .solvers import golden_section, maximize_multistart  # noqa: F401
+
+DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution
+DEFAULT_ALPHA_BRACKET = (1e-3, 1e3)  # of every alpha search: the CLI's --alpha-bracket
+
+
+def scan_points(resolution: int) -> int:
+    """Points of the alpha sweep's scan at ``resolution``, both edges included."""
+    return resolution // 100 + 2
 
 
 def partial_outer_rates(
@@ -156,6 +164,40 @@ def _power_split_bound(ch: CognitiveChannel, alphas, mus) -> np.ndarray:
         return ch.rate_scale * (weight * np.fmax(np.log2(nu[:, None] * weight * gain), 0.0)).sum(1)
 
 
+def partial_outer_max_rp(ch: CognitiveChannel, alpha: float) -> float:
+    """Largest licensed rate inside the partial bound at ``alpha``: the
+    water-filled capacity of ``g_alpha`` under the sum budget ``p_p + alpha p_c``."""
+    budget = ch.p_p + alpha * ch.p_c
+    return waterfill(composite_matrices(ch, alpha).g_alpha, budget, real_mode=ch.real_mode)[0]
+
+
+def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=DEFAULT_ALPHA_BRACKET,
+                     n_scan: int = scan_points(DEFAULT_RESOLUTION)):
+    """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
+    licensed rate (:func:`_power_split_bound`, step 3), as :func:`scan_then_golden`
+    finds it from ``n_scan`` log-spaced alphas over the bracket, to 1e-12 in ``log
+    alpha``: the one closed-form scan, kept on ``ch`` by ``(bracket, n_scan)`` for
+    the achievable certificate, ``reproduce-paper`` and the sweep past ``max(1, mu*)``."""
+    key = (tuple(float(a) for a in alpha_bracket), n_scan)
+    if key not in ch._derived:  # a bad bracket raises here, and is never kept
+        ch._derived[key] = scan_then_golden(
+            central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
+            log_alpha_scan(alpha_bracket, n_scan), tol=1e-12)
+    return ch._derived[key]
+
+
+def _licensed_corner_upper(ch: CognitiveChannel, mus) -> np.ndarray:
+    """Upper values of the DPC mu-sums (:func:`_power_split_bound`, step 3):
+    ``mu`` times :func:`inf_alpha_max_rp` where ``mu >= ch.corner_weight``, and
+    ``+inf`` elsewhere or where that least fails."""
+    corner = np.asarray(mus, dtype=float) >= ch.corner_weight
+    try:
+        rp = inf_alpha_max_rp(ch).value if corner.any() else math.inf
+    except CograteError:  # such as BracketUnbounded, where h_cp = 0 lets the cap fall with alpha
+        rp = math.inf
+    return rp * np.where(corner, mus, math.inf)
+
+
 def mu_sum_partial_outer(
     ch: CognitiveChannel,
     alpha,
@@ -249,14 +291,6 @@ def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) 
     return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
 
 
-DEFAULT_RESOLUTION = 400  # of the alpha sweep: the CLI's --resolution
-
-
-def scan_points(resolution: int) -> int:
-    """Points of the alpha sweep's scan at ``resolution``, both edges included."""
-    return resolution // 100 + 2
-
-
 @dataclass(frozen=True)
 class InfAlphaResult:
     alpha_star: float
@@ -273,7 +307,7 @@ class InfAlphaResult:
 def inf_alpha_partial_outer(
     ch: CognitiveChannel,
     mu: float,
-    alpha_bracket: tuple[float, float] = (1e-3, 1e3),
+    alpha_bracket: tuple[float, float] = DEFAULT_ALPHA_BRACKET,
     opts: SolverSettings | None = None,
     n_scan: int = scan_points(DEFAULT_RESOLUTION),
 ) -> InfAlphaResult:
@@ -290,15 +324,15 @@ def inf_alpha_partial_outer(
     as the objective diverges at 0 and infinity; ``bracket`` is the range
     scanned.
 
-    From ``mu >= max(1, mu*)`` on (``ch.corner_weight``) an evaluation reads
-    the closed form ``mu C(g_alpha, p_p + alpha p_c)``, ``mu`` times
-    :func:`partial_outer_max_rp` (:func:`_power_split_bound`, step 3), and its
-    central difference (:func:`central_slope`).  Below that weight it solves
-    the bound with a third of the starts (two at least) and reads the slope
-    off the winner (:func:`_alpha_slope`); the scan's alphas share one
-    lockstep call.  Either way one solve at alpha*, with all the starts,
-    gives the reported value, rate, witness and slope.  Every solve is
-    certified.
+    From ``mu >= max(1, mu*)`` on (``ch.corner_weight``) the bound is ``mu``
+    times the closed form :func:`partial_outer_max_rp`, and ``mu > 0`` moves no
+    slope's sign: alpha*, ``non_unimodal`` and the bracket are those of
+    :func:`inf_alpha_max_rp`'s scan over the same points, kept on ``ch``.
+    Below that weight it solves the bound with a third of the starts (two at
+    least) and reads the slope off the winner (:func:`_alpha_slope`); the
+    scan's alphas share one lockstep call.  Either way one solve at alpha*,
+    with all the starts, gives the reported value, rate, witness and slope.
+    Every solve is certified.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
@@ -321,8 +355,7 @@ def inf_alpha_partial_outer(
         return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
 
     if mu >= ch.corner_weight:
-        closed_form = central_slope(lambda x: mu * partial_outer_max_rp(ch, math.exp(x)))
-        result = scan_then_golden(closed_form, xs, tol=1e-6)
+        result = inf_alpha_max_rp(ch, alpha_bracket, n_scan)
     else:
         solve([math.exp(x) for x in xs])
         result = scan_then_golden(n_of_alpha, xs, tol=1e-6)

@@ -6,6 +6,7 @@ import pytest
 from conftest import ORACLE_GAP, ladder
 
 import cograte.achievable as achievable
+import cograte.outer as outer
 from cograte.achievable import (
     DpcAllocation,
     dpc_rate_caps,
@@ -303,7 +304,7 @@ def test_boundary_csv_shape(sec7, fast):
 
 
 def _uncertified(monkeypatch):
-    monkeypatch.setattr(achievable, "_licensed_corner_upper",
+    monkeypatch.setattr(outer, "_licensed_corner_upper",
                         lambda ch, mus: np.full(len(mus), math.inf))
 
 
@@ -317,7 +318,7 @@ def test_certified_achievable_values_are_the_uncertified_ones(monkeypatch, sec7,
         ch = ladder(2)
     mus = [1e6, 100.0, 10.0, 4.0, 2.0, 1.0, 0.5]
     opts = SolverSettings(starts=4, seed=0)
-    upper = achievable._licensed_corner_upper(ch, mus)
+    upper = outer._licensed_corner_upper(ch, mus)
     assert np.isfinite(upper).tolist() == [True] * 4 + [False] * 3
     certified = mu_sum_achievable(ch, mus, opts)
     _uncertified(monkeypatch)
@@ -325,7 +326,7 @@ def test_certified_achievable_values_are_the_uncertified_ones(monkeypatch, sec7,
     for u, got, want in zip(upper, certified, free):
         assert got.value == pytest.approx(want.value, rel=1e-9)
         assert want.value <= u * (1.0 + 1e-12)
-    assert upper[0] == pytest.approx(1e6 * achievable.inf_alpha_max_rp(ch).value, rel=1e-15)
+    assert upper[0] == pytest.approx(1e6 * outer.inf_alpha_max_rp(ch).value, rel=1e-15)
 
 
 def test_a_proven_peak_ends_within_a_few_iterations(monkeypatch, sec7):
@@ -351,7 +352,7 @@ def test_the_least_cap_is_taken_only_when_a_weight_qualifies(monkeypatch, sec7):
     def fail(*args):
         raise AssertionError("inf_alpha_max_rp called")
 
-    monkeypatch.setattr(achievable, "inf_alpha_max_rp", fail)
+    monkeypatch.setattr(outer, "inf_alpha_max_rp", fail)
     assert mu_sum_achievable(sec7, [2.9, 1.0], SolverSettings(starts=2, seed=0, max_iters=50))
 
 
@@ -361,7 +362,7 @@ def test_a_least_cap_that_fails_leaves_the_solve_uncertified(sec7):
     ch = dataclasses.replace(sec7, h_cp=np.zeros((1, 1)), h_cc=np.zeros((2, 1)))
     assert ch.licensed_weight == 0.0
     with pytest.raises(BracketUnbounded):
-        achievable.inf_alpha_max_rp(ch)
-    assert achievable._licensed_corner_upper(ch, [2.0, 0.5]).tolist() == [math.inf] * 2
+        outer.inf_alpha_max_rp(ch)
+    assert outer._licensed_corner_upper(ch, [2.0, 0.5]).tolist() == [math.inf] * 2
     res = mu_sum_achievable(ch, 2.0, SolverSettings(starts=2, seed=0))
     assert res.rate.r_p == pytest.approx(0.5 * math.log2(1.0 + 1.4435**2 * 5.0), rel=1e-9)

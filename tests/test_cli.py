@@ -364,6 +364,26 @@ def test_sweep_alpha_and_reproduce_paper_write_the_same_sweep_report(tmp_path, c
     assert (tmp_path / "rep" / "sweep_alpha.json").read_bytes() == out.read_bytes()
 
 
+def test_reproduce_paper_scans_the_closed_form_once_for_one_alpha_star(monkeypatch, tmp_path):
+    # the peak's certificate, the summary's alpha* and the sweep past max(1,
+    # mu*) all read one scan of the licensed cap over alpha, kept on the
+    # channel the command loads, so both reports carry the same alpha*
+    scans = []
+
+    def counted(scan):
+        return lambda *args, **kwargs: scans.append(1) or scan(*args, **kwargs)
+
+    for module in (achievable, cli, outer):  # wherever the search is reachable by name
+        if hasattr(module, "scan_then_golden"):
+            monkeypatch.setattr(module, "scan_then_golden", counted(module.scan_then_golden))
+    out_dir = tmp_path / "rep"
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(out_dir)]) == 0
+    assert len(scans) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    sweep = json.loads((out_dir / "sweep_alpha.json").read_text())
+    assert summary["alpha_star"] == sweep["alpha_star"]
+
+
 def test_sweep_alpha_rejects_small_mu(tmp_path, channel_file):
     code = run([
         "sweep-alpha", "--channel", channel_file, "--mu", "0.5",

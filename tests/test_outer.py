@@ -225,12 +225,12 @@ def test_every_alpha_search_rejects_a_bad_bracket_before_any_work(monkeypatch, s
     def fail(*_args, **_kwargs):
         pytest.fail("an alpha search water-filled or solved before checking its bracket")
 
-    for module, name in ((achievable, "waterfill"), (outer, "waterfill"),
+    for module, name in ((outer, "scan_then_golden"), (outer, "waterfill"),
                          (achievable, "maximize_multistart"), (oracles, "grid_oracle"),
                          (oracles, "mu_sum_achievable")):
         monkeypatch.setattr(module, name, fail)
     opts = SolverSettings(starts=2, seed=0)
-    run = {"max_rp": lambda: achievable.inf_alpha_max_rp(sec7, bracket),
+    run = {"max_rp": lambda: outer.inf_alpha_max_rp(sec7, bracket),
            "partial": lambda: inf_alpha_partial_outer(sec7, 2.0, bracket, opts),
            "kyfan": lambda: kyfan_gap(sec7, 2.0, opts, alpha_bracket=bracket)}[search]
     with pytest.raises(ValueError, match=r"invalid alpha bracket \("):
@@ -258,11 +258,13 @@ def _count_sweep_reads(monkeypatch):
 @pytest.mark.parametrize("n_scan", [2, 3, 6])
 def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
     # mu = 2 lies below the bundled channel's mu* = 2.93, so every scan alpha
-    # is solved; past it the scan reads the closed form at the same alphas
+    # is solved; past it the scan reads the closed form at the same alphas.
+    # A fresh channel: the session's may already keep that scan
+    ch = dataclasses.replace(sec7)
     opts = SolverSettings(starts=2, seed=0)
     for mu in (2.0, 1e6):
         solved, read = _count_sweep_reads(monkeypatch)
-        res = inf_alpha_partial_outer(sec7, mu, opts=opts, n_scan=n_scan)
+        res = inf_alpha_partial_outer(ch, mu, opts=opts, n_scan=n_scan)
         assert res.bracket == (1e-3, 1e3)  # interior minimum: no widening
         # the scan runs in log alpha, so an edge comes back within an ulp or two
         for alphas in (read, solved) if mu == 2.0 else (read,):
@@ -564,7 +566,7 @@ def test_below_one_the_sweep_still_solves(monkeypatch):
                         lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
     res = inf_alpha_partial_outer(ch, 0.5, opts=SolverSettings(starts=4, seed=0))
     assert len(calls) > 2 and res.evaluations > 2
-    closed = achievable.inf_alpha_max_rp(ch)
+    closed = outer.inf_alpha_max_rp(ch)
     assert res.n_value > 0.5 * closed.value + 0.5
     assert abs(math.log(res.alpha_star) - closed.x) > 1.0
 
@@ -595,13 +597,15 @@ def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
     (upper,) = _power_split_bound(ch, [1.0], [0.5])
     assert free.value > 0.5 * partial_outer_max_rp(ch, 1.0) + 1.0
     assert free.value <= upper
-    assert achievable._licensed_corner_upper(ch, [0.5, 0.99]).tolist() == [math.inf] * 2
+    assert outer._licensed_corner_upper(ch, [0.5, 0.99]).tolist() == [math.inf] * 2
 
 
 def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monkeypatch, sec7):
     # at mu = 1e6 all power goes to the licensed rate, so the power-split
-    # bound at each alpha the sweep reads is the value the sweep reads there:
-    # mu times the water-filled capacity of g_alpha under p_p + alpha p_c
+    # bound at each alpha the sweep reads is mu times the value the sweep's
+    # scan reads there: the water-filled capacity of g_alpha under p_p +
+    # alpha p_c.  A fresh channel: the session's may already keep that scan
+    ch = dataclasses.replace(sec7)
     reads = []
     scan = outer.scan_then_golden
 
@@ -609,13 +613,13 @@ def test_the_power_split_bound_is_the_licensed_corner_at_every_sweep_alpha(monke
         return scan(lambda x: reads.append((math.exp(x), f(x)[0])) or f(x), xs, *args, **kwargs)
 
     monkeypatch.setattr(outer, "scan_then_golden", recorded)
-    res = inf_alpha_partial_outer(sec7, 1e6, opts=SolverSettings(starts=2, seed=0))
+    res = inf_alpha_partial_outer(ch, 1e6, opts=SolverSettings(starts=2, seed=0))
     alphas, values = zip(*reads)
     assert len(reads) >= 10 and res.alpha_star in alphas
-    upper = _power_split_bound(sec7, alphas, [1e6] * len(alphas))
+    upper = _power_split_bound(ch, alphas, [1e6] * len(alphas))
     for a, value, u in zip(alphas, values, upper):
-        assert value == 1e6 * partial_outer_max_rp(sec7, a)
-        assert u == pytest.approx(value, rel=1e-12)
+        assert value == partial_outer_max_rp(ch, a)
+        assert u == pytest.approx(1e6 * value, rel=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,6 +3,7 @@
 Installing it fails on any name that is gone, so this guards the names in
 tier-1 without running the benchmark suite."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -60,20 +61,44 @@ def test_traced_alpha_sweep_counts_its_scalar_search(monkeypatch, sec7):
 
     import cograte.cli as cli
 
+    ch = dataclasses.replace(sec7)  # fresh: the session's channel may keep the closed-form scan
     # (1, 10) lies above alpha*, so the search adds a point past its low edge
     for bracket, scanned in (((1e-3, 1e3), (1e-3, 1e3)), ((1.0, 10.0), (0.1, 10.0))):
         tracer = Tracer()
         tracer.install()
         try:
             res = cli.inf_alpha_partial_outer(
-                sec7, 1e6, bracket, SolverSettings(starts=1, max_iters=5), n_scan=5
+                ch, 1e6, bracket, SolverSettings(starts=1, max_iters=5), n_scan=5
             )
         finally:
             tracer.uninstall()
         assert res.bracket == scanned
-        # each alpha solved for the search, an added one too, is a counted evaluation
+        # each alpha solved for the search, an added one too, is a counted evaluation,
+        # and past max(1, mu*) the closed-form scan's are
         assert tracer.counts["solvers.scan_evals"] >= res.evaluations - 1
+        assert tracer.counts["solvers.scan_evals"] > 0
         assert tracer.counts["outer.alpha_evals"] > 0
+
+
+def test_a_traced_certified_achievable_solve_counts_its_closed_form_scan(monkeypatch):
+    # past max(1, mu*) the achievable solve is certified by the least licensed
+    # cap over alpha, a scan of water-fillings; run where the benchmark wraps
+    # both, it is counted.  A fresh channel: the session's may keep the scan
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    import cograte.cli as cli
+    from cograte.channel import load_channel
+
+    ch = load_channel(cli.bundled_channel_text())
+    tracer = Tracer()
+    tracer.install()
+    try:
+        achievable.mu_sum_achievable(ch, 1e6, SolverSettings(starts=1, max_iters=3))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["solvers.scan_evals"] > 0
+    assert tracer.calls["solvers.waterfill"] > 0
 
 
 def test_traced_curves_count_their_grid_solves_and_polish(monkeypatch, sec7):
