@@ -39,7 +39,9 @@ REPORTED_MAX_RP = 2.3542
 REPORTED_ALPHA_STAR = 0.9689
 
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+DEFAULT_MU_INFINITY = 1e6  # the finite surrogate for mu -> infinity, and sweep-alpha's mu
 DEFAULT_MU_GRID = "log:0.01:100:25"
+
 
 def bundled_channel_text() -> str:
     """JSON text of the packaged example channel."""
@@ -194,9 +196,7 @@ def _sweep_report(ch: CognitiveChannel, mu: float, args: argparse.Namespace,
     condition at the sweep's winner, and report both."""
     n_scan = scan_points(resolution)
     sweep = inf_alpha_partial_outer(ch, mu, args.alpha_bracket, settings, n_scan=n_scan)
-    condition = condition_check(
-        ch, sweep.alpha_star, mu, sweep.n_value, sweep.q_p, sweep.sigma_cc, args.tol, settings
-    )
+    condition = condition_check(ch, sweep.alpha_star, mu, sweep.n_value, args.tol, settings)
     return {
         "schema": SCHEMA_VERSION,
         "mu": mu,
@@ -215,7 +215,7 @@ def _sweep_report(ch: CognitiveChannel, mu: float, args: argparse.Namespace,
 
 
 def cmd_sweep_alpha(args: argparse.Namespace) -> int:
-    mu = check_mu(args.mu_infinity if args.mu is None else args.mu, 1.0)
+    mu = check_mu(args.mu, 1.0)
     settings = _settings(args)
     ch = _load(args.channel, args.alpha_bracket)
     report = _sweep_report(ch, mu, args, settings, args.resolution)
@@ -234,8 +234,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     region = trace_boundary(ch, mu_grid, settings)
-    # the bound contains the region, so its witnesses are feasible warm starts
-    curves = trace_outer_boundary(ch, DEFAULT_ALPHAS, mu_grid, settings, warm_boundary=region)
+    curves = trace_outer_boundary(ch, DEFAULT_ALPHAS, mu_grid, settings)
     write_atomic(os.path.join(out_dir, "region.csv"), region.to_csv())
     write_atomic(os.path.join(out_dir, "region.json"), region.to_json())
 
@@ -316,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=_at_least(0), default=0),
         "--out": dict(help="output path (or stem for bound)"),
         "--format": dict(choices=("csv", "json"), default="csv"),
-        "--mu-infinity": dict(type=_positive, default=1e6,
+        "--mu-infinity": dict(type=_positive, default=DEFAULT_MU_INFINITY,
                               help="finite surrogate for the mu -> infinity limit"),
         "--starts": dict(type=_at_least(1), default=8, help="solver multi-start count"),
         "--alpha": dict(type=_parse_alphas, default=DEFAULT_ALPHAS, help="comma-separated alphas"),
-        "--mu": dict(type=float, help="mu weight (default: the mu-infinity surrogate)"),
+        "--mu": dict(type=float, default=DEFAULT_MU_INFINITY, help="mu weight, >= 1"),
         "--resolution": dict(type=_at_least(2), default=DEFAULT_RESOLUTION,
                              help="alpha scan points: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=DEFAULT_ALPHA_BRACKET, help="LO:HI"),
@@ -333,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("region", cmd_region, "trace the achievable boundary", trace),
         ("bound", cmd_bound, "trace partial-bound boundaries", trace + ("--alpha",)),
         ("sweep-alpha", cmd_sweep_alpha, "minimize the bound over alpha",
-         ("--channel", "--seed", "--out", "--resolution", "--mu", "--mu-infinity", "--starts",
-          "--alpha-bracket", "--tol")),
+         ("--channel", "--seed", "--out", "--resolution", "--mu", "--starts", "--alpha-bracket",
+          "--tol")),
         ("reproduce-paper", cmd_reproduce, "re-run the bundled reference experiment",
          ("--channel", "--mu-grid", "--seed", "--starts", "--mu-infinity", "--alpha-bracket",
           "--tol", "--out-dir")),

@@ -25,23 +25,16 @@ from .solvers import NEG_INF, SolverSettings, central_slope, log_alpha_scan, sca
 
 @dataclass(frozen=True)
 class LagrangeMultipliers:
-    """Nonnegative multipliers of the power constraints.
-
-    ``lambda1``/``lambda2`` price the two separate budgets; ``lam`` prices
-    the alpha-weighted sum budget used by the scaled form.
-    """
+    """Nonnegative multipliers of the power constraints: ``lambda1`` and
+    ``lambda2`` price the two separate budgets."""
 
     lambda1: float = 0.0
     lambda2: float = 0.0
-    lam: float = 0.0
-    alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lam"):
+        for name in ("lambda1", "lambda2"):
             if float(getattr(self, name)) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if float(self.alpha) <= 0.0:
-            raise ValueError("alpha must be positive")
 
 
 def _traces(a: DpcAllocation) -> tuple[float, float, float]:
@@ -218,9 +211,7 @@ def kyfan_gap(
 
         inf_sup = scan_then_golden(central_slope(inner), xs, tol=1e-12).value
     else:
-        res = mu_sum_achievable(ch, mu, opts)
-        filtered = inf_alpha_g1(ch, mu, res.witness, res.rate)
-        sup_inf = res.value if filtered is NEG_INF else float(filtered)
+        sup_inf = mu_sum_achievable(ch, mu, opts).value
         inf_sup = inf_alpha_partial_outer(ch, mu, alpha_bracket, opts).n_value
 
     return KyFanResult(sup_inf=sup_inf, inf_sup=inf_sup, gap=abs(inf_sup - sup_inf))

@@ -331,8 +331,9 @@ def inf_alpha_partial_outer(
     Below that weight it solves the bound with a third of the starts (two at
     least) and reads the slope off the winner (:func:`_alpha_slope`); the
     scan's alphas share one lockstep call.  Either way one solve at alpha*,
-    with all the starts, gives the reported value, rate, witness and slope.
-    Every solve is certified.
+    with all the starts and none taken from the scan, gives the reported
+    value, rate, witness and slope, so they depend on alpha* alone.  Every
+    solve is certified.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2 (both bracket edges), got {n_scan}")
@@ -360,11 +361,8 @@ def inf_alpha_partial_outer(
         solve([math.exp(x) for x in xs])
         result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
-
-    # scan_then_golden returns an evaluated point, so a solver-driven sweep has it cached
     alpha_star = math.exp(result.x)
-    warm = [cache[alpha_star].theta] if cache else []
-    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, warm, _program=dpc)
+    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, _program=dpc)
     return InfAlphaResult(
         alpha_star=alpha_star,
         n_value=best.value,
@@ -529,38 +527,27 @@ def bc_mu_sum(
     )
 
 
-def _embed_structured(ch: CognitiveChannel, sigma_cc: np.ndarray) -> np.ndarray:
-    n = ch.n_pt + ch.n_ct
-    q_c = np.zeros((n, n), dtype=np.asarray(sigma_cc).dtype)
-    q_c[ch.n_pt :, ch.n_pt :] = sigma_cc
-    return q_c
-
-
 def condition_check(
     ch: CognitiveChannel,
     alpha: float,
     mu: float,
     value: float,
-    q_p: np.ndarray,
-    sigma_cc: np.ndarray,
     tol: float,
     opts: SolverSettings | None = None,
 ) -> bool:
     """Tightness condition: the structured cognitive covariance loses nothing.
 
-    ``value``, ``q_p`` and ``sigma_cc`` are a partial-bound winner at
-    ``(alpha, mu)``, such as the alpha sweep's.  Its mu-sum is compared with
-    the broadcast-side mu-sum with unstructured covariance
-    (:func:`bc_mu_sum`, seeded with the winner), which is the full
-    coupled-noise bound's infimum over couplings; equality within ``tol``
-    certifies that the partial bound meets that infimum for this (alpha, mu).
+    ``value`` is a partial-bound mu-sum at ``(alpha, mu)``, such as the alpha
+    sweep's.  It is compared with the broadcast-side mu-sum with unstructured
+    covariance (:func:`bc_mu_sum`, which reaches its maximum from its own
+    start), which is the full coupled-noise bound's infimum over couplings;
+    equality within ``tol`` certifies that the partial bound meets that
+    infimum for this (alpha, mu).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     mu = check_mu(mu, 1.0)
-    embed = (q_p, _embed_structured(ch, sigma_cc))
-    bc = bc_mu_sum(ch, alpha, mu, opts, extra_starts=[embed])
-    return abs(value - bc.value) <= tol
+    return abs(value - bc_mu_sum(ch, alpha, mu, opts).value) <= tol
 
 
 def trace_outer_boundary(
@@ -577,11 +564,10 @@ def trace_outer_boundary(
     :func:`mu_sum_partial_outer` call, each as it would alone, and each
     alpha's winners are cross-polished into its curve.
 
-    ``warm_boundary`` (the achievable boundary over the same grid) adds its
-    mapped witness at each mu to that mu's starts at every alpha, which keeps
-    the bound numerically above the region where the two curves touch.
-    ``reproduce-paper`` passes it for its containment check; ``bound``,
-    which writes no region, does not.
+    ``warm_boundary`` (an achievable boundary over the same grid) adds its
+    mapped witness at each mu to that mu's starts at every alpha.  No
+    command passes it: the Newton polish takes each weighting to the same
+    stationary point from its own starts alone.
     """
     opts = opts or SolverSettings()
 

@@ -84,6 +84,15 @@ def covariance_rates(program, *covariances):
     return program.factor_rates([psd_sqrt(q) for q in covariances])[0]
 
 
+def embed_structured(ch, sigma_cc):
+    """The broadcast bound's cognitive covariance that holds ``sigma_cc`` in
+    its cognitive block and zeros elsewhere: the partial bound's structure."""
+    n = ch.n_pt + ch.n_ct
+    q_c = np.zeros((n, n), dtype=np.asarray(sigma_cc).dtype)
+    q_c[ch.n_pt :, ch.n_pt :] = sigma_cc
+    return q_c
+
+
 def random_psd(rng, dim, trace=None):
     a = rng.standard_normal((dim, dim))
     m = a @ a.T

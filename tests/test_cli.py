@@ -289,8 +289,8 @@ def test_bound_solves_the_whole_family_in_one_call(monkeypatch, tmp_path, channe
 
 
 def test_bound_makes_no_achievable_solve(monkeypatch, tmp_path, channel_file):
-    # only reproduce-paper, which writes the region and checks containment,
-    # solves the region to warm-start its bound family
+    # only reproduce-paper, which writes the region and checks that the
+    # bound contains it, solves the region
     def fail(*_args, **_kwargs):
         pytest.fail("bound solved the achievable region")
 
@@ -362,6 +362,47 @@ def test_sweep_alpha_and_reproduce_paper_write_the_same_sweep_report(tmp_path, c
     assert run(["sweep-alpha", "--channel", channel_file, "--seed", "0", "--out", str(out)]) == 0
     assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
     assert (tmp_path / "rep" / "sweep_alpha.json").read_bytes() == out.read_bytes()
+
+
+def test_reproduce_paper_writes_what_region_and_bound_write(tmp_path, channel_file):
+    # the bound family climbs from its own starts, as bound's does, so every
+    # curve file is bound's, byte for byte
+    rep = tmp_path / "rep"
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(rep)]) == 0
+    common = ["--channel", channel_file, "--seed", "0"]
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"region.{fmt}"
+        assert run(["region", *common, "--format", fmt, "--out", str(out)]) == 0
+        assert (rep / f"region.{fmt}").read_bytes() == out.read_bytes()
+    assert run(["bound", *common, "--out", str(tmp_path / "bound")]) == 0
+    for alpha in cli.DEFAULT_ALPHAS:
+        name = f"bound_alpha{alpha:g}.csv"
+        assert (rep / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert (rep / "bounds.json").read_bytes() == (tmp_path / "bound.json").read_bytes()
+
+
+def test_no_solve_is_handed_another_solves_result(monkeypatch, tmp_path, channel_file):
+    # reproduce-paper's bound family, the sweep's final solve at alpha* (mu =
+    # 2 lies below mu* = 2.93, where the sweep solves its scan) and the
+    # tightness check's broadcast solve all climb from their own starts
+    partial, bc = [], []
+    solve, broadcast = outer.mu_sum_partial_outer, outer.bc_mu_sum
+
+    def recorded(calls, fn):
+        def call(ch, alpha, mu, opts=None, extra_starts=(), **kwargs):
+            # a grid takes one sequence of starts per weighting
+            calls.append(sum(map(len, extra_starts)) if np.ndim(mu) else len(extra_starts))
+            return fn(ch, alpha, mu, opts, extra_starts, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(outer, "mu_sum_partial_outer", recorded(partial, solve))
+    monkeypatch.setattr(outer, "bc_mu_sum", recorded(bc, broadcast))
+    assert run(["reproduce-paper", "--seed", "0", "--out-dir", str(tmp_path / "rep")]) == 0
+    assert run(["sweep-alpha", "--channel", channel_file, "--mu", "2", "--out",
+                str(tmp_path / "sweep.json")]) == 0
+    assert len(partial) > 3 and len(bc) == 2
+    assert partial == [0] * len(partial) and bc == [0, 0]
 
 
 def test_reproduce_paper_scans_the_closed_form_once_for_one_alpha_star(monkeypatch, tmp_path):
@@ -463,8 +504,8 @@ TRACE_FLAGS = {"--channel", "--mu-grid", "--seed", "--out", "--format", "--mu-in
 COMMAND_FLAGS = {
     "region": TRACE_FLAGS,
     "bound": TRACE_FLAGS | {"--alpha"},
-    "sweep-alpha": {"--channel", "--seed", "--out", "--resolution", "--mu", "--mu-infinity",
-                    "--starts", "--alpha-bracket", "--tol"},
+    "sweep-alpha": {"--channel", "--seed", "--out", "--resolution", "--mu", "--starts",
+                    "--alpha-bracket", "--tol"},
     "reproduce-paper": {"--channel", "--mu-grid", "--seed", "--starts", "--mu-infinity",
                         "--alpha-bracket", "--tol", "--out-dir"},
 }

@@ -31,7 +31,7 @@ def test_multiplier_validation():
     with pytest.raises(ValueError):
         LagrangeMultipliers(lambda1=-1.0)
     with pytest.raises(ValueError):
-        LagrangeMultipliers(alpha=0.0)
+        LagrangeMultipliers(lambda2=-1.0)
 
 
 def test_lagrangian_L_zero_multipliers(sec7):

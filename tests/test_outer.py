@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP, ascent_rates, ladder, random_channel
+from conftest import ORACLE_GAP, ascent_rates, embed_structured, ladder, random_channel
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -277,7 +277,8 @@ def test_alpha_sweep_evaluates_both_bracket_edges(monkeypatch, sec7, n_scan):
 def _golden_alpha_reference(ch, mu, opts, n_scan):
     """The alpha search as it was before the slope search: golden section to
     1e-6 in log alpha on re-solved values between the neighbours of the scan
-    minimum, with the same warm chain, polish settings and final solve."""
+    minimum, each solve warm-started from the one before, and a final solve
+    with all the starts, warm-started from the best alpha's witness."""
     inner = dataclasses.replace(
         opts, starts=max(2, opts.starts // 3), max_iters=min(opts.max_iters, 400)
     )
@@ -729,7 +730,7 @@ def test_bc_mu_sum_rejects_small_mu(sec7, fast):
         bc_mu_sum(sec7, 1.0, 0.5, fast)
     part = mu_sum_partial_outer(sec7, 1.0, 0.5, fast)
     with pytest.raises(UnsupportedMu):
-        condition_check(sec7, 1.0, 0.5, part.value, part.q_p, part.sigma_cc, 1e-3, fast)
+        condition_check(sec7, 1.0, 0.5, part.value, 1e-3, fast)
 
 
 @pytest.mark.parametrize("start, message", [
@@ -805,11 +806,9 @@ def test_bc_mu_sum_scalar_degraded_grid_oracle():
 
 
 def test_bc_dominates_partial(sec7, fast):
-    from cograte.outer import _embed_structured
-
     for alpha, mu in ((0.5, 1.0), (1.0, 2.0), (2.0, 1e3)):
         part = mu_sum_partial_outer(sec7, alpha, mu, fast)
-        embed = (part.q_p, _embed_structured(sec7, part.sigma_cc))
+        embed = (part.q_p, embed_structured(sec7, part.sigma_cc))
         bc = bc_mu_sum(sec7, alpha, mu, fast, extra_starts=[embed])
         assert bc.value >= part.value - 1e-8
 
@@ -833,9 +832,9 @@ def test_capacity_sandwich_closes_on_the_ladder_at_large_mu(n):
 
 
 def _condition_at(ch, alpha, mu, tol, opts):
-    """condition_check at the partial bound's own winner at (alpha, mu)."""
+    """condition_check at the partial bound's own value at (alpha, mu)."""
     part = mu_sum_partial_outer(ch, alpha, mu, opts)
-    return condition_check(ch, alpha, mu, part.value, part.q_p, part.sigma_cc, tol, opts)
+    return condition_check(ch, alpha, mu, part.value, tol, opts)
 
 
 def test_condition_check_degenerate_true(fast):
@@ -863,9 +862,7 @@ def test_condition_check_gap_fixture():
     assert part.value == pytest.approx(oracle, abs=1e-4)
     bc = bc_mu_sum(GAP_CHANNEL, 1.0, 1.0, opts)
     assert bc.value - part.value > 0.3
-    assert not condition_check(
-        GAP_CHANNEL, 1.0, 1.0, part.value, part.q_p, part.sigma_cc, 1e-3, opts
-    )
+    assert not condition_check(GAP_CHANNEL, 1.0, 1.0, part.value, 1e-3, opts)
 
 
 def test_condition_check_reads_the_winner_it_is_handed(monkeypatch, sec7, fast):
@@ -875,8 +872,8 @@ def test_condition_check_reads_the_winner_it_is_handed(monkeypatch, sec7, fast):
     calls = []
     monkeypatch.setattr(outer, "mu_sum_partial_outer", lambda *a, **k: calls.append(a))
     args = (sec7, 0.5535, 1e6)
-    assert condition_check(*args, part.value, part.q_p, part.sigma_cc, 1e-3, fast)
-    assert not condition_check(*args, part.value - 1.0, part.q_p, part.sigma_cc, 1e-3, fast)
+    assert condition_check(*args, part.value, 1e-3, fast)
+    assert not condition_check(*args, part.value - 1.0, 1e-3, fast)
     assert calls == []
 
 

@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ascent_rates, covariance_rates, draw, ladder, random_channel
+from conftest import (
+    ascent_rates,
+    covariance_rates,
+    draw,
+    embed_structured,
+    ladder,
+    random_channel,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +42,6 @@ from cograte.linalg import (
 from cograte.outer import (
     _broadcast_matrices,
     _dual_mac,
-    _embed_structured,
     _mac_to_bc,
     bc_mu_sum,
     partial_outer_rates,
@@ -411,10 +417,10 @@ def test_broadcast_rates_at_a_structured_q_c_are_the_partial_rates(complex_mode,
     n = ch.n_pt + ch.n_ct
     a, b = draw(rng, (n, n), complex_mode), draw(rng, (ch.n_ct, ch.n_ct), complex_mode)
     q_p, s_cc = a @ np.conj(a.T), b @ np.conj(b.T)
-    shrink = 0.9 * (ch.p_p + alpha * ch.p_c) / np.trace(q_p + _embed_structured(ch, s_cc)).real
+    shrink = 0.9 * (ch.p_p + alpha * ch.p_c) / np.trace(q_p + embed_structured(ch, s_cc)).real
     q_p, s_cc = shrink * q_p, shrink * s_cc
     scorer = _two_block_program(ch, *_broadcast_matrices(ch, alpha))
-    bc = covariance_rates(scorer, q_p, _embed_structured(ch, s_cc))
+    bc = covariance_rates(scorer, q_p, embed_structured(ch, s_cc))
     partial = partial_outer_rates(ch, alpha, q_p, s_cc)
     assert bc.r_p == pytest.approx(partial.r_p, rel=1e-12)
     assert bc.r_c == pytest.approx(partial.r_c, rel=1e-12)
