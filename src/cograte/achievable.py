@@ -353,23 +353,23 @@ def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=Non
     """Checked weights (:func:`check_mu`) and winning thetas of the program's
     mu-sums under the trace budgets ``groups`` (parameter indices, budget),
     for a nonempty sequence of weights ``mus``.  ``starts`` holds one sequence
-    of starts per weight: tuples of a matrix per block, or raw parameter
-    vectors.  Each distinct start object is encoded once, in one stacked call
-    per block, then divided by ``radius[k]`` (default 1), the radius of
-    weighting ``k``'s ball.  ``cols`` (column scales, a row per weighting),
-    ``upper(mus)`` (upper values, asked for once the weights are checked) and
-    ``random_starts`` go to :func:`maximize_multistart`, and its winners to
-    :func:`newton_polish`.  Each weighting climbs from its own starts, as it
-    would alone.  A divergence names its mu, then ``where[k]``."""
+    of starts per weight, each a tuple of one PSD matrix per block (any other
+    raises ValueError).  Each distinct start object is encoded once, in one
+    stacked call per block, then divided by ``radius[k]`` (default 1), the
+    radius of weighting ``k``'s ball.  ``cols`` (column scales, a row per
+    weighting), ``upper(mus)`` (upper values, asked for once the weights are
+    checked) and ``random_starts`` go to :func:`maximize_multistart`, and its
+    winners to :func:`newton_polish`.  Each weighting climbs from its own
+    starts, as it would alone.  A divergence names its mu, then ``where[k]``."""
     mus = [check_mu(m) for m in mus]
     if not mus or len(starts) != len(mus):
         raise ValueError("a mu grid must be nonempty, with one sequence of starts per mu")
     where, radius = where or [""] * len(mus), radius or [1.0] * len(mus)
     unique = {id(i): i for own in starts for i in own}
-    blocks = [i for i in unique.values() if isinstance(i, tuple)]
-    stacks = iter(program.encode(*map(np.array, zip(*blocks))) if blocks else ())
-    encoded = {key: next(stacks) if isinstance(i, tuple) else np.asarray(i, dtype=float)
-               for key, i in unique.items()}
+    shapes = [(dim, dim) for _, dim, _ in program.blocks]
+    if any(not isinstance(i, tuple) or list(map(np.shape, i)) != shapes for i in unique.values()):
+        raise ValueError(f"a start must be a tuple of one matrix per block, of shapes {shapes}")
+    encoded = dict(zip(unique, program.encode(*map(np.array, zip(*unique.values())))))
     opts, weights = opts or SolverSettings(), program.weights(mus)
     scale, upper = math.sqrt(max(budget for _, budget in groups)), upper(mus) if upper else None
     try:
@@ -386,33 +386,22 @@ def _solve(program, mus, groups, opts, starts, where=None, cols=None, radius=Non
     return mus, thetas
 
 
-def _corner_allocations(ch: CognitiveChannel):
-    """Deterministic start candidates: power corners of the feasible set."""
+def _corner_starts(ch: CognitiveChannel):
+    """Deterministic starts, as (stacked block, sigma_cc) pairs: power corners
+    of the feasible set with q = 0, and on a scalar block the two
+    full-correlation beamforming corners."""
     npt, nct = ch.n_pt, ch.n_ct
-    zp = np.zeros((npt, npt))
-    zc = np.zeros((nct, nct))
-    zq = np.zeros((npt, nct))
-    iso_p = (ch.p_p / npt) * np.eye(npt)
-    iso_c = (ch.p_c / nct) * np.eye(nct)
-    corners = [
-        DpcAllocation(iso_p, zc, zc, zq),
-        DpcAllocation(iso_p, iso_c, zc, zq),
-        DpcAllocation(iso_p, zc, iso_c, zq),
-        DpcAllocation(iso_p, 0.5 * iso_c, 0.5 * iso_c, zq),
-        DpcAllocation(zp, zc, iso_c, zq),
+    iso_p, zp = (ch.p_p / npt) * np.eye(npt), np.zeros((npt, npt))
+    iso_c, zc = (ch.p_c / nct) * np.eye(nct), np.zeros((nct, nct))
+    splits = [  # (sigma_p, sigma_cp, sigma_cc)
+        (iso_p, zc, zc), (iso_p, iso_c, zc), (iso_p, zc, iso_c), (iso_p, 0.5 * iso_c, 0.5 * iso_c),
+        (zp, zc, iso_c),
     ]
+    corners = [(np.block([[sp, np.zeros((npt, nct))], [np.zeros((nct, npt)), scp]]), scc)
+               for sp, scp, scc in splits]
     if npt == 1 and nct == 1:
-        # full-correlation beamforming corners of the scalar block
         r = math.sqrt(ch.p_p * ch.p_c)
-        for sign in (1.0, -1.0):
-            corners.append(
-                DpcAllocation(
-                    np.array([[ch.p_p]]),
-                    np.array([[ch.p_c]]),
-                    zc,
-                    np.array([[sign * r]]),
-                )
-            )
+        corners += [(np.array([[ch.p_p, s * r], [s * r, ch.p_c]]), zc) for s in (1.0, -1.0)]
     return corners
 
 
@@ -434,7 +423,7 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
     cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
     groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
-    corners = [(a.sigma_p_net, a.sigma_cc) for a in _corner_allocations(ch)]
+    corners = _corner_starts(ch)
     grid = list(mu) if np.ndim(mu) else [mu]
     mus, thetas = _solve(program, grid, groups, opts, [corners] * len(grid),
                          upper=lambda mus: _licensed_corner_upper(ch, mus))

@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="alpha scan points: N // 100 + 2"),
         "--alpha-bracket": dict(type=_parse_bracket, default=DEFAULT_ALPHA_BRACKET, help="LO:HI"),
         "--tol": dict(type=_positive, default=1e-3,
-                      help="tolerance of the tightness condition check"),
+                      help="tolerance of the tightness condition check, plus 1e-12 of the value"),
         "--out-dir": dict(default="reproduce_out"),
     }
     trace = ("--channel", "--mu-grid", "--seed", "--out", "--format", "--mu-infinity", "--starts")

@@ -175,14 +175,15 @@ def inf_alpha_max_rp(ch: CognitiveChannel, alpha_bracket=DEFAULT_ALPHA_BRACKET,
                      n_scan: int = scan_points(DEFAULT_RESOLUTION)):
     """The least :func:`partial_outer_max_rp` over alpha, the DPC region's largest
     licensed rate (:func:`_power_split_bound`, step 3), as :func:`scan_then_golden`
-    finds it from ``n_scan`` log-spaced alphas over the bracket, to 1e-12 in ``log
-    alpha``: the one closed-form scan, kept on ``ch`` by ``(bracket, n_scan)`` for
-    the achievable certificate, ``reproduce-paper`` and the sweep past ``max(1, mu*)``."""
+    finds it from ``n_scan`` log-spaced alphas over the bracket, to 1e-6 in ``log
+    alpha`` as the solved sweep (its value is at an alpha it read, a bound): the one
+    closed-form scan, kept on ``ch`` by ``(bracket, n_scan)`` for the achievable
+    certificate, ``reproduce-paper`` and the sweep past ``max(1, mu*)``."""
     key = (tuple(float(a) for a in alpha_bracket), n_scan)
     if key not in ch._derived:  # a bad bracket raises here, and is never kept
         ch._derived[key] = scan_then_golden(
             central_slope(lambda x: partial_outer_max_rp(ch, math.exp(x))),
-            log_alpha_scan(alpha_bracket, n_scan), tol=1e-12)
+            log_alpha_scan(alpha_bracket, n_scan), tol=1e-6)
     return ch._derived[key]
 
 
@@ -204,13 +205,12 @@ def mu_sum_partial_outer(
     mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
-    *, _program=None, _certify=True,
+    *, _program=None,
 ):
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
-    ``extra_starts`` accepts DPC allocations of ``ch`` (mapped into the
-    bound through :func:`scale_allocation`, which keeps their rate pair),
-    (q_p, sigma_cc) pairs, or raw parameter vectors.
+    ``extra_starts`` holds ``(q_p, sigma_cc)`` pairs; any other start raises
+    ValueError before the solve (:func:`~cograte.achievable._solve`).
 
     ``alpha`` and ``mu`` may each be a 1-D grid: two grids pair up entry by
     entry, and a scalar pairs with every entry of the other.  A grid takes
@@ -228,8 +228,8 @@ def mu_sum_partial_outer(
     column scale ``sqrt(B) s``; :func:`~cograte.achievable._solve` checks it
     and places its starts there, and the winners are re-scored in one batch.
     ``_program``, the DPC program of ``ch``, lets an alpha sweep build it once.
-    Unless ``_certify`` is false, :func:`_power_split_bound` gives each
-    weighting's ``upper`` value in :func:`maximize_multistart`.
+    :func:`_power_split_bound` gives each weighting's ``upper`` value in
+    :func:`maximize_multistart`.
     """
     mu = [mu] * len(alpha) if np.ndim(alpha) and not np.ndim(mu) else mu
     alphas = [float(a) for a in alpha] if np.ndim(alpha) else [float(alpha)] * np.size(mu)
@@ -243,21 +243,13 @@ def mu_sum_partial_outer(
     licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
     budget = {a: ch.p_p + a * ch.p_c for a in alphas}
     corners = {a: _bound_corners(ch, a, b) for a, b in budget.items()}
-
-    def mapped(start, a):  # a DPC allocation of ch, as the bound's two blocks at alpha = a
-        if isinstance(start, DpcAllocation):
-            start = scale_allocation(start, a)
-            return start.sigma_p_net, start.sigma_cc
-        return start
-
-    starts = [corners[a] + [mapped(i, a) for i in own] for a, own in zip(alphas, extra)]
+    starts = [corners[a] + list(own) for a, own in zip(alphas, extra)]
     radius = [math.sqrt(budget[a]) for a in alphas]
     cols = np.array(radius)[:, None] * np.where(licensed, 1.0, 1.0 / np.sqrt(alphas)[:, None])
     where = [f", alpha={a:g}" for a in alphas]
     groups = [(np.arange(program.n_params), 1.0)]
-    upper = (lambda mus: _power_split_bound(ch, alphas, mus)) if _certify else None
     mus, phis = _solve(program, mu if np.ndim(mu) else [mu], groups, opts, starts, where, cols,
-                       radius, upper)
+                       radius, lambda mus: _power_split_bound(ch, alphas, mus))
     thetas = phis * np.array(radius)[:, None]
     q_ps, s_ccs = program.decode(thetas)
     at = [f" (at mu={m:g}{w})" for m, w in zip(mus, where)]
@@ -541,13 +533,14 @@ def condition_check(
     sweep's.  It is compared with the broadcast-side mu-sum with unstructured
     covariance (:func:`bc_mu_sum`, which reaches its maximum from its own
     start), which is the full coupled-noise bound's infimum over couplings;
-    equality within ``tol`` certifies that the partial bound meets that
-    infimum for this (alpha, mu).
+    equality within ``tol + 1e-12 |value|`` (:func:`budget_tol`'s rounding
+    allowance, as the two programs agree to about 1e-13 of the value)
+    certifies that the partial bound meets that infimum for this (alpha, mu).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     mu = check_mu(mu, 1.0)
-    return abs(value - bc_mu_sum(ch, alpha, mu, opts).value) <= tol
+    return abs(value - bc_mu_sum(ch, alpha, mu, opts).value) <= budget_tol(tol, abs(value))
 
 
 def trace_outer_boundary(
@@ -565,21 +558,23 @@ def trace_outer_boundary(
     alpha's winners are cross-polished into its curve.
 
     ``warm_boundary`` (an achievable boundary over the same grid) adds its
-    mapped witness at each mu to that mu's starts at every alpha.  No
-    command passes it: the Newton polish takes each weighting to the same
-    stationary point from its own starts alone.
+    witness at each mu to that mu's starts at every alpha, mapped there by
+    :func:`scale_allocation` (which keeps its rate pair) into the pair
+    ``(sigma_p_net, sigma_cc)``.  No command passes it: the Newton polish
+    takes each weighting to the same stationary point from its own starts.
     """
     opts = opts or SolverSettings()
 
     keys = ("sigma_p", "sigma_cp", "sigma_cc", "q")
-    warm_by_mu = {
-        float(p.mu): [DpcAllocation(*(p.witness[k] for k in keys))]
+    warm = {
+        float(p.mu): DpcAllocation(*(p.witness[k] for k in keys))
         for p in (warm_boundary.points if warm_boundary is not None else ())
         if all(k in p.witness for k in keys)
     }
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
     mus = sorted(mu_grid, reverse=True)
-    extra = [warm_by_mu.get(mu, []) for mu in mus] * len(alphas)
+    mapped = [[scale_allocation(warm[mu], a)] if mu in warm else [] for a in alphas for mu in mus]
+    extra = [[(w.sigma_p_net, w.sigma_cc) for w in own] for own in mapped]
     results = mu_sum_partial_outer(ch, np.repeat(alphas, len(mus)), mus * len(alphas), opts, extra)
     boundaries = []
     for i, a in enumerate(alphas):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cograte.achievable import scale_allocation
 from cograte.channel import CognitiveChannel, load_channel
 from cograte.cli import bundled_channel_text
 from cograte.linalg import psd_sqrt
@@ -82,6 +83,14 @@ def covariance_rates(program, *covariances):
     """``program``'s reported rate pair at one PSD covariance per block,
     scored at their PSD square roots."""
     return program.factor_rates([psd_sqrt(q) for q in covariances])[0]
+
+
+def bound_start(allocation, alpha):
+    """A DPC allocation as a start of the partial bound at ``alpha``: mapped
+    by :func:`scale_allocation`, which keeps its rate pair, then its
+    ``(sigma_p_net, sigma_cc)`` pair."""
+    mapped = scale_allocation(allocation, alpha)
+    return mapped.sigma_p_net, mapped.sigma_cc
 
 
 def embed_structured(ch, sigma_cc):

@@ -186,7 +186,7 @@ def test_grid_solve_encodes_each_shared_corner_once(monkeypatch, sec7):
     opts = SolverSettings(starts=1, max_iters=2)
     grid = [2.0, 1.0, 0.5]
     mu_sum_achievable(sec7, grid, opts)
-    corners = len(achievable._corner_allocations(sec7))
+    corners = len(achievable._corner_starts(sec7))
     assert [len(stack) for stack in calls] == [corners, corners]  # one stacked call per block
     # a bound family: each alpha's 3 corners once, and each weighting's warm
     # start (the region's witness at its mu, mapped to its alpha), in one

@@ -450,6 +450,15 @@ def test_reproduce_paper(tmp_path):
     )
 
 
+def test_reproduce_paper_passes_its_checks_at_a_large_mu_infinity(tmp_path):
+    # at mu = 1e10 the tightness check compares mu-sums of 2.35e10 bits,
+    # whose rounding alone passes an absolute tol
+    out_dir = str(tmp_path / "rep")
+    assert run(["reproduce-paper", "--mu-infinity", "1e10", "--out-dir", out_dir]) == 0
+    summary = json.loads(open(os.path.join(out_dir, "summary.json")).read())
+    assert summary["condition_check"] is True and all(summary["checks"].values())
+
+
 def test_reproduce_paper_widens_a_bracket_above_alpha_star(tmp_path):
     # alpha* = 0.5535 lies below 1:10; the closed-form scan and the sweep both widen to 0.1
     out_dir = str(tmp_path / "rep")

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bound_start
 
 from cograte.achievable import (
     DpcAllocation,
@@ -96,7 +97,7 @@ def test_complex_bound_contains_achievable(complex_scalar):
     ach = mu_sum_achievable(complex_scalar, 2.0, opts)
     for alpha in (0.5, 1.0, 2.0):
         bound = mu_sum_partial_outer(
-            complex_scalar, alpha, 2.0, opts, extra_starts=[ach.witness]
+            complex_scalar, alpha, 2.0, opts, extra_starts=[bound_start(ach.witness, alpha)]
         )
         assert bound.value >= ach.value - 1e-9
 
@@ -111,7 +112,7 @@ def test_matrix_channel_solver_and_bound(matrix_channel):
     assert ach.value >= dpc_rates(matrix_channel, iso).mu_sum(1.0) - 1e-9
     for alpha in (0.5, 1.0, 2.0):
         bound = mu_sum_partial_outer(
-            matrix_channel, alpha, 1.0, opts, extra_starts=[ach.witness]
+            matrix_channel, alpha, 1.0, opts, extra_starts=[bound_start(ach.witness, alpha)]
         )
         assert bound.value >= ach.value - 1e-9
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP
+from conftest import ORACLE_GAP, ladder
 
 import cograte.oracles as oracles
 from cograte.achievable import DpcAllocation, dpc_rate_caps, dpc_rates
@@ -18,7 +18,7 @@ from cograte.oracles import (
     lagrangian_g,
     lagrangian_g1,
 )
-from cograte.solvers import NEG_INF
+from cograte.solvers import NEG_INF, SolverSettings
 
 MAX_RP = 2.354204853970093
 
@@ -211,6 +211,15 @@ def test_kyfan_gap_rejects_a_bad_bracket_before_any_solve(monkeypatch, sec7, bra
 def test_kyfan_gap_widens_a_bracket_above_the_minimizer(sec7):
     # the inf-sup side's alpha* lies below 1 at mu = 2, so the scan widens to 0.1
     assert kyfan_gap(sec7, 2.0, alpha_bracket=(1.0, 10.0)).gap <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mu", [1.0, 2.0, 4.0])
+def test_kyfan_gap_closes_on_the_mimo_ladder(n, mu):
+    # complex channels take the solver branch: the achievable mu-sum against
+    # the alpha sweep, on both sides of max(1, mu*) (1.0 for n = 1, 3.68 for n = 2)
+    res = kyfan_gap(ladder(n), mu, SolverSettings(starts=4, seed=0))
+    assert res.gap <= 1e-9 * max(1.0, res.sup_inf)
 
 
 def test_kyfan_gap_symmetric_scalar():

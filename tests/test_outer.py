@@ -4,7 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ORACLE_GAP, ascent_rates, embed_structured, ladder, random_channel
+from conftest import (
+    ORACLE_GAP,
+    ascent_rates,
+    bound_start,
+    embed_structured,
+    ladder,
+    random_channel,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -288,7 +295,7 @@ def _golden_alpha_reference(ch, mu, opts, n_scan):
         a = math.exp(log_a)
         if a not in cache:
             cache[a] = mu_sum_partial_outer(ch, a, mu, inner, extra_starts=warm[-1:])
-            warm.append(cache[a].theta)
+            warm.append((cache[a].q_p, cache[a].sigma_cc))
         return cache[a].value
 
     xs = np.log(np.geomspace(1e-3, 1e3, n_scan))
@@ -296,7 +303,8 @@ def _golden_alpha_reference(ch, mu, opts, n_scan):
     assert 0 < i < n_scan - 1
     golden_section(value, xs[i - 1], xs[i + 1], tol=1e-6)
     best = min(cache, key=lambda a: cache[a].value)
-    return mu_sum_partial_outer(ch, best, mu, opts, extra_starts=[cache[best].theta]).value
+    start = (cache[best].q_p, cache[best].sigma_cc)
+    return mu_sum_partial_outer(ch, best, mu, opts, extra_starts=[start]).value
 
 
 #: Scan points of the golden-section reference of each channel.
@@ -337,7 +345,8 @@ def test_witness_path_slope_matches_re_solved_differences(sec7, case, mu):
     res = mu_sum_partial_outer(ch, alpha, mu, opts)
     slope = _alpha_slope(_two_block_program(ch, *_dpc_matrices(ch)), ch, alpha, mu, res.roots)
     up, down = (
-        mu_sum_partial_outer(ch, alpha * math.exp(s), mu, opts, extra_starts=[res.theta]).value
+        mu_sum_partial_outer(ch, alpha * math.exp(s), mu, opts,
+                             extra_starts=[(res.q_p, res.sigma_cc)]).value
         for s in (h, -h)
     )
     assert slope == pytest.approx((up - down) / (2 * h), rel=1e-4)
@@ -491,14 +500,25 @@ def test_the_sweep_certifies_every_solve(monkeypatch, sec7):
         assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
+def _no_upper(ch, alphas, mus):
+    """A stand-in for ``outer._power_split_bound`` that certifies no solve."""
+    return np.full(len(mus), np.inf)
+
+
+def _uncertified(*args, **kwargs):
+    """:func:`mu_sum_partial_outer` with every upper value at ``+inf``, so no
+    weighting of its ascent is certified."""
+    with mock.patch.object(outer, "_power_split_bound", _no_upper):
+        return mu_sum_partial_outer(*args, **kwargs)
+
+
 def test_the_closed_form_sweep_is_the_uncertified_solver_driven_one(monkeypatch, sec7):
     # reproduce-paper's sweep against one that solves every alpha it reads
     # (no weight reaches an infinite mu*) and certifies none of its solves
     opts = SolverSettings(starts=8, seed=0)  # reproduce-paper's
     res = inf_alpha_partial_outer(sec7, 1e6, opts=opts)
     monkeypatch.setattr(CognitiveChannel, "licensed_weight", property(lambda _: math.inf))
-    monkeypatch.setattr(outer, "_power_split_bound",
-                        lambda ch, alphas, mus: np.full(len(mus), np.inf))
+    monkeypatch.setattr(outer, "_power_split_bound", _no_upper)
     solved = inf_alpha_partial_outer(sec7, 1e6, opts=opts)
     assert res.evaluations == 1 < solved.evaluations
     assert (solved.bracket, solved.non_unimodal) == (res.bracket, res.non_unimodal)
@@ -528,7 +548,7 @@ def test_past_the_licensed_weight_the_bound_is_the_licensed_corner(complex_mode,
     alphas = np.repeat([0.2, 1.0, 5.0], 3)
     mus = max(1.0, ch.licensed_weight) * np.array([1.0, 1.5, 30.0] * 3)
     opts = SolverSettings(starts=2, max_iters=200, seed=0)
-    free = mu_sum_partial_outer(ch, alphas, mus, opts, _certify=False)
+    free = _uncertified(ch, alphas, mus, opts)
     for a, mu, u, want in zip(alphas, mus, _power_split_bound(ch, alphas, mus), free):
         assert u == pytest.approx(mu * partial_outer_max_rp(ch, a), rel=1e-12)
         assert want.value <= u * (1.0 + 1e-12)
@@ -581,10 +601,10 @@ def test_the_partial_bound_holds_the_mapped_achievable_winner(complex_mode, mu, 
     ch, alpha = random_channel(np.random.default_rng(seed), complex_mode), math.exp(log_alpha)
     opts = SolverSettings(starts=2, seed=0)
     win = mu_sum_achievable(ch, mu, opts)
-    mapped = scale_allocation(win.witness, alpha)
-    rate = partial_outer_rates(ch, alpha, mapped.sigma_p_net, mapped.sigma_cc)
+    start = bound_start(win.witness, alpha)
+    rate = partial_outer_rates(ch, alpha, *start)
     np.testing.assert_allclose([rate.r_p, rate.r_c], [win.rate.r_p, win.rate.r_c], atol=1e-9)
-    bound = mu_sum_partial_outer(ch, alpha, mu, opts, [win.witness])
+    bound = mu_sum_partial_outer(ch, alpha, mu, opts, [start])
     assert bound.value >= win.value - 1e-9 * abs(win.value)
 
 
@@ -594,7 +614,7 @@ def test_below_one_the_licensed_corner_bounds_nothing(monkeypatch):
     # than a bit above mu C(g, B), and the certificates stay away
     ch = ladder(1)
     assert ch.licensed_weight < 0.5
-    free = mu_sum_partial_outer(ch, 1.0, 0.5, SolverSettings(starts=4, seed=0), _certify=False)
+    free = _uncertified(ch, 1.0, 0.5, SolverSettings(starts=4, seed=0))
     (upper,) = _power_split_bound(ch, [1.0], [0.5])
     assert free.value > 0.5 * partial_outer_max_rp(ch, 1.0) + 1.0
     assert free.value <= upper
@@ -633,7 +653,7 @@ def test_the_power_split_bound_lies_above_every_partial_solve(complex_mode, seed
     ch = random_channel(np.random.default_rng(seed), complex_mode)
     alphas, mus = np.repeat([0.2, 1.0, 5.0], 5), [0.0, 0.3, 1.0, 3.0, 30.0] * 3
     opts = SolverSettings(starts=2, max_iters=200, seed=0)  # any point's value lies below
-    free = mu_sum_partial_outer(ch, alphas, mus, opts, _certify=False)
+    free = _uncertified(ch, alphas, mus, opts)
     certified = mu_sum_partial_outer(ch, alphas, mus, opts)
     for u, got, want in zip(_power_split_bound(ch, alphas, mus), certified, free):
         assert want.value <= u + 1e-12 * max(1.0, u)
@@ -656,7 +676,7 @@ def test_the_power_split_bound_is_the_optimum_without_interference():
     split, best = golden_section(lost, 1e-9, budget - 1e-9, tol=1e-12)
     assert 0.1 * budget < split < 0.9 * budget
     assert upper == pytest.approx(-best, rel=1e-12)
-    res = mu_sum_partial_outer(ch, alpha, mu, SolverSettings(starts=4, seed=0), _certify=False)
+    res = _uncertified(ch, alpha, mu, SolverSettings(starts=4, seed=0))
     assert res.rate.r_p > 1.0 and res.rate.r_c > 1.0
     assert res.value == pytest.approx(upper, rel=1e-9)
 
@@ -877,6 +897,16 @@ def test_condition_check_reads_the_winner_it_is_handed(monkeypatch, sec7, fast):
     assert calls == []
 
 
+@pytest.mark.parametrize("mu, holds", [(1.0, False), (10.0, False), (1e10, True), (1e14, True)])
+def test_the_tightness_check_at_the_sweeps_alpha_star(sec7, mu, holds):
+    # the partial and broadcast programs agree to about 1e-13 of the value,
+    # 2.35 mu bits here, which passes an absolute tol from mu = 4e9 on; at
+    # mu = 1 and 10 the broadcast value lies 0.65 and 0.096 bits above
+    opts = SolverSettings(starts=2, seed=0)
+    sweep = inf_alpha_partial_outer(sec7, mu, opts=opts)
+    assert condition_check(sec7, sweep.alpha_star, mu, sweep.n_value, 1e-3, opts) is holds
+
+
 def test_trace_outer_boundary_endpoint(sec7, fast):
     boundary = trace_outer_boundary(sec7, 1.0, [1e6], fast)
     assert boundary.points[0].rate.r_p == pytest.approx(FLIPPED_A1, abs=1e-6)
@@ -935,7 +965,7 @@ def test_a_grid_solve_is_each_mu_solved_alone(sec7, channel):
     opts = SolverSettings(starts=4, seed=5)
     grid = [3.0, 1.0, 0.25]
     alone = [mu_sum_achievable(ch, mu, opts) for mu in grid]
-    extra = [[res.witness] for res in alone]
+    extra = [[bound_start(res.witness, 0.7)] for res in alone]
     cases = [
         (mu_sum_achievable(ch, grid, opts), alone),
         (
@@ -1012,15 +1042,17 @@ def test_each_partial_bound_start_sits_in_its_own_unit_ball(monkeypatch, sec7):
 
     monkeypatch.setattr(achievable, "maximize_multistart", spy)
     opts = SolverSettings(starts=1, max_iters=3)
-    warm = mu_sum_partial_outer(sec7, 1.0, 2.0, opts).theta
+    res = mu_sum_partial_outer(sec7, 1.0, 2.0, opts)
+    warm = (res.q_p, res.sigma_cc)
     handed.clear()
     alphas = [0.25, 4.0]
     mu_sum_partial_outer(sec7, alphas, [2.0, 2.0], opts, extra_starts=[[warm], [warm]])
+    encoded = _two_block_program(sec7, *_dpc_matrices(sec7)).encode(*warm)
     for alpha, starts in zip(alphas, handed[0]):
         radius = math.sqrt(sec7.p_p + alpha * sec7.p_c)
         corners = [np.linalg.norm(start) for start in starts[:-1]]
         assert max(corners) == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_array_equal(starts[-1], warm / radius)
+        np.testing.assert_array_equal(starts[-1], encoded / radius)
 
 
 @pytest.mark.parametrize("alpha, mu, extra", [
@@ -1038,6 +1070,20 @@ def test_a_bad_weighting_grid_is_rejected_before_any_solve(monkeypatch, sec7, al
     monkeypatch.setattr(achievable, "maximize_multistart", fail)
     with pytest.raises(ValueError, match="mu"):
         mu_sum_partial_outer(sec7, alpha, mu, SolverSettings(starts=1), extra_starts=extra)
+
+
+@pytest.mark.parametrize("form", ["raw vector", "allocation"])
+def test_a_start_of_another_form_is_rejected_before_any_solve(monkeypatch, sec7, form):
+    # a start is a (q_p, sigma_cc) pair of block covariances, and nothing else
+    res = mu_sum_achievable(sec7, 2.0, SolverSettings(starts=1, max_iters=3))
+    start = {"raw vector": res.theta, "allocation": res.witness}[form]
+
+    def fail(*_args, **_kwargs):
+        pytest.fail("a start of another form reached the ascent")
+
+    monkeypatch.setattr(achievable, "maximize_multistart", fail)
+    with pytest.raises(ValueError, match="a start must be a tuple of one matrix per block"):
+        mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=1), extra_starts=[start])
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
@@ -1081,7 +1127,8 @@ def test_a_repeated_weighting_climbs_from_its_own_extra_starts(monkeypatch, sec7
     ascend = achievable.maximize_multistart
     monkeypatch.setattr(achievable, "maximize_multistart",
                         lambda *args, **kwargs: ascents.append(ascend(*args, **kwargs)) or ascents[-1])
-    warm = mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=2, seed=0)).theta
+    res = mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=2, seed=0))
+    warm = (res.q_p, res.sigma_cc)
     opts = SolverSettings(starts=2, max_iters=3, seed=0)
     ascents.clear()
     grid = mu_sum_partial_outer(sec7, [1.0, 1.0], [2.0, 2.0], opts, extra_starts=[[warm], []])
@@ -1171,7 +1218,7 @@ def test_containment_on_randomized_channels(rng):
             ach = mu_sum_achievable(ch, mu, opts)
             for alpha in (0.3, 1.0, 4.0):
                 bound = mu_sum_partial_outer(
-                    ch, alpha, mu, opts, extra_starts=[ach.witness]
+                    ch, alpha, mu, opts, extra_starts=[bound_start(ach.witness, alpha)]
                 )
                 assert bound.value >= ach.value - 1e-9
 
