@@ -169,7 +169,7 @@ class MuSumResult:
     value: float
     rate: RatePair
     witness: DpcAllocation
-    theta: np.ndarray
+    roots: tuple  # Cholesky factors of (stacked block, sigma_cc), which score the rates
 
 
 class LogDetProgram:
@@ -178,11 +178,13 @@ class LogDetProgram:
 
     ``blocks`` are covariance sizes; each block is the ``L L†`` of a Cholesky
     vector laid out as :func:`build_lower`, and a parameter vector
-    concatenates them in order.  ``terms`` are ``(H, block)``, meaning
-    ``H Q_block H†`` over white noise; ``H`` carries any scaling of the
-    channel and the whitening of a coloured noise.  ``rates`` holds ``r_p``
-    and ``r_c`` as ``(plus, minus)`` over term indices, each rate being
-    ``scale*(log2|I + sum plus| - log2|I + sum minus|)``; an empty side is 0.
+    concatenates them in order; ``param_block`` and ``param_row`` name each
+    parameter's block and the row of its factor it feeds.  ``terms`` are
+    ``(H, block)``, meaning ``H Q_block H†`` over white noise; ``H`` carries
+    any scaling of the channel and the whitening of a coloured noise.
+    ``rates`` holds ``r_p`` and ``r_c`` as ``(plus, minus)`` over term
+    indices, each rate being ``scale*(log2|I + sum plus| - log2|I + sum
+    minus|)``; an empty side is 0.
 
     A term is the Gram ``F F†`` of ``F = H L``, so each log-det is
     ``log2|I + E E†|`` with ``E`` its terms' ``F`` side by side, taken on
@@ -215,6 +217,8 @@ class LogDetProgram:
             self.blocks.append((offset, dim, k))
             offset += k
         self.n_params = offset
+        self.param_block = np.repeat(np.arange(len(blocks)), [k for _, _, k in self.blocks])
+        self.param_row = np.concatenate([param_rows(dim, cm) for dim in blocks])
         logdets, coef = [], []
         for r, sides in enumerate(rates):
             for sign, indices in zip((1.0, -1.0), sides):
@@ -420,9 +424,8 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     from .outer import _licensed_corner_upper  # here, as outer imports this module
 
     program = _two_block_program(ch, *_dpc_matrices(ch))
-    licensed = np.flatnonzero(param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt)
-    cognitive = np.setdiff1d(np.arange(program.n_params), licensed)
-    groups = [(licensed, ch.p_p), (cognitive, ch.p_c)]
+    licensed = (program.param_block == 0) & (program.param_row < ch.n_pt)
+    groups = [(np.flatnonzero(licensed), ch.p_p), (np.flatnonzero(~licensed), ch.p_c)]
     corners = _corner_starts(ch)
     grid = list(mu) if np.ndim(mu) else [mu]
     mus, thetas = _solve(program, grid, groups, opts, [corners] * len(grid),
@@ -431,10 +434,11 @@ def mu_sum_achievable(ch: CognitiveChannel, mu, opts: SolverSettings | None = No
     stacked = DpcAllocation.from_net(*decoded)
     _require(_feasibility_violation(ch, stacked, DEFAULT_TOL, [f" (at mu={m:g})" for m in mus]))
     witnesses = [DpcAllocation.from_net(*blocks) for blocks in zip(*decoded)]
-    rates = program.factor_rates(program.lower_factors(thetas))
+    roots = program.lower_factors(thetas)
+    rates = program.factor_rates(roots)
     results = [
-        MuSumResult(rate.mu_sum(mu_i), rate, witness, theta)
-        for mu_i, rate, witness, theta in zip(mus, rates, witnesses, thetas)
+        MuSumResult(rate.mu_sum(mu_i), rate, witness, own)
+        for mu_i, rate, witness, own in zip(mus, rates, witnesses, zip(*roots))
     ]
     return results if np.ndim(mu) else results[0]
 

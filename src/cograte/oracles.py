@@ -108,9 +108,8 @@ def _oracle_guard(ch: CognitiveChannel):
             "grid oracle supports single-antenna transmit sides and a "
             "single licensed receive antenna only"
         )
-    free = 4 if ch.real_mode else 5  # sym block (3 or 4 scalars) + sigma_cc
-    if free > 4:
-        raise OracleTooLarge(f"instance has {free} free scalars, cap is 4")
+    if not ch.real_mode:  # sym block (4 scalars, 3 if real) + sigma_cc
+        raise OracleTooLarge("instance has 5 free scalars, cap is 4")
 
 
 def _scalar_gains(ch: CognitiveChannel):

@@ -34,7 +34,7 @@ from .achievable import (
 )
 from .channel import CognitiveChannel, composite_matrices, scaled_channel
 from .errors import CograteError
-from .linalg import DEFAULT_TOL, LN2, budget_tol, param_rows, psd_sqrt, range_basis, symmetrize
+from .linalg import DEFAULT_TOL, LN2, budget_tol, psd_sqrt, range_basis, symmetrize
 from .regions import RatePair, RegionBoundary, check_mu, cross_polish
 from .solvers import (
     _SLOPE_STEP,
@@ -99,7 +99,6 @@ class BoundMuSumResult:
     rate: RatePair
     q_p: np.ndarray
     sigma_cc: np.ndarray
-    theta: np.ndarray
     alpha: float
     roots: tuple  # Cholesky factors of (q_p, sigma_cc), which score the rates
 
@@ -205,7 +204,6 @@ def mu_sum_partial_outer(
     mu,
     opts: SolverSettings | None = None,
     extra_starts=(),
-    *, _program=None,
 ):
     """Maximize mu*r_p + r_c over the partial bound at a fixed alpha.
 
@@ -227,7 +225,6 @@ def mu_sum_partial_outer(
     ``φ = θ / sqrt(B)``, ``B = p_p + alpha p_c``, on the unit ball under the
     column scale ``sqrt(B) s``; :func:`~cograte.achievable._solve` checks it
     and places its starts there, and the winners are re-scored in one batch.
-    ``_program``, the DPC program of ``ch``, lets an alpha sweep build it once.
     :func:`_power_split_bound` gives each weighting's ``upper`` value in
     :func:`maximize_multistart`.
     """
@@ -238,9 +235,8 @@ def mu_sum_partial_outer(
     extra = (list(extra_starts) or [()] * len(alphas)) if np.ndim(mu) else [extra_starts]
     if len(extra) != len(alphas):
         raise ValueError("a mu grid must be nonempty, with one sequence of extra starts per mu")
-    program = _two_block_program(ch, *_dpc_matrices(ch)) if _program is None else _program
-    licensed = param_rows(ch.n_pt + ch.n_ct, program.complex_mode) < ch.n_pt
-    licensed = np.concatenate([licensed, np.zeros(program.n_params - len(licensed), bool)])
+    program = _two_block_program(ch, *_dpc_matrices(ch))
+    licensed = (program.param_block == 0) & (program.param_row < ch.n_pt)
     budget = {a: ch.p_p + a * ch.p_c for a in alphas}
     corners = {a: _bound_corners(ch, a, b) for a, b in budget.items()}
     starts = [corners[a] + list(own) for a, own in zip(alphas, extra)]
@@ -257,16 +253,13 @@ def mu_sum_partial_outer(
                                {"q_p": q_ps, "sigma_cc": s_ccs}, where=at))
     # the alpha = 1 factors at the points the ascent read score every rate
     rates = program.factor_rates(program.lower_factors(cols * phis))
-    results = [
-        BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, theta, a, roots)
-        for a, mu_i, rate, q_p, s_cc, theta, roots in zip(
-            alphas, mus, rates, q_ps, s_ccs, thetas, zip(*program.lower_factors(thetas))
-        )
-    ]
+    roots = zip(*program.lower_factors(thetas))
+    results = [BoundMuSumResult(rate.mu_sum(mu_i), rate, q_p, s_cc, a, own)
+               for a, mu_i, rate, q_p, s_cc, own in zip(alphas, mus, rates, q_ps, s_ccs, roots)]
     return results if np.ndim(mu) else results[0]
 
 
-def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
+def _alpha_slope(ch: CognitiveChannel, alpha: float, mu: float, roots) -> float:
     """Slope in ``log alpha`` of the partial-bound mu-sum along the witness
     path: the factors ``roots`` of a witness at ``alpha``, scaled by
     ``sqrt(B(a) / B(alpha))`` with ``B(a) = p_p + a p_c``, spend the whole
@@ -274,12 +267,12 @@ def _alpha_slope(program, ch: CognitiveChannel, alpha: float, mu: float, roots) 
     at ``alpha``, and where both are smooth their slopes agree (Danskin's
     theorem).  Both points of the central difference in ``log alpha`` are
     re-scored in one stack, on the alpha = 1 matrices with the factors
-    scaled by ``s`` (see :func:`mu_sum_partial_outer`) in ``ch``'s DPC ``program``; no solve."""
+    scaled by ``s`` (see :func:`mu_sum_partial_outer`) in ``ch``'s DPC program; no solve."""
     a = np.array([[[math.exp(math.log(alpha) + h)]] for h in (_SLOPE_STEP, -_SLOPE_STEP)])
     c, s = np.sqrt((ch.p_p + a * ch.p_c) / (ch.p_p + alpha * ch.p_c)), 1.0 / np.sqrt(a)
     cognitive = np.arange(ch.n_pt + ch.n_ct)[:, None] >= ch.n_pt
     stacks = (c * np.where(cognitive, s, 1.0) * roots[0], c * s * roots[1])
-    up, down = program.factor_rates(stacks)
+    up, down = _two_block_program(ch, *_dpc_matrices(ch)).factor_rates(stacks)
     return (up.mu_sum(mu) - down.mu_sum(mu)) / (2.0 * _SLOPE_STEP)
 
 
@@ -334,18 +327,17 @@ def inf_alpha_partial_outer(
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     opts = opts or SolverSettings()
     cache: dict[float, BoundMuSumResult] = {}
-    dpc = _two_block_program(ch, *_dpc_matrices(ch))
 
     def solve(alphas) -> None:
         new = [a for a in dict.fromkeys(alphas) if a not in cache]
         if new:
             inner = replace(opts, starts=max(2, opts.starts // 3))
-            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner, _program=dpc)))
+            cache.update(zip(new, mu_sum_partial_outer(ch, new, mu, inner)))
 
     def n_of_alpha(log_a: float) -> tuple[float, float]:
         a = math.exp(log_a)
         solve([a])
-        return cache[a].value, _alpha_slope(dpc, ch, a, mu, cache[a].roots)
+        return cache[a].value, _alpha_slope(ch, a, mu, cache[a].roots)
 
     if mu >= ch.corner_weight:
         result = inf_alpha_max_rp(ch, alpha_bracket, n_scan)
@@ -354,7 +346,7 @@ def inf_alpha_partial_outer(
         result = scan_then_golden(n_of_alpha, xs, tol=1e-6)
     low, high = result.widened
     alpha_star = math.exp(result.x)
-    best = mu_sum_partial_outer(ch, alpha_star, mu, opts, _program=dpc)
+    best = mu_sum_partial_outer(ch, alpha_star, mu, opts)
     return InfAlphaResult(
         alpha_star=alpha_star,
         n_value=best.value,
@@ -364,7 +356,7 @@ def inf_alpha_partial_outer(
         non_unimodal=result.non_unimodal,
         bracket=(lo / 10.0**low, hi * 10.0**high),
         evaluations=len(cache) + 1,
-        slope=_alpha_slope(dpc, ch, alpha_star, mu, best.roots),
+        slope=_alpha_slope(ch, alpha_star, mu, best.roots),
     )
 
 
@@ -560,8 +552,10 @@ def trace_outer_boundary(
     ``warm_boundary`` (an achievable boundary over the same grid) adds its
     witness at each mu to that mu's starts at every alpha, mapped there by
     :func:`scale_allocation` (which keeps its rate pair) into the pair
-    ``(sigma_p_net, sigma_cc)``.  No command passes it: the Newton polish
-    takes each weighting to the same stationary point from its own starts.
+    ``(sigma_p_net, sigma_cc)``; a grid mu with no point holding the four DPC
+    blocks raises ValueError before any solve.  No command passes it: the
+    Newton polish takes each weighting to the same stationary point from its
+    own starts.
     """
     opts = opts or SolverSettings()
 
@@ -573,6 +567,8 @@ def trace_outer_boundary(
     }
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
     mus = sorted(mu_grid, reverse=True)
+    if warm_boundary is not None and (cold := [mu for mu in mus if mu not in warm]):
+        raise ValueError(f"warm_boundary has no DPC witness at mu={cold[0]:g}")
     mapped = [[scale_allocation(warm[mu], a)] if mu in warm else [] for a in alphas for mu in mus]
     extra = [[(w.sigma_p_net, w.sigma_cc) for w in own] for own in mapped]
     results = mu_sum_partial_outer(ch, np.repeat(alphas, len(mus)), mus * len(alphas), opts, extra)

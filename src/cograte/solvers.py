@@ -104,21 +104,25 @@ def make_group_projection(groups):
     def project(theta: np.ndarray) -> np.ndarray:
         theta = np.array(theta, dtype=float, copy=True)
         flat = theta.reshape(-1, theta.shape[-1])
-        if np.abs(flat).max() > 1e150:
-            # a sum of squares may pass the float range; such a row lies outside
-            # its ball, so put it on the sphere in units of its largest entry
-            for idx, budget in groups:
-                with np.errstate(over="ignore"):
-                    huge = np.ix_(np.isinf(np.sum(flat[:, idx] ** 2, axis=1)), idx)
-                unit = flat[huge] / np.max(np.abs(flat[huge]), axis=1, keepdims=True)
-                flat[huge] = unit * np.sqrt(budget / np.sum(unit**2, axis=1, keepdims=True))
         for key, (_, budget) in zip(keys, groups):
             # summed in a gathered copy's column order: a view's rounds otherwise
-            sq = np.square(flat[:, key], order="F").sum(axis=1)
-            flat[:, key] *= np.sqrt(budget / np.maximum(sq, budget))[:, None]
+            t, sq = _norms(flat[:, key], order="F")
+            flat[:, key] *= (np.sqrt(budget / np.maximum(sq, budget / t / t)) / t)[:, None]
         return flat.reshape(theta.shape)
 
     return project
+
+
+def _norms(a: np.ndarray, order="K"):
+    """Row norms of ``a`` as ``(t, sq)``, each ``t·sqrt(sq)``, where ``sq`` sums
+    the squares of ``row / t`` in an ``order`` copy.  ``t`` is 1 unless that
+    plain sum overflows the float range, and then the row's largest entry."""
+    with np.errstate(over="ignore"):
+        sq = np.square(a, order=order).sum(axis=1)
+    t, big = np.ones_like(sq), np.isinf(sq)
+    t[big] = np.abs(a[big]).max(axis=1)
+    sq[big] = np.square(a[big] / t[big, None]).sum(axis=1)
+    return t, sq
 
 
 _LADDER = np.array([4.0, 1.0, 0.25, 0.0625])
@@ -217,7 +221,8 @@ def maximize_multistart(objective, n_params: int, project, settings: SolverSetti
                 break
         grad = c * objective(c * th)[1](w)
         _finite(grad, owner[run], "during gradient evaluation")
-        gnorm = np.sqrt((grad * grad).sum(axis=1))
+        t, sq = _norms(grad)
+        gnorm = t * np.sqrt(sq)
         if (dead := gnorm < 1e-15).any():
             run, th, val, step, stall, w, c, bar, grad, gnorm = retire(
                 dead, run, th, val, step, stall, w, c, bar, grad, gnorm)
@@ -293,7 +298,8 @@ def newton_polish(objective, groups, settings, weights, thetas, values, scale=1.
             bend[:, idx] = np.where(on, (radial / b)[:, None], 0.0)
         tangent = eye - normals @ normals.mT
         rg = (tangent @ g[:, :, None])[:, :, 0]
-        more = np.sqrt(np.square(rg).sum(axis=1)) > _GRADIENT_TOL * (1.0 + np.abs(val[run]))
+        t, sq = _norms(rg)
+        more = t * np.sqrt(sq) > _GRADIENT_TOL * (1.0 + np.abs(val[run]))
         live[run] = more
         if not more.any():
             break

@@ -149,6 +149,16 @@ def test_mu_sum_large_mu_hits_peak(sec7, fast):
     assert is_feasible(sec7, res.witness, tol=1e-8)
 
 
+@pytest.mark.parametrize("mu", [1e155, 1e200, 1e300])
+def test_mu_sum_past_the_float_square_of_the_gradient_hits_peak(sec7, fast, mu):
+    # from mu ~ 1e155 the gradient's plain sum of squares overflows (a
+    # RuntimeWarning, an error in this suite), and a zero-norm ascent read
+    # r_c = 1.35e-12 where mu = 1e150 reads 0
+    res = mu_sum_achievable(sec7, mu, fast)
+    assert res.rate.r_c == 0.0
+    assert res.rate.r_p == pytest.approx(MAX_RP, abs=1e-9)
+
+
 def test_mu_sum_zero_mu_maximizes_cognitive_rate(sec7, fast):
     res = mu_sum_achievable(sec7, 0.0, fast)
     assert res.rate.r_c == pytest.approx(RC_FULL, abs=1e-8)

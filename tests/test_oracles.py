@@ -146,7 +146,7 @@ def test_grid_oracle_rejects_large_instances():
         h_pp=[[1.0 + 0.2j]], h_pc=[[0.1]], h_cp=[[0.3]], h_cc=[[0.5]],
         p_p=1.0, p_c=1.0, real_mode=False,
     )
-    with pytest.raises(OracleTooLarge):
+    with pytest.raises(OracleTooLarge, match="instance has 5 free scalars, cap is 4"):
         grid_oracle(complex_scalar, 1.0, 10)
 
 

@@ -30,7 +30,7 @@ from cograte.achievable import (
 )
 from cograte.channel import CognitiveChannel, composite_matrices, scaled_channel
 from cograte.errors import InfeasibleAllocation, SolverDiverged, UnsupportedMu
-from cograte.linalg import log_det_id_plus, param_rows
+from cograte.linalg import log_det_id_plus
 from cograte.outer import (
     _alpha_slope,
     _power_split_bound,
@@ -343,7 +343,7 @@ def test_witness_path_slope_matches_re_solved_differences(sec7, case, mu):
     opts = SolverSettings(starts=2, seed=0, rel_tol=1e-12)
     alpha, h = 2.0, 1e-3
     res = mu_sum_partial_outer(ch, alpha, mu, opts)
-    slope = _alpha_slope(_two_block_program(ch, *_dpc_matrices(ch)), ch, alpha, mu, res.roots)
+    slope = _alpha_slope(ch, alpha, mu, res.roots)
     up, down = (
         mu_sum_partial_outer(ch, alpha * math.exp(s), mu, opts,
                              extra_starts=[(res.q_p, res.sigma_cc)]).value
@@ -377,7 +377,7 @@ def test_witness_path_slope_matches_the_scaled_channel_form(sec7, case, mu):
         roots = mu_sum_partial_outer(ch, alpha, mu, opts).roots
         want = _scaled_channel_slope(ch, alpha, mu, roots)
         assert abs(want) > 1e-2  # away from the minimizer, where the slope is rounding
-        assert _alpha_slope(_two_block_program(ch, *_dpc_matrices(ch)), ch, alpha, mu, roots) == pytest.approx(want, rel=1e-9)
+        assert _alpha_slope(ch, alpha, mu, roots) == pytest.approx(want, rel=1e-9)
 
 
 def test_alpha_sweep_makes_few_partial_solves(monkeypatch, sec7):
@@ -681,6 +681,21 @@ def test_the_power_split_bound_is_the_optimum_without_interference():
     assert res.value == pytest.approx(upper, rel=1e-9)
 
 
+@settings(max_examples=20, deadline=None)
+@given(complex_mode=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       mu=st.floats(0.1, 10.0), t=st.floats(1.0, 4.0))
+def test_rates_are_monotone_in_power(complex_mode, seed, mu, t):
+    # scaling both powers by t >= 1 grows the feasible sets of the DPC region
+    # and of the partial bound, so neither maximal mu-sum may fall
+    ch = random_channel(np.random.default_rng(seed), complex_mode)
+    more = dataclasses.replace(ch, p_p=t * ch.p_p, p_c=t * ch.p_c)
+    opts = SolverSettings(starts=2, seed=0)
+    for solve in (lambda c: mu_sum_achievable(c, mu, opts),
+                  lambda c: mu_sum_partial_outer(c, 1.0, mu, opts)):
+        value = solve(ch).value
+        assert solve(more).value >= value - 1e-9 * max(1.0, value)
+
+
 @pytest.mark.parametrize("path", ["dpc", "partial"])
 def test_witness_rates_come_from_its_factors_at_huge_power(path):
     # at p = 1e16 the witness's sigma_cc is rank one, zero-forced at the
@@ -698,7 +713,7 @@ def test_witness_rates_come_from_its_factors_at_huge_power(path):
     else:
         res, scored = mu_sum_partial_outer(ch, 1.0, 2.0, opts), scaled_channel(ch, 1.0)
     g, h_int, _ = _dpc_matrices(scored)
-    low_p, low_c = _two_block_program(scored, *_dpc_matrices(scored)).lower_factors(res.theta)
+    low_p, low_c = res.roots
 
     def bits(f):
         return 0.5 * np.sum(np.log1p(np.linalg.svd(f, compute_uv=False) ** 2)) / math.log(2)
@@ -907,6 +922,17 @@ def test_the_tightness_check_at_the_sweeps_alpha_star(sec7, mu, holds):
     assert condition_check(sec7, sweep.alpha_star, mu, sweep.n_value, 1e-3, opts) is holds
 
 
+@pytest.mark.parametrize("mu", [1e155, 1e300])
+def test_the_sweep_past_the_float_square_of_the_gradient(sec7, mu):
+    # the ascent's and the polish's gradient norms overflowed from mu ~ 1e155
+    # (a RuntimeWarning, an error in this suite); the sweep reads the closed
+    # form, and its tightness check holds
+    opts = SolverSettings(starts=2, seed=0)
+    sweep = inf_alpha_partial_outer(sec7, mu, opts=opts)
+    assert sweep.n_value / mu == pytest.approx(outer.inf_alpha_max_rp(sec7).value, rel=1e-9)
+    assert condition_check(sec7, sweep.alpha_star, mu, sweep.n_value, 1e-3, opts)
+
+
 def test_trace_outer_boundary_endpoint(sec7, fast):
     boundary = trace_outer_boundary(sec7, 1.0, [1e6], fast)
     assert boundary.points[0].rate.r_p == pytest.approx(FLIPPED_A1, abs=1e-6)
@@ -978,7 +1004,8 @@ def test_a_grid_solve_is_each_mu_solved_alone(sec7, channel):
         for mu, got, want in zip(grid, together, apart):
             assert got.value == pytest.approx(want.value, rel=1e-12)
             assert got.value == pytest.approx(got.rate.mu_sum(mu), rel=1e-15)
-            np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
+            for got_root, want_root in zip(got.roots, want.roots):
+                np.testing.assert_allclose(got_root, want_root, rtol=1e-12, atol=1e-12)
 
 
 def _bundled_or_ladder(sec7, channel):
@@ -994,8 +1021,7 @@ def test_the_bound_at_alpha_is_the_alpha_one_program_on_scaled_columns(
     # 1/sqrt(alpha) on the cognitive rows of both Cholesky factors
     ch = _bundled_or_ladder(sec7, channel)
     one = _two_block_program(ch, *_dpc_matrices(ch))
-    rows = param_rows(ch.n_pt + ch.n_ct, one.complex_mode)
-    licensed = np.concatenate([rows < ch.n_pt, np.zeros(one.n_params - len(rows), bool)])
+    licensed = (one.param_block == 0) & (one.param_row < ch.n_pt)
     thetas = rng.standard_normal((5, one.n_params))
     for alpha in (1e-3, 0.3, 7.0):
         scaled = scaled_channel(ch, alpha)
@@ -1022,7 +1048,8 @@ def test_an_alpha_grid_is_each_weighting_solved_alone(sec7, channel):
             want = mu_sum_partial_outer(ch, alpha, mu, opts)
             assert got.alpha == alpha
             assert got.value == pytest.approx(want.value, rel=1e-12)
-            np.testing.assert_allclose(got.theta, want.theta, rtol=1e-12, atol=1e-12)
+            for got_root, want_root in zip(got.roots, want.roots):
+                np.testing.assert_allclose(got_root, want_root, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="cannot pair"):
         mu_sum_partial_outer(ch, alphas, mus[:2], opts)
     with pytest.raises(ValueError, match="cannot pair"):  # a length-1 list is a grid
@@ -1076,7 +1103,8 @@ def test_a_bad_weighting_grid_is_rejected_before_any_solve(monkeypatch, sec7, al
 def test_a_start_of_another_form_is_rejected_before_any_solve(monkeypatch, sec7, form):
     # a start is a (q_p, sigma_cc) pair of block covariances, and nothing else
     res = mu_sum_achievable(sec7, 2.0, SolverSettings(starts=1, max_iters=3))
-    start = {"raw vector": res.theta, "allocation": res.witness}[form]
+    n_params = _two_block_program(sec7, *_dpc_matrices(sec7)).n_params
+    start = {"raw vector": np.zeros(n_params), "allocation": res.witness}[form]
 
     def fail(*_args, **_kwargs):
         pytest.fail("a start of another form reached the ascent")
@@ -1084,6 +1112,24 @@ def test_a_start_of_another_form_is_rejected_before_any_solve(monkeypatch, sec7,
     monkeypatch.setattr(achievable, "maximize_multistart", fail)
     with pytest.raises(ValueError, match="a start must be a tuple of one matrix per block"):
         mu_sum_partial_outer(sec7, 1.0, 2.0, SolverSettings(starts=1), extra_starts=[start])
+
+
+@pytest.mark.parametrize("warm, cold", [("partial curve", 2.0), ("other mus", 0.5)])
+def test_a_warm_boundary_without_a_dpc_witness_at_a_grid_mu_is_rejected(
+    monkeypatch, sec7, fast, warm, cold
+):
+    # a partial-bound curve holds (q_p, sigma_cc) witnesses, and a region over
+    # other mus none at some grid mu: either would add no start there
+    grid = [0.5, 2.0]
+    boundary = (trace_outer_boundary(sec7, 1.0, grid, fast) if warm == "partial curve"
+                else trace_boundary(sec7, [2.0, 1.0], fast))
+
+    def fail(*_args, **_kwargs):
+        pytest.fail("a warm boundary without a witness at a grid mu reached the ascent")
+
+    monkeypatch.setattr(achievable, "maximize_multistart", fail)
+    with pytest.raises(ValueError, match=rf"warm_boundary has no DPC witness at mu={cold:g}$"):
+        trace_outer_boundary(sec7, [0.5, 1.0], grid, fast, warm_boundary=boundary)
 
 
 @pytest.mark.parametrize("channel", ["bundled", "mimo"])
@@ -1115,7 +1161,8 @@ def test_a_repeated_weighting_climbs_as_it_would_alone(monkeypatch, sec7, fast):
     pairs = mu_sum_partial_outer(sec7, [0.5, 2.0, 0.5], [1.0, 1.0, 1.0], fast)
     assert handed == [3, 3, 3]
     assert pairs[0].value == pairs[2].value
-    np.testing.assert_array_equal(pairs[0].theta, pairs[2].theta)
+    for twin, root in zip(pairs[0].roots, pairs[2].roots):
+        np.testing.assert_array_equal(twin, root)
 
 
 def test_a_repeated_weighting_climbs_from_its_own_extra_starts(monkeypatch, sec7):
@@ -1141,7 +1188,8 @@ def test_a_repeated_weighting_climbs_from_its_own_extra_starts(monkeypatch, sec7
         np.testing.assert_array_equal(grid_thetas[m], thetas[0])
     for got, want in zip(grid, alone):
         assert got.value == want.value
-        np.testing.assert_array_equal(got.theta, want.theta)
+        for got_root, want_root in zip(got.roots, want.roots):
+            np.testing.assert_array_equal(got_root, want_root)
 
 
 def test_a_diverging_alpha_grid_names_its_mu_and_alpha(monkeypatch, sec7, fast):

@@ -172,6 +172,20 @@ def test_decode_inverts_encode(complex_mode, seed):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_the_parameter_layout_names_each_factor_row(complex_mode, rng):
+    # the squared norm of the parameters of (block b, row i) is that of row i
+    # of block b's factor: what the solvers' trace budgets group by
+    ch = random_channel(rng, complex_mode)
+    for program, _ in _programs(rng, ch):
+        theta = rng.standard_normal(program.n_params)
+        assert program.param_block.shape == program.param_row.shape == theta.shape
+        for b, low in enumerate(program.lower_factors(theta)):
+            for i, row in enumerate(low):
+                own = (program.param_block == b) & (program.param_row == i)
+                assert np.sum(theta[own] ** 2) == pytest.approx(np.sum(np.abs(row) ** 2))
+
+
 def _term(rng, shape, kind, complex_mode):
     """A term matrix: dense, with random zero columns (the last one kept), or
     the rank-one product ``A B`` scaled to a dense draw's mean square entry

@@ -14,6 +14,7 @@ from cograte.solvers import (
     _GRADIENT_TOL,
     NEG_INF,
     SolverSettings,
+    _norms,
     central_slope,
     golden_section,
     make_group_projection,
@@ -184,6 +185,15 @@ def test_group_projection_puts_rows_past_the_float_square_on_the_sphere():
     assert out[0, 0] > 0 and out[1, 1] > 0
     # a row whose sum of squares is finite takes the plain formula
     assert np.array_equal(out[2], rows[2] * np.sqrt(10.0 / 25.0))
+
+
+def test_row_norms_past_the_float_square_are_finite():
+    rows = np.array([[1e200, 0.0, 0.0], [-3e160, 4e160, 1.0], [3.0, 4.0, 0.0], [1e300, 1e300, 0.0]])
+    t, sq = _norms(rows)
+    np.testing.assert_allclose(t * np.sqrt(sq), [1e200, 5e160, 5.0, math.sqrt(2.0) * 1e300],
+                               rtol=1e-15)
+    # a row whose sum of squares is finite takes the plain sum, bit for bit
+    assert t[2] == 1.0 and sq[2] == np.square(rows[2]).sum()
 
 
 def _gathered_projection(groups, rows):
